@@ -4,7 +4,7 @@ from .errors import InputError, ParseError
 from .exactnum import Matrix, Scalar, scal
 from .multilin import (
     CochainCoordinates, SkewTernaryTensor, cochain_dim, embed_skew_trilinear,
-    eval_skew, pair_basis,
+    pair_basis,
 )
 from .structures import (
     MD3LieAlgebra, ModifiedDifferential, Report, Representation,
@@ -18,7 +18,7 @@ from .structures import (
 __all__ = [
     "InputError", "ParseError", "Matrix", "Scalar", "scal",
     "CochainCoordinates", "SkewTernaryTensor", "cochain_dim",
-    "embed_skew_trilinear", "eval_skew", "pair_basis",
+    "embed_skew_trilinear", "pair_basis",
     "MD3LieAlgebra", "ModifiedDifferential", "Report", "Representation",
     "ThreeLieAlgebra", "Violation", "adjoint_representation",
     "coadjoint_representation", "derivation_shift_check",

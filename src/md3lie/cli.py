@@ -25,8 +25,8 @@ from .deformation import (
 from .errors import InputError, ParseError
 from .exactnum import Matrix
 from .extension import (
-    extensions_equivalent, extract_cocycle, hyperbolic_pairing, is_metrised,
-    tstar_abelian_extension, verify_extension,
+    build_abelian_extension, extensions_equivalent, extract_cocycle,
+    hyperbolic_pairing, is_metrised, tstar_abelian_extension, verify_extension,
 )
 from .multilin import SkewTernaryTensor
 from .structures import (
@@ -171,8 +171,6 @@ def _cmd_extend(args):
     rep = _load_representation(md, args.rep)
     f = _load_tensor(args.f, md.n, rep.m)
     g = _load_matrix(args.g, rep.m, md.n)
-    from .extension import build_abelian_extension
-
     ext = build_abelian_extension(md, rep, f, g)
     report = verify_extension(ext)
     doc = _report_doc(

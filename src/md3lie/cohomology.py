@@ -317,12 +317,14 @@ class ComplexAssembly:
             reps = [TotalCochain.from_stacked(q, n, m, v) for v in kernel]
             return CohomologySummary(z_dim, 0, z_dim, reps)
         boundary = self.partial_matrix(q - 1)
-        b_dim = boundary.rank()
         stacked = Matrix.hstack(
             [boundary, Matrix.from_columns(kernel, boundary.rows)])
-        chosen = [c - boundary.cols
-                  for c in stacked.pivot_columns() if c >= boundary.cols]
-        reps = [TotalCochain.from_stacked(q, n, m, kernel[t]) for t in chosen]
+        pivots = stacked.pivot_columns()
+        # the pivots are the leftmost independent columns, so those inside
+        # the boundary block count its rank
+        b_dim = sum(1 for c in pivots if c < boundary.cols)
+        reps = [TotalCochain.from_stacked(q, n, m, kernel[c - boundary.cols])
+                for c in pivots if c >= boundary.cols]
         return CohomologySummary(z_dim, b_dim, z_dim - b_dim, reps)
 
     def apply_partial(self, tc: TotalCochain) -> TotalCochain:

@@ -23,7 +23,6 @@ from .multilin import (
 )
 from .structures import (
     MD3LieAlgebra, Report, Representation, ThreeLieAlgebra, Violation,
-    adjoint_representation,
 )
 
 
@@ -65,7 +64,6 @@ def verify_linear_deformation(ld: LinearDeformation) -> Report:
     ds = (ld.base.d, ld.d1)
     lam = ld.base.lam
     violations = []
-    units = [unit(n, i) for i in range(n)]
 
     for order in range(5):
         terms = [(i, order - i) for i in range(3) if 0 <= order - i <= 2]
@@ -73,15 +71,18 @@ def verify_linear_deformation(ld: LinearDeformation) -> Report:
             for t3 in combinations(range(n), 3):
                 lhs = [Fraction(0)] * n
                 rhs = [Fraction(0)] * n
+                a, b, c = t3
                 for i, j in terms:
-                    inner = nus[j].basis_value(*t3)
-                    lhs = vec_add(lhs, nus[i](units[i1], units[i2], inner))
-                    w3 = nus[j].basis_value(i1, i2, t3[0])
-                    w4 = nus[j].basis_value(i1, i2, t3[1])
-                    w5 = nus[j].basis_value(i1, i2, t3[2])
-                    rhs = vec_add(rhs, nus[i](w3, units[t3[1]], units[t3[2]]))
-                    rhs = vec_add(rhs, nus[i](units[t3[0]], w4, units[t3[2]]))
-                    rhs = vec_add(rhs, nus[i](units[t3[0]], units[t3[1]], w5))
+                    inner = nus[j].basis_value(a, b, c)
+                    lhs = vec_add(lhs, nus[i].pair_value(i1, i2, inner))
+                    w3 = nus[j].basis_value(i1, i2, a)
+                    w4 = nus[j].basis_value(i1, i2, b)
+                    w5 = nus[j].basis_value(i1, i2, c)
+                    # [w3, e_b, e_c] + [e_a, w4, e_c] + [e_a, e_b, w5],
+                    # each rotated so the general vector is last
+                    rhs = vec_add(rhs, nus[i].pair_value(b, c, w3))
+                    rhs = vec_add(rhs, nus[i].pair_value(c, a, w4))
+                    rhs = vec_add(rhs, nus[i].pair_value(a, b, w5))
                 if lhs != rhs:
                     violations.append(Violation(
                         f"bracket identity at order {order}",
@@ -95,9 +96,9 @@ def verify_linear_deformation(ld: LinearDeformation) -> Report:
             for i, l in terms:
                 lhs = vec_add(lhs, ds[l].apply(nus[i].basis_value(*triple)))
                 a, b, c = triple
-                rhs = vec_add(rhs, nus[i](ds[l].column(a), units[b], units[c]))
-                rhs = vec_add(rhs, nus[i](units[a], ds[l].column(b), units[c]))
-                rhs = vec_add(rhs, nus[i](units[a], units[b], ds[l].column(c)))
+                rhs = vec_add(rhs, nus[i].pair_value(b, c, ds[l].column(a)))
+                rhs = vec_add(rhs, nus[i].pair_value(c, a, ds[l].column(b)))
+                rhs = vec_add(rhs, nus[i].pair_value(a, b, ds[l].column(c)))
             if order <= 2:
                 rhs = vec_add(rhs, vec_scale(lam, nus[order].basis_value(*triple)))
             if tuple(lhs) != tuple(rhs):
@@ -115,10 +116,6 @@ def infinitesimal(ld: LinearDeformation) -> TotalCochain:
     return TotalCochain(
         2, embed_skew_trilinear(ld.nu1),
         CochainCoordinates.from_linear_map(ld.d1))
-
-
-def adjoint_complex(md: MD3LieAlgebra) -> ComplexAssembly:
-    return ComplexAssembly(md, adjoint_representation(md))
 
 
 def check_equivalence(ld: LinearDeformation, ld2: LinearDeformation,
@@ -163,17 +160,17 @@ def check_equivalence(ld: LinearDeformation, ld2: LinearDeformation,
     return True
 
 
-@dataclass(frozen=True)
-class NijenhuisOperator:
-    """Operator generating a trivial deformation; validated on construction."""
+def _n_expansions(br: SkewTernaryTensor, ncols, a: int, b: int, c: int):
+    """Bracket sums on a basis triple with N applied to some arguments.
 
-    md: MD3LieAlgebra
-    N: Matrix
-
-    def __post_init__(self):
-        report = is_nijenhuis(self.md, self.N)
-        if not report.valid:
-            raise InputError("operator fails the Nijenhuis conditions")
+    Returns ([Na,b,c] + [a,Nb,c] + [a,b,Nc], [a,Nb,Nc] + [Na,b,Nc] + [Na,Nb,c])
+    for basis vectors a, b, c, where ``ncols`` are the columns of N."""
+    na, nb, nc = ncols[a], ncols[b], ncols[c]
+    once = vec_add(vec_add(br.pair_value(b, c, na), br.pair_value(c, a, nb)),
+                   br.pair_value(a, b, nc))
+    ea, eb, ec = (unit(br.dim_in, i) for i in (a, b, c))
+    twice = vec_add(vec_add(br(ea, nb, nc), br(na, eb, nc)), br(na, nb, ec))
+    return once, twice
 
 
 def is_nijenhuis(md: MD3LieAlgebra, N: Matrix) -> Report:
@@ -186,91 +183,57 @@ def is_nijenhuis(md: MD3LieAlgebra, N: Matrix) -> Report:
         violations.append(Violation(
             "differential commutation", (), N @ md.d, md.d @ N))
     br = md.algebra.bracket
-    units = [unit(n, i) for i in range(n)]
     ncols = [N.column(i) for i in range(n)]
     N2 = N @ N
     N3 = N2 @ N
     for a, b, c in combinations(range(n), 3):
         lhs = br(ncols[a], ncols[b], ncols[c])
-        once = vec_add(
-            vec_add(br(units[a], ncols[b], ncols[c]),
-                    br(ncols[a], units[b], ncols[c])),
-            br(ncols[a], ncols[b], units[c]))
-        twice = vec_add(
-            vec_add(br(ncols[a], units[b], units[c]),
-                    br(units[a], ncols[b], units[c])),
-            br(units[a], units[b], ncols[c]))
+        once, twice = _n_expansions(br, ncols, a, b, c)
         rhs = vec_add(
-            vec_sub(N.apply(once), N2.apply(twice)),
+            vec_sub(N.apply(twice), N2.apply(once)),
             N3.apply(br.basis_value(a, b, c)))
         if lhs != rhs:
             violations.append(Violation("Nijenhuis identity", (a, b, c), lhs, rhs))
     return Report.from_violations(violations)
 
 
-def _as_nijenhuis(md: MD3LieAlgebra, N) -> NijenhuisOperator:
-    if isinstance(N, NijenhuisOperator):
-        if N.md != md:
-            raise InputError("operator belongs to a different algebra")
-        return N
-    return NijenhuisOperator(md, N)
+def _require_nijenhuis(md: MD3LieAlgebra, N: Matrix) -> None:
+    if not is_nijenhuis(md, N).valid:
+        raise InputError("operator fails the Nijenhuis conditions")
 
 
-def nijenhuis_deformed_algebra(md: MD3LieAlgebra, N) -> MD3LieAlgebra:
+def nijenhuis_deformed_algebra(md: MD3LieAlgebra, N: Matrix) -> MD3LieAlgebra:
     """The deformed bracket of a Nijenhuis operator, with the same d and weight."""
-    nij = _as_nijenhuis(md, N)
-    N = nij.N
+    _require_nijenhuis(md, N)
     n = md.n
     br = md.algebra.bracket
-    units = [unit(n, i) for i in range(n)]
     ncols = [N.column(i) for i in range(n)]
     N2 = N @ N
 
     def deformed(a, b, c):
-        once = vec_add(
-            vec_add(br(units[a], ncols[b], ncols[c]),
-                    br(ncols[a], units[b], ncols[c])),
-            br(ncols[a], ncols[b], units[c]))
-        twice = vec_add(
-            vec_add(br(ncols[a], units[b], units[c]),
-                    br(units[a], ncols[b], units[c])),
-            br(units[a], units[b], ncols[c]))
-        return vec_add(vec_sub(once, N.apply(twice)),
+        once, twice = _n_expansions(br, ncols, a, b, c)
+        return vec_add(vec_sub(twice, N.apply(once)),
                        N2.apply(br.basis_value(a, b, c)))
 
     tensor = SkewTernaryTensor.from_function(n, n, deformed)
     return MD3LieAlgebra(ThreeLieAlgebra(n, tensor), md.diff)
 
 
-def trivial_deformation_from_nijenhuis(md: MD3LieAlgebra, N) -> LinearDeformation:
+def trivial_deformation_from_nijenhuis(md: MD3LieAlgebra, N: Matrix) -> LinearDeformation:
     """The trivial deformation generated by a Nijenhuis operator (d1 = 0).
 
     nu1 absorbs the operator once, nu2 twice; the cubic closure
     N nu2 = [N-, N-, N-] is re-checked here as an internal invariant."""
-    nij = _as_nijenhuis(md, N)
-    N = nij.N
+    _require_nijenhuis(md, N)
     n = md.n
     br = md.algebra.bracket
-    units = [unit(n, i) for i in range(n)]
     ncols = [N.column(i) for i in range(n)]
-
-    def nu1_fn(a, b, c):
-        return vec_sub(
-            vec_add(vec_add(br(ncols[a], units[b], units[c]),
-                            br(units[a], ncols[b], units[c])),
-                    br(units[a], units[b], ncols[c])),
-            N.apply(br.basis_value(a, b, c)))
-
-    nu1 = SkewTernaryTensor.from_function(n, n, nu1_fn)
-
-    def nu2_fn(a, b, c):
-        return vec_sub(
-            vec_add(vec_add(br(ncols[a], ncols[b], units[c]),
-                            br(units[a], ncols[b], ncols[c])),
-                    br(ncols[a], units[b], ncols[c])),
-            N.apply(nu1.basis_value(a, b, c)))
-
-    nu2 = SkewTernaryTensor.from_function(n, n, nu2_fn)
+    expansions = {t: _n_expansions(br, ncols, *t)
+                  for t in combinations(range(n), 3)}
+    nu1 = SkewTernaryTensor.from_function(n, n, lambda a, b, c: vec_sub(
+        expansions[a, b, c][0], N.apply(br.basis_value(a, b, c))))
+    nu2 = SkewTernaryTensor.from_function(n, n, lambda a, b, c: vec_sub(
+        expansions[a, b, c][1], N.apply(nu1.basis_value(a, b, c))))
     for a, b, c in combinations(range(n), 3):
         if N.apply(nu2.basis_value(a, b, c)) != br(ncols[a], ncols[b], ncols[c]):
             raise RuntimeError("cubic closure failed for a validated operator")

@@ -30,11 +30,14 @@ TENSOR_SCHEMA = "md3lie-tensor/1"
 EXTENSION_SCHEMA = "md3lie-extension/1"
 REPORT_SCHEMA = "md3lie-report/1"
 
-_SCALAR_RE = re.compile(r"^-?\d+(/\d+)?$")
+# ASCII digits only: \d also matches other scripts' digits, which int() and
+# Fraction() accept, and $ would let a trailing newline through
+_SCALAR_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_INDEX_KEY_RE = re.compile(r"[0-9]+")
 
 
 def parse_scalar(text, where: str) -> Fraction:
-    if not isinstance(text, str) or not _SCALAR_RE.match(text):
+    if not isinstance(text, str) or not _SCALAR_RE.fullmatch(text):
         raise ParseError(f"{where}: malformed scalar {text!r}")
     if "/" in text and int(text.split("/")[1]) == 0:
         raise ParseError(f"{where}: zero denominator in {text!r}")
@@ -57,6 +60,14 @@ def _require(doc, key, where: str):
     if not isinstance(doc, dict) or key not in doc:
         raise ParseError(f"{where}: missing field {key!r}")
     return doc[key]
+
+
+def _require_dim(doc, key, where: str) -> int:
+    value = _require(doc, key, where)
+    # bool is an int subclass, but true/false are not dimensions
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ParseError(f"{where}.{key}: expected a nonnegative integer")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -94,10 +105,9 @@ def _value_map_from_doc(obj, dim_out: int, where: str) -> tuple:
         raise ParseError(f"{where}: expected an object of coefficients")
     out = [Fraction(0)] * dim_out
     for key, text in obj.items():
-        try:
-            idx = int(key)
-        except (TypeError, ValueError):
-            raise ParseError(f"{where}: bad basis index {key!r}") from None
+        if not isinstance(key, str) or not _INDEX_KEY_RE.fullmatch(key):
+            raise ParseError(f"{where}: bad basis index {key!r}")
+        idx = int(key)
         if not 1 <= idx <= dim_out:
             raise ParseError(f"{where}: basis index {idx} out of range 1..{dim_out}")
         out[idx - 1] = parse_scalar(text, f"{where}.{key}")
@@ -141,10 +151,8 @@ def tensor_to_doc(tensor: SkewTernaryTensor) -> dict:
 
 def tensor_from_doc(doc, where: str = "tensor", dim_in: int | None = None,
                     dim_out: int | None = None) -> SkewTernaryTensor:
-    n = _require(doc, "dim_in", where)
-    m = _require(doc, "dim_out", where)
-    if not isinstance(n, int) or not isinstance(m, int) or n < 0 or m < 0:
-        raise ParseError(f"{where}: bad dimensions")
+    n = _require_dim(doc, "dim_in", where)
+    m = _require_dim(doc, "dim_out", where)
     if dim_in is not None and n != dim_in:
         raise ParseError(f"{where}: expected dim_in {dim_in}, found {n}")
     if dim_out is not None and m != dim_out:
@@ -182,9 +190,7 @@ def serialize_algebra(md: MD3LieAlgebra) -> str:
 
 
 def algebra_from_doc(doc, where: str = "algebra") -> MD3LieAlgebra:
-    dim = _require(doc, "dim", where)
-    if not isinstance(dim, int) or dim < 0:
-        raise ParseError(f"{where}.dim: expected a nonnegative integer")
+    dim = _require_dim(doc, "dim", where)
     values = _triple_list_from_doc(_require(doc, "bracket", where), dim, dim,
                                    f"{where}.bracket")
     lam = parse_scalar(_require(doc, "lambda", where), f"{where}.lambda")
@@ -212,9 +218,7 @@ def representation_to_doc(rep: Representation) -> dict:
 def representation_from_doc(doc, md: MD3LieAlgebra,
                             where: str = "representation") -> Representation:
     """The weight is copied from the base algebra; omitted pairs are zero."""
-    m = _require(doc, "module_dim", where)
-    if not isinstance(m, int) or m < 0:
-        raise ParseError(f"{where}.module_dim: expected a nonnegative integer")
+    m = _require_dim(doc, "module_dim", where)
     rho = {}
     entries = _require(doc, "rho", where)
     if not isinstance(entries, list):
@@ -271,6 +275,8 @@ def load_json(path: str):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: invalid UTF-8 ({exc})") from None
 
 
 def dump_json(path: str, doc) -> None:

@@ -2,10 +2,11 @@
 
 Scalars are ``fractions.Fraction``: denominators are always positive and
 fractions are kept reduced, so equality is exact and there are no tolerances
-anywhere in the package.  Rank, kernel and solve run fraction-free (Bareiss)
-elimination on denominator-cleared integer rows; intermediate entries are
-minors of the input, which bounds their growth.  Back-substitution is done in
-exact rational arithmetic on the integer echelon form.
+anywhere in the package.  Rank, kernel, solve and inverse share one
+fraction-free (Bareiss) elimination on denominator-cleared integer rows;
+intermediate entries are minors of the input, which bounds their growth.
+Back-substitution is done in exact rational arithmetic on the integer echelon
+form.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent use on shared inputs is safe.
@@ -51,10 +52,6 @@ def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
 
 def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
     return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vec_neg(u: Sequence[Fraction]) -> Vector:
-    return tuple(-a for a in u)
 
 
 def vec_scale(s: Fraction, u: Sequence[Fraction]) -> Vector:
@@ -263,23 +260,18 @@ class Matrix:
 
     # ---- fraction-free elimination -------------------------------------
 
-    def _denominator_cleared(self, extra: Optional[Sequence[Fraction]] = None):
-        """Integer rows, each scaled by the lcm of its denominators.
+    def _echelon(self, extra: Sequence[Sequence[Fraction]] = ()):
+        """Integer echelon rows and pivot columns of ``[self | extra...]``.
 
-        ``extra`` appends one augmented column (used by the solver)."""
-        out = []
+        Each row is scaled by the lcm of its denominators before Bareiss
+        elimination; ``extra`` holds augmented columns (right-hand sides)."""
+        rows = []
         for i in range(self.rows):
             row = list(self.row(i))
-            if extra is not None:
-                row.append(extra[i])
+            row.extend(col[i] for col in extra)
             scale = lcm(*(e.denominator for e in row)) if row else 1
-            out.append([int(e * scale) for e in row])
-        return out
-
-    def _echelon(self, extra: Optional[Sequence[Fraction]] = None):
-        rows = self._denominator_cleared(extra)
-        ncols = self.cols + (1 if extra is not None else 0)
-        pivots = _bareiss(rows, ncols)
+            rows.append([int(e * scale) for e in row])
+        pivots = _bareiss(rows, self.cols + len(extra))
         return rows, pivots
 
     def rank(self) -> int:
@@ -296,61 +288,40 @@ class Matrix:
         One basis vector per free column, normalized to a primitive integer
         vector with positive entry at its free column."""
         rows, pivots = self._echelon()
-        ncols = self.cols
         pivot_set = set(pivots)
-        free = [c for c in range(ncols) if c not in pivot_set]
         basis = []
-        for fc in free:
-            x = [Fraction(0)] * ncols
+        for fc in range(self.cols):
+            if fc in pivot_set:
+                continue
+            x = [Fraction(0)] * self.cols
             x[fc] = Fraction(1)
-            for r in range(len(pivots) - 1, -1, -1):
-                pc = pivots[r]
-                s = Fraction(0)
-                row = rows[r]
-                for j in range(pc + 1, ncols):
-                    if row[j] and x[j]:
-                        s += row[j] * x[j]
-                x[pc] = -s / row[pc]
-            basis.append(_primitive(x))
+            basis.append(_primitive(_back_substitute(rows, pivots, x)))
         return basis
 
     def solve_in_image(self, b: Sequence[Fraction]) -> Optional[Vector]:
         """Some x with self @ x = b when b is in the image, else None."""
         if len(b) != self.rows:
             raise InputError(f"rhs length {len(b)} != rows {self.rows}")
-        b = vec(b)
-        rows, pivots = self._echelon(extra=b)
+        rows, pivots = self._echelon([vec(b)])
         if pivots and pivots[-1] == self.cols:
             return None  # pivot in the augmented column: inconsistent
         x = [Fraction(0)] * self.cols
-        for r in range(len(pivots) - 1, -1, -1):
-            pc = pivots[r]
-            row = rows[r]
-            s = Fraction(row[self.cols])
-            for j in range(pc + 1, self.cols):
-                if row[j] and x[j]:
-                    s -= row[j] * x[j]
-            x[pc] = s / row[pc]
-        return tuple(x)
+        return tuple(_back_substitute(rows, pivots, x, self.cols))
 
     def inverse(self) -> "Matrix":
-        """Exact inverse; raises InputError on non-square or singular input."""
+        """Exact inverse; raises InputError on non-square or singular input.
+
+        Eliminates ``[self | I]`` once and solves for every column of the
+        identity on the shared echelon form."""
         if self.rows != self.cols:
             raise InputError("inverse of a non-square matrix")
         n = self.rows
-        work = [list(self.row(i)) + list(unit(n, i)) for i in range(n)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if work[r][col]), None)
-            if piv is None:
-                raise InputError("matrix is singular")
-            work[col], work[piv] = work[piv], work[col]
-            inv = 1 / work[col][col]
-            work[col] = [e * inv for e in work[col]]
-            for r in range(n):
-                if r != col and work[r][col]:
-                    f = work[r][col]
-                    work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-        return Matrix._raw(n, n, (work[i][n + j] for i in range(n) for j in range(n)))
+        rows, pivots = self._echelon([unit(n, j) for j in range(n)])
+        if pivots and pivots[-1] >= n:
+            raise InputError("matrix is singular")
+        columns = [_back_substitute(rows, pivots, [Fraction(0)] * n, n + j)
+                   for j in range(n)]
+        return Matrix.from_columns(columns, n)
 
 
 def _bareiss(rows: list[list[int]], ncols: int) -> list[int]:
@@ -384,6 +355,25 @@ def _bareiss(rows: list[list[int]], ncols: int) -> list[int]:
     return pivots
 
 
+def _back_substitute(rows: list[list[int]], pivots: list[int],
+                     x: list[Fraction], rhs: Optional[int] = None) -> list[Fraction]:
+    """Fill ``x`` at the pivot columns from the bottom echelon row up.
+
+    Row r then sums to its entry in augmented column ``rhs`` (to 0 when
+    ``rhs`` is None) over the first len(x) columns; other entries of ``x``
+    are kept as given."""
+    ncols = len(x)
+    for r in range(len(pivots) - 1, -1, -1):
+        pc = pivots[r]
+        row = rows[r]
+        s = Fraction(0 if rhs is None else row[rhs])
+        for j in range(pc + 1, ncols):
+            if row[j] and x[j]:
+                s -= row[j] * x[j]
+        x[pc] = s / row[pc]
+    return x
+
+
 def _primitive(x: list[Fraction]) -> Vector:
     """Scale a rational vector to a primitive integer vector (same line)."""
     scale = lcm(*(e.denominator for e in x)) if x else 1
@@ -395,14 +385,3 @@ def _primitive(x: list[Fraction]) -> Vector:
         ints = [v // g for v in ints]
     return tuple(Fraction(v) for v in ints)
 
-
-def rank(m: Matrix) -> int:
-    return m.rank()
-
-
-def kernel_basis(m: Matrix) -> list[Vector]:
-    return m.kernel_basis()
-
-
-def solve_in_image(m: Matrix, b: Sequence[Fraction]) -> Optional[Vector]:
-    return m.solve_in_image(b)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional
 
 from .cohomology import ComplexAssembly, TotalCochain
@@ -26,7 +25,7 @@ from .multilin import (
 from .structures import (
     MD3LieAlgebra, ModifiedDifferential, Report, Representation,
     ThreeLieAlgebra, Violation, coadjoint_representation, homomorphism_check,
-    verify_3lie, verify_modified_differential,
+    semidirect_product, verify_3lie, verify_modified_differential,
 )
 
 
@@ -86,6 +85,11 @@ def build_abelian_extension(md: MD3LieAlgebra, rep: Representation,
                             f: SkewTernaryTensor, g: Matrix) -> AbelianExtension:
     """Bracket and differential twisted by (f, g) on the direct sum.
 
+    This is the semidirect product with f added to the module part of the
+    bracket on algebra triples and g to the module part of the differential
+    on algebra vectors; with f = 0 and g = 0 the total object is exactly
+    :func:`semidirect_product`.
+
     The construction is total: a non-cocycle (f, g) yields an object whose
     verification report shows the failure, matching the fact that validity is
     equivalent to the cocycle property."""
@@ -94,17 +98,14 @@ def build_abelian_extension(md: MD3LieAlgebra, rep: Representation,
         raise InputError(f"f must map triples of the {n}-dim algebra into the module")
     if g.rows != m or g.cols != n:
         raise InputError(f"g must be {m}x{n}")
-    values = {}
-    for i, j, k in combinations(range(n + m), 3):
-        if k < n:
-            values[i, j, k] = (md.algebra.bracket_basis(i, j, k)
-                               + f.basis_value(i, j, k))
-        elif j < n:
-            values[i, j, k] = vec_zero(n) + rep.apply(i, j, unit(m, k - n))
+    split = semidirect_product(md, rep)
+    values = dict(split.algebra.bracket.values)
+    for key, v in f.values.items():
+        values[key] = values.get(key, vec_zero(n + m))[:n] + v
     bracket = SkewTernaryTensor(n + m, n + m, values)
-    d_total = Matrix.block([
-        [md.d, Matrix.zeros(n, m)],
-        [g, rep.d_M],
+    d_total = split.d + Matrix.block([
+        [Matrix.zeros(n, n + m)],
+        [g, Matrix.zeros(m, m)],
     ])
     total = MD3LieAlgebra(ThreeLieAlgebra(n + m, bracket),
                           ModifiedDifferential(md.lam, d_total))
@@ -142,8 +143,8 @@ def extract_cocycle(ext: AbelianExtension, s: Matrix) -> ExtractedCocycle:
     for i, j in pair_basis(n):
         cols = []
         for c in range(m):
-            w = total.algebra.bracket_vec(scols[i], scols[j],
-                                          ext.inclusion.column(c))
+            w = total.algebra.bracket(scols[i], scols[j],
+                                      ext.inclusion.column(c))
             cols.append(_module_coords(ext, w))
         rho[i, j] = Matrix.from_columns(cols, m)
         if rho[i, j] != ext.rep.rho[i, j]:
@@ -156,7 +157,7 @@ def extract_cocycle(ext: AbelianExtension, s: Matrix) -> ExtractedCocycle:
 
     def upsilon_fn(i, j, k):
         w = vec_sub(
-            total.algebra.bracket_vec(scols[i], scols[j], scols[k]),
+            total.algebra.bracket(scols[i], scols[j], scols[k]),
             s.apply(ext.base.algebra.bracket_basis(i, j, k)))
         return _module_coords(ext, w)
 
@@ -208,23 +209,14 @@ def extensions_equivalent(ext1: AbelianExtension,
 # T*-extensions
 
 
-def tstar_extension(md: MD3LieAlgebra, f: SkewTernaryTensor,
-                    g: Matrix) -> tuple[MD3LieAlgebra, Matrix]:
-    """Extension by the dual carrier with the coadjoint action.
-
-    Returns the total object together with the hyperbolic pairing,
-    which is symmetric of full rank for every (f, g)."""
-    ext = tstar_abelian_extension(md, f, g)
-    return ext.total, hyperbolic_pairing(md.n)
-
-
 def tstar_abelian_extension(md: MD3LieAlgebra, f: SkewTernaryTensor,
                             g: Matrix) -> AbelianExtension:
-    """The same construction exposed with its extension bookkeeping."""
+    """Extension by the dual carrier with the coadjoint action."""
     return build_abelian_extension(md, coadjoint_representation(md), f, g)
 
 
 def hyperbolic_pairing(n: int) -> Matrix:
+    """Pairing of an n-dim space with its dual; symmetric of full rank."""
     return Matrix.block([
         [Matrix.zeros(n, n), Matrix.identity(n)],
         [Matrix.identity(n), Matrix.zeros(n, n)],

@@ -121,6 +121,20 @@ class SkewTernaryTensor:
             return vec_zero(self.dim_out)
         return v if sign == 1 else tuple(-c for c in v)
 
+    def pair_value(self, i: int, j: int, w: Sequence[Fraction]) -> Vector:
+        """Value on (e_i, e_j, w) for a general vector w.
+
+        Much cheaper than the general call when two arguments are basis
+        vectors: only the basis triples (i, j, k) with w_k != 0 are read."""
+        out = [Fraction(0)] * self.dim_out
+        for k, c in enumerate(w):
+            if c:
+                v = self.basis_value(i, j, k)
+                for r, a in enumerate(v):
+                    if a:
+                        out[r] += c * a
+        return tuple(out)
+
     def __call__(self, x: Sequence[Fraction], y: Sequence[Fraction],
                  z: Sequence[Fraction]) -> Vector:
         """Trilinear, totally antisymmetric evaluation on coordinate vectors."""
@@ -180,10 +194,6 @@ class SkewTernaryTensor:
     def _same_shape(self, other: "SkewTernaryTensor"):
         if self.dim_in != other.dim_in or self.dim_out != other.dim_out:
             raise InputError("tensor shape mismatch")
-
-
-def eval_skew(t: SkewTernaryTensor, x, y, z) -> Vector:
-    return t(x, y, z)
 
 
 class CochainCoordinates:
@@ -263,11 +273,6 @@ class CochainCoordinates:
                 if v:
                     out[r] += coeff * v
         return tuple(out)
-
-    def evaluate_on_vectors(self, vector_pairs: Sequence[tuple], last) -> Vector:
-        """Evaluation with each pair argument given as two algebra vectors."""
-        pair_args = [wedge_coords(x, y) for x, y in vector_pairs]
-        return self.evaluate(pair_args, last)
 
     def __eq__(self, other) -> bool:
         return (

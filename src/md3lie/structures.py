@@ -65,20 +65,6 @@ class ThreeLieAlgebra:
     def bracket_basis(self, i: int, j: int, k: int) -> Vector:
         return self.bracket.basis_value(i, j, k)
 
-    def bracket_vec(self, x, y, z) -> Vector:
-        return self.bracket(x, y, z)
-
-    def _bv(self, i: int, j: int, w) -> Vector:
-        """[e_i, e_j, w] for a general vector w."""
-        out = [Fraction(0)] * self.n
-        for k, c in enumerate(w):
-            if c:
-                v = self.bracket.basis_value(i, j, k)
-                for r, a in enumerate(v):
-                    if a:
-                        out[r] += c * a
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class ModifiedDifferential:
@@ -161,9 +147,6 @@ class Representation:
                 out = out + self.rho[i, j].scale(c)
         return out
 
-    def apply(self, i: int, j: int, v) -> Vector:
-        return self.rho_basis(i, j).apply(v)
-
 
 @dataclass(frozen=True)
 class LeibnizData:
@@ -201,10 +184,11 @@ def fundamental_identity_sides(alg: ThreeLieAlgebra, idx: tuple) -> tuple[Vector
     w4 = alg.bracket_basis(i1, i2, i4)
     w5 = alg.bracket_basis(i1, i2, i5)
     inner = alg.bracket_basis(i3, i4, i5)
-    lhs = alg._bv(i1, i2, inner)
+    br = alg.bracket
+    lhs = br.pair_value(i1, i2, inner)
     rhs = vec_add(
-        vec_sub(alg._bv(i4, i5, w3), alg._bv(i3, i5, w4)),
-        alg._bv(i3, i4, w5),
+        vec_sub(br.pair_value(i4, i5, w3), br.pair_value(i3, i5, w4)),
+        br.pair_value(i3, i4, w5),
     )
     return lhs, rhs
 
@@ -225,11 +209,12 @@ def verify_3lie(alg: ThreeLieAlgebra) -> Report:
 def modified_differential_sides(md: MD3LieAlgebra, triple: tuple) -> tuple[Vector, Vector]:
     i, j, k = triple
     alg = md.algebra
+    br = alg.bracket
     d = md.d
     lhs = d.apply(alg.bracket_basis(i, j, k))
     rhs = vec_add(
-        vec_sub(alg._bv(j, k, d.column(i)), alg._bv(i, k, d.column(j))),
-        vec_add(alg._bv(i, j, d.column(k)),
+        vec_sub(br.pair_value(j, k, d.column(i)), br.pair_value(i, k, d.column(j))),
+        vec_add(br.pair_value(i, j, d.column(k)),
                 vec_scale(md.lam, alg.bracket_basis(i, j, k))),
     )
     return lhs, rhs
@@ -251,12 +236,14 @@ def derivation_shift_check(md: MD3LieAlgebra) -> bool:
     Agrees with verify_modified_differential on every input; the two checks
     are kept as separate code paths on purpose."""
     alg = md.algebra
+    br = alg.bracket
     shifted = md.d + Matrix.identity(md.n).scale(md.lam / 2)
     for i, j, k in combinations(range(md.n), 3):
         lhs = shifted.apply(alg.bracket_basis(i, j, k))
         rhs = vec_add(
-            vec_sub(alg._bv(j, k, shifted.column(i)), alg._bv(i, k, shifted.column(j))),
-            alg._bv(i, j, shifted.column(k)),
+            vec_sub(br.pair_value(j, k, shifted.column(i)),
+                    br.pair_value(i, k, shifted.column(j))),
+            br.pair_value(i, j, shifted.column(k)),
         )
         if lhs != rhs:
             return False
@@ -353,8 +340,7 @@ def semidirect_product(md: MD3LieAlgebra, rep: Representation) -> MD3LieAlgebra:
             values[i, j, k] = v + vec_zero(m)
         elif j < n:
             # two algebra slots, one module slot
-            v = rep.apply(i, j, unit(m, k - n))
-            values[i, j, k] = vec_zero(n) + v
+            values[i, j, k] = vec_zero(n) + rep.rho[i, j].column(k - n)
         # one or zero algebra slots: bracket vanishes (module is abelian)
     bracket = SkewTernaryTensor(total, total, values)
     d_total = Matrix.block([
@@ -435,7 +421,7 @@ def homomorphism_check(eta: Matrix, src: MD3LieAlgebra, dst: MD3LieAlgebra) -> b
         raise InputError("homomorphism shape does not match the algebras")
     for i, j, k in combinations(range(src.n), 3):
         lhs = eta.apply(src.algebra.bracket_basis(i, j, k))
-        rhs = dst.algebra.bracket_vec(eta.column(i), eta.column(j), eta.column(k))
+        rhs = dst.algebra.bracket(eta.column(i), eta.column(j), eta.column(k))
         if lhs != rhs:
             return False
     return eta @ src.d == dst.d @ eta

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import md3lie
 from md3lie import documents as docs
 from md3lie.cli import run_command
 from md3lie.corpus import example_md
@@ -48,7 +53,7 @@ def run(capsys, argv):
 def test_scalar_strings():
     assert docs.parse_scalar("-3/6", "x") == Fraction(-1, 2)
     assert docs.scalar_str(Fraction(2, 4)) == "1/2"
-    for bad in ["", "1.5", "1/-2", "a", "1/0", 3]:
+    for bad in ["", "1.5", "1/-2", "a", "1/0", 3, "1\n", "\u0661", "1/\u0662"]:
         with pytest.raises(ParseError):
             docs.parse_scalar(bad, "x")
 
@@ -269,6 +274,37 @@ def test_usage_and_input_errors_exit_two(workspace, capsys, tmp_path):
     assert run_command(["verify", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "malformed scalar" in err
+    invalid_utf8 = tmp_path / "invalid_utf8.json"
+    invalid_utf8.write_bytes(b'{"dim": 3, "lambda": "\xff\xfe"}')
+    assert run_command(["verify", str(invalid_utf8)]) == 2
+    assert "error" in capsys.readouterr().err
+
+    # dimension 1, so a boolean true would otherwise read as a matching 1
+    line = {"dim": 1, "bracket": [], "lambda": "0", "differential": [["0"]]}
+    line_path = tmp_path / "line.json"
+    docs.dump_json(str(line_path), line)
+    malformed = {
+        "dim_true.json": (["verify"], dict(line, dim=True)),
+        "module_dim_true.json": (
+            ["verify", str(line_path), "--rep"],
+            {"module_dim": True, "rho": [], "d_M": [["0"]]}),
+        "dim_in_true.json": (
+            ["deform-check", str(line_path), "--nu1"],
+            {"dim_in": True, "dim_out": 1, "values": []}),
+        "dim_out_true.json": (
+            ["deform-check", str(line_path), "--nu1"],
+            {"dim_in": 1, "dim_out": True, "values": []}),
+    }
+    for key in ["+1", " 1", "0_1", "1_0"]:
+        malformed[f"key_{key!r}.json"] = (["verify"], {
+            "dim": 3, "bracket": [{"args": [1, 2, 3], "value": {key: "1"}}],
+            "lambda": "0", "differential": [["0"] * 3] * 3})
+    for name, (argv, doc) in malformed.items():
+        path = tmp_path / name
+        docs.dump_json(str(path), doc)
+        assert run_command(argv + [str(path)]) == 2, name
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error" in captured.err, name
 
 
 def test_cohomology_degree_zero_is_usage_error(workspace, capsys):
@@ -323,3 +359,15 @@ def test_extension_document_round_trip(workspace):
     back = docs.extension_from_doc(doc)
     assert back.total == ext.total
     assert back.cocycle_f == ext.cocycle_f and back.cocycle_g == ext.cocycle_g
+
+
+def test_python_dash_m_runs_the_cli(workspace):
+    tmp, paths = workspace
+    src = Path(md3lie.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "md3lie", "verify", paths["example.json"]],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["command"] == "verify" and report["valid"] is True

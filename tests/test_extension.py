@@ -8,7 +8,7 @@ from md3lie.errors import InputError
 from md3lie.exactnum import Matrix
 from md3lie.extension import (
     build_abelian_extension, extensions_equivalent, extract_cocycle,
-    hyperbolic_pairing, is_metrised, tstar_abelian_extension, tstar_extension,
+    hyperbolic_pairing, is_metrised, tstar_abelian_extension,
     tstar_cyclicity_check, verify_extension,
 )
 from md3lie.multilin import (
@@ -45,6 +45,24 @@ def test_zero_cocycle_gives_semidirect_product(emd, adjoint):
     assert (ext.projection @ ext.inclusion).is_zero
     assert ext.projection.rank() == 3 and ext.inclusion.rank() == 3
     assert ext.is_section(ext.canonical_section())
+
+
+def test_extension_adds_f_and_g_to_the_direct_sum(emd, adjoint):
+    rng = random.Random(46)
+    f = random_skew_tensor(rng, 3, 3)
+    g = random_matrix(rng, 3, 3)
+    ext = build_abelian_extension(emd, adjoint, f, g)
+    bracket = ext.total.algebra.bracket
+    for i in range(3):
+        for j in range(3):
+            for k in range(6):
+                if k < 3:
+                    want = emd.algebra.bracket_basis(i, j, k) + f.basis_value(i, j, k)
+                else:
+                    want = (0, 0, 0) + adjoint.rho_basis(i, j).column(k - 3)
+                assert bracket.basis_value(i, j, k) == want
+    assert ext.total.d == Matrix.block([[emd.d, Matrix.zeros(3, 3)],
+                                        [g, adjoint.d_M]])
 
 
 def test_extension_is_abelian_on_the_module(emd, adjoint):
@@ -174,7 +192,8 @@ def test_equivalence_requires_matching_data(emd, adjoint, coadjoint):
 
 
 def test_tstar_of_zero_data(emd):
-    total, varpi = tstar_extension(emd, zero_f(), Matrix.zeros(3, 3))
+    total = tstar_abelian_extension(emd, zero_f(), Matrix.zeros(3, 3)).total
+    varpi = hyperbolic_pairing(emd.n)
     assert verify_3lie(total.algebra).valid
     assert verify_modified_differential(total).valid
     assert varpi == hyperbolic_pairing(3)
@@ -209,12 +228,12 @@ def test_cyclicity_examples(emd):
 
     g_sym = Matrix(3, 3, [1, 0, 0, 0, 0, 0, 0, 0, 0])  # g(e1) = e1*
     assert not tstar_cyclicity_check(zero_f(), g_sym)
-    total, _ = tstar_extension(emd, zero_f(), g_sym)
+    total = tstar_abelian_extension(emd, zero_f(), g_sym).total
     assert not is_metrised(total, varpi).valid
 
     g_skew = Matrix(3, 3, [0, -1, 0, 1, 0, 0, 0, 0, 0])
     assert tstar_cyclicity_check(zero_f(), g_skew)
-    total2, _ = tstar_extension(emd, zero_f(), g_skew)
+    total2 = tstar_abelian_extension(emd, zero_f(), g_skew).total
     assert is_metrised(total2, varpi).valid
 
 
@@ -224,5 +243,5 @@ def test_cyclicity_matches_metrised_on_random_data(emd):
     for _ in range(6):
         f = random_skew_tensor(rng, 3, 3)
         g = random_matrix(rng, 3, 3)
-        total, _ = tstar_extension(emd, f, g)
+        total = tstar_abelian_extension(emd, f, g).total
         assert tstar_cyclicity_check(f, g) == is_metrised(total, varpi).valid

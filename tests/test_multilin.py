@@ -9,7 +9,7 @@ from md3lie.errors import InputError
 from md3lie.exactnum import unit, vec_add
 from md3lie.multilin import (
     CochainCoordinates, SkewTernaryTensor, cochain_dim, embed_skew_trilinear,
-    eval_skew, extract_skew_trilinear, pair_basis, wedge_coords,
+    extract_skew_trilinear, pair_basis, wedge_coords,
 )
 
 scalars = st.fractions(min_value=-4, max_value=4, max_denominator=4)
@@ -35,18 +35,18 @@ def test_cochain_dim_recursion():
             assert cochain_dim(q + 1, n, m) == len(pair_basis(n)) * cochain_dim(q, n, m)
 
 
-def test_eval_skew_on_example_bracket():
+def test_skew_call_on_example_bracket():
     t = example_algebra().bracket
     e = [unit(3, i) for i in range(3)]
-    assert eval_skew(t, e[0], e[1], e[2]) == (1, 0, 0)
-    assert eval_skew(t, e[1], e[0], e[2]) == (-1, 0, 0)
-    assert eval_skew(t, e[0], e[0], e[2]) == (0, 0, 0)
+    assert t(e[0], e[1], e[2]) == (1, 0, 0)
+    assert t(e[1], e[0], e[2]) == (-1, 0, 0)
+    assert t(e[0], e[0], e[2]) == (0, 0, 0)
 
 
 @given(st.lists(scalars, min_size=3, max_size=3),
        st.lists(scalars, min_size=3, max_size=3))
 @settings(max_examples=30, deadline=None)
-def test_eval_skew_repeated_argument_vanishes(x, z):
+def test_skew_call_repeated_argument_vanishes(x, z):
     t = example_algebra().bracket
     assert t(x, x, z) == (0, 0, 0)
 
@@ -64,7 +64,7 @@ def tensors(draw, n=4, m=2):
 
 @given(tensors(), st.data())
 @settings(max_examples=30, deadline=None)
-def test_eval_skew_antisymmetry(t, data):
+def test_skew_call_antisymmetry(t, data):
     vecs = [tuple(data.draw(st.lists(scalars, min_size=4, max_size=4)))
             for _ in range(3)]
     base = t(*vecs)
@@ -82,13 +82,20 @@ def test_eval_skew_antisymmetry(t, data):
 
 @given(tensors(), st.data())
 @settings(max_examples=30, deadline=None)
-def test_eval_skew_linear_in_first_slot(t, data):
+def test_skew_call_linear_in_first_slot(t, data):
     draw_vec = lambda: tuple(data.draw(st.lists(scalars, min_size=4, max_size=4)))
     x1, x2, y, z = draw_vec(), draw_vec(), draw_vec(), draw_vec()
     c = data.draw(scalars)
     lhs = t(tuple(a + c * b for a, b in zip(x1, x2)), y, z)
     rhs = vec_add(t(x1, y, z), tuple(c * v for v in t(x2, y, z)))
     assert lhs == rhs
+
+
+@given(tensors(), st.integers(0, 3), st.integers(0, 3),
+       st.lists(scalars, min_size=4, max_size=4))
+@settings(max_examples=30, deadline=None)
+def test_pair_value_is_the_call_on_two_basis_vectors(t, i, j, w):
+    assert t.pair_value(i, j, w) == t(unit(4, i), unit(4, j), w)
 
 
 def test_embed_zero():
