@@ -3,8 +3,10 @@
 Every invocation writes exactly one JSON report to standard output and
 diagnostics to standard error.  Exit codes: 0 for valid/true results, 1 for a
 check that ran and failed (the report carries witnesses), 2 for input or
-usage errors.  Reports contain no timestamps, so identical inputs produce
-byte-identical output.
+usage errors, 3 for an internal error (an exact cross-check that disagreed,
+or memory exhausted): then stdout stays empty and stderr carries one line.
+Reports contain no timestamps, so identical inputs produce byte-identical
+output.
 
 ``--rep adjoint`` (or ``coadjoint``) is accepted wherever a representation
 file is, generating the action from the algebra itself.
@@ -327,6 +329,10 @@ def run_command(argv) -> int:
     except (ParseError, InputError, OSError) as exc:
         print(f"md3lie: error: {exc}", file=sys.stderr)
         return 2
+    except (RuntimeError, MemoryError) as exc:
+        detail = str(exc) or type(exc).__name__  # MemoryError() has no message
+        print(f"md3lie: internal error: {detail}", file=sys.stderr)
+        return 3
     # echo the full invocation right after the command name
     ordered = {"schema": doc["schema"], "command": doc["command"], "argv": argv}
     ordered.update({k: v for k, v in doc.items() if k not in ordered})

@@ -167,7 +167,8 @@ class ComplexAssembly:
                 n, m = self.md.n, self.rep.m
                 zeros = Matrix.zeros(cochain_dim(q + 1, n, m),
                                      cochain_dim(q - 1, n, m))
-                sign_phi = self.phi_matrix(q).scale((-1) ** q)
+                phi = self.phi_matrix(q)
+                sign_phi = phi if q % 2 == 0 else -phi
                 mat = Matrix.block([
                     [self.delta_matrix(q), zeros],
                     [sign_phi, self.delta_matrix(q - 1)],

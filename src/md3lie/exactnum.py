@@ -2,11 +2,25 @@
 
 Scalars are ``fractions.Fraction``: denominators are always positive and
 fractions are kept reduced, so equality is exact and there are no tolerances
-anywhere in the package.  Rank, kernel, solve and inverse share one
-fraction-free (Bareiss) elimination on denominator-cleared integer rows;
-intermediate entries are minors of the input, which bounds their growth.
-Back-substitution is done in exact rational arithmetic on the integer echelon
-form.
+anywhere in the package.
+
+Rank, kernel, solve and inverse share one sparse fraction-free elimination
+engine.  Each nonzero row is read once into a ``{column: int}`` dict, its
+denominators cleared by their lcm and its content (gcd) divided out.
+Columns are eliminated left to right without column pivoting, so the pivot
+columns are the leftmost independent columns whichever rows serve as pivots.
+At each column only the rows with a nonzero there are updated, against the
+one with the fewest nonzeros, and each updated row is made primitive again.
+
+Growth is bounded by minors of the input.  After k pivots, an updated row
+lies in the span of its original row and the k original pivot rows, and
+vanishes on the k pivot columns; within that span such vectors form a
+single line.  The vector of (k+1)-minors of those original rows on the
+pivot columns plus column j is an integer vector on that line, and the
+primitive vector on the line divides it, so every entry is at most a minor
+(and at most the Hadamard bound of the denominator-cleared input).
+Back-substitution is done in exact rational arithmetic on the sparse integer
+echelon rows.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent use on shared inputs is safe.
@@ -177,11 +191,13 @@ class Matrix:
         )
 
     def __neg__(self) -> "Matrix":
-        return Matrix._raw(self.rows, self.cols, (-a for a in self.entries))
+        return Matrix._raw(self.rows, self.cols,
+                           (-a if a else a for a in self.entries))
 
     def scale(self, s) -> "Matrix":
         s = scal(s)
-        return Matrix._raw(self.rows, self.cols, (s * a for a in self.entries))
+        return Matrix._raw(self.rows, self.cols,
+                           (s * a if a else a for a in self.entries))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -261,18 +277,22 @@ class Matrix:
     # ---- fraction-free elimination -------------------------------------
 
     def _echelon(self, extra: Sequence[Sequence[Fraction]] = ()):
-        """Integer echelon rows and pivot columns of ``[self | extra...]``.
+        """Sparse integer echelon rows and pivot columns of ``[self | extra...]``.
 
-        Each row is scaled by the lcm of its denominators before Bareiss
-        elimination; ``extra`` holds augmented columns (right-hand sides)."""
+        ``extra`` holds augmented columns (right-hand sides).  Echelon row r
+        is a primitive ``{column: int}`` dict whose first column is
+        ``pivots[r]``."""
+        cols, entries = self.cols, self.entries
         rows = []
         for i in range(self.rows):
-            row = list(self.row(i))
-            row.extend(col[i] for col in extra)
-            scale = lcm(*(e.denominator for e in row)) if row else 1
-            rows.append([int(e * scale) for e in row])
-        pivots = _bareiss(rows, self.cols + len(extra))
-        return rows, pivots
+            base = i * cols
+            row = {j: e for j, e in enumerate(entries[base:base + cols]) if e}
+            for k, col in enumerate(extra):
+                if col[i]:
+                    row[cols + k] = col[i]
+            if row:
+                rows.append(_integer_row(row))
+        return _eliminate(rows, cols + len(extra))
 
     def rank(self) -> int:
         """Exact rank over the rationals."""
@@ -324,38 +344,65 @@ class Matrix:
         return Matrix.from_columns(columns, n)
 
 
-def _bareiss(rows: list[list[int]], ncols: int) -> list[int]:
-    """In-place fraction-free row echelon; returns the pivot columns.
+def _integer_row(row: dict[int, Fraction]) -> dict[int, int]:
+    """Clear a nonzero row's denominators by their lcm; divide out its content."""
+    scale = lcm(*(e.denominator for e in row.values()))
+    return _content_free(
+        {j: e.numerator * (scale // e.denominator) for j, e in row.items()})
 
-    One-step Bareiss: every update divides by the previous pivot, and the
-    division is exact by Sylvester's identity."""
-    nrows = len(rows)
+
+def _content_free(row: dict[int, int]) -> dict[int, int]:
+    g = gcd(*row.values())
+    if g > 1:
+        return {j: v // g for j, v in row.items()}
+    return row
+
+
+def _eliminate(rows: list[dict[int, int]], ncols: int):
+    """Echelon rows and pivot columns of primitive sparse integer rows.
+
+    Columns are taken left to right.  At column c the pivot is the active
+    row with the fewest nonzeros (the lowest index on ties); every other
+    active row with a nonzero at c becomes ``(pv/g)*row - (h/g)*pivot_row``
+    with ``g = gcd(pv, h)``, its content divided out.  Rows without an
+    entry at c are not touched."""
+    echelon: list[dict[int, int]] = []
     pivots: list[int] = []
-    denom = 1
-    r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        pv = prow[c]
-        for i in range(r + 1, nrows):
-            ri = rows[i]
-            h = ri[c]
-            for j in range(c + 1, ncols):
-                ri[j] = (pv * ri[j] - h * prow[j]) // denom
-            ri[c] = 0
-        denom = pv
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+        if not rows:
             break
-    return pivots
+        hits = [k for k, r in enumerate(rows) if c in r]
+        if not hits:
+            continue
+        p = min(hits, key=lambda k: len(rows[k]))
+        prow = rows[p]
+        pv = prow[c]
+        for k in hits:
+            if k != p:
+                rows[k] = _cancel(rows[k], prow, c, pv)
+        echelon.append(prow)
+        pivots.append(c)
+        rows = [r for k, r in enumerate(rows) if k != p and r]
+    return echelon, pivots
 
 
-def _back_substitute(rows: list[list[int]], pivots: list[int],
+def _cancel(row: dict[int, int], prow: dict[int, int], c: int,
+            pv: int) -> dict[int, int]:
+    """The primitive row on the line of ``pv*row - row[c]*prow`` (maybe empty)."""
+    h = row[c]
+    g = gcd(pv, h)
+    a, b = pv // g, h // g
+    new = dict(row) if a == 1 else {j: a * v for j, v in row.items()}
+    for j, v in prow.items():
+        x = new.get(j, 0) - b * v
+        if x:
+            new[j] = x
+        else:
+            del new[j]
+    return _content_free(new)
+
+
+def _back_substitute(rows: list[dict[int, int]], pivots: list[int],
                      x: list[Fraction], rhs: Optional[int] = None) -> list[Fraction]:
     """Fill ``x`` at the pivot columns from the bottom echelon row up.
 
@@ -366,10 +413,12 @@ def _back_substitute(rows: list[list[int]], pivots: list[int],
     for r in range(len(pivots) - 1, -1, -1):
         pc = pivots[r]
         row = rows[r]
-        s = Fraction(0 if rhs is None else row[rhs])
-        for j in range(pc + 1, ncols):
-            if row[j] and x[j]:
-                s -= row[j] * x[j]
+        s = Fraction(0 if rhs is None else row.get(rhs, 0))
+        for j, v in row.items():
+            if j != pc and j < ncols:
+                xj = x[j]
+                if xj:
+                    s -= v * xj
         x[pc] = s / row[pc]
     return x
 

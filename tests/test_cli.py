@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import md3lie
-from md3lie import documents as docs
+from md3lie import cohomology, documents as docs
 from md3lie.cli import run_command
 from md3lie.corpus import example_md
 from md3lie.errors import ParseError
@@ -371,3 +371,37 @@ def test_python_dash_m_runs_the_cli(workspace):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["command"] == "verify" and report["valid"] is True
+
+
+def test_internal_error_exits_three(workspace, capsys, monkeypatch):
+    tmp, paths = workspace
+    code, ext_report = run(capsys, ["extend", paths["example.json"],
+                                    "--rep", "adjoint",
+                                    "--f", paths["zero_tensor.json"],
+                                    "--g", paths["diag011m1.json"]])
+    assert code == 0
+    ext = tmp / "ext.json"
+    docs.dump_json(str(ext), ext_report["extension"])
+    section = tmp / "section.json"
+    docs.dump_json(str(section), docs.matrix_to_doc(
+        Matrix.block([[Matrix.identity(3)], [Matrix.zeros(3, 3)]])))
+    argv = ["extract-cocycle", str(ext), "--section", str(section)]
+    original = cohomology._direct_two_cocycle
+    # the extracted pair is a cocycle; a direct check that says otherwise
+    # disagrees with the assembled matrix
+    monkeypatch.setattr(cohomology, "_direct_two_cocycle",
+                        lambda *args: not original(*args))
+    assert run_command(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("md3lie: internal error: ")
+    assert captured.err.count("\n") == 1
+
+    def out_of_memory(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cohomology, "_direct_two_cocycle", out_of_memory)
+    assert run_command(argv) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "md3lie: internal error: MemoryError\n")

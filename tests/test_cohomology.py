@@ -37,6 +37,20 @@ def test_delta_dimensions(adjoint_asm):
     assert adjoint_asm.partial_matrix(1).rows == 36
 
 
+def test_partial_matrix_blocks(adjoint_asm):
+    """[[delta_q, 0], [(-1)^q Phi_q, delta_(q-1)]], and (delta_1, -Phi_1)."""
+    n, m = adjoint_asm.md.n, adjoint_asm.rep.m
+    phi1 = adjoint_asm.phi_matrix(1)
+    assert adjoint_asm.partial_matrix(1) == Matrix.vstack(
+        [adjoint_asm.delta_matrix(1), phi1.scale(-1)])
+    for q in (2, 3):
+        phi = adjoint_asm.phi_matrix(q)
+        assert adjoint_asm.partial_matrix(q) == Matrix.block([
+            [adjoint_asm.delta_matrix(q),
+             Matrix.zeros(cochain_dim(q + 1, n, m), cochain_dim(q - 1, n, m))],
+            [phi.scale((-1) ** q), adjoint_asm.delta_matrix(q - 1)]])
+
+
 def test_trivial_complex_is_zero(trivial_asm):
     for q in (1, 2, 3):
         assert trivial_asm.delta_matrix(q).is_zero

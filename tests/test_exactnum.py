@@ -54,6 +54,14 @@ def test_inverse():
         Matrix.from_rows([[1, 2], [2, 4]]).inverse()
 
 
+def test_scale_and_negation_are_entrywise():
+    m = Matrix.from_rows([[0, Fraction(1, 2)], [-3, 0]])
+    assert (-m).entries == tuple(-e for e in m.entries)
+    for s in (0, -1, Fraction(2, 3)):
+        assert m.scale(s).entries == tuple(s * e for e in m.entries)
+    assert -(-m) == m and (-m).scale(-1) == m
+
+
 def test_scalar_field_is_exact():
     a = Fraction(1, 3)
     assert a * 3 == 1
