@@ -5,9 +5,14 @@ differential on C^q + C^(q-1) as exact matrices over the canonical cochain
 bases, and decides cocycle/coboundary membership and cohomology dimensions by
 exact elimination.
 
-Matrix assembly enumerates basis cochains against basis argument tuples; the
-degree is generic, although only degrees 1..3 are exercised routinely
-(column counts grow like C(n,2)^(q-1)).
+One assembler builds delta and Phi: it enumerates the row blocks (pair
+arguments, final index) once and each operator lists its terms per block.
+Pair slots read the Leibniz algebra of fundamental objects, [X, Y]_F for
+delta and d_F (which carries the weight) for Phi, from tables that
+structures.leibniz_data builds once per complex; no axiom is verified, so
+invalid input assembles too.  The degree is generic, but sizes grow like
+C(n,2)^(q-1), and a matrix over MAX_DENSE_ENTRIES entries is refused before
+it is allocated.
 
 Caching: a ComplexAssembly memoizes assembled matrices.  Population is
 idempotent (pure recomputation), so a racing first access at worst computes
@@ -18,41 +23,47 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
+from types import SimpleNamespace
 from typing import Optional
 
 from .errors import InputError
 from .exactnum import Matrix, Vector, unit, vec_add, vec_is_zero, vec_scale, vec_sub
-from .multilin import (
-    CochainCoordinates, cochain_dim, pair_basis, pair_position, wedge_coords,
-)
-from .structures import MD3LieAlgebra, Representation
+from .multilin import CochainCoordinates, cochain_dim, pair_basis, wedge_coords
+from .structures import MD3LieAlgebra, Representation, leibniz_data
 
-Sparse = list[tuple[int, Fraction]]
+#: Largest matrix, in dense entries, that the assembly will allocate; the
+#: abelian n=4 degree-3 total differential (about 2.7M entries) fits.
+MAX_DENSE_ENTRIES = 10_000_000
+#: No higher degree fits the budget once n >= 3 (C^(q+1) has 2^q coordinates
+#: or more); checked first, it also bounds n <= 2 and the powers in cochain_dim.
+MAX_DEGREE = MAX_DENSE_ENTRIES.bit_length()
 
 _ONE = Fraction(1)
+_ZERO = Fraction(0)
 
 
-def _sparse(dense) -> Sparse:
+def _sparse(dense) -> list[tuple[int, Fraction]]:
     return [(i, c) for i, c in enumerate(dense) if c]
 
 
-def _sparse_unit(i: int) -> Sparse:
-    return [(i, _ONE)]
+def _sparse_entries(mat: Matrix) -> list[tuple[int, int, Fraction]]:
+    return [divmod(i, mat.cols) + (c,) for i, c in _sparse(mat.entries)]
 
 
-def _pair_wedge_basis(u, j: int, pos) -> dict[int, Fraction]:
-    """Pair-basis coordinates of u ^ e_j for a general vector u."""
-    out: dict[int, Fraction] = {}
-    for i, c in enumerate(u):
-        if not c or i == j:
-            continue
-        if i < j:
-            key, val = pos[i, j], c
-        else:
-            key, val = pos[j, i], -c
-        out[key] = out.get(key, Fraction(0)) + val
-    return out
+def _check_degree(q: int) -> None:
+    if q < 1:
+        raise InputError("degree must be >= 1")
+    if q > MAX_DEGREE:
+        raise InputError(f"degree {q} is above the maximum {MAX_DEGREE}")
+
+
+def _check_entry_budget(rows: int, cols: int) -> None:
+    if rows * cols > MAX_DENSE_ENTRIES:
+        raise InputError(
+            f"a {rows} x {cols} matrix exceeds the assembly budget of "
+            f"{MAX_DENSE_ENTRIES} dense entries; ask for a lower degree")
 
 
 @dataclass(frozen=True)
@@ -139,18 +150,18 @@ class ComplexAssembly:
 
     def delta_matrix(self, q: int) -> Matrix:
         """Coboundary C^q -> C^(q+1) in the canonical cochain bases."""
-        if q < 1:
-            raise InputError("degree must be >= 1")
+        _check_degree(q)
         if q not in self._delta:
-            self._delta[q] = self._assemble_delta(q)
+            self._delta[q] = self._assemble(
+                q, cochain_dim(q, self.md.n, self.rep.m), self._delta_terms)
         return self._delta[q]
 
     def phi_matrix(self, q: int) -> Matrix:
         """Cochain map C^q -> C^q built from the differentials and weight."""
-        if q < 1:
-            raise InputError("degree must be >= 1")
+        _check_degree(q)
         if q not in self._phi:
-            self._phi[q] = self._assemble_phi(q)
+            self._phi[q] = self._assemble(
+                q - 1, cochain_dim(q, self.md.n, self.rep.m), self._phi_terms)
         return self._phi[q]
 
     def partial_matrix(self, q: int) -> Matrix:
@@ -158,117 +169,124 @@ class ComplexAssembly:
 
         Degree 1 sends f to (delta f, -Phi f); higher degrees are the block
         matrix [[delta_q, 0], [(-1)^q Phi_q, delta_(q-1)]]."""
-        if q < 1:
-            raise InputError("degree must be >= 1")
+        _check_degree(q)
         if q not in self._partial:
+            n, m = self.md.n, self.rep.m
+            up, mid = cochain_dim(q + 1, n, m), cochain_dim(q, n, m)
+            low = cochain_dim(q - 1, n, m) if q > 1 else 0
+            # the total holds its blocks: the largest allocation of a degree
+            _check_entry_budget(up + mid, mid + low)
             if q == 1:
                 mat = Matrix.vstack([self.delta_matrix(1), -self.phi_matrix(1)])
             else:
-                n, m = self.md.n, self.rep.m
-                zeros = Matrix.zeros(cochain_dim(q + 1, n, m),
-                                     cochain_dim(q - 1, n, m))
                 phi = self.phi_matrix(q)
-                sign_phi = phi if q % 2 == 0 else -phi
                 mat = Matrix.block([
-                    [self.delta_matrix(q), zeros],
-                    [sign_phi, self.delta_matrix(q - 1)],
+                    [self.delta_matrix(q), Matrix.zeros(up, low)],
+                    [phi if q % 2 == 0 else -phi, self.delta_matrix(q - 1)],
                 ])
             self._partial[q] = mat
         return self._partial[q]
 
     # -- assembly ---------------------------------------------------------
 
-    def _assemble_delta(self, q: int) -> Matrix:
-        md, rep = self.md, self.rep
-        n, m = md.n, rep.m
+    @cached_property
+    def _tables(self):
+        """Sparse operator data shared by every assembly of this complex."""
+        md, rep, n = self.md, self.rep, self.md.n
         pairs = pair_basis(n)
-        P = len(pairs)
-        pos = pair_position(n)
-        rows_dim = cochain_dim(q + 1, n, m)
-        cols_dim = cochain_dim(q, n, m)
-        data = [[Fraction(0)] * cols_dim for _ in range(rows_dim)]
-        basis_pvec = [_sparse_unit(t) for t in range(P)]
-        top_sign = Fraction((-1) ** (q + 1))
+        leibniz = leibniz_data(md)
+        dim = len(pairs)
+        return SimpleNamespace(
+            pairs=pairs,
+            pair_units=[[(t, _ONE)] for t in range(dim)],
+            units=[[(k, _ONE)] for k in range(n)],
+            # [X_a, X_b]_F and d_F(X_a) on the pair basis
+            bracket_F=[[_sparse(leibniz.bracket_basis(a, b)) for b in range(dim)]
+                       for a in range(dim)],
+            d_F=[_sparse(leibniz.d_F.column(a)) for a in range(dim)],
+            # [X_a, e_k] and d(e_k) on the algebra basis
+            ad=[[_sparse(md.algebra.bracket_basis(i, j, k)) for k in range(n)]
+                for i, j in pairs],
+            d=[_sparse(md.d.column(k)) for k in range(n)],
+            rho=[[_sparse_entries(rep.rho_basis(i, j)) for j in range(n)]
+                 for i in range(n)],
+            d_M=_sparse_entries(rep.d_M),
+        )
 
-        for arg in product(range(P), repeat=q):
-            arg_pairs = [pairs[t] for t in arg]
-            row_block = 0
-            for t in arg:
-                row_block = row_block * P + t
-            for k in range(n):
-                row_base = (row_block * n + k) * m
-                acc = _Accumulator(data, row_base, P, n, m)
-                xq, yq = arg_pairs[q - 1]
-                head = [basis_pvec[t] for t in arg[: q - 1]]
-                # boundary terms pairing the last pair with the final slot
-                acc.add(top_sign, rep.rho_basis(yq, k), head, _sparse_unit(xq))
-                acc.add(top_sign, rep.rho_basis(k, xq), head, _sparse_unit(yq))
-                for i in range(q):
-                    xi, yi = arg_pairs[i]
-                    rest = [basis_pvec[t] for s, t in enumerate(arg) if s != i]
-                    # alternating sign of the i-th pair, +1 for the first
-                    sign = Fraction((-1) ** i)
-                    # action of the removed pair
-                    acc.add(sign, rep.rho[xi, yi], rest, _sparse_unit(k))
-                    # bracket absorbed into the final slot
-                    br = md.algebra.bracket_basis(xi, yi, k)
-                    if not vec_is_zero(br):
-                        acc.add(-sign, None, rest, _sparse(br))
-                    # bracket absorbed into a later pair slot
-                    for l in range(i + 1, q):
-                        xl, yl = arg_pairs[l]
-                        w = _pair_wedge_basis(
-                            md.algebra.bracket_basis(xi, yi, xl), yl, pos)
-                        for key, val in _pair_wedge_basis(
-                                md.algebra.bracket_basis(xi, yi, yl), xl, pos).items():
-                            w[key] = w.get(key, Fraction(0)) - val
-                        sw = [(t, c) for t, c in sorted(w.items()) if c]
-                        if not sw:
-                            continue
-                        modified = list(rest)
-                        modified[l - 1] = sw
-                        acc.add(-sign, None, modified, _sparse_unit(k))
-        return Matrix._raw(rows_dim, cols_dim,
-                           (v for row in data for v in row))
+    def _delta_terms(self, arg, k):
+        """Terms of (delta f)(X_1, ..., X_q, e_k) for the pairs X_i in arg."""
+        tb = self._tables
+        pairs, pair_units, units, rho = tb.pairs, tb.pair_units, tb.units, tb.rho
+        xq, yq = pairs[arg[-1]]
+        head = [pair_units[t] for t in arg[:-1]]
+        # boundary terms pairing the last pair with the final slot
+        top = _ONE if len(arg) % 2 else -_ONE
+        yield top, rho[yq][k], head, units[xq]
+        yield top, rho[k][xq], head, units[yq]
+        for i, a in enumerate(arg):
+            # alternating sign of the i-th pair, +1 for the first
+            sign = -_ONE if i % 2 else _ONE
+            rest = [pair_units[t] for t in arg[:i] + arg[i + 1:]]
+            # action of the removed pair
+            yield sign, rho[pairs[a][0]][pairs[a][1]], rest, units[k]
+            # bracket absorbed into the final slot
+            yield -sign, None, rest, tb.ad[a][k]
+            # [X_i, X_l]_F absorbed into a later pair slot
+            for l in range(i + 1, len(arg)):
+                absorbed = list(rest)
+                absorbed[l - 1] = tb.bracket_F[a][arg[l]]
+                yield -sign, None, absorbed, units[k]
 
-    def _assemble_phi(self, q: int) -> Matrix:
-        md, rep = self.md, self.rep
-        n, m = md.n, rep.m
-        pairs = pair_basis(n)
-        P = len(pairs)
-        pos = pair_position(n)
-        dim = cochain_dim(q, n, m)
-        data = [[Fraction(0)] * dim for _ in range(dim)]
-        basis_pvec = [_sparse_unit(t) for t in range(P)]
-        d = md.d
-        weight = (q - 1) * md.lam
+    def _phi_terms(self, arg, k):
+        """Terms of (Phi f)(X_1, ..., X_(q-1), e_k): d_F on each pair slot
+        (it carries the weight), d on the final slot, minus d_M on values."""
+        tb = self._tables
+        head = [tb.pair_units[t] for t in arg]
+        for i, a in enumerate(arg):
+            shifted = list(head)
+            shifted[i] = tb.d_F[a]
+            yield _ONE, None, shifted, tb.units[k]
+        yield _ONE, None, head, tb.d[k]
+        yield -_ONE, tb.d_M, head, tb.units[k]
 
-        for arg in product(range(P), repeat=q - 1):
-            row_block = 0
-            for t in arg:
-                row_block = row_block * P + t
-            for k in range(n):
-                row_base = (row_block * n + k) * m
-                acc = _Accumulator(data, row_base, P, n, m)
-                head = [basis_pvec[t] for t in arg]
-                for i in range(q - 1):
-                    xi, yi = pairs[arg[i]]
-                    w = _pair_wedge_basis(d.column(xi), yi, pos)
-                    for key, val in _pair_wedge_basis(d.column(yi), xi, pos).items():
-                        w[key] = w.get(key, Fraction(0)) - val
-                    sw = [(t, c) for t, c in sorted(w.items()) if c]
-                    if not sw:
+    def _assemble(self, arity: int, cols: int, terms) -> Matrix:
+        """Matrix whose row block (arg, k) sums the terms(arg, k).
+
+        Row blocks run over pair-index tuples ``arg`` of length ``arity`` and
+        a final index k, in cochain coordinate order, m rows each.  A term
+        (sign, T, pvecs, last) adds sign * T(f(pvecs, last)) for the column
+        cochain f: ``pvecs`` are the sparse pair arguments, ``last`` the
+        sparse final argument and T the sparse entries of a module
+        endomorphism (None meaning the identity)."""
+        n, m = self.md.n, self.rep.m
+        P = len(self._tables.pairs)
+        rows = P ** arity * n * m
+        _check_entry_budget(rows, cols)
+        data = [[_ZERO] * cols for _ in range(rows)]
+        blocks = product(product(range(P), repeat=arity), range(n))
+        for block, (arg, k) in enumerate(blocks):
+            row_base = block * m
+            for sign, T, pvecs, last in terms(arg, k):
+                if T is not None and not T:
+                    continue
+                for combo in product(*pvecs, last):
+                    coeff = sign
+                    idx = 0
+                    for p, c in combo[:-1]:
+                        coeff *= c
+                        idx = idx * P + p
+                    kk, c = combo[-1]
+                    coeff *= c
+                    if not coeff:
                         continue
-                    modified = list(head)
-                    modified[i] = sw
-                    acc.add(_ONE, None, modified, _sparse_unit(k))
-                dk = _sparse(d.column(k))
-                if dk:
-                    acc.add(_ONE, None, head, dk)
-                if weight:
-                    acc.add(weight, None, head, _sparse_unit(k))
-                acc.add(_ONE, -rep.d_M, head, _sparse_unit(k))
-        return Matrix._raw(dim, dim, (v for row in data for v in row))
+                    col_base = (idx * n + kk) * m
+                    if T is None:
+                        for r in range(m):
+                            data[row_base + r][col_base + r] += coeff
+                    else:
+                        for r, r0, t in T:
+                            data[row_base + r][col_base + r0] += coeff * t
+        return Matrix._raw(rows, cols, (v for row in data for v in row))
 
     # -- membership and dimensions ----------------------------------------
 
@@ -309,8 +327,7 @@ class ComplexAssembly:
 
         Representatives are the kernel basis vectors that extend a basis of
         the coboundary space, so they project to a basis of the quotient."""
-        if q < 1:
-            raise InputError("degree must be >= 1")
+        _check_degree(q)
         n, m = self.md.n, self.rep.m
         kernel = self.partial_matrix(q).kernel_basis()
         z_dim = len(kernel)
@@ -337,53 +354,6 @@ class ComplexAssembly:
     def _check_spaces(self, tc: TotalCochain):
         if (tc.f.n, tc.f.m) != (self.md.n, self.rep.m):
             raise InputError("cochain does not live over this complex")
-
-
-class _Accumulator:
-    """Adds one multilinear term of delta/Phi into the assembled matrix.
-
-    A term is sign * T(f(args)): ``pvecs`` are the sparse pair-space
-    arguments, ``last`` the sparse final argument, and T an optional module
-    endomorphism (None meaning the identity)."""
-
-    __slots__ = ("data", "row_base", "P", "n", "m")
-
-    def __init__(self, data, row_base, P, n, m):
-        self.data = data
-        self.row_base = row_base
-        self.P = P
-        self.n = n
-        self.m = m
-
-    def add(self, sign: Fraction, T: Optional[Matrix], pvecs, last: Sparse):
-        if T is not None and T.is_zero:
-            return
-        data = self.data
-        row_base = self.row_base
-        P, n, m = self.P, self.n, self.m
-        for combo in product(*pvecs, last):
-            coeff = sign
-            idx = 0
-            for p, c in combo[:-1]:
-                coeff *= c
-                idx = idx * P + p
-            k, c = combo[-1]
-            coeff *= c
-            if not coeff:
-                continue
-            col_base = (idx * n + k) * m
-            if T is None:
-                for r in range(m):
-                    data[row_base + r][col_base + r] += coeff
-            else:
-                ent = T.entries
-                for r in range(m):
-                    rb = r * m
-                    row = data[row_base + r]
-                    for r0 in range(m):
-                        t = ent[rb + r0]
-                        if t:
-                            row[col_base + r0] += coeff * t
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import json
 import re
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import InputError, ParseError
 from .exactnum import Matrix
 from .extension import AbelianExtension, build_abelian_extension
 from .multilin import SkewTernaryTensor
@@ -33,19 +33,26 @@ REPORT_SCHEMA = "md3lie-report/1"
 # ASCII digits only: \d also matches other scripts' digits, which int() and
 # Fraction() accept, and $ would let a trailing newline through
 _SCALAR_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
-_INDEX_KEY_RE = re.compile(r"[0-9]+")
+# the form JSON numbers and the serializer use, so no two keys name one index
+_INDEX_KEY_RE = re.compile(r"[1-9][0-9]*")
 
 
 def parse_scalar(text, where: str) -> Fraction:
     if not isinstance(text, str) or not _SCALAR_RE.fullmatch(text):
         raise ParseError(f"{where}: malformed scalar {text!r}")
-    if "/" in text and int(text.split("/")[1]) == 0:
-        raise ParseError(f"{where}: zero denominator in {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ParseError(f"{where}: zero denominator in {text!r}") from None
+    except ValueError:  # longer than sys.get_int_max_str_digits()
+        raise ParseError(f"{where}: scalar has too many digits") from None
 
 
 def scalar_str(x: Fraction) -> str:
-    return str(Fraction(x))
+    try:
+        return str(Fraction(x))
+    except ValueError:  # longer than sys.get_int_max_str_digits()
+        raise InputError("a result has too many digits to print") from None
 
 
 def _parse_index(value, bound: int, where: str) -> int:
@@ -178,11 +185,7 @@ def algebra_to_doc(md: MD3LieAlgebra) -> dict:
 
 def parse_algebra(text: str) -> MD3LieAlgebra:
     """Parse an algebra document from JSON text; axioms are not verified."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"algebra: invalid JSON ({exc})") from None
-    return algebra_from_doc(doc)
+    return algebra_from_doc(_decode(text, "algebra"))
 
 
 def serialize_algebra(md: MD3LieAlgebra) -> str:
@@ -191,11 +194,13 @@ def serialize_algebra(md: MD3LieAlgebra) -> str:
 
 def algebra_from_doc(doc, where: str = "algebra") -> MD3LieAlgebra:
     dim = _require_dim(doc, "dim", where)
+    # the differential first: its dim x dim entries must be in the document,
+    # so a false dim fails before the bracket allocates values of that length
+    d = matrix_from_doc(_require(doc, "differential", where),
+                        f"{where}.differential", rows=dim, cols=dim)
     values = _triple_list_from_doc(_require(doc, "bracket", where), dim, dim,
                                    f"{where}.bracket")
     lam = parse_scalar(_require(doc, "lambda", where), f"{where}.lambda")
-    d = matrix_from_doc(_require(doc, "differential", where),
-                        f"{where}.differential", rows=dim, cols=dim)
     return MD3LieAlgebra(
         ThreeLieAlgebra(dim, SkewTernaryTensor(dim, dim, values)),
         ModifiedDifferential(lam, d))
@@ -269,14 +274,24 @@ def extension_from_doc(doc, where: str = "extension") -> AbelianExtension:
 # files
 
 
+def _decode(text: str, where: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{where}: invalid JSON ({exc})") from None
+    except (ValueError, RecursionError):
+        # a number longer than int() reads, or nesting deeper than the
+        # decoder recurses
+        raise ParseError(f"{where}: JSON number or nesting too large") from None
+
+
 def load_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON ({exc})") from None
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: invalid UTF-8 ({exc})") from None
+    return _decode(text, path)
 
 
 def dump_json(path: str, doc) -> None:

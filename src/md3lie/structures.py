@@ -353,13 +353,13 @@ def semidirect_product(md: MD3LieAlgebra, rep: Representation) -> MD3LieAlgebra:
     )
 
 
-def fundamental_leibniz(md: MD3LieAlgebra) -> LeibnizData:
+def leibniz_data(md: MD3LieAlgebra) -> LeibnizData:
     """Leibniz bracket and derivation on the span of fundamental objects.
 
     [a1^a2, b1^b2] = [a1,a2,b1]^b2 + b1^[a1,a2,b2] and
-    d_F(a^b) = d(a)^b + a^d(b) + lam a^b.  Both Leibniz axioms are verified
-    before returning; a failure means the input was not a valid modified
-    weighted differential 3-Lie algebra."""
+    d_F(a^b) = d(a)^b + a^d(b) + lam a^b, on the pair basis.  Nothing is
+    verified: the formulas are total, so this also serves the complex
+    assembly, which must accept inputs that fail the axioms."""
     n = md.n
     alg = md.algebra
     pairs = pair_basis(n)
@@ -381,9 +381,16 @@ def fundamental_leibniz(md: MD3LieAlgebra) -> LeibnizData:
         )
         col = vec_add(col, vec_scale(md.lam, wedge_coords(unit(n, i), unit(n, j))))
         cols.append(col)
-    data = LeibnizData(dim=dim, bracket_F=bracket_F, d_F=Matrix.from_columns(cols, dim))
-    report = verify_leibniz(data)
-    if not report.valid:
+    return LeibnizData(dim=dim, bracket_F=bracket_F, d_F=Matrix.from_columns(cols, dim))
+
+
+def fundamental_leibniz(md: MD3LieAlgebra) -> LeibnizData:
+    """The verified form of :func:`leibniz_data`.
+
+    Both Leibniz axioms are checked before returning; a failure means the
+    input was not a valid modified weighted differential 3-Lie algebra."""
+    data = leibniz_data(md)
+    if not verify_leibniz(data).valid:
         raise InputError("input does not induce a Leibniz algebra with derivation")
     return data
 

@@ -1,7 +1,11 @@
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +16,7 @@ import md3lie
 from md3lie import cohomology, documents as docs
 from md3lie.cli import run_command
 from md3lie.corpus import example_md
-from md3lie.errors import ParseError
+from md3lie.errors import InputError, ParseError
 from md3lie.exactnum import Matrix
 from md3lie.extension import tstar_abelian_extension
 from md3lie.multilin import SkewTernaryTensor
@@ -278,6 +282,12 @@ def test_usage_and_input_errors_exit_two(workspace, capsys, tmp_path):
     invalid_utf8.write_bytes(b'{"dim": 3, "lambda": "\xff\xfe"}')
     assert run_command(["verify", str(invalid_utf8)]) == 2
     assert "error" in capsys.readouterr().err
+    # deeper than the JSON decoder recurses
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    assert run_command(["verify", str(deep)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error" in captured.err
 
     # dimension 1, so a boolean true would otherwise read as a matching 1
     line = {"dim": 1, "bracket": [], "lambda": "0", "differential": [["0"]]}
@@ -295,7 +305,18 @@ def test_usage_and_input_errors_exit_two(workspace, capsys, tmp_path):
             ["deform-check", str(line_path), "--nu1"],
             {"dim_in": 1, "dim_out": True, "values": []}),
     }
-    for key in ["+1", " 1", "0_1", "1_0"]:
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:  # without a limit every length reads and prints
+        malformed["long_scalar.json"] = (
+            ["verify"], dict(line, **{"lambda": "1" * (limit + 1)}))
+        # entries that parse, but whose squares in the witnesses do not print
+        big = str(10 ** (2 * limit // 3))
+        malformed["long_witness.json"] = (["verify"], {"dim": 4, "bracket": [
+            {"args": [1, 2, 3], "value": {"1": big}},
+            {"args": [1, 2, 4], "value": {"4": big}}],
+            "lambda": "0", "differential": [["0"] * 4] * 4})
+    # "01" would name the same index as "1", and one value would be lost
+    for key in ["+1", " 1", "0_1", "1_0", "01"]:
         malformed[f"key_{key!r}.json"] = (["verify"], {
             "dim": 3, "bracket": [{"args": [1, 2, 3], "value": {key: "1"}}],
             "lambda": "0", "differential": [["0"] * 3] * 3})
@@ -305,6 +326,31 @@ def test_usage_and_input_errors_exit_two(workspace, capsys, tmp_path):
         assert run_command(argv + [str(path)]) == 2, name
         captured = capsys.readouterr()
         assert captured.out == "" and "error" in captured.err, name
+
+
+def test_oversized_matrix_is_refused_before_assembly(workspace, capsys,
+                                                    monkeypatch):
+    tmp, paths = workspace
+    # the dim-3 adjoint complex: 36 x 9 in degree 1, 108 x 36 in degree 2
+    monkeypatch.setattr(cohomology, "MAX_DENSE_ENTRIES", 1000)
+    argv = ["cohomology", paths["example.json"], "--rep", "adjoint", "--degree"]
+    assert run_command(argv + ["1"]) == 0
+    capsys.readouterr()
+    assert run_command(argv + ["2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "budget" in captured.err
+    asm = cohomology.ComplexAssembly(example_md(), adjoint_representation(example_md()))
+    with pytest.raises(InputError, match="budget"):
+        asm.delta_matrix(2)  # 81 x 27
+    # a degree past the cap is refused before any dimension is computed
+    monkeypatch.setattr(cohomology, "cochain_dim", None)
+    for q in (cohomology.MAX_DEGREE + 1, 10 ** 12):
+        for method in (asm.delta_matrix, asm.phi_matrix, asm.partial_matrix):
+            with pytest.raises(InputError, match="maximum"):
+                method(q)
+        assert run_command(argv + [str(q)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "maximum" in captured.err
 
 
 def test_cohomology_degree_zero_is_usage_error(workspace, capsys):
@@ -405,3 +451,91 @@ def test_internal_error_exits_three(workspace, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (
         "", "md3lie: internal error: MemoryError\n")
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract under malformed documents
+
+# JSON text put in place of a marker leaf after serialization: nesting
+# deeper than the decoder recurses, a number longer than int() reads, floats
+_RAW = ["[" * 100_000 + "]" * 100_000, "9" * 5000, "1e999", "NaN", "-0"]
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 12), st.floats(-2, 2),
+    st.sampled_from(["", "0", "-1/2", "1/0", "1.5", "x", "01", "true"]),
+    st.integers(4000, 5000).map(lambda k: "7" * k),
+    st.sampled_from([f"\x00raw{i}" for i in range(len(_RAW))]),
+    st.lists(st.integers(-1, 5), max_size=4),
+    st.dictionaries(st.sampled_from(["1", "3", "4", "01"]),
+                    st.sampled_from(["1", "-2/3", "0"]), max_size=3),
+)
+_TARGETS = [("verify", "algebra"), ("verify", "rep"),
+            ("deform-check", "algebra"), ("deform-check", "tensor"),
+            ("cohomology", "algebra"), ("cohomology", "rep")]
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+def _mutate(doc, data):
+    path = data.draw(st.sampled_from(list(_paths(doc))[1:]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    kind = data.draw(st.sampled_from(["delete", "replace", "duplicate"]))
+    if kind == "delete":
+        del parent[key]
+    elif kind == "replace":
+        parent[key] = data.draw(_LEAVES)
+    elif isinstance(parent, list):  # a duplicate entry or index
+        parent.append(copy.deepcopy(parent[key]))
+    else:  # a field given twice, as JSON has no repeated keys
+        parent[key] = [parent[key], parent[key]]
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_malformed_documents_keep_the_exit_contract(data):
+    md = example_md()
+    tensor = SkewTernaryTensor(3, 3, {(0, 1, 2): (1, 2, 0)})
+    documents = {"algebra": docs.algebra_to_doc(md),
+                 "rep": docs.representation_to_doc(adjoint_representation(md)),
+                 "tensor": docs.tensor_to_doc(tensor)}
+    command, target = data.draw(st.sampled_from(_TARGETS))
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(documents[target], data)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, doc in documents.items():
+            text = json.dumps(doc)
+            for i, raw in enumerate(_RAW):
+                text = text.replace(json.dumps(f"\x00raw{i}"), raw)
+            paths[name] = os.path.join(tmp, name + ".json")
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        argv = {
+            "verify": ["verify", paths["algebra"], "--rep", paths["rep"]],
+            "deform-check": ["deform-check", paths["algebra"],
+                             "--nu1", paths["tensor"]],
+            "cohomology": ["cohomology", paths["algebra"], "--rep", paths["rep"],
+                           "--degree", "1"],
+        }[command]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run_command(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), (code, err)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == "" and err.startswith("md3lie: error: ")
+    else:
+        assert json.loads(out)["schema"] == docs.REPORT_SCHEMA

@@ -4,13 +4,18 @@ from fractions import Fraction
 import pytest
 
 from md3lie.cohomology import ComplexAssembly, TotalCochain
-from md3lie.corpus import abelian_md, det_bracket_md, random_matrix
+from md3lie.corpus import (
+    abelian_md, det_bracket_md, random_matrix, triangular_family_member,
+)
 from md3lie.errors import InputError
-from md3lie.exactnum import Matrix
-from md3lie.multilin import CochainCoordinates, cochain_dim
+from md3lie.exactnum import Matrix, unit, vec_add, vec_scale
+from md3lie.multilin import (
+    CochainCoordinates, SkewTernaryTensor, cochain_dim, pair_basis, wedge_coords,
+)
 from md3lie.structures import (
     MD3LieAlgebra, ModifiedDifferential, ThreeLieAlgebra,
-    adjoint_representation, coadjoint_representation, trivial_representation,
+    adjoint_representation, coadjoint_representation, fundamental_leibniz,
+    trivial_representation,
 )
 
 from conftest import brute_force_degree_one_kernel
@@ -282,3 +287,69 @@ def test_degree_four_identities(adjoint_asm):
     assert (d4.rows, d4.cols) == (729, 243)
     assert (d4 @ d3).is_zero
     assert adjoint_asm.phi_matrix(4) @ d3 == d3 @ adjoint_asm.phi_matrix(3)
+
+
+# ---------------------------------------------------------------------------
+# Phi against an independent Kronecker sum
+
+
+def kron(*factors):
+    out = Matrix.identity(1)
+    for f in factors:
+        rows, cols = out.rows * f.rows, out.cols * f.cols
+        out = Matrix(rows, cols, [
+            out[i // f.rows, j // f.cols] * f[i % f.rows, j % f.cols]
+            for i in range(rows) for j in range(cols)])
+    return out
+
+
+def phi_oracle(md, rep, q):
+    """Sum over pair slots of d_F^T, plus d^T on the final slot, minus d_M
+    on values, with d_F (weight included) built here from wedge_coords."""
+    n, d = md.n, md.d
+    base = [unit(n, i) for i in range(n)]
+    P = len(pair_basis(n))
+    d_F = Matrix.from_columns([
+        vec_add(vec_add(wedge_coords(d.column(i), base[j]),
+                        wedge_coords(base[i], d.column(j))),
+                vec_scale(md.lam, wedge_coords(base[i], base[j])))
+        for i, j in pair_basis(n)], P)
+    pair_ids = [Matrix.identity(P)] * (q - 1)
+    I_n, I_m = Matrix.identity(n), Matrix.identity(rep.m)
+    total = (kron(*pair_ids, d.transpose(), I_m)
+             - kron(*pair_ids, I_n, rep.d_M))
+    for i in range(q - 1):
+        slots = list(pair_ids)
+        slots[i] = d_F.transpose()
+        total = total + kron(*slots, I_n, I_m)
+    return total
+
+
+def _nonzero_weight(make):
+    while True:
+        md = make()
+        if md.lam:
+            return md
+
+
+def test_phi_matches_kronecker_sum_oracle():
+    # a wrong weight on the pair slots would go unseen by the complex
+    # identities: Phi + cI still commutes with delta
+    rng = random.Random(11)
+    dim3 = _nonzero_weight(lambda: triangular_family_member(rng))
+    assert not dim3.d.is_zero and dim3.d != Matrix.diagonal(
+        [dim3.d[i, i] for i in range(3)])
+    dim4 = _nonzero_weight(lambda: abelian_md(rng, 4))
+    bad = MD3LieAlgebra(
+        ThreeLieAlgebra(4, SkewTernaryTensor(4, 4, {
+            (0, 1, 2): (1, 0, 0, 0), (0, 1, 3): (0, 0, 0, 1)})),
+        ModifiedDifferential(Fraction(3, 2), random_matrix(rng, 4, 4)))
+    with pytest.raises(InputError):
+        fundamental_leibniz(bad)
+    d_M = Matrix(2, 2, [1, 2, 0, -3])
+    for md, degrees in ((dim3, (1, 2, 3)), (dim4, (1, 2)), (bad, (1, 2))):
+        for rep in (coadjoint_representation(md),
+                    trivial_representation(md, 2, d_M)):
+            asm = ComplexAssembly(md, rep)
+            for q in degrees:
+                assert asm.phi_matrix(q) == phi_oracle(md, rep, q), (md, q)
