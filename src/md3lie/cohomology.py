@@ -1,18 +1,19 @@
 """Cochain complex of a modified weighted-differential 3-Lie algebra.
 
 Assembles the coboundary delta, the cochain map Phi, and the total
-differential on C^q + C^(q-1) as exact matrices over the canonical cochain
-bases, and decides cocycle/coboundary membership and cohomology dimensions by
-exact elimination.
+differential on C^q + C^(q-1) as sparse exact matrices over the canonical
+cochain bases, and decides cocycle/coboundary membership and cohomology
+dimensions by exact elimination.
 
 One assembler builds delta and Phi: it enumerates the row blocks (pair
-arguments, final index) once and each operator lists its terms per block.
-Pair slots read the Leibniz algebra of fundamental objects, [X, Y]_F for
-delta and d_F (which carries the weight) for Phi, from tables that
-structures.leibniz_data builds once per complex; no axiom is verified, so
-invalid input assembles too.  The degree is generic, but sizes grow like
-C(n,2)^(q-1), and a matrix over MAX_DENSE_ENTRIES entries is refused before
-it is allocated.
+arguments, final index) once, each operator lists its terms per block, and
+the terms accumulate into sparse rows; the total differential stacks those
+rows, so no dense matrix is built on the way to elimination.  Pair slots
+read the Leibniz algebra of fundamental objects, [X, Y]_F for delta and d_F
+(which carries the weight) for Phi, from tables that structures.leibniz_data
+builds once per complex; no axiom is verified, so invalid input assembles
+too.  The degree is generic, but sizes grow like C(n,2)^(q-1), and a matrix
+whose rows x cols exceeds MAX_DENSE_ENTRIES is refused before it is built.
 
 Caching: a ComplexAssembly memoizes assembled matrices.  Population is
 idempotent (pure recomputation), so a racing first access at worst computes
@@ -33,15 +34,14 @@ from .exactnum import Matrix, Vector, unit, vec_add, vec_is_zero, vec_scale, vec
 from .multilin import CochainCoordinates, cochain_dim, pair_basis, wedge_coords
 from .structures import MD3LieAlgebra, Representation, leibniz_data
 
-#: Largest matrix, in dense entries, that the assembly will allocate; the
-#: abelian n=4 degree-3 total differential (about 2.7M entries) fits.
+#: Largest matrix, in rows x cols, that the assembly will build; the abelian
+#: n=4 degree-3 total differential (about 2.7M entries) fits.
 MAX_DENSE_ENTRIES = 10_000_000
 #: No higher degree fits the budget once n >= 3 (C^(q+1) has 2^q coordinates
 #: or more); checked first, it also bounds n <= 2 and the powers in cochain_dim.
 MAX_DEGREE = MAX_DENSE_ENTRIES.bit_length()
 
 _ONE = Fraction(1)
-_ZERO = Fraction(0)
 
 
 def _sparse(dense) -> list[tuple[int, Fraction]]:
@@ -49,7 +49,8 @@ def _sparse(dense) -> list[tuple[int, Fraction]]:
 
 
 def _sparse_entries(mat: Matrix) -> list[tuple[int, int, Fraction]]:
-    return [divmod(i, mat.cols) + (c,) for i, c in _sparse(mat.entries)]
+    return [(i, j, c) for i, row in enumerate(mat.sparse_rows)
+            for j, c in row.items()]
 
 
 def _check_degree(q: int) -> None:
@@ -262,12 +263,14 @@ class ComplexAssembly:
         P = len(self._tables.pairs)
         rows = P ** arity * n * m
         _check_entry_budget(rows, cols)
-        data = [[_ZERO] * cols for _ in range(rows)]
+        data = [{} for _ in range(rows)]
+        identity = [(r, r, None) for r in range(m)]  # t None: no product
         blocks = product(product(range(P), repeat=arity), range(n))
         for block, (arg, k) in enumerate(blocks):
             row_base = block * m
             for sign, T, pvecs, last in terms(arg, k):
-                if T is not None and not T:
+                T = identity if T is None else T
+                if not T:
                     continue
                 for combo in product(*pvecs, last):
                     coeff = sign
@@ -280,13 +283,15 @@ class ComplexAssembly:
                     if not coeff:
                         continue
                     col_base = (idx * n + kk) * m
-                    if T is None:
-                        for r in range(m):
-                            data[row_base + r][col_base + r] += coeff
-                    else:
-                        for r, r0, t in T:
-                            data[row_base + r][col_base + r0] += coeff * t
-        return Matrix._raw(rows, cols, (v for row in data for v in row))
+                    for r, r0, t in T:
+                        row = data[row_base + r]
+                        j = col_base + r0
+                        v = coeff if t is None else coeff * t
+                        prev = row.get(j)
+                        row[j] = v if prev is None else prev + v
+        # terms can cancel; the matrix stores no zeros
+        return Matrix._raw(rows, cols,
+                           ({j: v for j, v in row.items() if v} for row in data))
 
     # -- membership and dimensions ----------------------------------------
 

@@ -1,8 +1,12 @@
-"""Exact rational scalars and dense exact matrices over Q.
+"""Exact rational scalars and sparse exact matrices over Q.
 
 Scalars are ``fractions.Fraction``: denominators are always positive and
 fractions are kept reduced, so equality is exact and there are no tolerances
 anywhere in the package.
+
+A Matrix stores one ``{column: Fraction}`` dict per row and never stores a
+zero; the dense views (``entries``, ``row``, ``column``, indexing) are
+computed from the rows, and every operation works row by row.
 
 Rank, kernel, solve and inverse share one sparse fraction-free elimination
 engine.  Each nonzero row is read once into a ``{column: int}`` dict, its
@@ -19,8 +23,9 @@ single line.  The vector of (k+1)-minors of those original rows on the
 pivot columns plus column j is an integer vector on that line, and the
 primitive vector on the line divides it, so every entry is at most a minor
 (and at most the Hadamard bound of the denominator-cleared input).
-Back-substitution is done in exact rational arithmetic on the sparse integer
-echelon rows.
+Back-substitution is fraction-free too: it carries an integer solution and
+one common denominator, and a kernel vector is the primitive integer vector
+it yields.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent use on shared inputs is safe.
@@ -37,6 +42,8 @@ from .errors import InputError
 Scalar = Fraction
 
 Vector = tuple[Fraction, ...]
+
+_ZERO = Fraction(0)
 
 
 def scal(value) -> Fraction:
@@ -77,92 +84,101 @@ def vec_is_zero(u: Sequence[Fraction]) -> bool:
 
 
 class Matrix:
-    """Dense exact matrix, row-major, immutable after construction."""
+    """Exact matrix stored as sparse rows, immutable after construction.
 
-    __slots__ = ("rows", "cols", "entries")
+    ``sparse_rows[i]`` is the ``{column: Fraction}`` dict of row i and holds
+    no zero value, so two matrices are equal exactly when their rows are.
+    ``entries``, ``row``, ``column`` and indexing are dense views computed
+    from the rows; every operation works row by row and never stores a
+    zero."""
+
+    __slots__ = ("rows", "cols", "sparse_rows")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
-        entries = tuple(scal(e) for e in entries)
+        entries = tuple(entries)
         if rows < 0 or cols < 0 or len(entries) != rows * cols:
             raise InputError(
                 f"entry count {len(entries)} does not match shape {rows}x{cols}"
             )
         self.rows = rows
         self.cols = cols
-        self.entries = entries
+        self.sparse_rows = tuple(_sparse_row(entries[i * cols:(i + 1) * cols])
+                                 for i in range(rows))
 
     @classmethod
-    def _raw(cls, rows: int, cols: int, entries) -> "Matrix":
-        # Internal fast path: entries are already Fractions.
+    def _raw(cls, rows: int, cols: int, sparse_rows) -> "Matrix":
+        # Internal fast path: rows are {column: Fraction} dicts without zeros.
         m = object.__new__(cls)
         m.rows = rows
         m.cols = cols
-        m.entries = tuple(entries)
+        m.sparse_rows = tuple(sparse_rows)
         return m
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
-        flat = []
-        for row in rows:
-            if len(row) != ncols:
-                raise InputError("ragged rows")
-            flat.extend(row)
-        return cls(nrows, ncols, flat)
+        if any(len(row) != ncols for row in rows):
+            raise InputError("ragged rows")
+        return cls._raw(nrows, ncols, (_sparse_row(row) for row in rows))
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[Fraction]], rows: int) -> "Matrix":
-        cols = len(columns)
-        flat = []
-        for i in range(rows):
-            for c in columns:
-                if len(c) != rows:
-                    raise InputError("column length mismatch")
-                flat.append(c[i])
-        return cls(rows, cols, flat)
+        if any(len(c) != rows for c in columns):
+            raise InputError("column length mismatch")
+        data = [{} for _ in range(rows)]
+        for j, c in enumerate(columns):
+            for i, e in enumerate(c):
+                e = scal(e)
+                if e:
+                    data[i][j] = e
+        return cls._raw(rows, len(columns), data)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls._raw(rows, cols, (Fraction(0),) * (rows * cols))
+        return cls._raw(rows, cols, ({} for _ in range(rows)))
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        e = [Fraction(0)] * (n * n)
-        for i in range(n):
-            e[i * n + i] = Fraction(1)
-        return cls._raw(n, n, e)
+        return cls.diagonal([1] * n)
 
     @classmethod
     def diagonal(cls, diag: Sequence) -> "Matrix":
-        n = len(diag)
-        e = [Fraction(0)] * (n * n)
-        for i, d in enumerate(diag):
-            e[i * n + i] = scal(d)
-        return cls._raw(n, n, e)
+        diag = [scal(d) for d in diag]
+        return cls._raw(len(diag), len(diag),
+                        ({i: d} if d else {} for i, d in enumerate(diag)))
+
+    @property
+    def entries(self) -> Vector:
+        """All entries, row-major (a dense view)."""
+        return tuple(e for i in range(self.rows) for e in self.row(i))
 
     def __getitem__(self, key) -> Fraction:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise InputError(f"index {key} out of range for {self.rows}x{self.cols}")
-        return self.entries[i * self.cols + j]
+        return self.sparse_rows[i].get(j, _ZERO)
 
     def row(self, i: int) -> Vector:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        out = [_ZERO] * self.cols
+        for j, e in self.sparse_rows[i].items():
+            out[j] = e
+        return tuple(out)
 
     def column(self, j: int) -> Vector:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return tuple(r.get(j, _ZERO) for r in self.sparse_rows)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.sparse_rows == other.sparse_rows
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols,
+                     tuple(frozenset(r.items()) for r in self.sparse_rows)))
 
     def __repr__(self):
         body = "; ".join(
@@ -178,72 +194,63 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix._raw(
-            self.rows, self.cols,
-            (a + b for a, b in zip(self.entries, other.entries)),
-        )
+        out = []
+        for a, b in zip(self.sparse_rows, other.sparse_rows):
+            row = dict(a)
+            for j, v in b.items():
+                x = row.get(j, 0) + v
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+            out.append(row)
+        return Matrix._raw(self.rows, self.cols, out)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix._raw(
-            self.rows, self.cols,
-            (a - b for a, b in zip(self.entries, other.entries)),
-        )
+        return self + (-other)
 
     def __neg__(self) -> "Matrix":
         return Matrix._raw(self.rows, self.cols,
-                           (-a if a else a for a in self.entries))
+                           ({j: -v for j, v in r.items()} for r in self.sparse_rows))
 
     def scale(self, s) -> "Matrix":
         s = scal(s)
+        if not s:
+            return Matrix.zeros(self.rows, self.cols)
         return Matrix._raw(self.rows, self.cols,
-                           (s * a if a else a for a in self.entries))
+                           ({j: s * v for j, v in r.items()} for r in self.sparse_rows))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise InputError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        oc = other.cols
-        out = [Fraction(0)] * (self.rows * oc)
-        for i in range(self.rows):
-            rbase = i * self.cols
-            obase = i * oc
-            for k in range(self.cols):
-                a = self.entries[rbase + k]
-                if not a:
-                    continue
-                kbase = k * oc
-                for j in range(oc):
-                    b = other.entries[kbase + j]
-                    if b:
-                        out[obase + j] += a * b
-        return Matrix._raw(self.rows, oc, out)
+        out = []
+        for a in self.sparse_rows:
+            row = {}
+            for k, x in a.items():
+                for j, y in other.sparse_rows[k].items():
+                    row[j] = row.get(j, 0) + x * y
+            out.append({j: v for j, v in row.items() if v})
+        return Matrix._raw(self.rows, other.cols, out)
 
     def apply(self, v: Sequence[Fraction]) -> Vector:
         """Matrix-vector product (column convention)."""
         if len(v) != self.cols:
             raise InputError(f"vector length {len(v)} != cols {self.cols}")
-        out = [Fraction(0)] * self.rows
-        for j, x in enumerate(v):
-            if not x:
-                continue
-            for i in range(self.rows):
-                a = self.entries[i * self.cols + j]
-                if a:
-                    out[i] += a * x
-        return tuple(out)
+        return tuple(sum((x * v[j] for j, x in r.items()), _ZERO)
+                     for r in self.sparse_rows)
 
     def transpose(self) -> "Matrix":
-        return Matrix._raw(
-            self.cols, self.rows,
-            (self.entries[i * self.cols + j]
-             for j in range(self.cols) for i in range(self.rows)),
-        )
+        out = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self.sparse_rows):
+            for j, v in r.items():
+                out[j][i] = v
+        return Matrix._raw(self.cols, self.rows, out)
 
     @property
     def is_zero(self) -> bool:
-        return all(not a for a in self.entries)
+        return not any(self.sparse_rows)
 
     @property
     def is_symmetric(self) -> bool:
@@ -254,21 +261,22 @@ class Matrix:
         rows = parts[0].rows
         if any(p.rows != rows for p in parts):
             raise InputError("hstack: row count mismatch")
-        flat = []
-        for i in range(rows):
-            for p in parts:
-                flat.extend(p.row(i))
-        return cls._raw(rows, sum(p.cols for p in parts), flat)
+        out = [{} for _ in range(rows)]
+        offset = 0
+        for p in parts:
+            for row, r in zip(out, p.sparse_rows):
+                for j, v in r.items():
+                    row[offset + j] = v
+            offset += p.cols
+        return cls._raw(rows, offset, out)
 
     @classmethod
     def vstack(cls, parts: Sequence["Matrix"]) -> "Matrix":
         cols = parts[0].cols
         if any(p.cols != cols for p in parts):
             raise InputError("vstack: column count mismatch")
-        flat = []
-        for p in parts:
-            flat.extend(p.entries)
-        return cls._raw(sum(p.rows for p in parts), cols, flat)
+        return cls._raw(sum(p.rows for p in parts), cols,
+                        (r for p in parts for r in p.sparse_rows))
 
     @classmethod
     def block(cls, grid: Sequence[Sequence["Matrix"]]) -> "Matrix":
@@ -282,14 +290,14 @@ class Matrix:
         ``extra`` holds augmented columns (right-hand sides).  Echelon row r
         is a primitive ``{column: int}`` dict whose first column is
         ``pivots[r]``."""
-        cols, entries = self.cols, self.entries
+        cols = self.cols
         rows = []
-        for i in range(self.rows):
-            base = i * cols
-            row = {j: e for j, e in enumerate(entries[base:base + cols]) if e}
-            for k, col in enumerate(extra):
-                if col[i]:
-                    row[cols + k] = col[i]
+        for i, row in enumerate(self.sparse_rows):
+            if extra:
+                row = dict(row)
+                for k, col in enumerate(extra):
+                    if col[i]:
+                        row[cols + k] = col[i]
             if row:
                 rows.append(_integer_row(row))
         return _eliminate(rows, cols + len(extra))
@@ -308,14 +316,15 @@ class Matrix:
         One basis vector per free column, normalized to a primitive integer
         vector with positive entry at its free column."""
         rows, pivots = self._echelon()
-        pivot_set = set(pivots)
         basis = []
+        k = 0  # pivots left of the column; only those can be nonzero
         for fc in range(self.cols):
-            if fc in pivot_set:
+            if k < len(pivots) and pivots[k] == fc:
+                k += 1
                 continue
-            x = [Fraction(0)] * self.cols
-            x[fc] = Fraction(1)
-            basis.append(_primitive(_back_substitute(rows, pivots, x)))
+            x, _ = _back_substitute(rows[:k], pivots[:k], {fc: 1})
+            g = gcd(*x.values())
+            basis.append(_rational(x, g if x[fc] > 0 else -g, self.cols))
         return basis
 
     def solve_in_image(self, b: Sequence[Fraction]) -> Optional[Vector]:
@@ -325,8 +334,7 @@ class Matrix:
         rows, pivots = self._echelon([vec(b)])
         if pivots and pivots[-1] == self.cols:
             return None  # pivot in the augmented column: inconsistent
-        x = [Fraction(0)] * self.cols
-        return tuple(_back_substitute(rows, pivots, x, self.cols))
+        return _rational(*_back_substitute(rows, pivots, {}, self.cols), self.cols)
 
     def inverse(self) -> "Matrix":
         """Exact inverse; raises InputError on non-square or singular input.
@@ -339,9 +347,18 @@ class Matrix:
         rows, pivots = self._echelon([unit(n, j) for j in range(n)])
         if pivots and pivots[-1] >= n:
             raise InputError("matrix is singular")
-        columns = [_back_substitute(rows, pivots, [Fraction(0)] * n, n + j)
+        columns = [_rational(*_back_substitute(rows, pivots, {}, n + j), n)
                    for j in range(n)]
         return Matrix.from_columns(columns, n)
+
+
+def _sparse_row(values: Sequence) -> dict[int, Fraction]:
+    row = {}
+    for j, e in enumerate(values):
+        e = scal(e)
+        if e:
+            row[j] = e
+    return row
 
 
 def _integer_row(row: dict[int, Fraction]) -> dict[int, int]:
@@ -403,34 +420,38 @@ def _cancel(row: dict[int, int], prow: dict[int, int], c: int,
 
 
 def _back_substitute(rows: list[dict[int, int]], pivots: list[int],
-                     x: list[Fraction], rhs: Optional[int] = None) -> list[Fraction]:
-    """Fill ``x`` at the pivot columns from the bottom echelon row up.
+                     x: dict[int, int], rhs: Optional[int] = None):
+    """Integers ``x`` and ``den != 0`` with ``x / den`` solving the echelon rows.
 
-    Row r then sums to its entry in augmented column ``rhs`` (to 0 when
-    ``rhs`` is None) over the first len(x) columns; other entries of ``x``
-    are kept as given."""
-    ncols = len(x)
+    Fills ``x`` at the pivot columns from the bottom row up, so that row r
+    sums to its entry in augmented column ``rhs`` (to 0 when ``rhs`` is
+    None); the coordinates given in ``x`` are the free ones, and the others
+    are 0.  Fraction-free: when a pivot does not divide its row's sum, all
+    of ``x`` and ``den`` are multiplied by the missing factor."""
+    den = 1
     for r in range(len(pivots) - 1, -1, -1):
-        pc = pivots[r]
         row = rows[r]
-        s = Fraction(0 if rhs is None else row.get(rhs, 0))
+        s = row.get(rhs, 0) * den
         for j, v in row.items():
-            if j != pc and j < ncols:
-                xj = x[j]
-                if xj:
-                    s -= v * xj
-        x[pc] = s / row[pc]
-    return x
+            xj = x.get(j)  # no pivot yet at its own or an augmented column
+            if xj:
+                s -= v * xj
+        if not s:
+            continue
+        pv = row[pivots[r]]
+        g = gcd(s, pv)
+        a = pv // g
+        if a != 1:
+            for j in x:
+                x[j] *= a
+            den *= a
+        x[pivots[r]] = s // g
+    return x, den
 
 
-def _primitive(x: list[Fraction]) -> Vector:
-    """Scale a rational vector to a primitive integer vector (same line)."""
-    scale = lcm(*(e.denominator for e in x)) if x else 1
-    ints = [int(e * scale) for e in x]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(Fraction(v) for v in ints)
-
+def _rational(x: dict[int, int], den: int, n: int) -> Vector:
+    """The dense vector ``x / den`` of length n."""
+    v = [_ZERO] * n
+    for j, e in x.items():
+        v[j] = Fraction(e, den)
+    return tuple(v)

@@ -232,7 +232,7 @@ class CochainCoordinates:
 
         if self.degree != 1:
             raise InputError("only degree-1 cochains are linear maps")
-        return Matrix._raw(
+        return Matrix(
             self.m, self.n,
             (self.coords[k * self.m + r] for r in range(self.m) for k in range(self.n)),
         )

@@ -110,3 +110,115 @@ def test_zero_dimension_edge_cases():
     assert len(Matrix.zeros(0, 3).kernel_basis()) == 3
     assert Matrix.zeros(3, 0).kernel_basis() == []
     assert Matrix.zeros(0, 2).solve_in_image([]) == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# the sparse rows against a dense list-of-lists reference
+
+cancelling = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]).map(
+    Fraction)
+
+
+def dense(rows, cols):
+    return st.lists(st.lists(cancelling, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+shapes = st.tuples(st.integers(0, 4), st.integers(0, 4))
+
+
+def check(m, ref, rows, cols):
+    """m holds exactly ref, in canonical form, through every view."""
+    assert (m.rows, m.cols) == (rows, cols)
+    assert len(m.sparse_rows) == rows
+    for r in m.sparse_rows:
+        assert all(0 <= j < cols for j in r)
+        assert all(isinstance(v, Fraction) and v for v in r.values())
+    assert m.entries == tuple(x for row in ref for x in row)
+    for i in range(rows):
+        assert m.row(i) == tuple(ref[i])
+        for j in range(cols):
+            assert m[i, j] == ref[i][j]
+    for j in range(cols):
+        assert m.column(j) == tuple(row[j] for row in ref)
+
+
+def ref_transpose(a, rows, cols):
+    return [[a[i][j] for i in range(rows)] for j in range(cols)]
+
+
+def ref_matmul(a, b, inner, cols):
+    return [[sum((row[k] * b[k][j] for k in range(inner)), Fraction(0))
+             for j in range(cols)] for row in a]
+
+
+@given(shapes, st.data())
+@settings(max_examples=150, deadline=None)
+def test_constructors_match_dense_reference(shape, data):
+    rows, cols = shape
+    a = data.draw(dense(rows, cols))
+    check(Matrix(rows, cols, [x for row in a for x in row]), a, rows, cols)
+    if rows:
+        check(Matrix.from_rows(a), a, rows, cols)
+    check(Matrix.from_columns(ref_transpose(a, rows, cols), rows), a, rows, cols)
+    check(Matrix.zeros(rows, cols), [[Fraction(0)] * cols for _ in range(rows)],
+          rows, cols)
+    identity = [[Fraction(int(i == j)) for j in range(rows)] for i in range(rows)]
+    check(Matrix.identity(rows), identity, rows, rows)
+    diag = [a[i][0] if cols else Fraction(0) for i in range(rows)]
+    check(Matrix.diagonal(diag),
+          [[diag[i] if i == j else Fraction(0) for j in range(rows)]
+           for i in range(rows)], rows, rows)
+
+
+@given(shapes, st.integers(0, 4), st.data())
+@settings(max_examples=150, deadline=None)
+def test_operations_match_dense_reference(shape, inner, data):
+    rows, cols = shape
+    a_ref, b_ref = data.draw(dense(rows, cols)), data.draw(dense(rows, cols))
+    a = Matrix(rows, cols, [x for row in a_ref for x in row])
+    b = Matrix.from_columns(ref_transpose(b_ref, rows, cols), rows)
+    check(a + b, [[x + y for x, y in zip(r, s)] for r, s in zip(a_ref, b_ref)],
+          rows, cols)
+    check(a - b, [[x - y for x, y in zip(r, s)] for r, s in zip(a_ref, b_ref)],
+          rows, cols)
+    check(-a, [[-x for x in r] for r in a_ref], rows, cols)
+    for s in (Fraction(0), Fraction(-1), data.draw(cancelling)):
+        check(a.scale(s), [[s * x for x in r] for r in a_ref], rows, cols)
+    check(a.transpose(), ref_transpose(a_ref, rows, cols), cols, rows)
+    c_ref = data.draw(dense(cols, inner))
+    c = Matrix(cols, inner, [x for row in c_ref for x in row])
+    check(a @ c, ref_matmul(a_ref, c_ref, cols, inner), rows, inner)
+    # a product whose terms cancel: a @ [c; -c] over the doubled inner space
+    doubled = Matrix.hstack([a, a]) @ Matrix.vstack([c, -c])
+    check(doubled, [[Fraction(0)] * inner for _ in range(rows)], rows, inner)
+    v = data.draw(st.lists(cancelling, min_size=cols, max_size=cols))
+    assert a.apply(v) == tuple(sum((x * y for x, y in zip(r, v)), Fraction(0))
+                               for r in a_ref)
+    assert all(isinstance(x, Fraction) for x in a.apply(v))
+    d_ref = data.draw(dense(rows, inner))
+    d = Matrix(rows, inner, [x for row in d_ref for x in row])
+    check(Matrix.hstack([a, d, b]),
+          [r + s + t for r, s, t in zip(a_ref, d_ref, b_ref)], rows, 2 * cols + inner)
+    check(Matrix.vstack([a, b]), a_ref + b_ref, 2 * rows, cols)
+    check(Matrix.block([[a, b], [b, a]]),
+          [r + s for r, s in zip(a_ref + b_ref, b_ref + a_ref)], 2 * rows, 2 * cols)
+
+
+@given(shapes, st.data())
+@settings(max_examples=150, deadline=None)
+def test_equality_and_hash_follow_the_entries(shape, data):
+    rows, cols = shape
+    a_ref, b_ref = data.draw(dense(rows, cols)), data.draw(dense(rows, cols))
+    a = Matrix(rows, cols, [x for row in a_ref for x in row])
+    b = Matrix(rows, cols, [x for row in b_ref for x in row])
+    # a zero sum stores nothing, so it equals the zero matrix
+    assert not any((a + (-a)).sparse_rows)
+    assert a + (-a) == Matrix.zeros(rows, cols) == a.scale(0)
+    # the same entries reached by other routes compare and hash equal
+    for other in (a + b - b, a.transpose().transpose(), -(-a),
+                  Matrix.from_columns([a.column(j) for j in range(cols)], rows)):
+        assert other == a and hash(other) == hash(a)
+    assert (a == b) == (a_ref == b_ref)
+    if a_ref != b_ref:
+        assert a != b
