@@ -30,7 +30,8 @@ from types import SimpleNamespace
 from typing import Optional
 
 from .errors import InputError
-from .exactnum import Matrix, Vector, unit, vec_add, vec_is_zero, vec_scale, vec_sub
+from .exactnum import (Matrix, Vector, _sparse_row, unit, vec_add, vec_is_zero,
+                       vec_scale, vec_sub)
 from .multilin import CochainCoordinates, cochain_dim, pair_basis, wedge_coords
 from .structures import MD3LieAlgebra, Representation, leibniz_data
 
@@ -42,10 +43,6 @@ MAX_DENSE_ENTRIES = 10_000_000
 MAX_DEGREE = MAX_DENSE_ENTRIES.bit_length()
 
 _ONE = Fraction(1)
-
-
-def _sparse(dense) -> list[tuple[int, Fraction]]:
-    return [(i, c) for i, c in enumerate(dense) if c]
 
 
 def _sparse_entries(mat: Matrix) -> list[tuple[int, int, Fraction]]:
@@ -202,13 +199,13 @@ class ComplexAssembly:
             pair_units=[[(t, _ONE)] for t in range(dim)],
             units=[[(k, _ONE)] for k in range(n)],
             # [X_a, X_b]_F and d_F(X_a) on the pair basis
-            bracket_F=[[_sparse(leibniz.bracket_basis(a, b)) for b in range(dim)]
-                       for a in range(dim)],
-            d_F=[_sparse(leibniz.d_F.column(a)) for a in range(dim)],
+            bracket_F=[[list(_sparse_row(leibniz.bracket_basis(a, b)).items())
+                        for b in range(dim)] for a in range(dim)],
+            d_F=[list(col.items()) for col in leibniz.d_F.transpose().sparse_rows],
             # [X_a, e_k] and d(e_k) on the algebra basis
-            ad=[[_sparse(md.algebra.bracket_basis(i, j, k)) for k in range(n)]
-                for i, j in pairs],
-            d=[_sparse(md.d.column(k)) for k in range(n)],
+            ad=[[list(_sparse_row(md.algebra.bracket_basis(i, j, k)).items())
+                 for k in range(n)] for i, j in pairs],
+            d=[list(col.items()) for col in md.d.transpose().sparse_rows],
             rho=[[_sparse_entries(rep.rho_basis(i, j)) for j in range(n)]
                  for i in range(n)],
             d_M=_sparse_entries(rep.d_M),
