@@ -8,12 +8,15 @@ dimensions by exact elimination.
 One assembler builds delta and Phi: it enumerates the row blocks (pair
 arguments, final index) once, each operator lists its terms per block, and
 the terms accumulate into sparse rows; the total differential stacks those
-rows, so no dense matrix is built on the way to elimination.  Pair slots
-read the Leibniz algebra of fundamental objects, [X, Y]_F for delta and d_F
-(which carries the weight) for Phi, from tables that structures.leibniz_data
-builds once per complex; no axiom is verified, so invalid input assembles
-too.  The degree is generic, but sizes grow like C(n,2)^(q-1), and a matrix
-whose rows x cols exceeds MAX_DENSE_ENTRIES is refused before it is built.
+rows, so no dense matrix is built on the way to elimination.  A term either
+substitutes one argument of the column cochain by a sparse table vector
+([X, Y]_F or [X, e_k] for delta; d_F, which carries the weight, or d for
+Phi) or applies rho or -d_M to its values, so it names the column blocks it
+reads, each with one coefficient.  The tables come from
+structures.leibniz_data once per complex; no axiom is verified, so invalid
+input assembles too.  The degree is generic, but sizes grow like
+C(n,2)^(q-1), and a matrix whose rows x cols exceeds MAX_DENSE_ENTRIES is
+refused before it is built.
 
 Caching: a ComplexAssembly memoizes assembled matrices.  Population is
 idempotent (pure recomputation), so a racing first access at worst computes
@@ -41,9 +44,6 @@ MAX_DENSE_ENTRIES = 10_000_000
 #: No higher degree fits the budget once n >= 3 (C^(q+1) has 2^q coordinates
 #: or more); checked first, it also bounds n <= 2 and the powers in cochain_dim.
 MAX_DEGREE = MAX_DENSE_ENTRIES.bit_length()
-
-_ONE = Fraction(1)
-
 
 def _sparse_entries(mat: Matrix) -> list[tuple[int, int, Fraction]]:
     return [(i, j, c) for i, row in enumerate(mat.sparse_rows)
@@ -196,8 +196,6 @@ class ComplexAssembly:
         dim = len(pairs)
         return SimpleNamespace(
             pairs=pairs,
-            pair_units=[[(t, _ONE)] for t in range(dim)],
-            units=[[(k, _ONE)] for k in range(n)],
             # [X_a, X_b]_F and d_F(X_a) on the pair basis
             bracket_F=[[list(_sparse_row(leibniz.bracket_basis(a, b)).items())
                         for b in range(dim)] for a in range(dim)],
@@ -211,51 +209,56 @@ class ComplexAssembly:
             d_M=_sparse_entries(rep.d_M),
         )
 
+    def _block(self, args, k: int) -> int:
+        """First column of the cochain coordinates at pair arguments args and
+        final index k (the order of CochainCoordinates.index)."""
+        P = len(self._tables.pairs)
+        idx = 0
+        for p in args:
+            idx = idx * P + p
+        return (idx * self.md.n + k) * self.rep.m
+
     def _delta_terms(self, arg, k):
         """Terms of (delta f)(X_1, ..., X_q, e_k) for the pairs X_i in arg."""
-        tb = self._tables
-        pairs, pair_units, units, rho = tb.pairs, tb.pair_units, tb.units, tb.rho
+        tb, block = self._tables, self._block
+        pairs, rho = tb.pairs, tb.rho
         xq, yq = pairs[arg[-1]]
-        head = [pair_units[t] for t in arg[:-1]]
+        head = arg[:-1]
         # boundary terms pairing the last pair with the final slot
-        top = _ONE if len(arg) % 2 else -_ONE
-        yield top, rho[yq][k], head, units[xq]
-        yield top, rho[k][xq], head, units[yq]
+        top = 1 if len(arg) % 2 else -1
+        yield rho[yq][k], [(block(head, xq), top)]
+        yield rho[k][xq], [(block(head, yq), top)]
         for i, a in enumerate(arg):
             # alternating sign of the i-th pair, +1 for the first
-            sign = -_ONE if i % 2 else _ONE
-            rest = [pair_units[t] for t in arg[:i] + arg[i + 1:]]
+            sign = -1 if i % 2 else 1
+            rest = arg[:i] + arg[i + 1:]
             # action of the removed pair
-            yield sign, rho[pairs[a][0]][pairs[a][1]], rest, units[k]
+            yield rho[pairs[a][0]][pairs[a][1]], [(block(rest, k), sign)]
             # bracket absorbed into the final slot
-            yield -sign, None, rest, tb.ad[a][k]
+            yield None, [(block(rest, kk), -sign * c) for kk, c in tb.ad[a][k]]
             # [X_i, X_l]_F absorbed into a later pair slot
-            for l in range(i + 1, len(arg)):
-                absorbed = list(rest)
-                absorbed[l - 1] = tb.bracket_F[a][arg[l]]
-                yield -sign, None, absorbed, units[k]
+            for l in range(i, len(rest)):
+                yield None, [(block(rest[:l] + (p,) + rest[l + 1:], k), -sign * c)
+                             for p, c in tb.bracket_F[a][rest[l]]]
 
     def _phi_terms(self, arg, k):
         """Terms of (Phi f)(X_1, ..., X_(q-1), e_k): d_F on each pair slot
         (it carries the weight), d on the final slot, minus d_M on values."""
-        tb = self._tables
-        head = [tb.pair_units[t] for t in arg]
+        tb, block = self._tables, self._block
         for i, a in enumerate(arg):
-            shifted = list(head)
-            shifted[i] = tb.d_F[a]
-            yield _ONE, None, shifted, tb.units[k]
-        yield _ONE, None, head, tb.d[k]
-        yield -_ONE, tb.d_M, head, tb.units[k]
+            yield None, [(block(arg[:i] + (p,) + arg[i + 1:], k), c)
+                         for p, c in tb.d_F[a]]
+        yield None, [(block(arg, kk), c) for kk, c in tb.d[k]]
+        yield tb.d_M, [(block(arg, k), -1)]
 
     def _assemble(self, arity: int, cols: int, terms) -> Matrix:
         """Matrix whose row block (arg, k) sums the terms(arg, k).
 
         Row blocks run over pair-index tuples ``arg`` of length ``arity`` and
         a final index k, in cochain coordinate order, m rows each.  A term
-        (sign, T, pvecs, last) adds sign * T(f(pvecs, last)) for the column
-        cochain f: ``pvecs`` are the sparse pair arguments, ``last`` the
-        sparse final argument and T the sparse entries of a module
-        endomorphism (None meaning the identity)."""
+        (T, columns) adds coeff * T(values of f at block) for each (block,
+        coeff) in columns, a column block as _block numbers it; T holds the
+        sparse entries of a module endomorphism, None meaning the identity."""
         n, m = self.md.n, self.rep.m
         P = len(self._tables.pairs)
         rows = P ** arity * n * m
@@ -265,21 +268,9 @@ class ComplexAssembly:
         blocks = product(product(range(P), repeat=arity), range(n))
         for block, (arg, k) in enumerate(blocks):
             row_base = block * m
-            for sign, T, pvecs, last in terms(arg, k):
+            for T, columns in terms(arg, k):
                 T = identity if T is None else T
-                if not T:
-                    continue
-                for combo in product(*pvecs, last):
-                    coeff = sign
-                    idx = 0
-                    for p, c in combo[:-1]:
-                        coeff *= c
-                        idx = idx * P + p
-                    kk, c = combo[-1]
-                    coeff *= c
-                    if not coeff:
-                        continue
-                    col_base = (idx * n + kk) * m
+                for col_base, coeff in columns:
                     for r, r0, t in T:
                         row = data[row_base + r]
                         j = col_base + r0

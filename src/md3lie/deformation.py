@@ -13,16 +13,17 @@ vanish.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
 from .cohomology import ComplexAssembly, TotalCochain
 from .errors import InputError
-from .exactnum import Matrix, unit, vec_add, vec_scale, vec_sub, vec_zero
+from .exactnum import Matrix, Vector, unit, vec_add, vec_scale, vec_sub, vec_zero
 from .multilin import (
     CochainCoordinates, SkewTernaryTensor, embed_skew_trilinear, pair_basis,
 )
 from .structures import (
     MD3LieAlgebra, Report, Representation, ThreeLieAlgebra, Violation,
+    derivation_sides, fundamental_identity_sides,
 )
 
 
@@ -54,11 +55,18 @@ class LinearDeformation:
         return self.nu1.is_zero and self.nu2.is_zero and self.d1.is_zero
 
 
+def _summed_sides(sides) -> tuple[Vector, Vector]:
+    lhs, rhs = zip(*sides)
+    return reduce(vec_add, lhs), reduce(vec_add, rhs)
+
+
 def verify_linear_deformation(ld: LinearDeformation) -> Report:
     """Order-by-order check of the deformed axioms on basis tuples.
 
-    Order 0 reproduces the base axioms, so an invalid base shows up here as
-    order-0 violations."""
+    The order-k identity sums the base law's sides over the coefficient
+    pairs (nu_i, nu_j) or (nu_i, d_j) with i + j = k.  Order 0 reproduces
+    the base axioms, so an invalid base shows up here as order-0
+    violations."""
     n = ld.base.n
     nus = (ld.base.algebra.bracket, ld.nu1, ld.nu2)
     ds = (ld.base.d, ld.d1)
@@ -66,45 +74,27 @@ def verify_linear_deformation(ld: LinearDeformation) -> Report:
     violations = []
 
     for order in range(5):
-        terms = [(i, order - i) for i in range(3) if 0 <= order - i <= 2]
+        terms = [(nus[i], nus[order - i]) for i in range(3) if 0 <= order - i <= 2]
         for i1, i2 in pair_basis(n):
             for t3 in combinations(range(n), 3):
-                lhs = [Fraction(0)] * n
-                rhs = [Fraction(0)] * n
-                a, b, c = t3
-                for i, j in terms:
-                    inner = nus[j].basis_value(a, b, c)
-                    lhs = vec_add(lhs, nus[i].pair_value(i1, i2, inner))
-                    w3 = nus[j].basis_value(i1, i2, a)
-                    w4 = nus[j].basis_value(i1, i2, b)
-                    w5 = nus[j].basis_value(i1, i2, c)
-                    # [w3, e_b, e_c] + [e_a, w4, e_c] + [e_a, e_b, w5],
-                    # each rotated so the general vector is last
-                    rhs = vec_add(rhs, nus[i].pair_value(b, c, w3))
-                    rhs = vec_add(rhs, nus[i].pair_value(c, a, w4))
-                    rhs = vec_add(rhs, nus[i].pair_value(a, b, w5))
+                idx = (i1, i2) + t3
+                lhs, rhs = _summed_sides(
+                    fundamental_identity_sides(outer, inner, idx)
+                    for outer, inner in terms)
                 if lhs != rhs:
                     violations.append(Violation(
-                        f"bracket identity at order {order}",
-                        (i1, i2) + t3, tuple(lhs), tuple(rhs)))
+                        f"bracket identity at order {order}", idx, lhs, rhs))
 
     for order in range(4):
-        terms = [(i, order - i) for i in range(3) if 0 <= order - i <= 1]
+        terms = [(nus[i], ds[order - i]) for i in range(3) if 0 <= order - i <= 1]
         for triple in combinations(range(n), 3):
-            lhs = [Fraction(0)] * n
-            rhs = [Fraction(0)] * n
-            for i, l in terms:
-                lhs = vec_add(lhs, ds[l].apply(nus[i].basis_value(*triple)))
-                a, b, c = triple
-                rhs = vec_add(rhs, nus[i].pair_value(b, c, ds[l].column(a)))
-                rhs = vec_add(rhs, nus[i].pair_value(c, a, ds[l].column(b)))
-                rhs = vec_add(rhs, nus[i].pair_value(a, b, ds[l].column(c)))
+            lhs, rhs = _summed_sides(
+                derivation_sides(br, op, triple) for br, op in terms)
             if order <= 2:
                 rhs = vec_add(rhs, vec_scale(lam, nus[order].basis_value(*triple)))
-            if tuple(lhs) != tuple(rhs):
+            if lhs != rhs:
                 violations.append(Violation(
-                    f"differential rule at order {order}",
-                    triple, tuple(lhs), tuple(rhs)))
+                    f"differential rule at order {order}", triple, lhs, rhs))
     return Report.from_violations(violations)
 
 

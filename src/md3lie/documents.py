@@ -16,7 +16,7 @@ import json
 import re
 from fractions import Fraction
 
-from .errors import InputError, ParseError
+from .errors import ParseError
 from .exactnum import Matrix
 from .extension import AbelianExtension, build_abelian_extension
 from .multilin import SkewTernaryTensor
@@ -48,11 +48,25 @@ def parse_scalar(text, where: str) -> Fraction:
         raise ParseError(f"{where}: scalar has too many digits") from None
 
 
+# digits per chunk; sys.set_int_max_str_digits takes no limit below 640
+_CHUNK_DIGITS = 600
+_CHUNK = 10 ** _CHUNK_DIGITS
+
+
+def _int_str(k: int) -> str:
+    """str(k) for any length: str() stops at sys.get_int_max_str_digits(),
+    so the digits are printed in chunks below it."""
+    rest, chunks = abs(k), []
+    while rest >= _CHUNK:
+        rest, low = divmod(rest, _CHUNK)
+        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
+    return ("-" if k < 0 else "") + str(rest) + "".join(reversed(chunks))
+
+
 def scalar_str(x: Fraction) -> str:
-    try:
-        return str(Fraction(x))
-    except ValueError:  # longer than sys.get_int_max_str_digits()
-        raise InputError("a result has too many digits to print") from None
+    x = Fraction(x)
+    den = "" if x.denominator == 1 else "/" + _int_str(x.denominator)
+    return _int_str(x.numerator) + den
 
 
 def _parse_index(value, bound: int, where: str) -> int:

@@ -231,8 +231,8 @@ def is_metrised(md: MD3LieAlgebra, B: Matrix) -> Report:
     violations = []
     if not B.is_symmetric:
         violations.append(Violation("symmetry", (), B, B.transpose()))
-    if B.rank() != n:
-        violations.append(Violation("non-degeneracy", (), B.rank(), n))
+    if (rank := B.rank()) != n:
+        violations.append(Violation("non-degeneracy", (), rank, n))
     units = [unit(n, i) for i in range(n)]
 
     def pairing(x, y):

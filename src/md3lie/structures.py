@@ -177,18 +177,18 @@ class LeibnizData:
 # verifiers
 
 
-def fundamental_identity_sides(alg: ThreeLieAlgebra, idx: tuple) -> tuple[Vector, Vector]:
-    """Both sides of the fundamental identity on basis indices (a1..a5)."""
+def fundamental_identity_sides(outer: SkewTernaryTensor, inner: SkewTernaryTensor,
+                               idx: tuple) -> tuple[Vector, Vector]:
+    """Both sides of [x1, x2, {x3, x4, x5}] = {[x1, x2, x3], x4, x5} +
+    {x3, [x1, x2, x4], x5} + {x3, x4, [x1, x2, x5]}, written with outer [.]
+    and inner {.}, on basis indices (a1..a5).  With both brackets equal this
+    is the fundamental identity."""
     i1, i2, i3, i4, i5 = idx
-    w3 = alg.bracket_basis(i1, i2, i3)
-    w4 = alg.bracket_basis(i1, i2, i4)
-    w5 = alg.bracket_basis(i1, i2, i5)
-    inner = alg.bracket_basis(i3, i4, i5)
-    br = alg.bracket
-    lhs = br.pair_value(i1, i2, inner)
+    lhs = outer.pair_value(i1, i2, inner.basis_value(i3, i4, i5))
     rhs = vec_add(
-        vec_sub(br.pair_value(i4, i5, w3), br.pair_value(i3, i5, w4)),
-        br.pair_value(i3, i4, w5),
+        vec_sub(outer.pair_value(i4, i5, inner.basis_value(i1, i2, i3)),
+                outer.pair_value(i3, i5, inner.basis_value(i1, i2, i4))),
+        outer.pair_value(i3, i4, inner.basis_value(i1, i2, i5)),
     )
     return lhs, rhs
 
@@ -200,22 +200,22 @@ def verify_3lie(alg: ThreeLieAlgebra) -> Report:
     for i1, i2 in pair_basis(n):
         for triple in combinations(range(n), 3):
             idx = (i1, i2) + triple
-            lhs, rhs = fundamental_identity_sides(alg, idx)
+            lhs, rhs = fundamental_identity_sides(alg.bracket, alg.bracket, idx)
             if lhs != rhs:
                 violations.append(Violation("fundamental identity", idx, lhs, rhs))
     return Report.from_violations(violations)
 
 
-def modified_differential_sides(md: MD3LieAlgebra, triple: tuple) -> tuple[Vector, Vector]:
+def derivation_sides(br: SkewTernaryTensor, op: Matrix,
+                     triple: tuple) -> tuple[Vector, Vector]:
+    """Both sides of op[x, y, z] = [op x, y, z] + [x, op y, z] + [x, y, op z]
+    on basis indices; the modified differential rule adds lam [x, y, z] to
+    the right side."""
     i, j, k = triple
-    alg = md.algebra
-    br = alg.bracket
-    d = md.d
-    lhs = d.apply(alg.bracket_basis(i, j, k))
+    lhs = op.apply(br.basis_value(i, j, k))
     rhs = vec_add(
-        vec_sub(br.pair_value(j, k, d.column(i)), br.pair_value(i, k, d.column(j))),
-        vec_add(br.pair_value(i, j, d.column(k)),
-                vec_scale(md.lam, alg.bracket_basis(i, j, k))),
+        vec_sub(br.pair_value(j, k, op.column(i)), br.pair_value(i, k, op.column(j))),
+        br.pair_value(i, j, op.column(k)),
     )
     return lhs, rhs
 
@@ -223,8 +223,10 @@ def modified_differential_sides(md: MD3LieAlgebra, triple: tuple) -> tuple[Vecto
 def verify_modified_differential(md: MD3LieAlgebra) -> Report:
     """Check the modified differential rule on all basis triples."""
     violations = []
+    br = md.algebra.bracket
     for triple in combinations(range(md.n), 3):
-        lhs, rhs = modified_differential_sides(md, triple)
+        lhs, rhs = derivation_sides(br, md.d, triple)
+        rhs = vec_add(rhs, vec_scale(md.lam, br.basis_value(*triple)))
         if lhs != rhs:
             violations.append(Violation("modified differential rule", triple, lhs, rhs))
     return Report.from_violations(violations)

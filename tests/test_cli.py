@@ -20,7 +20,9 @@ from md3lie.errors import InputError, ParseError
 from md3lie.exactnum import Matrix
 from md3lie.extension import tstar_abelian_extension
 from md3lie.multilin import SkewTernaryTensor
-from md3lie.structures import adjoint_representation
+from md3lie.structures import (
+    adjoint_representation, verify_3lie, verify_modified_differential,
+)
 
 
 @pytest.fixture()
@@ -309,12 +311,6 @@ def test_usage_and_input_errors_exit_two(workspace, capsys, tmp_path):
     if limit:  # without a limit every length reads and prints
         malformed["long_scalar.json"] = (
             ["verify"], dict(line, **{"lambda": "1" * (limit + 1)}))
-        # entries that parse, but whose squares in the witnesses do not print
-        big = str(10 ** (2 * limit // 3))
-        malformed["long_witness.json"] = (["verify"], {"dim": 4, "bracket": [
-            {"args": [1, 2, 3], "value": {"1": big}},
-            {"args": [1, 2, 4], "value": {"4": big}}],
-            "lambda": "0", "differential": [["0"] * 4] * 4})
     # "01" would name the same index as "1", and one value would be lost
     for key in ["+1", " 1", "0_1", "1_0", "01"]:
         malformed[f"key_{key!r}.json"] = (["verify"], {
@@ -326,6 +322,48 @@ def test_usage_and_input_errors_exit_two(workspace, capsys, tmp_path):
         assert run_command(argv + [str(path)]) == 2, name
         captured = capsys.readouterr()
         assert captured.out == "" and "error" in captured.err, name
+
+
+def _parse_long_scalar(text):
+    """The scalar a report string names, read in pieces short enough for
+    int(), so the interpreter's limit on digits does not apply."""
+    def parse_int(digits):
+        sign = -1 if digits.startswith("-") else 1
+        digits = digits.lstrip("-")
+        value = 0
+        for i in range(0, len(digits), 100):
+            piece = digits[i:i + 100]
+            value = value * 10 ** len(piece) + int(piece)
+        return sign * value
+
+    num, _, den = text.partition("/")
+    return Fraction(parse_int(num), parse_int(den or "1"))
+
+
+def test_long_witnesses_print_in_full(tmp_path, capsys):
+    # entries that parse, but whose squares in the witnesses are longer than
+    # str() prints under the interpreter's limit on digits
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    big = str(10 ** (2 * limit // 3))
+    doc = {"dim": 4, "bracket": [
+        {"args": [1, 2, 3], "value": {"1": big}},
+        {"args": [1, 2, 4], "value": {"4": big}}],
+        "lambda": "0", "differential": [["0"] * 4] * 4}
+    path = tmp_path / "long_witness.json"
+    docs.dump_json(str(path), doc)
+    code, report = run(capsys, ["verify", str(path)])
+    assert code == 1 and not report["valid"]
+    md = docs.algebra_from_doc(doc, "long_witness")
+    expected = (verify_3lie(md.algebra).violations
+                + verify_modified_differential(md).violations)
+    assert len(report["witnesses"]) == len(expected) > 0
+    longest = 0
+    for w, v in zip(report["witnesses"], expected):
+        assert (w["law"], w["args"]) == (v.law, [a + 1 for a in v.args])
+        for side, value in ((w["lhs"], v.lhs), (w["rhs"], v.rhs)):
+            assert [_parse_long_scalar(c) for c in side] == list(value)
+            longest = max(longest, *(len(c) for c in side))
+    assert longest > limit
 
 
 def test_oversized_matrix_is_refused_before_assembly(workspace, capsys,

@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -14,9 +15,9 @@ from md3lie.multilin import (
     CochainCoordinates, SkewTernaryTensor, cochain_dim, pair_basis, wedge_coords,
 )
 from md3lie.structures import (
-    MD3LieAlgebra, ModifiedDifferential, ThreeLieAlgebra,
+    MD3LieAlgebra, ModifiedDifferential, Representation, ThreeLieAlgebra,
     adjoint_representation, coadjoint_representation, fundamental_leibniz,
-    trivial_representation,
+    leibniz_data, trivial_representation,
 )
 
 from conftest import brute_force_degree_one_kernel
@@ -370,3 +371,91 @@ def test_phi_matches_kronecker_sum_oracle():
             asm = ComplexAssembly(md, rep)
             for q in degrees:
                 assert asm.phi_matrix(q) == phi_oracle(md, rep, q), (md, q)
+
+
+# ---------------------------------------------------------------------------
+# delta against the coboundary formula, column by column
+
+
+def delta_oracle(md, rep, q):
+    """delta_q from the coboundary formula on the pairs X_i = x_i ^ y_i,
+    1-based i, applied to each basis cochain f of C^q:
+
+    (delta f)(X_1, ..., X_q, z)
+      = sum_(i<l) (-1)^i f(X_1, ..^i.., X_(l-1), [X_i, X_l]_F, X_(l+1), ..., z)
+      + sum_i (-1)^i f(X_1, ..^i.., X_q, [x_i, y_i, z])
+      + sum_i (-1)^(i+1) rho(x_i, y_i) f(X_1, ..^i.., X_q, z)
+      + (-1)^(q+1) (rho(y_q, z) f(X_1, ..., X_(q-1), x_q)
+                    + rho(z, x_q) f(X_1, ..., X_(q-1), y_q)).
+
+    Each term is (sign, action or None, pair arguments, final argument),
+    listed once per row block (X_1, ..., X_q, z) in coordinate order."""
+    n, m = md.n, rep.m
+    pairs = pair_basis(n)
+    P = len(pairs)
+    leibniz = leibniz_data(md)
+    X = [unit(P, t) for t in range(P)]
+    e = [unit(n, i) for i in range(n)]
+    blocks = []
+    for arg in itertools.product(range(P), repeat=q):
+        for z in range(n):
+            terms = []
+            for i, a in enumerate(arg, start=1):
+                rest = [X[t] for t in arg[:i - 1] + arg[i:]]
+                x, y = pairs[a]
+                for l in range(i + 1, q + 1):
+                    slots = list(rest)
+                    slots[l - 2] = leibniz.bracket_vec(X[a], X[arg[l - 1]])
+                    terms.append(((-1) ** i, None, slots, e[z]))
+                terms.append(((-1) ** i, None, rest,
+                              md.algebra.bracket(e[x], e[y], e[z])))
+                terms.append(((-1) ** (i + 1), rep.rho_basis(x, y), rest, e[z]))
+            head = [X[t] for t in arg[:-1]]
+            xq, yq = pairs[arg[-1]]
+            terms.append(((-1) ** (q + 1), rep.rho_basis(yq, z), head, e[xq]))
+            terms.append(((-1) ** (q + 1), rep.rho_basis(z, xq), head, e[yq]))
+            blocks.append(terms)
+    dim = cochain_dim(q, n, m)
+    columns = []
+    for col in range(dim):
+        f = CochainCoordinates(q, n, m, unit(dim, col))
+        column = []
+        for terms in blocks:
+            total = [Fraction(0)] * m
+            for sign, action, slots, last in terms:
+                value = f.evaluate(slots, last)
+                if not any(value):
+                    continue
+                if action is not None:
+                    value = action.apply(value)
+                total = [t + sign * c for t, c in zip(total, value)]
+            column += total
+        columns.append(tuple(column))
+    return columns
+
+
+def test_delta_matches_coboundary_formula():
+    # delta in degree >= 3 is otherwise seen only through delta^2 = 0 and
+    # Phi delta = delta Phi
+    rng = random.Random(12)
+    dim3 = triangular_family_member(rng)
+    dim4 = abelian_md(rng, 4)
+    bad = MD3LieAlgebra(
+        ThreeLieAlgebra(4, SkewTernaryTensor(4, 4, {
+            (0, 1, 2): (1, 0, 0, 0), (0, 1, 3): (0, 0, 0, 1)})),
+        ModifiedDifferential(Fraction(3, 2), random_matrix(rng, 4, 4)))
+    d_M = Matrix(2, 2, [1, 2, 0, -3])
+    # on the abelian algebra every action from the bracket is 0, so it gets
+    # one that satisfies no axiom
+    arbitrary = Representation(4, 2, {p: random_matrix(rng, 2, 2)
+                                      for p in pair_basis(4)}, d_M, dim4.lam)
+    cases = [(dim3, coadjoint_representation(dim3), (1, 2, 3)),
+             (dim3, trivial_representation(dim3, 2, d_M), (1, 2, 3)),
+             (dim4, arbitrary, (1, 2)),
+             (bad, coadjoint_representation(bad), (1, 2))]
+    for md, rep, degrees in cases:
+        asm = ComplexAssembly(md, rep)
+        for q in degrees:
+            delta = asm.delta_matrix(q)
+            for col, expected in enumerate(delta_oracle(md, rep, q)):
+                assert delta.column(col) == expected, (md, q, col)

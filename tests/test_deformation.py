@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from md3lie.cohomology import TotalCochain
-from md3lie.corpus import abelian_md, random_invertible, rational
+from md3lie.corpus import abelian_md, random_invertible, random_matrix, rational
 from md3lie.deformation import (
     LinearDeformation, check_equivalence, infinitesimal,
     inverse_cocycle_check, is_nijenhuis, is_o_operator,
@@ -15,7 +15,7 @@ from md3lie.errors import InputError
 from md3lie.exactnum import Matrix
 from md3lie.multilin import CochainCoordinates, SkewTernaryTensor
 from md3lie.structures import (
-    MD3LieAlgebra, ModifiedDifferential, semidirect_product,
+    MD3LieAlgebra, ModifiedDifferential, ThreeLieAlgebra, semidirect_product,
     trivial_representation, verify_3lie, verify_modified_differential,
 )
 
@@ -55,6 +55,27 @@ def test_order_zero_reproduces_base_axioms(emd):
     broken = LinearDeformation(broken_base, zero3(), zero3(), Matrix.zeros(3, 3))
     report = verify_linear_deformation(broken)
     assert any(v.law == "differential rule at order 0" for v in report.violations)
+    # the witnesses themselves are the base verifiers', on either law
+    bad = MD3LieAlgebra(
+        ThreeLieAlgebra(4, SkewTernaryTensor(4, 4, {
+            (0, 1, 2): (1, 0, 0, 0), (0, 1, 3): (0, 0, 0, 1)})),
+        ModifiedDifferential(Fraction(3, 2), random_matrix(random.Random(4), 4, 4)))
+    seen = set()
+    for base in (broken_base, bad):
+        zero = SkewTernaryTensor.zero(base.n, base.n)
+        report = verify_linear_deformation(
+            LinearDeformation(base, zero, zero, Matrix.zeros(base.n, base.n)))
+        by_law = {
+            "bracket identity at order 0": verify_3lie(base.algebra),
+            "differential rule at order 0": verify_modified_differential(base),
+        }
+        assert {v.law for v in report.violations} <= set(by_law)
+        for law, base_report in by_law.items():
+            got = [(v.args, v.lhs, v.rhs) for v in report.violations if v.law == law]
+            assert got == [(v.args, v.lhs, v.rhs) for v in base_report.violations]
+            if got:
+                seen.add(law)
+    assert seen == set(by_law)
 
 
 def test_infinitesimal_is_cocycle(adjoint_asm, emd):

@@ -47,10 +47,12 @@ def test_invalid_four_dimensional_bracket():
     assert not report.valid and report.violations
     # the violating tuple named by the reduced enumeration really violates
     first = report.violations[0]
-    lhs, rhs = fundamental_identity_sides(bad, first.args)
+    lhs, rhs = fundamental_identity_sides(
+        bad.bracket, bad.bracket, first.args)
     assert lhs != rhs
     # and so does (e1, e2, e3, e4, e2)
-    lhs, rhs = fundamental_identity_sides(bad, (0, 1, 2, 3, 1))
+    lhs, rhs = fundamental_identity_sides(
+        bad.bracket, bad.bracket, (0, 1, 2, 3, 1))
     assert lhs == (0, 0, 0, 0) and rhs == (0, 0, 0, -1)
 
 
