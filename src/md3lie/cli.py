@@ -15,6 +15,7 @@ file is, generating the action from the algebra itself.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -115,7 +116,8 @@ def _cmd_cohomology(args):
     md = _load_algebra(args.algebra)
     rep = _load_representation(md, args.rep)
     asm = ComplexAssembly(md, rep)
-    summary = asm.cohomology_dim(args.degree)
+    summary = asm.cohomology_dim(args.degree,
+                                 representatives=args.representatives)
     doc = _report_doc(
         "cohomology",
         degree=args.degree,
@@ -317,11 +319,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every run_command shares, built on first use; parse_args
+    does not change it."""
+    return build_parser()
+
+
 def run_command(argv) -> int:
     argv = list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -3,7 +3,8 @@
 Assembles the coboundary delta, the cochain map Phi, and the total
 differential on C^q + C^(q-1) as sparse exact matrices over the canonical
 cochain bases, and decides cocycle/coboundary membership and cohomology
-dimensions by exact elimination.
+dimensions by exact elimination, or dimensions alone by the certificate
+below.
 
 One assembler builds delta and Phi: it enumerates the row blocks (pair
 arguments, final index) once, each operator lists its terms per block, and
@@ -17,6 +18,23 @@ structures.leibniz_data once per complex; no axiom is verified, so invalid
 input assembles too.  The degree is generic, but sizes grow like
 C(n,2)^(q-1), and a matrix whose rows x cols exceeds MAX_DENSE_ENTRIES is
 refused before it is built.
+
+Dimensions without representatives.  The total complex is the mapping cone
+of Phi.  Lemma: if partial_q partial_(q-1) = 0, so that delta delta = 0 and
+Phi_q delta_(q-1) = delta_(q-1) Phi_(q-1), and Phi_q is injective, then
+Phi_q maps B^q = im delta_(q-1) onto itself; for every g in C^(q-1) exactly
+one f, namely (-1)^(q+1) Phi_q^-1 delta_(q-1) g in B^q, has (f, g) in
+ker partial_q, so rank partial_q = dim C^q.  At q = 1, partial_1 =
+(delta_1, -Phi_1) is injective with Phi_1 and no condition is needed.  The
+guard partial_q partial_(q-1) = 0 is checked by an exact sparse product,
+because input that fails the axioms can have Phi_q invertible and rank
+partial_q != dim C^q.  Injectivity is certified by a nonzero det Phi_q mod a
+61-bit prime, computed from the Kronecker factors of Phi_q (q - 1 copies of
+d_F^T, d^T and -d_M) in O(N^2) for N = dim C^q, without assembling or
+eliminating Phi_q (exactnum.kronecker_sum_det_mod_p).
+cohomology_dim(q, representatives=False) takes z = cols - rank partial_q and
+b = rank partial_(q-1), each from the lemma when it applies and by exact
+elimination otherwise; the numbers are those of the full path.
 
 Caching: a ComplexAssembly memoizes assembled matrices.  Population is
 idempotent (pure recomputation), so a racing first access at worst computes
@@ -33,8 +51,8 @@ from types import SimpleNamespace
 from typing import Optional
 
 from .errors import InputError
-from .exactnum import (Matrix, Vector, _sparse_row, unit, vec_add, vec_is_zero,
-                       vec_scale, vec_sub)
+from .exactnum import (Matrix, Vector, _sparse_row, kronecker_sum_det_mod_p,
+                       unit, vec_add, vec_is_zero, vec_scale, vec_sub)
 from .multilin import CochainCoordinates, cochain_dim, pair_basis, wedge_coords
 from .structures import MD3LieAlgebra, Representation, leibniz_data
 
@@ -45,9 +63,15 @@ MAX_DENSE_ENTRIES = 10_000_000
 #: or more); checked first, it also bounds n <= 2 and the powers in cochain_dim.
 MAX_DEGREE = MAX_DENSE_ENTRIES.bit_length()
 
-def _sparse_entries(mat: Matrix) -> list[tuple[int, int, Fraction]]:
-    return [(i, j, c) for i, row in enumerate(mat.sparse_rows)
+def _sparse_entries(mat: Matrix) -> list[tuple[int, int, Fraction, Fraction]]:
+    """(row, column, entry, -entry) for each nonzero entry."""
+    return [(i, j, c, -c) for i, row in enumerate(mat.sparse_rows)
             for j, c in row.items()]
+
+
+def _signed_items(values) -> list[tuple[int, Fraction, Fraction]]:
+    """(index, value, -value) for each nonzero coordinate."""
+    return [(j, c, -c) for j, c in _sparse_row(values).items()]
 
 
 def _check_degree(q: int) -> None:
@@ -197,16 +221,19 @@ class ComplexAssembly:
         return SimpleNamespace(
             pairs=pairs,
             # [X_a, X_b]_F and d_F(X_a) on the pair basis
-            bracket_F=[[list(_sparse_row(leibniz.bracket_basis(a, b)).items())
+            bracket_F=[[_signed_items(leibniz.bracket_basis(a, b))
                         for b in range(dim)] for a in range(dim)],
             d_F=[list(col.items()) for col in leibniz.d_F.transpose().sparse_rows],
             # [X_a, e_k] and d(e_k) on the algebra basis
-            ad=[[list(_sparse_row(md.algebra.bracket_basis(i, j, k)).items())
+            ad=[[_signed_items(md.algebra.bracket_basis(i, j, k))
                  for k in range(n)] for i, j in pairs],
             d=[list(col.items()) for col in md.d.transpose().sparse_rows],
             rho=[[_sparse_entries(rep.rho_basis(i, j)) for j in range(n)]
                  for i in range(n)],
             d_M=_sparse_entries(rep.d_M),
+            # Phi_q is the Kronecker sum of q - 1 copies of d_F^T, then d^T
+            # and -d_M; a transpose has the same determinant
+            phi_factors=(leibniz.d_F, md.d, -rep.d_M),
         )
 
     def _block(self, args, k: int) -> int:
@@ -234,12 +261,14 @@ class ComplexAssembly:
             rest = arg[:i] + arg[i + 1:]
             # action of the removed pair
             yield rho[pairs[a][0]][pairs[a][1]], [(block(rest, k), sign)]
-            # bracket absorbed into the final slot
-            yield None, [(block(rest, kk), -sign * c) for kk, c in tb.ad[a][k]]
-            # [X_i, X_l]_F absorbed into a later pair slot
+            # bracket absorbed into the final slot, with sign -sign
+            yield None, [(block(rest, kk), nc if sign > 0 else c)
+                         for kk, c, nc in tb.ad[a][k]]
+            # [X_i, X_l]_F absorbed into a later pair slot, with sign -sign
             for l in range(i, len(rest)):
-                yield None, [(block(rest[:l] + (p,) + rest[l + 1:], k), -sign * c)
-                             for p, c in tb.bracket_F[a][rest[l]]]
+                yield None, [(block(rest[:l] + (p,) + rest[l + 1:], k),
+                              nc if sign > 0 else c)
+                             for p, c, nc in tb.bracket_F[a][rest[l]]]
 
     def _phi_terms(self, arg, k):
         """Terms of (Phi f)(X_1, ..., X_(q-1), e_k): d_F on each pair slot
@@ -258,23 +287,25 @@ class ComplexAssembly:
         a final index k, in cochain coordinate order, m rows each.  A term
         (T, columns) adds coeff * T(values of f at block) for each (block,
         coeff) in columns, a column block as _block numbers it; T holds the
-        sparse entries of a module endomorphism, None meaning the identity."""
+        sparse entries of a module endomorphism with their negations (its
+        coeff is then +-1), None meaning the identity.  Only additions run:
+        a sign picks an entry or its stored negation."""
         n, m = self.md.n, self.rep.m
         P = len(self._tables.pairs)
         rows = P ** arity * n * m
         _check_entry_budget(rows, cols)
         data = [{} for _ in range(rows)]
-        identity = [(r, r, None) for r in range(m)]  # t None: no product
+        identity = [(r, r, None, None) for r in range(m)]
         blocks = product(product(range(P), repeat=arity), range(n))
         for block, (arg, k) in enumerate(blocks):
             row_base = block * m
             for T, columns in terms(arg, k):
                 T = identity if T is None else T
                 for col_base, coeff in columns:
-                    for r, r0, t in T:
+                    for r, r0, t, nt in T:
                         row = data[row_base + r]
                         j = col_base + r0
-                        v = coeff if t is None else coeff * t
+                        v = coeff if t is None else t if coeff > 0 else nt
                         prev = row.get(j)
                         row[j] = v if prev is None else prev + v
         # terms can cancel; the matrix stores no zeros
@@ -315,13 +346,40 @@ class ComplexAssembly:
             return None
         return TotalCochain.from_stacked(tc.degree - 1, self.md.n, self.rep.m, x)
 
-    def cohomology_dim(self, q: int) -> CohomologySummary:
+    def phi_det_mod_p(self, q: int) -> Optional[int]:
+        """det Phi_q modulo exactnum.CERTIFICATE_PRIME, from the Kronecker
+        factors of Phi_q without assembling it; None when undecided.  A
+        nonzero value proves Phi_q invertible."""
+        _check_degree(q)
+        d_F, d, neg_d_M = self._tables.phi_factors
+        return kronecker_sum_det_mod_p([d_F] * (q - 1) + [d, neg_d_M])
+
+    def _total_rank(self, q: int) -> int:
+        """Rank of partial_matrix(q): dim C^q when Phi_q is certified
+        invertible and partial_q partial_(q-1) = 0 (the lemma in the module
+        docstring; no condition at q = 1), else by exact elimination."""
+        total = self.partial_matrix(q)
+        if self.phi_det_mod_p(q) and (
+                q == 1 or (total @ self.partial_matrix(q - 1)).is_zero):
+            return cochain_dim(q, self.md.n, self.rep.m)
+        return total.rank()
+
+    def cohomology_dim(self, q: int,
+                       representatives: bool = True) -> CohomologySummary:
         """Exact dimensions of cocycles, coboundaries and cohomology.
 
         Representatives are the kernel basis vectors that extend a basis of
-        the coboundary space, so they project to a basis of the quotient."""
+        the coboundary space, so they project to a basis of the quotient.
+        With representatives=False the summary lists none, and the
+        dimensions come from the ranks of the total differentials in
+        degrees q and q - 1, which _total_rank may certify without
+        elimination."""
         _check_degree(q)
         n, m = self.md.n, self.rep.m
+        if not representatives:
+            z_dim = self.partial_matrix(q).cols - self._total_rank(q)
+            b_dim = self._total_rank(q - 1) if q > 1 else 0
+            return CohomologySummary(z_dim, b_dim, z_dim - b_dim, [])
         kernel = self.partial_matrix(q).kernel_basis()
         z_dim = len(kernel)
         if q == 1:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
@@ -455,3 +456,118 @@ def _rational(x: dict[int, int], den: int, n: int) -> Vector:
     for j, e in x.items():
         v[j] = Fraction(e, den)
     return tuple(v)
+
+
+# ---- determinant of a Kronecker sum modulo a prime -------------------------
+
+#: Modulus of kronecker_sum_det_mod_p (the Mersenne prime 2^61 - 1).
+CERTIFICATE_PRIME = 2 ** 61 - 1
+
+
+def kronecker_sum_det_mod_p(factors: Sequence[Matrix]) -> Optional[int]:
+    """``det(F_1 (+) ... (+) F_r) mod p`` for p = CERTIFICATE_PRIME, or None.
+
+    The Kronecker sum is ``sum_i I (x) ... (x) F_i (x) ... (x) I`` on the
+    tensor product of the factors' spaces, of dimension N = prod dim F_i.
+    It is never built.  The power sums ``s_j = tr(F^j)`` of each factor, up
+    to N, come from its characteristic polynomial mod p; the power sums of
+    the Kronecker sum follow from ``sum_j S_j t^j / j! = prod_i sum_j
+    s_j(F_i) t^j / j!``, and Newton's identities turn them into the
+    determinant (Bostan, Flajolet, Salvy and Schost, Fast computation of
+    special resultants, J. Symb. Comput. 2006).  Each step is an identity
+    over the integers localized at p that divides by integers up to N only,
+    so a nonzero result proves the Kronecker sum invertible over Q.  Returns
+    None when p divides the denominator of an entry, or when p <= N.  The
+    cost is O(N^2) operations mod p besides one O(dim^3) characteristic
+    polynomial per factor."""
+    p = CERTIFICATE_PRIME
+    N = 1
+    for f in factors:
+        if f.rows != f.cols:
+            raise InputError("Kronecker sum of a non-square matrix")
+        N *= f.rows
+    if p <= N:
+        return None
+    inv = [0, 1]  # inverses of 0 < k <= N mod p
+    for k in range(2, N + 1):
+        inv.append(-(p // k) * inv[p % k] % p)
+    fact, fact_inv = [1], [1]
+    for k in range(1, N + 1):
+        fact.append(fact[-1] * k % p)
+        fact_inv.append(fact_inv[-1] * inv[k] % p)
+    series = [1] + [0] * N  # sum_j S_j t^j / j!, truncated past t^N
+    for f in factors:
+        dense = [[0] * f.cols for _ in range(f.rows)]
+        for i, row in enumerate(f.sparse_rows):
+            for j, e in row.items():
+                if e.denominator % p == 0:
+                    return None
+                dense[i][j] = e.numerator * pow(e.denominator, -1, p) % p
+        egf = [s * fi % p for s, fi in zip(_power_sums_mod(dense, N, p), fact_inv)]
+        rev = egf[::-1]
+        series = [sum(map(mul, series[:k + 1], rev[N - k:])) % p
+                  for k in range(N + 1)]
+    # Newton: k e_k = sum_(i=1..k) e_(k-i) (-1)^(i-1) S_i, and det = e_N
+    signed = [(x * y if i % 2 else -x * y) % p
+              for i, (x, y) in enumerate(zip(series, fact))]
+    e = [1]
+    for k in range(1, N + 1):
+        e.append(sum(map(mul, reversed(e), signed[1:k + 1])) % p * inv[k] % p)
+    return e[N]
+
+
+def _power_sums_mod(a: list[list[int]], count: int, p: int) -> list[int]:
+    """``tr(A^j) mod p`` for j = 0..count, from the characteristic polynomial
+    ``x^r + c_1 x^(r-1) + ... + c_r`` by Newton's identities
+    ``s_k = -(k c_k + sum_(i<k) c_i s_(k-i))`` (c_k = 0 past r)."""
+    r = len(a)
+    c = _charpoly_mod(a, p)
+    s = [r % p]
+    for k in range(1, count + 1):
+        tail = min(k - 1, r)
+        acc = sum(map(mul, c[1:tail + 1], reversed(s[k - tail:k])))
+        s.append(-(acc + (k * c[k] if k <= r else 0)) % p)
+    return s
+
+
+def _charpoly_mod(a: list[list[int]], p: int) -> list[int]:
+    """Coefficients ``[1, c_1, ..., c_r]`` of ``det(x I - A) mod p``.
+
+    A is reduced in place to upper Hessenberg form H by similarity
+    transforms; then ``p_(k+1) = (x - h_kk) p_k - sum_(i<k) h_ik
+    (h_(i+1,i) ... h_(k,k-1)) p_i`` on its leading minors.  Zero entries are
+    skipped, so sparse operators cost less than O(r^3)."""
+    r = len(a)
+    for j in range(r - 2):
+        piv = next((i for i in range(j + 1, r) if a[i][j]), None)
+        if piv is None:
+            continue
+        if piv != j + 1:
+            a[piv], a[j + 1] = a[j + 1], a[piv]
+            for row in a:
+                row[piv], row[j + 1] = row[j + 1], row[piv]
+        pinv = pow(a[j + 1][j], -1, p)
+        for i in range(j + 2, r):
+            f = a[i][j] * pinv % p
+            if f:
+                # row i -= f row (j+1), then column (j+1) += f column i
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[j + 1])]
+                for row in a:
+                    row[j + 1] = (row[j + 1] + f * row[i]) % p
+    polys = [[1]]  # p_k, lowest degree first
+    for k in range(r):
+        new = [0] + polys[k]
+        h = a[k][k]
+        for d, x in enumerate(polys[k]):
+            new[d] = (new[d] - h * x) % p
+        t = 1
+        for i in range(k - 1, -1, -1):
+            t = t * a[i + 1][i] % p
+            if not t:
+                break
+            g = a[i][k] * t % p
+            if g:
+                for d, x in enumerate(polys[i]):
+                    new[d] = (new[d] - g * x) % p
+        polys.append(new)
+    return polys[r][::-1]

@@ -31,6 +31,26 @@ def brute_force_degree_one_kernel(md, rep):
     return Matrix.from_columns(cols, len(cols[0]))
 
 
+def det_mod_p(rows, p):
+    """Determinant of a square list of Fraction rows mod p, by Gaussian
+    elimination over GF(p)."""
+    a = [[x.numerator * pow(x.denominator, -1, p) % p for x in r] for r in rows]
+    det = 1
+    for c in range(len(a)):
+        piv = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det = det * a[c][c] % p
+        inv = pow(a[c][c], -1, p)
+        for r in range(c + 1, len(a)):
+            f = a[r][c] * inv % p
+            a[r] = [(x - f * y) % p for x, y in zip(a[r], a[c])]
+    return det % p
+
+
 @pytest.fixture(scope="session")
 def emd():
     """The dim-3 algebra [e1,e2,e3] = e1 with d = diag(1,2,3) at weight -5."""

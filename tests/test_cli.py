@@ -2,6 +2,7 @@ import copy
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -13,9 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import md3lie
-from md3lie import cohomology, documents as docs
+from md3lie import cli, cohomology, documents as docs
 from md3lie.cli import run_command
-from md3lie.corpus import example_md
+from md3lie.corpus import abelian_md, example_md
 from md3lie.errors import InputError, ParseError
 from md3lie.exactnum import Matrix
 from md3lie.extension import tstar_abelian_extension
@@ -176,6 +177,46 @@ def test_cohomology_command(workspace, capsys):
                                 "--representatives"])
     assert len(report["representatives"]) == 2
     assert report["representatives"][0]["g"] is None
+
+
+def test_dims_only_report_matches_the_representatives_report(workspace, capsys):
+    """Without --representatives the report is the --representatives report
+    minus its argv and representatives, byte for byte."""
+    tmp, paths = workspace
+    ab4 = tmp / "ab4.json"
+    docs.dump_json(str(ab4), docs.algebra_to_doc(abelian_md(random.Random(5), 4)))
+    runs = [(paths["example.json"], rep, q)
+            for rep in ("adjoint", "coadjoint") for q in (1, 2, 3)]
+    runs.append((str(ab4), "adjoint", 2))
+    for path, rep, q in runs:
+        argv = ["cohomology", path, "--rep", rep, "--degree", str(q)]
+        texts = []
+        for extra in ([], ["--representatives"]):
+            assert run_command(argv + extra) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            doc = json.loads(captured.out)
+            assert doc.pop("argv") == argv + extra
+            doc.pop("representatives", None)
+            texts.append(json.dumps(doc, indent=2))
+        assert texts[0] == texts[1], (path, rep, q)
+
+
+def test_one_parser_serves_every_call(workspace, capsys, monkeypatch):
+    tmp, paths = workspace
+    argv = ["cohomology", paths["example.json"], "--rep", "adjoint", "--degree", "1"]
+    assert run_command(argv + ["--representatives"]) == 0
+    assert "representatives" in json.loads(capsys.readouterr().out)
+    monkeypatch.setattr(cli, "build_parser", None)  # no second build
+    assert run_command(argv) == 0
+    assert "representatives" not in json.loads(capsys.readouterr().out)
+    for bad in (["cohomology", paths["example.json"], "--degree", "1"],
+                argv[:-1] + ["x"], ["no-such-command"]):
+        assert run_command(bad) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
+    assert run_command(argv) == 0
+    assert "representatives" not in json.loads(capsys.readouterr().out)
 
 
 def test_nijenhuis_check_command(workspace, capsys):

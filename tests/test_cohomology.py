@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from md3lie import exactnum
 from md3lie.cohomology import ComplexAssembly, TotalCochain
 from md3lie.corpus import (
-    abelian_md, det_bracket_md, random_matrix, triangular_family_member,
+    abelian_md, corrupt_representation, det_bracket_md, example_md,
+    random_matrix, triangular_family_member,
 )
 from md3lie.errors import InputError
 from md3lie.exactnum import Matrix, unit, vec_add, vec_scale
@@ -20,7 +22,7 @@ from md3lie.structures import (
     leibniz_data, trivial_representation,
 )
 
-from conftest import brute_force_degree_one_kernel
+from conftest import brute_force_degree_one_kernel, det_mod_p
 
 
 def one_cochain(mat):
@@ -343,6 +345,15 @@ def phi_oracle(md, rep, q):
     return total
 
 
+def invalid_bracket_md(rng):
+    """A 4-dim bracket that fails the fundamental identity, with a random d
+    at weight 3/2."""
+    return MD3LieAlgebra(
+        ThreeLieAlgebra(4, SkewTernaryTensor(4, 4, {
+            (0, 1, 2): (1, 0, 0, 0), (0, 1, 3): (0, 0, 0, 1)})),
+        ModifiedDifferential(Fraction(3, 2), random_matrix(rng, 4, 4)))
+
+
 def _nonzero_weight(make):
     while True:
         md = make()
@@ -358,10 +369,7 @@ def test_phi_matches_kronecker_sum_oracle():
     assert not dim3.d.is_zero and dim3.d != Matrix.diagonal(
         [dim3.d[i, i] for i in range(3)])
     dim4 = _nonzero_weight(lambda: abelian_md(rng, 4))
-    bad = MD3LieAlgebra(
-        ThreeLieAlgebra(4, SkewTernaryTensor(4, 4, {
-            (0, 1, 2): (1, 0, 0, 0), (0, 1, 3): (0, 0, 0, 1)})),
-        ModifiedDifferential(Fraction(3, 2), random_matrix(rng, 4, 4)))
+    bad = invalid_bracket_md(rng)
     with pytest.raises(InputError):
         fundamental_leibniz(bad)
     d_M = Matrix(2, 2, [1, 2, 0, -3])
@@ -440,10 +448,7 @@ def test_delta_matches_coboundary_formula():
     rng = random.Random(12)
     dim3 = triangular_family_member(rng)
     dim4 = abelian_md(rng, 4)
-    bad = MD3LieAlgebra(
-        ThreeLieAlgebra(4, SkewTernaryTensor(4, 4, {
-            (0, 1, 2): (1, 0, 0, 0), (0, 1, 3): (0, 0, 0, 1)})),
-        ModifiedDifferential(Fraction(3, 2), random_matrix(rng, 4, 4)))
+    bad = invalid_bracket_md(rng)
     d_M = Matrix(2, 2, [1, 2, 0, -3])
     # on the abelian algebra every action from the bracket is 0, so it gets
     # one that satisfies no axiom
@@ -459,3 +464,118 @@ def test_delta_matches_coboundary_formula():
             delta = asm.delta_matrix(q)
             for col, expected in enumerate(delta_oracle(md, rep, q)):
                 assert delta.column(col) == expected, (md, q, col)
+
+
+# ---------------------------------------------------------------------------
+# dims-only cohomology: ranks certified by det Phi mod p
+
+
+def dims(summary):
+    return summary.z_dim, summary.b_dim, summary.h_dim
+
+
+def dims_only_cases():
+    """(algebra, representation, degrees) on which the dims-only path must
+    reproduce the full path."""
+    rng = random.Random(31)
+    trivial2 = MD3LieAlgebra(ThreeLieAlgebra.abelian(2),
+                             ModifiedDifferential(Fraction(0), Matrix.zeros(2, 2)))
+    dim3 = ([example_md(), trivial2]
+            + [triangular_family_member(rng) for _ in range(4)]
+            + [det_bracket_md(rng) for _ in range(4)])
+    cases = [(md, rep(md), (1, 2, 3)) for md in dim3
+             for rep in (adjoint_representation, coadjoint_representation)]
+    cases.append((trivial2, trivial_representation(trivial2, 1, Matrix.zeros(1, 1)),
+                  (1, 2, 3)))
+    ab4 = abelian_md(rng, 4)
+    cases += [(ab4, adjoint_representation(ab4), (1, 2)),
+              (ab4, coadjoint_representation(ab4), (1, 2))]
+    d_M = Matrix(2, 2, [1, 2, 0, -3])
+    line = MD3LieAlgebra(ThreeLieAlgebra.abelian(1),
+                         ModifiedDifferential(Fraction(1, 2), Matrix.from_rows([[1]])))
+    plane = abelian_md(rng, 2)
+    example = example_md()
+    cases += [(line, adjoint_representation(line), (1, 2, 3)),
+              (line, trivial_representation(line, 2, d_M), (1, 2, 3)),
+              (plane, trivial_representation(plane, 2, d_M), (1, 2, 3)),
+              (example, trivial_representation(example, 0, Matrix.zeros(0, 0)),
+               (1, 2, 3))]
+    bad = invalid_bracket_md(rng)
+    cases += [(bad, adjoint_representation(bad), (1, 2)),
+              (bad, coadjoint_representation(bad), (1, 2))]
+    adjoint = adjoint_representation(example)
+    for target in ("bracket-pair action identity", "pair action commutator identity",
+                   "module differential compatibility"):
+        cases.append((example, corrupt_representation(rng, example, adjoint, target),
+                      (1, 2, 3)))
+    return cases
+
+
+def test_dims_only_matches_the_full_path():
+    certified = []
+    for md, rep, degrees in dims_only_cases():
+        for q in degrees:
+            want = dims(ComplexAssembly(md, rep).cohomology_dim(q))
+            summary = ComplexAssembly(md, rep).cohomology_dim(q, representatives=False)
+            assert dims(summary) == want, (md, rep, q)
+            assert summary.representatives == []
+            certified.append(bool(ComplexAssembly(md, rep).phi_det_mod_p(q)))
+    # both routes to a rank are taken
+    assert any(certified) and not all(certified)
+
+
+def test_dims_only_needs_the_guard():
+    """On the invalid 4-dim bracket with the adjoint action Phi_2 is
+    invertible, but partial_2 partial_1 != 0 and rank partial_2 is not
+    dim C^2: only the guard keeps z_2 right."""
+    md = invalid_bracket_md(random.Random(31))
+    asm = ComplexAssembly(md, adjoint_representation(md))
+    assert asm.phi_det_mod_p(2)
+    assert not (asm.partial_matrix(2) @ asm.partial_matrix(1)).is_zero
+    assert asm.partial_matrix(2).rank() == 105 != cochain_dim(2, 4, 4)
+    assert (dims(asm.cohomology_dim(2, representatives=False))
+            == dims(asm.cohomology_dim(2)))
+
+
+def test_phi_certificate_agrees_with_exact_elimination():
+    answered = 0
+    for md, rep, degrees in dims_only_cases():
+        asm = ComplexAssembly(md, rep)
+        for q in degrees:
+            det = asm.phi_det_mod_p(q)
+            phi = asm.phi_matrix(q)
+            assert det is not None
+            answered += 1
+            assert det == det_mod_p([phi.row(i) for i in range(phi.rows)],
+                                    exactnum.CERTIFICATE_PRIME)
+            assert bool(det) == (phi.rank() == phi.rows), (md, rep, q)
+    assert answered
+
+
+def test_phi_certificate_holds_on_abelian_five():
+    """Phi_2 is invertible on each member of the benchmark's abelian n=5
+    pool (its instances use the seeds md3lie-bench/ab5-<i>), so their
+    dims-only degree-2 answers skip eliminating it."""
+    for i in (0, 2, 4, 8, 9, 11, 12, 13, 17, 19, 20, 23, 28, 29, 30, 31):
+        md = abelian_md(random.Random(f"md3lie-bench/ab5-{i}"), 5)
+        asm = ComplexAssembly(md, adjoint_representation(md))
+        assert asm.phi_det_mod_p(2), i
+    assert dims(asm.cohomology_dim(2, representatives=False)) == (25, 20, 5)
+
+
+def test_certificate_declines_a_prime_dividing_a_denominator(monkeypatch):
+    def complex_with(entry):
+        md = MD3LieAlgebra(ThreeLieAlgebra.abelian(2), ModifiedDifferential(
+            Fraction(1, 2), Matrix.from_rows([[1, entry], [0, 2]])))
+        return ComplexAssembly(md, trivial_representation(
+            md, 1, Matrix.from_rows([[Fraction(1, 3)]])))
+
+    want = [dims(complex_with(Fraction(1, 7)).cohomology_dim(q)) for q in (1, 2, 3)]
+    assert complex_with(Fraction(1, 7)).phi_det_mod_p(1)
+    monkeypatch.setattr(exactnum, "CERTIFICATE_PRIME", 7)
+    for q in (1, 2, 3):
+        asm = complex_with(Fraction(1, 7))
+        assert asm.phi_det_mod_p(q) is None
+        assert dims(asm.cohomology_dim(q, representatives=False)) == want[q - 1]
+        # the same complex with 1 in place of 1/7 is decided mod 7
+        assert complex_with(Fraction(1)).phi_det_mod_p(q) is not None

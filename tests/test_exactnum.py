@@ -3,8 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from md3lie import exactnum
 from md3lie.errors import InputError
-from md3lie.exactnum import Matrix
+from md3lie.exactnum import Matrix, kronecker_sum_det_mod_p
+
+from conftest import det_mod_p
 
 scalars = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -222,3 +225,70 @@ def test_equality_and_hash_follow_the_entries(shape, data):
     assert (a == b) == (a_ref == b_ref)
     if a_ref != b_ref:
         assert a != b
+
+
+# ---------------------------------------------------------------------------
+# determinant of a Kronecker sum modulo a prime
+
+
+def kronecker_sum_dense(factors):
+    """sum_i I (x) ... (x) F_i (x) ... (x) I as a list of rows."""
+    dims = [f.rows for f in factors]
+    size = 1
+    for d in dims:
+        size *= d
+
+    def digits(x):  # index into each factor, the last one fastest
+        out = []
+        for d in reversed(dims):
+            x, r = divmod(x, d)
+            out.append(r)
+        return out[::-1]
+
+    rows = [[Fraction(0)] * size for _ in range(size)]
+    for x in range(size):
+        dx = digits(x)
+        for y in range(size):
+            dy = digits(y)
+            for i, f in enumerate(factors):
+                if all(a == b for k, (a, b) in enumerate(zip(dx, dy)) if k != i):
+                    rows[x][y] += f[dx[i], dy[i]]
+    return rows
+
+
+@st.composite
+def kronecker_factors(draw):
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(0, 3))
+        entries = draw(st.lists(st.sampled_from(
+            [Fraction(0)] * 3 + [Fraction(1), Fraction(-1), Fraction(2, 3)]),
+            min_size=n * n, max_size=n * n))
+        factors.append(Matrix(n, n, entries))
+    if draw(st.booleans()):  # eigenvalues that cancel: F (+) -F is singular
+        factors += [factors[0], -factors[0]]
+    return factors
+
+
+@pytest.mark.parametrize("prime", [exactnum.CERTIFICATE_PRIME, 257])
+@given(factors=kronecker_factors())
+@settings(max_examples=60, deadline=None)
+def test_kronecker_sum_det_matches_the_assembled_sum(prime, factors):
+    # a small prime wraps the intermediate values; 257 exceeds every N here,
+    # at most 3 * 3 * 3 * 3 * 3
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactnum, "CERTIFICATE_PRIME", prime)
+        got = kronecker_sum_det_mod_p(factors)
+    assert got == det_mod_p(kronecker_sum_dense(factors), prime)
+
+
+def test_kronecker_sum_det_declines_what_it_cannot_decide(monkeypatch):
+    a = Matrix.from_rows([[1, Fraction(1, 7)], [0, 2]])
+    b = Matrix.from_rows([[3]])
+    monkeypatch.setattr(exactnum, "CERTIFICATE_PRIME", 7)
+    assert kronecker_sum_det_mod_p([b, b]) == 6  # 3 + 3
+    assert kronecker_sum_det_mod_p([a, b]) is None  # 7 divides a denominator
+    assert kronecker_sum_det_mod_p([Matrix.identity(7)]) is None  # p <= N
+    assert kronecker_sum_det_mod_p([Matrix.identity(6)]) == 1
+    with pytest.raises(InputError):
+        kronecker_sum_det_mod_p([Matrix.zeros(1, 2)])

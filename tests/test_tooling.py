@@ -1,12 +1,14 @@
-"""Static checks on the package source (standard library only)."""
+"""Static checks on the package and script sources (standard library only)."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "md3lie"
-SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = (sorted(p for p in (ROOT / "src" / "md3lie").glob("*.py")
+                  if p.name != "__init__.py")
+           + sorted((ROOT / "scripts").glob("*.py")))
 
 
 def unused_names(source: str) -> list[str]:
