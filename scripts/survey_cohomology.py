@@ -28,7 +28,7 @@ def instances(seed):
             ab, adjoint_representation(ab))
     for i in range(3):
         det = det_bracket_md(rng)
-        w = det.algebra.bracket_basis(0, 1, 2)
+        w = det.algebra.bracket.basis_value(0, 1, 2)
         yield (f"det bracket w=({', '.join(str(c) for c in w)}), adjoint",
                ComplexAssembly(det, adjoint_representation(det)))
 

@@ -225,7 +225,7 @@ class ComplexAssembly:
                         for b in range(dim)] for a in range(dim)],
             d_F=[list(col.items()) for col in leibniz.d_F.transpose().sparse_rows],
             # [X_a, e_k] and d(e_k) on the algebra basis
-            ad=[[_signed_items(md.algebra.bracket_basis(i, j, k))
+            ad=[[_signed_items(md.algebra.bracket.basis_value(i, j, k))
                  for k in range(n)] for i, j in pairs],
             d=[list(col.items()) for col in md.d.transpose().sparse_rows],
             rho=[[_sparse_entries(rep.rho_basis(i, j)) for j in range(n)]
@@ -422,7 +422,7 @@ def _direct_one_cocycle(md: MD3LieAlgebra, rep: Representation,
                 vec_add(rep.rho_basis(j, c).apply(F.column(i)),
                         rep.rho_basis(c, i).apply(F.column(j))),
                 vec_sub(rep.rho_basis(i, j).apply(F.column(c)),
-                        F.apply(md.algebra.bracket_basis(i, j, c))),
+                        F.apply(md.algebra.bracket.basis_value(i, j, c))),
             )
             if not vec_is_zero(residual):
                 return False
@@ -453,11 +453,11 @@ def _direct_two_cocycle(md: MD3LieAlgebra, rep: Representation,
                     vec_scale(-1, rep.rho_basis(a2, b2).apply(
                         fv(base[a1], base[b1], base[c]))),
                     vec_scale(-1, fv(base[a2], base[b2],
-                                     alg.bracket_basis(a1, b1, c))),
-                    fv(base[a1], base[b1], alg.bracket_basis(a2, b2, c)),
-                    vec_scale(-1, fv(alg.bracket_basis(a1, b1, a2), base[b2],
+                                     alg.bracket.basis_value(a1, b1, c))),
+                    fv(base[a1], base[b1], alg.bracket.basis_value(a2, b2, c)),
+                    vec_scale(-1, fv(alg.bracket.basis_value(a1, b1, a2), base[b2],
                                      base[c])),
-                    vec_scale(-1, fv(base[a2], alg.bracket_basis(a1, b1, b2),
+                    vec_scale(-1, fv(base[a2], alg.bracket.basis_value(a1, b1, b2),
                                      base[c])),
                 ]
                 total = [Fraction(0)] * rep.m
@@ -471,7 +471,7 @@ def _direct_two_cocycle(md: MD3LieAlgebra, rep: Representation,
                 vec_add(rep.rho_basis(b1, a2).apply(g.column(a1)),
                         rep.rho_basis(a2, a1).apply(g.column(b1))),
                 vec_sub(rep.rho_basis(a1, b1).apply(g.column(a2)),
-                        g.apply(alg.bracket_basis(a1, b1, a2))),
+                        g.apply(alg.bracket.basis_value(a1, b1, a2))),
             )
             total = vec_add(total, fv(d.column(a1), base[b1], base[a2]))
             total = vec_add(total, fv(base[a1], d.column(b1), base[a2]))

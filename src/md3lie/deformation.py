@@ -13,11 +13,12 @@ vanish.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations, product
 from .cohomology import ComplexAssembly, TotalCochain
 from .errors import InputError
-from .exactnum import Matrix, Vector, unit, vec_add, vec_scale, vec_sub, vec_zero
+from .exactnum import (
+    Matrix, sparse_combination, unit, vec_add, vec_from_sparse, vec_sub, vec_zero,
+)
 from .multilin import (
     CochainCoordinates, SkewTernaryTensor, embed_skew_trilinear, pair_basis,
 )
@@ -55,46 +56,45 @@ class LinearDeformation:
         return self.nu1.is_zero and self.nu2.is_zero and self.d1.is_zero
 
 
-def _summed_sides(sides) -> tuple[Vector, Vector]:
+def _summed_sides(sides) -> tuple[dict, dict]:
     lhs, rhs = zip(*sides)
-    return reduce(vec_add, lhs), reduce(vec_add, rhs)
+    return (sparse_combination((1, side.items()) for side in lhs),
+            sparse_combination((1, side.items()) for side in rhs))
 
 
 def verify_linear_deformation(ld: LinearDeformation) -> Report:
     """Order-by-order check of the deformed axioms on basis tuples.
 
     The order-k identity sums the base law's sides over the coefficient
-    pairs (nu_i, nu_j) or (nu_i, d_j) with i + j = k.  Order 0 reproduces
-    the base axioms, so an invalid base shows up here as order-0
-    violations."""
+    pairs (nu_i, nu_j) or (nu_i, d_j) with i + j = k; the weight term
+    lam nu_k rides on the pair (nu_k, d_0).  Order 0 reproduces the base
+    axioms, so an invalid base shows up here as order-0 violations."""
     n = ld.base.n
     nus = (ld.base.algebra.bracket, ld.nu1, ld.nu2)
-    ds = (ld.base.d, ld.d1)
+    ds = (ld.base.d.column_items(), ld.d1.column_items())
     lam = ld.base.lam
     violations = []
+
+    def record(law, args, lhs, rhs):
+        if lhs != rhs:
+            violations.append(Violation(law, args, vec_from_sparse(lhs, n),
+                                        vec_from_sparse(rhs, n)))
 
     for order in range(5):
         terms = [(nus[i], nus[order - i]) for i in range(3) if 0 <= order - i <= 2]
         for i1, i2 in pair_basis(n):
             for t3 in combinations(range(n), 3):
                 idx = (i1, i2) + t3
-                lhs, rhs = _summed_sides(
+                record(f"bracket identity at order {order}", idx, *_summed_sides(
                     fundamental_identity_sides(outer, inner, idx)
-                    for outer, inner in terms)
-                if lhs != rhs:
-                    violations.append(Violation(
-                        f"bracket identity at order {order}", idx, lhs, rhs))
+                    for outer, inner in terms))
 
     for order in range(4):
-        terms = [(nus[i], ds[order - i]) for i in range(3) if 0 <= order - i <= 1]
+        terms = [(i, order - i) for i in range(3) if 0 <= order - i <= 1]
         for triple in combinations(range(n), 3):
-            lhs, rhs = _summed_sides(
-                derivation_sides(br, op, triple) for br, op in terms)
-            if order <= 2:
-                rhs = vec_add(rhs, vec_scale(lam, nus[order].basis_value(*triple)))
-            if lhs != rhs:
-                violations.append(Violation(
-                    f"differential rule at order {order}", triple, lhs, rhs))
+            record(f"differential rule at order {order}", triple, *_summed_sides(
+                derivation_sides(nus[i], ds[j], triple, lam if j == 0 else 0)
+                for i, j in terms))
     return Report.from_violations(violations)
 
 

@@ -84,6 +84,27 @@ def vec_is_zero(u: Sequence[Fraction]) -> bool:
     return all(not a for a in u)
 
 
+def sparse_combination(terms) -> dict:
+    """Sum of c * v over ``(c, items)`` terms, each item a ``(key, v)`` pair,
+    as a ``{key: value}`` dict that holds no zero.  A unit c multiplies
+    nothing, and keys absent from every term cost nothing."""
+    out = {}
+    get = out.get
+    for c, items in terms:
+        unit_c = c == 1
+        for key, v in items:
+            if not unit_c:
+                v = c * v
+            x = get(key)
+            out[key] = v if x is None else x + v
+    return {key: v for key, v in out.items() if v}
+
+
+def vec_from_sparse(values, n: int) -> Vector:
+    """The dense length-n vector of a ``{index: value}`` dict."""
+    return tuple(values.get(i, _ZERO) for i in range(n))
+
+
 class Matrix:
     """Exact matrix stored as sparse rows, immutable after construction.
 
@@ -136,6 +157,14 @@ class Matrix:
         return cls._raw(rows, len(columns), data)
 
     @classmethod
+    def from_entries(cls, rows: int, cols: int, entries) -> "Matrix":
+        """The matrix of a ``{(row, column): value}`` dict without zeros."""
+        data = [{} for _ in range(rows)]
+        for (i, j), v in entries.items():
+            data[i][j] = v
+        return cls._raw(rows, cols, data)
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
         return cls._raw(rows, cols, ({} for _ in range(rows)))
 
@@ -168,6 +197,15 @@ class Matrix:
 
     def column(self, j: int) -> Vector:
         return tuple(r.get(j, _ZERO) for r in self.sparse_rows)
+
+    def column_items(self) -> list[tuple[tuple[int, Fraction], ...]]:
+        """The nonzero ``(row, entry)`` items of each column."""
+        return [tuple(c.items()) for c in self.transpose().sparse_rows]
+
+    def entry_items(self) -> tuple[tuple[tuple[int, int], Fraction], ...]:
+        """The nonzero ``((row, column), entry)`` items, row by row."""
+        return tuple(((i, j), v) for i, r in enumerate(self.sparse_rows)
+                     for j, v in r.items())
 
     def __eq__(self, other) -> bool:
         return (

@@ -158,7 +158,7 @@ def extract_cocycle(ext: AbelianExtension, s: Matrix) -> ExtractedCocycle:
     def upsilon_fn(i, j, k):
         w = vec_sub(
             total.algebra.bracket(scols[i], scols[j], scols[k]),
-            s.apply(ext.base.algebra.bracket_basis(i, j, k)))
+            s.apply(ext.base.algebra.bracket.basis_value(i, j, k)))
         return _module_coords(ext, w)
 
     upsilon = SkewTernaryTensor.from_function(n, m, upsilon_fn)
@@ -238,12 +238,12 @@ def is_metrised(md: MD3LieAlgebra, B: Matrix) -> Report:
     def pairing(x, y):
         return sum((c * v for c, v in zip(x, B.apply(y)) if c), Fraction(0))
 
-    br = md.algebra
+    br = md.algebra.bracket
     for i1, i2 in pair_basis(n):
         for i3 in range(n):
             for i4 in range(n):
-                lhs = (pairing(br.bracket_basis(i1, i2, i3), units[i4])
-                       + pairing(units[i3], br.bracket_basis(i1, i2, i4)))
+                lhs = (pairing(br.basis_value(i1, i2, i3), units[i4])
+                       + pairing(units[i3], br.basis_value(i1, i2, i4)))
                 if lhs:
                     violations.append(Violation(
                         "bracket invariance", (i1, i2, i3, i4),

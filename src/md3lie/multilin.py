@@ -19,11 +19,14 @@ from math import comb
 from typing import Callable, Mapping, Sequence
 
 from .errors import InputError
-from .exactnum import Vector, scal, vec_is_zero, vec_zero
+from .exactnum import (
+    Vector, scal, sparse_combination, vec_from_sparse, vec_is_zero, vec_zero,
+)
 
 PairIndex = tuple[int, int]
 
-SparseVec = list[tuple[int, Fraction]]
+# nonzero (index, value) items of a vector
+SparseItems = tuple[tuple[int, Fraction], ...]
 
 
 @lru_cache(maxsize=None)
@@ -46,6 +49,17 @@ def cochain_dim(degree: int, n: int, m: int) -> int:
     return comb(n, 2) ** (degree - 1) * n * m
 
 
+@lru_cache(maxsize=None)
+def wedge_basis(n: int) -> Mapping[PairIndex, SparseItems]:
+    """e_i ^ e_j on the pair basis for every i != j, as one (position, +-1) item."""
+    one = Fraction(1)
+    out = {}
+    for (i, j), t in pair_position(n).items():
+        out[i, j] = ((t, one),)
+        out[j, i] = ((t, -one),)
+    return out
+
+
 def wedge_coords(x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
     """Coordinates of x ^ y on the pair basis of a dim-len(x) space."""
     n = len(x)
@@ -54,32 +68,15 @@ def wedge_coords(x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
     return tuple(x[i] * y[j] - x[j] * y[i] for i, j in pair_basis(n))
 
 
-def _sorted_triple(i: int, j: int, k: int):
-    """Canonical (ascending) triple and permutation sign; None on repeats."""
-    if i == j or j == k or i == k:
-        return None, 0
-    sign = 1
-    if i > j:
-        i, j = j, i
-        sign = -sign
-    if j > k:
-        j, k = k, j
-        sign = -sign
-    if i > j:
-        i, j = j, i
-        sign = -sign
-    return (i, j, k), sign
-
-
 class SkewTernaryTensor:
     """Totally antisymmetric trilinear map, stored on triples i < j < k.
 
     Values on permuted or repeated basis triples are derived on access, so
     skewness is an invariant of the representation rather than a convention
-    to test.
+    to test.  Every basis value is read through :attr:`signed`.
     """
 
-    __slots__ = ("dim_in", "dim_out", "values")
+    __slots__ = ("dim_in", "dim_out", "values", "_signed")
 
     def __init__(self, dim_in: int, dim_out: int,
                  values: Mapping[tuple[int, int, int], Sequence]):
@@ -96,6 +93,7 @@ class SkewTernaryTensor:
             if not vec_is_zero(v):
                 clean[i, j, k] = v
         self.values = clean
+        self._signed = None
 
     @classmethod
     def zero(cls, dim_in: int, dim_out: int) -> "SkewTernaryTensor":
@@ -111,29 +109,37 @@ class SkewTernaryTensor:
                     vals[i, j, k] = fn(i, j, k)
         return cls(dim_in, dim_out, vals)
 
+    @property
+    def signed(self) -> Mapping[tuple[int, int, int], SparseItems]:
+        """Nonzero (index, value) items of the value on every ordering
+        (i, j, k) of a stored triple, with the permutation sign worked in.
+
+        Built on first use.  An ordering with a repeated index, or of a
+        triple whose value is zero, is absent: its value is zero."""
+        if self._signed is None:
+            table = {}
+            for (i, j, k), v in self.values.items():
+                even = tuple((r, c) for r, c in enumerate(v) if c)
+                odd = tuple((r, -c) for r, c in even)
+                for key in ((i, j, k), (j, k, i), (k, i, j)):
+                    table[key] = even
+                for key in ((j, i, k), (i, k, j), (k, j, i)):
+                    table[key] = odd
+            self._signed = table
+        return self._signed
+
     def basis_value(self, i: int, j: int, k: int) -> Vector:
         """Value on (e_i, e_j, e_k) with the permutation sign worked in."""
-        key, sign = _sorted_triple(i, j, k)
-        if key is None:
-            return vec_zero(self.dim_out)
-        v = self.values.get(key)
-        if v is None:
-            return vec_zero(self.dim_out)
-        return v if sign == 1 else tuple(-c for c in v)
+        return vec_from_sparse(dict(self.signed.get((i, j, k), ())), self.dim_out)
 
     def pair_value(self, i: int, j: int, w: Sequence[Fraction]) -> Vector:
         """Value on (e_i, e_j, w) for a general vector w.
 
         Much cheaper than the general call when two arguments are basis
         vectors: only the basis triples (i, j, k) with w_k != 0 are read."""
-        out = [Fraction(0)] * self.dim_out
-        for k, c in enumerate(w):
-            if c:
-                v = self.basis_value(i, j, k)
-                for r, a in enumerate(v):
-                    if a:
-                        out[r] += c * a
-        return tuple(out)
+        signed = self.signed
+        return vec_from_sparse(sparse_combination(
+            (c, signed.get((i, j, k), ())) for k, c in enumerate(w) if c), self.dim_out)
 
     def __call__(self, x: Sequence[Fraction], y: Sequence[Fraction],
                  z: Sequence[Fraction]) -> Vector:

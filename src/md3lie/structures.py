@@ -7,7 +7,13 @@ space of fundamental objects.
 
 Verifiers enumerate basis tuples reduced by the skew symmetries of both sides
 of each law (e.g. a_1 < a_2 and a_3 < a_4 < a_5 for the fundamental identity);
-by multilinearity this decides each law on the whole space.
+by multilinearity this decides each law on the whole space.  Each side is
+summed over nonzero values only: the signed structure constants of
+``SkewTernaryTensor.signed``, the nonzero entries of d, and the pair actions
+that are not zero, each product of two actions formed once per check.  A
+dense witness (a vector, or a matrix for the action laws) is built only for
+a failing tuple, from the same sums, so reports are those of a dense
+evaluation: same laws, tuples, values and order.
 
 All operator matrices use the column convention: entry (i, j) is the
 e_i-coefficient of the image of e_j.
@@ -17,15 +23,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Mapping
+from functools import cached_property
+from itertools import chain, combinations
+from typing import Mapping, Sequence
 
 from .errors import InputError
 from .exactnum import (
-    Matrix, Vector, scal, unit, vec_add, vec_is_zero, vec_scale, vec_sub,
-    vec_zero,
+    Matrix, Vector, scal, sparse_combination, unit, vec_add, vec_from_sparse,
+    vec_sub, vec_zero,
 )
-from .multilin import PairIndex, SkewTernaryTensor, pair_basis, wedge_coords
+from .multilin import (
+    PairIndex, SkewTernaryTensor, SparseItems, pair_basis, wedge_basis,
+)
 
 
 @dataclass(frozen=True)
@@ -61,9 +70,6 @@ class ThreeLieAlgebra:
     @classmethod
     def abelian(cls, n: int) -> "ThreeLieAlgebra":
         return cls(n, SkewTernaryTensor.zero(n, n))
-
-    def bracket_basis(self, i: int, j: int, k: int) -> Vector:
-        return self.bracket.basis_value(i, j, k)
 
 
 @dataclass(frozen=True)
@@ -131,21 +137,33 @@ class Representation:
         if self.d_M.rows != self.m or self.d_M.cols != self.m:
             raise InputError("module differential shape mismatch")
 
+    @cached_property
+    def _signed_actions(self) -> Mapping[PairIndex, Matrix]:
+        """rho(e_i, e_j) on every ordered pair (i, j) whose action is
+        nonzero; every other pair acts by zero."""
+        out = {}
+        for (i, j), mat in self.rho.items():
+            if not mat.is_zero:
+                out[i, j] = mat
+                out[j, i] = -mat
+        return out
+
+    @cached_property
+    def _action_items(self) -> Mapping[PairIndex, tuple]:
+        """The nonzero ((row, column), entry) items of each signed action."""
+        return {p: mat.entry_items() for p, mat in self._signed_actions.items()}
+
     def rho_basis(self, i: int, j: int) -> Matrix:
-        if i == j:
-            return Matrix.zeros(self.m, self.m)
-        if i < j:
-            return self.rho[i, j]
-        return -self.rho[j, i]
+        mat = self._signed_actions.get((i, j))
+        return Matrix.zeros(self.m, self.m) if mat is None else mat
 
     def rho_vec(self, x, y) -> Matrix:
         """Bilinear extension of the pair action to general vectors."""
-        out = Matrix.zeros(self.m, self.m)
-        for i, j in pair_basis(self.n):
-            c = x[i] * y[j] - x[j] * y[i]
-            if c:
-                out = out + self.rho[i, j].scale(c)
-        return out
+        act = self._action_items
+        ys = [(b, cb) for b, cb in enumerate(y) if cb]
+        return Matrix.from_entries(self.m, self.m, sparse_combination(
+            (ca * cb, act[a, b])
+            for a, ca in enumerate(x) if ca for b, cb in ys if (a, b) in act))
 
 
 @dataclass(frozen=True)
@@ -178,18 +196,21 @@ class LeibnizData:
 
 
 def fundamental_identity_sides(outer: SkewTernaryTensor, inner: SkewTernaryTensor,
-                               idx: tuple) -> tuple[Vector, Vector]:
-    """Both sides of [x1, x2, {x3, x4, x5}] = {[x1, x2, x3], x4, x5} +
-    {x3, [x1, x2, x4], x5} + {x3, x4, [x1, x2, x5]}, written with outer [.]
-    and inner {.}, on basis indices (a1..a5).  With both brackets equal this
-    is the fundamental identity."""
+                               idx: tuple) -> tuple[dict, dict]:
+    """Both sides of [x1, x2, {x3, x4, x5}] = [{x1, x2, x3}, x4, x5] +
+    [x3, {x1, x2, x4}, x5] + [x3, x4, {x1, x2, x5}], written with outer [.]
+    and inner {.}, on basis indices (a1..a5), as {index: value} dicts
+    without zeros.  With both brackets equal this is the fundamental
+    identity."""
     i1, i2, i3, i4, i5 = idx
-    lhs = outer.pair_value(i1, i2, inner.basis_value(i3, i4, i5))
-    rhs = vec_add(
-        vec_sub(outer.pair_value(i4, i5, inner.basis_value(i1, i2, i3)),
-                outer.pair_value(i3, i5, inner.basis_value(i1, i2, i4))),
-        outer.pair_value(i3, i4, inner.basis_value(i1, i2, i5)),
-    )
+    o, s = outer.signed, inner.signed
+    lhs = sparse_combination(
+        (c, o.get((i1, i2, k), ())) for k, c in s.get((i3, i4, i5), ()))
+    rhs = sparse_combination(chain(
+        ((c, o.get((k, i4, i5), ())) for k, c in s.get((i1, i2, i3), ())),
+        ((c, o.get((i3, k, i5), ())) for k, c in s.get((i1, i2, i4), ())),
+        ((c, o.get((i3, i4, k), ())) for k, c in s.get((i1, i2, i5), ())),
+    ))
     return lhs, rhs
 
 
@@ -202,33 +223,41 @@ def verify_3lie(alg: ThreeLieAlgebra) -> Report:
             idx = (i1, i2) + triple
             lhs, rhs = fundamental_identity_sides(alg.bracket, alg.bracket, idx)
             if lhs != rhs:
-                violations.append(Violation("fundamental identity", idx, lhs, rhs))
+                violations.append(Violation("fundamental identity", idx,
+                                            vec_from_sparse(lhs, n),
+                                            vec_from_sparse(rhs, n)))
     return Report.from_violations(violations)
 
 
-def derivation_sides(br: SkewTernaryTensor, op: Matrix,
-                     triple: tuple) -> tuple[Vector, Vector]:
+def derivation_sides(br: SkewTernaryTensor, cols: Sequence[SparseItems],
+                     triple: tuple, lam=0) -> tuple[dict, dict]:
     """Both sides of op[x, y, z] = [op x, y, z] + [x, op y, z] + [x, y, op z]
-    on basis indices; the modified differential rule adds lam [x, y, z] to
-    the right side."""
+    + lam [x, y, z] on basis indices, as {index: value} dicts without zeros.
+    ``cols`` holds the columns of op as ``Matrix.column_items`` gives them."""
     i, j, k = triple
-    lhs = op.apply(br.basis_value(i, j, k))
-    rhs = vec_add(
-        vec_sub(br.pair_value(j, k, op.column(i)), br.pair_value(i, k, op.column(j))),
-        br.pair_value(i, j, op.column(k)),
-    )
+    s = br.signed
+    value = s.get(triple, ())
+    lhs = sparse_combination((c, cols[r]) for r, c in value)
+    rhs = sparse_combination(chain(
+        ((c, s.get((r, j, k), ())) for r, c in cols[i]),
+        ((c, s.get((i, r, k), ())) for r, c in cols[j]),
+        ((c, s.get((i, j, r), ())) for r, c in cols[k]),
+        [(lam, value)] if lam else (),
+    ))
     return lhs, rhs
 
 
 def verify_modified_differential(md: MD3LieAlgebra) -> Report:
     """Check the modified differential rule on all basis triples."""
     violations = []
-    br = md.algebra.bracket
-    for triple in combinations(range(md.n), 3):
-        lhs, rhs = derivation_sides(br, md.d, triple)
-        rhs = vec_add(rhs, vec_scale(md.lam, br.basis_value(*triple)))
+    n = md.n
+    cols = md.d.column_items()
+    for triple in combinations(range(n), 3):
+        lhs, rhs = derivation_sides(md.algebra.bracket, cols, triple, md.lam)
         if lhs != rhs:
-            violations.append(Violation("modified differential rule", triple, lhs, rhs))
+            violations.append(Violation("modified differential rule", triple,
+                                        vec_from_sparse(lhs, n),
+                                        vec_from_sparse(rhs, n)))
     return Report.from_violations(violations)
 
 
@@ -237,11 +266,10 @@ def derivation_shift_check(md: MD3LieAlgebra) -> bool:
 
     Agrees with verify_modified_differential on every input; the two checks
     are kept as separate code paths on purpose."""
-    alg = md.algebra
-    br = alg.bracket
+    br = md.algebra.bracket
     shifted = md.d + Matrix.identity(md.n).scale(md.lam / 2)
     for i, j, k in combinations(range(md.n), 3):
-        lhs = shifted.apply(alg.bracket_basis(i, j, k))
+        lhs = shifted.apply(br.basis_value(i, j, k))
         rhs = vec_add(
             vec_sub(br.pair_value(j, k, shifted.column(i)),
                     br.pair_value(i, k, shifted.column(j))),
@@ -253,48 +281,66 @@ def derivation_shift_check(md: MD3LieAlgebra) -> bool:
 
 
 def verify_representation(md: MD3LieAlgebra, rep: Representation) -> Report:
-    """Check the pair-action axioms and the module differential rule."""
+    """Check the pair-action axioms and the module differential rule.
+
+    Each side is a sum of products of two actions, of actions scaled by
+    structure constants or entries of d, and of d_M products, summed over
+    the nonzero ones only; a product is formed once for both action laws."""
     if rep.lam != md.lam:
         raise InputError("representation weight differs from the algebra weight")
     if rep.n != md.n:
         raise InputError("representation pair index range differs from the algebra")
-    alg = md.algebra
+    n, m = md.n, rep.m
+    br = md.algebra.bracket.signed
+    mats, act = rep._signed_actions, rep._action_items
+    products = {}
+
+    def product(p, q):
+        # rho(p) rho(q) as entry items; () when either action is zero
+        if (p, q) not in products:
+            a, b = mats.get(p), mats.get(q)
+            products[p, q] = () if a is None or b is None else (a @ b).entry_items()
+        return products[p, q]
+
+    def acting(value, j):
+        # rho(value, e_j) for the items of a vector
+        return [(c, act[k, j]) for k, c in value if (k, j) in act]
+
+    def acted_on(i, value):
+        # rho(e_i, value)
+        return [(c, act[i, k]) for k, c in value if (i, k) in act]
+
     violations = []
-    n = md.n
-    for i1, i2, i3 in combinations(range(n), 3):
-        for i4 in range(n):
-            lhs = rep.rho_vec(alg.bracket_basis(i1, i2, i3), unit(n, i4))
-            rhs = (
-                rep.rho_basis(i2, i3) @ rep.rho_basis(i1, i4)
-                + rep.rho_basis(i3, i1) @ rep.rho_basis(i2, i4)
-                + rep.rho_basis(i1, i2) @ rep.rho_basis(i3, i4)
-            )
-            if lhs != rhs:
-                violations.append(Violation(
-                    "bracket-pair action identity", (i1, i2, i3, i4), lhs, rhs))
-    for i1, i2 in pair_basis(n):
-        for i3, i4 in pair_basis(n):
-            lhs = rep.rho_basis(i1, i2) @ rep.rho_basis(i3, i4)
-            rhs = (
-                rep.rho_basis(i3, i4) @ rep.rho_basis(i1, i2)
-                + rep.rho_vec(alg.bracket_basis(i1, i2, i3), unit(n, i4))
-                + rep.rho_vec(unit(n, i3), alg.bracket_basis(i1, i2, i4))
-            )
-            if lhs != rhs:
-                violations.append(Violation(
-                    "pair action commutator identity", (i1, i2, i3, i4), lhs, rhs))
-    d = md.d
-    for i, j in pair_basis(n):
-        lhs = rep.d_M @ rep.rho_basis(i, j)
-        rhs = (
-            rep.rho_vec(d.column(i), unit(n, j))
-            + rep.rho_vec(unit(n, i), d.column(j))
-            + rep.rho_basis(i, j) @ rep.d_M
-            + rep.rho_basis(i, j).scale(md.lam)
-        )
+
+    def check(law, args, lhs_terms, rhs_terms):
+        lhs, rhs = sparse_combination(lhs_terms), sparse_combination(rhs_terms)
         if lhs != rhs:
-            violations.append(Violation(
-                "module differential compatibility", (i, j), lhs, rhs))
+            violations.append(Violation(law, args, Matrix.from_entries(m, m, lhs),
+                                        Matrix.from_entries(m, m, rhs)))
+
+    for i1, i2, i3 in combinations(range(n), 3):
+        value = br.get((i1, i2, i3), ())
+        for i4 in range(n):
+            check("bracket-pair action identity", (i1, i2, i3, i4),
+                  acting(value, i4),
+                  [(1, product((i2, i3), (i1, i4))), (1, product((i3, i1), (i2, i4))),
+                   (1, product((i1, i2), (i3, i4)))])
+    pairs = pair_basis(n)
+    for p in pairs:
+        for q in pairs:
+            i3, i4 = q
+            check("pair action commutator identity", p + q,
+                  [(1, product(p, q))],
+                  [(1, product(q, p))] + acting(br.get(p + (i3,), ()), i4)
+                  + acted_on(i3, br.get(p + (i4,), ())))
+    cols = md.d.column_items()
+    for i, j in pairs:
+        a = mats.get((i, j))
+        check("module differential compatibility", (i, j),
+              [] if a is None else [(1, (rep.d_M @ a).entry_items())],
+              acting(cols[i], j) + acted_on(i, cols[j])
+              + ([] if a is None else [(1, (a @ rep.d_M).entry_items()),
+                                        (md.lam, act[i, j])]))
     return Report.from_violations(violations)
 
 
@@ -307,7 +353,7 @@ def adjoint_representation(md: MD3LieAlgebra) -> Representation:
     n = md.n
     rho = {}
     for i, j in pair_basis(n):
-        cols = [md.algebra.bracket_basis(i, j, k) for k in range(n)]
+        cols = [md.algebra.bracket.basis_value(i, j, k) for k in range(n)]
         rho[i, j] = Matrix.from_columns(cols, n)
     return Representation(n=n, m=n, rho=rho, d_M=md.d, lam=md.lam)
 
@@ -338,7 +384,7 @@ def semidirect_product(md: MD3LieAlgebra, rep: Representation) -> MD3LieAlgebra:
     values = {}
     for i, j, k in combinations(range(total), 3):
         if k < n:
-            v = alg.bracket_basis(i, j, k)
+            v = alg.bracket.basis_value(i, j, k)
             values[i, j, k] = v + vec_zero(m)
         elif j < n:
             # two algebra slots, one module slot
@@ -359,30 +405,33 @@ def leibniz_data(md: MD3LieAlgebra) -> LeibnizData:
     """Leibniz bracket and derivation on the span of fundamental objects.
 
     [a1^a2, b1^b2] = [a1,a2,b1]^b2 + b1^[a1,a2,b2] and
-    d_F(a^b) = d(a)^b + a^d(b) + lam a^b, on the pair basis.  Nothing is
-    verified: the formulas are total, so this also serves the complex
-    assembly, which must accept inputs that fail the axioms."""
+    d_F(a^b) = d(a)^b + a^d(b) + lam a^b, on the pair basis, summed over the
+    nonzero structure constants and entries of d.  Nothing is verified: the
+    formulas are total, so this also serves the complex assembly, which must
+    accept inputs that fail the axioms."""
     n = md.n
-    alg = md.algebra
+    br = md.algebra.bracket.signed
+    wedge = wedge_basis(n)
     pairs = pair_basis(n)
     dim = len(pairs)
     bracket_F = {}
     for a, (a1, a2) in enumerate(pairs):
+        ad = {k: br[a1, a2, k] for k in range(n) if (a1, a2, k) in br}
         for b, (b1, b2) in enumerate(pairs):
-            v = vec_add(
-                wedge_coords(alg.bracket_basis(a1, a2, b1), unit(n, b2)),
-                wedge_coords(unit(n, b1), alg.bracket_basis(a1, a2, b2)),
-            )
-            if not vec_is_zero(v):
-                bracket_F[a, b] = v
-    cols = []
-    for (i, j) in pairs:
-        col = vec_add(
-            wedge_coords(md.d.column(i), unit(n, j)),
-            wedge_coords(unit(n, i), md.d.column(j)),
-        )
-        col = vec_add(col, vec_scale(md.lam, wedge_coords(unit(n, i), unit(n, j))))
-        cols.append(col)
+            if b1 in ad or b2 in ad:
+                v = sparse_combination(chain(
+                    ((c, wedge.get((r, b2), ())) for r, c in ad.get(b1, ())),
+                    ((c, wedge.get((b1, r), ())) for r, c in ad.get(b2, ()))))
+                if v:
+                    bracket_F[a, b] = vec_from_sparse(v, dim)
+    d = md.d.column_items()
+    cols = [
+        vec_from_sparse(sparse_combination(chain(
+            ((c, wedge.get((r, j), ())) for r, c in d[i]),
+            ((c, wedge.get((i, r), ())) for r, c in d[j]),
+            [(md.lam, wedge[i, j])])), dim)
+        for i, j in pairs
+    ]
     return LeibnizData(dim=dim, bracket_F=bracket_F, d_F=Matrix.from_columns(cols, dim))
 
 
@@ -429,7 +478,7 @@ def homomorphism_check(eta: Matrix, src: MD3LieAlgebra, dst: MD3LieAlgebra) -> b
     if eta.cols != src.n or eta.rows != dst.n:
         raise InputError("homomorphism shape does not match the algebras")
     for i, j, k in combinations(range(src.n), 3):
-        lhs = eta.apply(src.algebra.bracket_basis(i, j, k))
+        lhs = eta.apply(src.algebra.bracket.basis_value(i, j, k))
         rhs = dst.algebra.bracket(eta.column(i), eta.column(j), eta.column(k))
         if lhs != rhs:
             return False

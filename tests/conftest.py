@@ -1,10 +1,15 @@
+from fractions import Fraction
+
 import pytest
 
 from md3lie.cohomology import ComplexAssembly
-from md3lie.corpus import example_md
+from md3lie.corpus import example_md, random_matrix
 from md3lie.exactnum import Matrix, vec_add, vec_sub
-from md3lie.multilin import pair_basis
-from md3lie.structures import adjoint_representation, coadjoint_representation
+from md3lie.multilin import SkewTernaryTensor, pair_basis
+from md3lie.structures import (
+    MD3LieAlgebra, ModifiedDifferential, ThreeLieAlgebra, adjoint_representation,
+    coadjoint_representation,
+)
 
 
 def brute_force_degree_one_kernel(md, rep):
@@ -25,10 +30,19 @@ def brute_force_degree_one_kernel(md, rep):
                         vec_add(rep.rho_basis(j, c).apply(F.column(i)),
                                 rep.rho_basis(c, i).apply(F.column(j))),
                         vec_sub(rep.rho_basis(i, j).apply(F.column(c)),
-                                F.apply(md.algebra.bracket_basis(i, j, c)))))
+                                F.apply(md.algebra.bracket.basis_value(i, j, c)))))
             col.extend((rep.d_M @ F - F @ md.d).entries)
             cols.append(tuple(col))
     return Matrix.from_columns(cols, len(cols[0]))
+
+
+def invalid_bracket_md(rng):
+    """A 4-dim bracket that fails the fundamental identity, with a random d
+    at weight 3/2."""
+    return MD3LieAlgebra(
+        ThreeLieAlgebra(4, SkewTernaryTensor(4, 4, {
+            (0, 1, 2): (1, 0, 0, 0), (0, 1, 3): (0, 0, 0, 1)})),
+        ModifiedDifferential(Fraction(3, 2), random_matrix(rng, 4, 4)))
 
 
 def det_mod_p(rows, p):

@@ -14,7 +14,7 @@ from md3lie.corpus import (
 from md3lie.errors import InputError
 from md3lie.exactnum import Matrix, unit, vec_add, vec_scale
 from md3lie.multilin import (
-    CochainCoordinates, SkewTernaryTensor, cochain_dim, pair_basis, wedge_coords,
+    CochainCoordinates, cochain_dim, pair_basis, wedge_coords,
 )
 from md3lie.structures import (
     MD3LieAlgebra, ModifiedDifferential, Representation, ThreeLieAlgebra,
@@ -22,7 +22,7 @@ from md3lie.structures import (
     leibniz_data, trivial_representation,
 )
 
-from conftest import brute_force_degree_one_kernel, det_mod_p
+from conftest import brute_force_degree_one_kernel, det_mod_p, invalid_bracket_md
 
 
 def one_cochain(mat):
@@ -218,12 +218,12 @@ def test_z2_of_example_against_direct_conditions(adjoint_asm, emd, adjoint):
                         vec_scale(-1, adjoint.rho_basis(a2, b2).apply(
                             fv(base[a1], base[b1], base[c]))),
                         vec_scale(-1, fv(base[a2], base[b2],
-                                         alg.bracket_basis(a1, b1, c))),
-                        fv(base[a1], base[b1], alg.bracket_basis(a2, b2, c)),
-                        vec_scale(-1, fv(alg.bracket_basis(a1, b1, a2),
+                                         alg.bracket.basis_value(a1, b1, c))),
+                        fv(base[a1], base[b1], alg.bracket.basis_value(a2, b2, c)),
+                        vec_scale(-1, fv(alg.bracket.basis_value(a1, b1, a2),
                                          base[b2], base[c])),
                         vec_scale(-1, fv(base[a2],
-                                         alg.bracket_basis(a1, b1, b2),
+                                         alg.bracket.basis_value(a1, b1, b2),
                                          base[c])),
                     ):
                         total = vec_add(total, term)
@@ -234,7 +234,7 @@ def test_z2_of_example_against_direct_conditions(adjoint_asm, emd, adjoint):
                     vec_add(adjoint.rho_basis(b1, a2).apply(g.column(a1)),
                             adjoint.rho_basis(a2, a1).apply(g.column(b1))),
                     vec_sub(adjoint.rho_basis(a1, b1).apply(g.column(a2)),
-                            g.apply(alg.bracket_basis(a1, b1, a2))))
+                            g.apply(alg.bracket.basis_value(a1, b1, a2))))
                 total = vec_add(total, fv(d.column(a1), base[b1], base[a2]))
                 total = vec_add(total, fv(base[a1], d.column(b1), base[a2]))
                 total = vec_add(total, fv(base[a1], base[b1], d.column(a2)))
@@ -343,15 +343,6 @@ def phi_oracle(md, rep, q):
         slots[i] = d_F.transpose()
         total = total + kron(*slots, I_n, I_m)
     return total
-
-
-def invalid_bracket_md(rng):
-    """A 4-dim bracket that fails the fundamental identity, with a random d
-    at weight 3/2."""
-    return MD3LieAlgebra(
-        ThreeLieAlgebra(4, SkewTernaryTensor(4, 4, {
-            (0, 1, 2): (1, 0, 0, 0), (0, 1, 3): (0, 0, 0, 1)})),
-        ModifiedDifferential(Fraction(3, 2), random_matrix(rng, 4, 4)))
 
 
 def _nonzero_weight(make):

@@ -107,7 +107,7 @@ def test_non_commuting_operator_fails(emd):
 
 def test_deformed_bracket_values(emd):
     got = nijenhuis_deformed_algebra(emd, Matrix.diagonal([1, 2, 3]))
-    assert got.algebra.bracket_basis(0, 1, 2) == (6, 0, 0)
+    assert got.algebra.bracket.basis_value(0, 1, 2) == (6, 0, 0)
     assert verify_3lie(got.algebra).valid
     assert verify_modified_differential(got).valid
     assert got.lam == emd.lam

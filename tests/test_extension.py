@@ -57,7 +57,7 @@ def test_extension_adds_f_and_g_to_the_direct_sum(emd, adjoint):
         for j in range(3):
             for k in range(6):
                 if k < 3:
-                    want = emd.algebra.bracket_basis(i, j, k) + f.basis_value(i, j, k)
+                    want = emd.algebra.bracket.basis_value(i, j, k) + f.basis_value(i, j, k)
                 else:
                     want = (0, 0, 0) + adjoint.rho_basis(i, j).column(k - 3)
                 assert bracket.basis_value(i, j, k) == want

@@ -53,7 +53,7 @@ def test_invalid_four_dimensional_bracket():
     # and so does (e1, e2, e3, e4, e2)
     lhs, rhs = fundamental_identity_sides(
         bad.bracket, bad.bracket, (0, 1, 2, 3, 1))
-    assert lhs == (0, 0, 0, 0) and rhs == (0, 0, 0, -1)
+    assert lhs == {} and rhs == {3: -1}
 
 
 # ---------------------------------------------------------------------------

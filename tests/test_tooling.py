@@ -1,6 +1,8 @@
-"""Static checks on the package and script sources (standard library only)."""
+"""Static checks on the package and script sources (standard library only),
+and on the names the benchmark tracer wraps."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -41,3 +43,30 @@ def test_unused_names_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports_or_private_constants(path):
     assert unused_names(path.read_text(encoding="utf-8")) == []
+
+
+def traced_targets() -> list[tuple[str, str]]:
+    """(module, name) for every entry point the benchmark's tracer wraps,
+    read from the ``TARGETS`` literal of ``perfbench/tracing.py``."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    value = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "TARGETS"
+                         for t in node.targets))
+    return [(module, name) for _, module, names in ast.literal_eval(value)
+            for name in names]
+
+
+def test_every_traced_name_exists():
+    # the tracer only warns on stderr about a name it cannot find, so a
+    # renamed entry point would silently drop out of the per-layer metrics
+    targets = traced_targets()
+    assert len(targets) > 30
+    missing = []
+    for module_name, name in targets:
+        owner = importlib.import_module(module_name)
+        for part in name.split("."):
+            owner = vars(owner).get(part)
+            if owner is None:
+                missing.append(f"{module_name}.{name}")
+                break
+    assert missing == []
