@@ -30,8 +30,9 @@ guard partial_q partial_(q-1) = 0 is checked by an exact sparse product,
 because input that fails the axioms can have Phi_q invertible and rank
 partial_q != dim C^q.  Injectivity is certified by a nonzero det Phi_q mod a
 61-bit prime, computed from the Kronecker factors of Phi_q (q - 1 copies of
-d_F^T, d^T and -d_M) in O(N^2) for N = dim C^q, without assembling or
-eliminating Phi_q (exactnum.kronecker_sum_det_mod_p).
+d_F^T, d^T and -d_M) without assembling or eliminating Phi_q: the power sums
+of all factors but the largest, of dimension b, up to M = dim C^q / b, and
+one resultant against the largest (exactnum.kronecker_sum_det_mod_p).
 cohomology_dim(q, representatives=False) takes z = cols - rank partial_q and
 b = rank partial_(q-1), each from the lemma when it applies and by exact
 elimination otherwise; the numbers are those of the full path.
@@ -246,29 +247,39 @@ class ComplexAssembly:
         return (idx * self.md.n + k) * self.rep.m
 
     def _delta_terms(self, arg, k):
-        """Terms of (delta f)(X_1, ..., X_q, e_k) for the pairs X_i in arg."""
+        """Terms of (delta f)(X_1, ..., X_q, e_k) for the pairs X_i in arg.
+
+        A term whose action or table vector is zero is not listed: on an
+        abelian algebra with the adjoint action every one is, and delta_q is
+        assembled without computing a column block."""
         tb, block = self._tables, self._block
         pairs, rho = tb.pairs, tb.rho
         xq, yq = pairs[arg[-1]]
         head = arg[:-1]
         # boundary terms pairing the last pair with the final slot
         top = 1 if len(arg) % 2 else -1
-        yield rho[yq][k], [(block(head, xq), top)]
-        yield rho[k][xq], [(block(head, yq), top)]
+        if rho[yq][k]:
+            yield rho[yq][k], [(block(head, xq), top)]
+        if rho[k][xq]:
+            yield rho[k][xq], [(block(head, yq), top)]
         for i, a in enumerate(arg):
             # alternating sign of the i-th pair, +1 for the first
             sign = -1 if i % 2 else 1
             rest = arg[:i] + arg[i + 1:]
             # action of the removed pair
-            yield rho[pairs[a][0]][pairs[a][1]], [(block(rest, k), sign)]
+            action = rho[pairs[a][0]][pairs[a][1]]
+            if action:
+                yield action, [(block(rest, k), sign)]
             # bracket absorbed into the final slot, with sign -sign
-            yield None, [(block(rest, kk), nc if sign > 0 else c)
-                         for kk, c, nc in tb.ad[a][k]]
+            if tb.ad[a][k]:
+                yield None, [(block(rest, kk), nc if sign > 0 else c)
+                             for kk, c, nc in tb.ad[a][k]]
             # [X_i, X_l]_F absorbed into a later pair slot, with sign -sign
             for l in range(i, len(rest)):
-                yield None, [(block(rest[:l] + (p,) + rest[l + 1:], k),
-                              nc if sign > 0 else c)
-                             for p, c, nc in tb.bracket_F[a][rest[l]]]
+                bracket = tb.bracket_F[a][rest[l]]
+                if bracket:
+                    yield None, [(block(rest[:l] + (p,) + rest[l + 1:], k),
+                                  nc if sign > 0 else c) for p, c, nc in bracket]
 
     def _phi_terms(self, arg, k):
         """Terms of (Phi f)(X_1, ..., X_(q-1), e_k): d_F on each pair slot

@@ -34,7 +34,7 @@ function, so concurrent use on shared inputs is safe.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -507,59 +507,108 @@ def kronecker_sum_det_mod_p(factors: Sequence[Matrix]) -> Optional[int]:
 
     The Kronecker sum is ``sum_i I (x) ... (x) F_i (x) ... (x) I`` on the
     tensor product of the factors' spaces, of dimension N = prod dim F_i.
-    It is never built.  The power sums ``s_j = tr(F^j)`` of each factor, up
-    to N, come from its characteristic polynomial mod p; the power sums of
-    the Kronecker sum follow from ``sum_j S_j t^j / j! = prod_i sum_j
-    s_j(F_i) t^j / j!``, and Newton's identities turn them into the
-    determinant (Bostan, Flajolet, Salvy and Schost, Fast computation of
-    special resultants, J. Symb. Comput. 2006).  Each step is an identity
-    over the integers localized at p that divides by integers up to N only,
-    so a nonzero result proves the Kronecker sum invertible over Q.  Returns
-    None when p divides the denominator of an entry, or when p <= N.  The
-    cost is O(N^2) operations mod p besides one O(dim^3) characteristic
-    polynomial per factor."""
+    It is never built.  Let L be the first factor of largest dimension b,
+    and G the Kronecker sum of the others, of dimension M = N / b.  The
+    power sums ``s_j = tr(F^j)`` of each other factor, up to M, come from
+    its characteristic polynomial mod p; those of G follow from ``sum_j S_j
+    t^j / j! = prod_i sum_j s_j(F_i) t^j / j!``, and Newton's identities
+    turn them into the elementary symmetric functions e_k of G's
+    eigenvalues.  Then ``det(L (+) G) = prod_(alpha, beta) (alpha + beta)``
+    is the resultant of L's characteristic polynomial and ``h(x) = sum_k e_k
+    x^(M-k) = prod_beta (x + beta)``, taken by the Euclidean algorithm
+    (_resultant_mod; Bostan, Flajolet, Salvy and Schost, Fast computation of
+    special resultants, J. Symb. Comput. 2006).  Every step is an identity
+    over the field of p elements that divides by nonzero field elements and
+    by integers up to M < p only, so the result is the determinant of the
+    factors reduced mod p.  Over the integers localized at p the determinant
+    commutes with that reduction, so a nonzero result proves the Kronecker
+    sum invertible over Q.  Returns None when p divides the denominator of
+    an entry, or when p <= N.  The cost is O(M^2 + b M) operations mod p per
+    factor, besides one O(dim^3) characteristic polynomial per distinct
+    factor (which also bounds the O(b^2) of the later Euclid steps)."""
     p = CERTIFICATE_PRIME
-    N = 1
     for f in factors:
         if f.rows != f.cols:
             raise InputError("Kronecker sum of a non-square matrix")
-        N *= f.rows
-    if p <= N:
+    if p <= prod(f.rows for f in factors):
         return None
-    inv = [0, 1]  # inverses of 0 < k <= N mod p
-    for k in range(2, N + 1):
-        inv.append(-(p // k) * inv[p % k] % p)
-    fact, fact_inv = [1], [1]
-    for k in range(1, N + 1):
-        fact.append(fact[-1] * k % p)
-        fact_inv.append(fact_inv[-1] * inv[k] % p)
-    series = [1] + [0] * N  # sum_j S_j t^j / j!, truncated past t^N
+    if not factors:  # the empty Kronecker sum is the 1 x 1 zero matrix
+        return 0
+    charpolys = {}  # one per distinct factor: d_F repeats in Phi_q
     for f in factors:
+        if f in charpolys:
+            continue
         dense = [[0] * f.cols for _ in range(f.rows)]
         for i, row in enumerate(f.sparse_rows):
             for j, e in row.items():
                 if e.denominator % p == 0:
                     return None
                 dense[i][j] = e.numerator * pow(e.denominator, -1, p) % p
-        egf = [s * fi % p for s, fi in zip(_power_sums_mod(dense, N, p), fact_inv)]
-        rev = egf[::-1]
-        series = [sum(map(mul, series[:k + 1], rev[N - k:])) % p
-                  for k in range(N + 1)]
-    # Newton: k e_k = sum_(i=1..k) e_(k-i) (-1)^(i-1) S_i, and det = e_N
+        charpolys[f] = _charpoly_mod(dense, p)
+    largest = max(range(len(factors)), key=lambda i: factors[i].rows)
+    others = factors[:largest] + factors[largest + 1:]
+    M = prod(f.rows for f in others)
+    inv = [0, 1]  # inverses of 0 < k <= M mod p
+    for k in range(2, M + 1):
+        inv.append(-(p // k) * inv[p % k] % p)
+    fact, fact_inv = [1], [1]
+    for k in range(1, M + 1):
+        fact.append(fact[-1] * k % p)
+        fact_inv.append(fact_inv[-1] * inv[k] % p)
+    series = [1] + [0] * M  # sum_j S_j(G) t^j / j!, truncated past t^M
+    for f in others:
+        power_sums = _power_sums_mod(charpolys[f], M, p)
+        rev = [s * fi % p for s, fi in zip(power_sums, fact_inv)][::-1]
+        series = [sum(map(mul, series[:k + 1], rev[M - k:])) % p
+                  for k in range(M + 1)]
+    # Newton: k e_k = sum_(i=1..k) e_(k-i) (-1)^(i-1) S_i
     signed = [(x * y if i % 2 else -x * y) % p
               for i, (x, y) in enumerate(zip(series, fact))]
     e = [1]
-    for k in range(1, N + 1):
+    for k in range(1, M + 1):
         e.append(sum(map(mul, reversed(e), signed[1:k + 1])) % p * inv[k] % p)
-    return e[N]
+    return _resultant_mod(charpolys[factors[largest]], e, p)
 
 
-def _power_sums_mod(a: list[list[int]], count: int, p: int) -> list[int]:
+def _resultant_mod(a: list[int], b: list[int], p: int) -> int:
+    """``prod_(a(alpha) = 0) b(alpha) mod p`` over the roots of the monic a,
+    that is Res(a, b); coefficients run from the highest degree down and
+    lie in [0, p).
+
+    Euclid: ``Res(a, b) = Res(a, b mod a)``, and a remainder R of degree r
+    and leading coefficient c has ``prod_(a(alpha) = 0) R(alpha) = (-1)^(deg
+    a * r) c^(deg a) prod_((R/c)(gamma) = 0) a(gamma)``.  A zero remainder
+    gives 0, a constant one c gives c^(deg a)."""
+    out = 1
+    while len(a) > 1:  # a constant monic a has no roots
+        da = len(a) - 1
+        b = list(b)
+        for i in range(len(b) - da):  # b mod a, in place
+            q = b[i]
+            if q:
+                for j in range(1, da + 1):
+                    b[i + j] = (b[i + j] - q * a[j]) % p
+        rem = b[max(len(b) - da, 0):]
+        top = next((i for i, x in enumerate(rem) if x), None)
+        if top is None:
+            return 0
+        rem = rem[top:]
+        c = rem[0]
+        out = out * pow(c, da, p) % p
+        if len(rem) == 1:
+            break
+        if da * (len(rem) - 1) % 2:
+            out = -out % p
+        c_inv = pow(c, -1, p)
+        a, b = [x * c_inv % p for x in rem], a
+    return out
+
+
+def _power_sums_mod(c: list[int], count: int, p: int) -> list[int]:
     """``tr(A^j) mod p`` for j = 0..count, from the characteristic polynomial
-    ``x^r + c_1 x^(r-1) + ... + c_r`` by Newton's identities
+    ``c = [1, c_1, ..., c_r]`` of A by Newton's identities
     ``s_k = -(k c_k + sum_(i<k) c_i s_(k-i))`` (c_k = 0 past r)."""
-    r = len(a)
-    c = _charpoly_mod(a, p)
+    r = len(c) - 1
     s = [r % p]
     for k in range(1, count + 1):
         tail = min(k - 1, r)

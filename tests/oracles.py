@@ -6,11 +6,18 @@ the stored triples through their minors), actions from the canonical ``rho``
 dict, and every side is a dense vector or a full matrix sum, so a wrong sign,
 a skipped term or a lost action in the package's sparse evaluation shows as
 a different report.
+
+``kronecker_sum_det_mod_p`` is the determinant certificate of the dims-only
+cohomology path as it was first written: the power sums of the whole
+Kronecker sum, up to its dimension N, turned into the determinant by
+Newton's identities in O(N^2), with no resultant.
 """
 
 from itertools import combinations
+from operator import mul
 
-from md3lie.exactnum import Matrix, unit, vec_add, vec_is_zero, vec_scale, vec_sub
+from md3lie.exactnum import (Matrix, _charpoly_mod, _power_sums_mod, unit, vec_add,
+                             vec_is_zero, vec_scale, vec_sub)
 from md3lie.multilin import pair_basis, wedge_coords
 from md3lie.structures import LeibnizData, Report, Violation
 
@@ -146,3 +153,40 @@ def leibniz_data(md):
         col = vec_add(col, vec_scale(md.lam, wedge_coords(unit(n, i), unit(n, j))))
         cols.append(col)
     return LeibnizData(dim=dim, bracket_F=bracket_F, d_F=Matrix.from_columns(cols, dim))
+
+
+def kronecker_sum_det_mod_p(factors, p):
+    """det of the Kronecker sum of the factors mod p, or None (as the package
+    function): e_N of the whole sum by Newton's identities."""
+    N = 1
+    for f in factors:
+        N *= f.rows
+    if p <= N:
+        return None
+    inv = [0, 1]
+    for k in range(2, N + 1):
+        inv.append(-(p // k) * inv[p % k] % p)
+    fact, fact_inv = [1], [1]
+    for k in range(1, N + 1):
+        fact.append(fact[-1] * k % p)
+        fact_inv.append(fact_inv[-1] * inv[k] % p)
+    series = [1] + [0] * N  # sum_j S_j t^j / j!, truncated past t^N
+    for f in factors:
+        dense = [[0] * f.cols for _ in range(f.rows)]
+        for i, row in enumerate(f.sparse_rows):
+            for j, e in row.items():
+                if e.denominator % p == 0:
+                    return None
+                dense[i][j] = e.numerator * pow(e.denominator, -1, p) % p
+        power_sums = _power_sums_mod(_charpoly_mod(dense, p), N, p)
+        rev = [s * fi % p for s, fi in zip(power_sums, fact_inv)][::-1]
+        series = [sum(map(mul, series[:k + 1], rev[N - k:])) % p
+                  for k in range(N + 1)]
+    # Newton: k e_k = sum_(i=1..k) e_(k-i) (-1)^(i-1) S_i, and det = e_N
+    signed = [(x * y if i % 2 else -x * y) % p
+              for i, (x, y) in enumerate(zip(series, fact))]
+    e = [1]
+    for k in range(1, N + 1):
+        e.append(sum(map(mul, reversed(e), signed[1:k + 1])) % p * inv[k] % p)
+    return e[N]
+

@@ -432,6 +432,21 @@ def test_oversized_matrix_is_refused_before_assembly(workspace, capsys,
         assert captured.out == "" and "maximum" in captured.err
 
 
+def test_abelian_five_in_degree_three_is_refused_by_the_budget(tmp_path, capsys):
+    # det Phi_3 is certified without building Phi_3, but the 27500 x 2750
+    # total differential is still refused before it is assembled
+    path = tmp_path / "ab5.json"
+    md = abelian_md(random.Random("md3lie-bench/ab5-0"), 5)
+    docs.dump_json(str(path), docs.algebra_to_doc(md))
+    argv = ["cohomology", str(path), "--rep", "adjoint", "--degree", "3"]
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "md3lie: error: a 27500 x 2750 matrix exceeds the assembly budget of "
+        "10000000 dense entries; ask for a lower degree\n")
+
+
 def test_cohomology_degree_zero_is_usage_error(workspace, capsys):
     tmp, paths = workspace
     assert run_command(["cohomology", paths["example.json"],

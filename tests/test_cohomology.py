@@ -1,7 +1,9 @@
+import importlib.util
 import itertools
 import random
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,7 @@ from md3lie.structures import (
     leibniz_data, trivial_representation,
 )
 
+import oracles
 from conftest import brute_force_degree_one_kernel, det_mod_p, invalid_bracket_md
 
 
@@ -120,6 +123,31 @@ def complex_identities_hold(asm):
 def test_complex_identities_adjoint_and_coadjoint(adjoint_asm, coadjoint_asm):
     assert complex_identities_hold(adjoint_asm)
     assert complex_identities_hold(coadjoint_asm)
+
+
+def test_survey_script_fails_on_a_broken_complex(capsys, monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "survey_cohomology.py"
+    spec = importlib.util.spec_from_file_location("survey_cohomology", path)
+    survey = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(survey)
+    assert survey.main([]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and " NO " not in captured.out
+    md = example_md()
+    corrupt = corrupt_representation(random.Random(1), md, adjoint_representation(md),
+                                     "module differential compatibility")
+    monkeypatch.setattr(survey, "instances",
+                        lambda seed: [("corrupt", ComplexAssembly(md, corrupt))])
+    assert survey.main([]) == 1
+    assert capsys.readouterr().err == "FAILED corrupt: a complex identity fails\n"
+    # a dims-only rank that disagrees with elimination fails the survey too
+    example = ComplexAssembly(md, adjoint_representation(md))
+    monkeypatch.setattr(survey, "instances", lambda seed: [("example", example)])
+    monkeypatch.setattr(ComplexAssembly, "_total_rank", lambda self, q: 0)
+    assert survey.main([]) == 1
+    assert capsys.readouterr().err == (
+        "FAILED example, q=1: the dims-only path gives (9, 0, 9), not (2, 0, 2)\n"
+        "FAILED example, q=2: the dims-only path gives (36, 0, 36), not (10, 7, 3)\n")
 
 
 def test_complex_identities_random_instances():
@@ -455,6 +483,12 @@ def test_delta_matches_coboundary_formula():
             delta = asm.delta_matrix(q)
             for col, expected in enumerate(delta_oracle(md, rep, q)):
                 assert delta.column(col) == expected, (md, q, col)
+    # with the adjoint action every rho, ad and bracket_F table is empty, and
+    # so is every term of the formula
+    asm = ComplexAssembly(dim4, adjoint_representation(dim4))
+    for q in (1, 2):
+        assert asm.delta_matrix(q) == Matrix.zeros(cochain_dim(q + 1, 4, 4),
+                                                   cochain_dim(q, 4, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +562,12 @@ def test_dims_only_needs_the_guard():
             == dims(asm.cohomology_dim(2)))
 
 
+def phi_det_oracle(md, rep, q):
+    """det Phi_q mod p by the O(N^2) power sums of the whole Kronecker sum."""
+    factors = [leibniz_data(md).d_F] * (q - 1) + [md.d, -rep.d_M]
+    return oracles.kronecker_sum_det_mod_p(factors, exactnum.CERTIFICATE_PRIME)
+
+
 def test_phi_certificate_agrees_with_exact_elimination():
     answered = 0
     for md, rep, degrees in dims_only_cases():
@@ -539,6 +579,7 @@ def test_phi_certificate_agrees_with_exact_elimination():
             answered += 1
             assert det == det_mod_p([phi.row(i) for i in range(phi.rows)],
                                     exactnum.CERTIFICATE_PRIME)
+            assert det == phi_det_oracle(md, rep, q), (md, rep, q)
             assert bool(det) == (phi.rank() == phi.rows), (md, rep, q)
     assert answered
 
@@ -549,9 +590,22 @@ def test_phi_certificate_holds_on_abelian_five():
     dims-only degree-2 answers skip eliminating it."""
     for i in (0, 2, 4, 8, 9, 11, 12, 13, 17, 19, 20, 23, 28, 29, 30, 31):
         md = abelian_md(random.Random(f"md3lie-bench/ab5-{i}"), 5)
-        asm = ComplexAssembly(md, adjoint_representation(md))
-        assert asm.phi_det_mod_p(2), i
+        rep = adjoint_representation(md)
+        asm = ComplexAssembly(md, rep)
+        det = asm.phi_det_mod_p(2)
+        assert det, i
+        assert det == phi_det_oracle(md, rep, 2), i
     assert dims(asm.cohomology_dim(2, representatives=False)) == (25, 20, 5)
+
+
+def test_phi_certificate_in_degree_three_on_abelian_algebras():
+    # Phi_3 is 2500 x 2500 on n = 5 and 576 x 576 on n = 4; neither is built
+    md = abelian_md(random.Random("md3lie-bench/ab5-0"), 5)
+    assert ComplexAssembly(md, adjoint_representation(md)).phi_det_mod_p(3)
+    ab4 = abelian_md(random.Random(31), 4)
+    for rep in (adjoint_representation(ab4), coadjoint_representation(ab4)):
+        assert (ComplexAssembly(ab4, rep).phi_det_mod_p(3)
+                == phi_det_oracle(ab4, rep, 3))
 
 
 def test_certificate_declines_a_prime_dividing_a_denominator(monkeypatch):

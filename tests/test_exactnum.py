@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from md3lie import exactnum
 from md3lie.errors import InputError
-from md3lie.exactnum import Matrix, kronecker_sum_det_mod_p
+from md3lie.exactnum import Matrix, _resultant_mod, kronecker_sum_det_mod_p
 
+import oracles
 from conftest import det_mod_p
 
 scalars = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -280,6 +281,56 @@ def test_kronecker_sum_det_matches_the_assembled_sum(prime, factors):
         mp.setattr(exactnum, "CERTIFICATE_PRIME", prime)
         got = kronecker_sum_det_mod_p(factors)
     assert got == det_mod_p(kronecker_sum_dense(factors), prime)
+    assert got == oracles.kronecker_sum_det_mod_p(factors, prime)
+
+
+def test_kronecker_sum_det_takes_the_first_largest_factor_apart():
+    a = Matrix.from_rows([[1, 2, 0], [0, -1, 1], [3, 0, Fraction(2, 3)]])
+    b = Matrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    c = Matrix.from_rows([[2, 1], [-1, 0]])
+    empty = Matrix.zeros(0, 0)
+    cases = [[a], [c], [a, b, c], [c, b, a], [b, a, b, c], [c, c, a, -a],
+             [a, c, b], [a, -a], [empty], [empty, empty], [empty, a], [a, empty, c]]
+    for factors in cases:
+        got = kronecker_sum_det_mod_p(factors)
+        assert got == det_mod_p(kronecker_sum_dense(factors),
+                                exactnum.CERTIFICATE_PRIME), factors
+        assert got == oracles.kronecker_sum_det_mod_p(
+            factors, exactnum.CERTIFICATE_PRIME), factors
+    assert kronecker_sum_det_mod_p([a, -a]) == 0  # eigenvalues cancel
+
+
+def sylvester(a, b):
+    """Sylvester matrix of two coefficient lists, highest degree first."""
+    m, n = len(a) - 1, len(b) - 1
+    rows = [[0] * i + a + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + b + [0] * (m - 1 - i) for i in range(m)]
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def test_resultant_examples():
+    p = 257
+    # b = x (x - 1)(x + 1) is a multiple of a = x^2 - 1: zero remainder
+    assert _resultant_mod([1, 0, p - 1], [1, 0, p - 1, 0], p) == 0
+    # x^2 + 1 mod (x - 3) is the constant 10 = b(3)
+    assert _resultant_mod([1, p - 3], [1, 0, 1], p) == 10
+    # a = x^3 - x against b = x + 2: 2 * 3 * 1, where one Euclid step flips
+    # the sign (deg a = 3, deg b = 1) and a(-2) = -6
+    assert _resultant_mod([1, 0, p - 1, 0], [1, 2], p) == 6
+    # a constant monic a has no roots: the empty product
+    assert _resultant_mod([1], [5, 0, 1], p) == 1
+    # a constant b is taken deg a times
+    assert _resultant_mod([1, 4, 1], [3], p) == 9
+
+
+@pytest.mark.parametrize("p", [7, 257])
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_resultant_matches_the_sylvester_determinant(p, data):
+    coefficients = st.lists(st.integers(0, p - 1), max_size=6)
+    a = [1] + data.draw(coefficients)
+    b = data.draw(coefficients.filter(bool))
+    assert _resultant_mod(a, b, p) == det_mod_p(sylvester(a, b), p)
 
 
 def test_kronecker_sum_det_declines_what_it_cannot_decide(monkeypatch):
