@@ -25,17 +25,28 @@ Phi_q delta_(q-1) = delta_(q-1) Phi_(q-1), and Phi_q is injective, then
 Phi_q maps B^q = im delta_(q-1) onto itself; for every g in C^(q-1) exactly
 one f, namely (-1)^(q+1) Phi_q^-1 delta_(q-1) g in B^q, has (f, g) in
 ker partial_q, so rank partial_q = dim C^q.  At q = 1, partial_1 =
-(delta_1, -Phi_1) is injective with Phi_1 and no condition is needed.  The
-guard partial_q partial_(q-1) = 0 is checked by an exact sparse product,
-because input that fails the axioms can have Phi_q invertible and rank
-partial_q != dim C^q.  Injectivity is certified by a nonzero det Phi_q mod a
-61-bit prime, computed from the Kronecker factors of Phi_q (q - 1 copies of
-d_F^T, d^T and -d_M) without assembling or eliminating Phi_q: the power sums
-of all factors but the largest, of dimension b, up to M = dim C^q / b, and
-one resultant against the largest (exactnum.kronecker_sum_det_mod_p).
-cohomology_dim(q, representatives=False) takes z = cols - rank partial_q and
-b = rank partial_(q-1), each from the lemma when it applies and by exact
-elimination otherwise; the numbers are those of the full path.
+(delta_1, -Phi_1) is injective with Phi_1 and no condition is needed.
+Injectivity is certified by a nonzero det Phi_q mod a 61-bit prime, computed
+from the Kronecker factors of Phi_q (q - 1 copies of d_F^T, d^T and -d_M)
+without assembling or eliminating Phi_q: the power sums of all factors but
+the largest, of dimension b, up to M = dim C^q / b, and one resultant
+against the largest (exactnum.kronecker_sum_det_mod_p).  The guard
+partial_q partial_(q-1) = 0 is needed, because input that fails the axioms
+can have Phi_q invertible and rank partial_q != dim C^q.  It is checked
+block by block, without assembling either total: partial_q partial_(q-1)
+has the blocks delta_q delta_(q-1), (-1)^q (Phi_q delta_(q-1) -
+delta_(q-1) Phi_(q-1)) and, from q = 3 on, delta_(q-1) delta_(q-2), so it
+vanishes exactly when delta_q delta_(q-1) = 0, Phi_q delta_(q-1) =
+delta_(q-1) Phi_(q-1) and (q >= 3) delta_(q-1) delta_(q-2) = 0, each
+checked by an exact sparse product.  delta_(q-1) is a factor of every
+block, so it is assembled first; when it is zero, as on an abelian algebra
+with the adjoint action, the guard holds and nothing else is assembled.
+cohomology_dim(q, representatives=False) takes z = dim(C^q + C^(q-1)) -
+rank partial_q and b = rank partial_(q-1), each from the lemma when it
+applies and by exact elimination otherwise; the numbers are those of the
+full path.  The budget of each total is checked before its certificate, so
+a request too large to assemble is refused at once, not after power sums
+whose cost grows like M^2.
 
 Caching: a ComplexAssembly memoizes assembled matrices.  Population is
 idempotent (pure recomputation), so a racing first access at worst computes
@@ -194,11 +205,7 @@ class ComplexAssembly:
         matrix [[delta_q, 0], [(-1)^q Phi_q, delta_(q-1)]]."""
         _check_degree(q)
         if q not in self._partial:
-            n, m = self.md.n, self.rep.m
-            up, mid = cochain_dim(q + 1, n, m), cochain_dim(q, n, m)
-            low = cochain_dim(q - 1, n, m) if q > 1 else 0
-            # the total holds its blocks: the largest allocation of a degree
-            _check_entry_budget(up + mid, mid + low)
+            up, _, low = self._total_dims(q)
             if q == 1:
                 mat = Matrix.vstack([self.delta_matrix(1), -self.phi_matrix(1)])
             else:
@@ -210,6 +217,16 @@ class ComplexAssembly:
             self._partial[q] = mat
         return self._partial[q]
 
+    def _total_dims(self, q: int) -> tuple[int, int, int]:
+        """dim C^(q+1), dim C^q and dim C^(q-1) (0 at q = 1); refuses a
+        degree-q total differential over the budget, by arithmetic alone."""
+        n, m = self.md.n, self.rep.m
+        up, mid = cochain_dim(q + 1, n, m), cochain_dim(q, n, m)
+        low = cochain_dim(q - 1, n, m) if q > 1 else 0
+        # the total holds its blocks: the largest allocation of a degree
+        _check_entry_budget(up + mid, mid + low)
+        return up, mid, low
+
     # -- assembly ---------------------------------------------------------
 
     @cached_property
@@ -218,15 +235,18 @@ class ComplexAssembly:
         md, rep, n = self.md, self.rep, self.md.n
         pairs = pair_basis(n)
         leibniz = leibniz_data(md)
-        dim = len(pairs)
+        # [X_a, X_b]_F on the pair basis, listed where leibniz_data stores one
+        bracket_F = [[()] * len(pairs) for _ in pairs]
+        for (a, b), value in leibniz.bracket_F.items():
+            bracket_F[a][b] = _signed_items(value)
+        signed = md.algebra.bracket.signed
         return SimpleNamespace(
             pairs=pairs,
-            # [X_a, X_b]_F and d_F(X_a) on the pair basis
-            bracket_F=[[_signed_items(leibniz.bracket_basis(a, b))
-                        for b in range(dim)] for a in range(dim)],
+            bracket_F=bracket_F,
+            # d_F(X_a) on the pair basis
             d_F=[list(col.items()) for col in leibniz.d_F.transpose().sparse_rows],
             # [X_a, e_k] and d(e_k) on the algebra basis
-            ad=[[_signed_items(md.algebra.bracket.basis_value(i, j, k))
+            ad=[[[(r, c, -c) for r, c in signed.get((i, j, k), ())]
                  for k in range(n)] for i, j in pairs],
             d=[list(col.items()) for col in md.d.transpose().sparse_rows],
             rho=[[_sparse_entries(rep.rho_basis(i, j)) for j in range(n)]
@@ -319,9 +339,10 @@ class ComplexAssembly:
                         v = coeff if t is None else t if coeff > 0 else nt
                         prev = row.get(j)
                         row[j] = v if prev is None else prev + v
-        # terms can cancel; the matrix stores no zeros
-        return Matrix._raw(rows, cols,
-                           ({j: v for j, v in row.items() if v} for row in data))
+        # terms can cancel; the matrix stores no zeros, and only a row that
+        # some term touched holds an entry to filter
+        return Matrix._raw(rows, cols, ({j: v for j, v in row.items() if v}
+                                        if row else row for row in data))
 
     # -- membership and dimensions ----------------------------------------
 
@@ -368,12 +389,22 @@ class ComplexAssembly:
     def _total_rank(self, q: int) -> int:
         """Rank of partial_matrix(q): dim C^q when Phi_q is certified
         invertible and partial_q partial_(q-1) = 0 (the lemma in the module
-        docstring; no condition at q = 1), else by exact elimination."""
-        total = self.partial_matrix(q)
-        if self.phi_det_mod_p(q) and (
-                q == 1 or (total @ self.partial_matrix(q - 1)).is_zero):
-            return cochain_dim(q, self.md.n, self.rep.m)
-        return total.rank()
+        docstring; no condition at q = 1), else by exact elimination.  The
+        budget of the degree-q total is checked first, so a request too
+        large to assemble is refused before the certificate runs."""
+        _, mid, _ = self._total_dims(q)
+        if self.phi_det_mod_p(q) and (q == 1 or self._composes_to_zero(q)):
+            return mid
+        return self.partial_matrix(q).rank()
+
+    def _composes_to_zero(self, q: int) -> bool:
+        """Whether partial_q partial_(q-1) = 0 (q >= 2), decided on its
+        blocks (module docstring) without assembling either total."""
+        delta = self.delta_matrix(q - 1)
+        return delta.is_zero or (
+            (self.delta_matrix(q) @ delta).is_zero
+            and self.phi_matrix(q) @ delta == delta @ self.phi_matrix(q - 1)
+            and (q == 2 or (delta @ self.delta_matrix(q - 2)).is_zero))
 
     def cohomology_dim(self, q: int,
                        representatives: bool = True) -> CohomologySummary:
@@ -388,7 +419,8 @@ class ComplexAssembly:
         _check_degree(q)
         n, m = self.md.n, self.rep.m
         if not representatives:
-            z_dim = self.partial_matrix(q).cols - self._total_rank(q)
+            _, mid, low = self._total_dims(q)
+            z_dim = mid + low - self._total_rank(q)
             b_dim = self._total_rank(q - 1) if q > 1 else 0
             return CohomologySummary(z_dim, b_dim, z_dim - b_dim, [])
         kernel = self.partial_matrix(q).kernel_basis()

@@ -562,6 +562,97 @@ def test_dims_only_needs_the_guard():
             == dims(asm.cohomology_dim(2)))
 
 
+def guard_blocks(asm, q):
+    """Whether each block of partial_q partial_(q-1) is zero: delta_q
+    delta_(q-1), Phi_q delta_(q-1) - delta_(q-1) Phi_(q-1), and (q >= 3)
+    delta_(q-1) delta_(q-2)."""
+    delta = asm.delta_matrix(q - 1)
+    return ((asm.delta_matrix(q) @ delta).is_zero,
+            asm.phi_matrix(q) @ delta == delta @ asm.phi_matrix(q - 1),
+            q == 2 or (delta @ asm.delta_matrix(q - 2)).is_zero)
+
+
+def test_block_guard_matches_the_full_product():
+    """The guard decides partial_q partial_(q-1) = 0 exactly as the product
+    of the assembled totals does, on every dims-only case in degree >= 2."""
+    verdicts, failing = set(), set()
+    for md, rep, degrees in dims_only_cases():
+        for q in degrees:
+            if q < 2:
+                continue
+            asm = ComplexAssembly(md, rep)
+            holds = asm._composes_to_zero(q)
+            assert holds == (asm.partial_matrix(q)
+                             @ asm.partial_matrix(q - 1)).is_zero, (md, rep, q)
+            blocks = guard_blocks(asm, q)
+            assert holds == all(blocks)
+            verdicts.add(holds)
+            failing.add(blocks)
+    assert verdicts == {True, False}
+    # delta_q delta_(q-1) alone fails (a corrupted action at q = 3), and so
+    # does Phi_q delta_(q-1) = delta_(q-1) Phi_(q-1) alone
+    assert (False, True, True) in failing and (True, False, True) in failing
+
+
+def test_block_guard_checks_every_block(emd, adjoint):
+    """On the valid example complex, breaking any one factor of a block
+    makes partial_3 partial_2 nonzero, and the guard says so."""
+    delta_2 = ComplexAssembly(emd, adjoint).delta_matrix(2)
+    row = next(i for i, r in enumerate(delta_2.sparse_rows) if r)
+    col = next(j for r in delta_2.sparse_rows for j in r)
+
+    def bump(mat, i, j):
+        return mat + Matrix.from_entries(mat.rows, mat.cols, {(i, j): Fraction(1)})
+
+    def plus_identity(mat):
+        return mat + Matrix.identity(mat.rows)
+
+    # (cache, degree, change): delta_3 delta_2 != 0 when delta_3 reads a
+    # nonzero row of delta_2, delta_2 delta_1 != 0 when delta_1 hits a
+    # nonzero column, and Phi_3 + 1 or Phi_2 + 1 breaks Phi delta = delta Phi
+    changes = [("_delta", 3, lambda m: bump(m, 0, row)),
+               ("_delta", 1, lambda m: bump(m, col, 0)),
+               ("_phi", 3, plus_identity), ("_phi", 2, plus_identity)]
+    assert ComplexAssembly(emd, adjoint)._composes_to_zero(3)
+    for cache, q, change in changes:
+        asm = ComplexAssembly(emd, adjoint)
+        matrix = asm.delta_matrix if cache == "_delta" else asm.phi_matrix
+        getattr(asm, cache)[q] = change(matrix(q))
+        assert not (asm.partial_matrix(3) @ asm.partial_matrix(2)).is_zero, (cache, q)
+        assert not asm._composes_to_zero(3), (cache, q)
+
+
+def test_dims_only_assembles_no_total_it_certifies(monkeypatch):
+    """On abelian n=5 with the adjoint action delta_1 is zero, so the guard
+    holds without building delta_2, Phi_2 or any degree-2 total; only
+    partial_1, whose Phi_1 is singular, is assembled and eliminated."""
+    md = abelian_md(random.Random("md3lie-bench/ab5-0"), 5)
+    asm = ComplexAssembly(md, adjoint_representation(md))
+    partial_matrix = ComplexAssembly.partial_matrix
+
+    def refuse_above_one(self, q):
+        assert q < 2, q
+        return partial_matrix(self, q)
+
+    monkeypatch.setattr(ComplexAssembly, "partial_matrix", refuse_above_one)
+    assert dims(asm.cohomology_dim(2, representatives=False)) == (25, 20, 5)
+    assert (set(asm._delta), set(asm._phi), set(asm._partial)) == ({1}, {1}, {1})
+
+
+def test_budget_refusal_comes_before_the_certificate(emd, adjoint, monkeypatch):
+    """The degree-9 total (236196 x 78732) is refused by arithmetic alone;
+    the certificate's power sums there (M = 6561) would run for long."""
+    def certificate(self, q):
+        raise AssertionError(f"certificate asked at degree {q}")
+
+    monkeypatch.setattr(ComplexAssembly, "phi_det_mod_p", certificate)
+    asm = ComplexAssembly(emd, adjoint)
+    with pytest.raises(InputError, match="a 236196 x 78732 matrix exceeds the "
+                       "assembly budget"):
+        asm.cohomology_dim(9, representatives=False)
+    assert not (asm._delta or asm._phi or asm._partial)
+
+
 def phi_det_oracle(md, rep, q):
     """det Phi_q mod p by the O(N^2) power sums of the whole Kronecker sum."""
     factors = [leibniz_data(md).d_F] * (q - 1) + [md.d, -rep.d_M]
