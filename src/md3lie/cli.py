@@ -3,8 +3,9 @@
 Every invocation writes exactly one JSON report to standard output and
 diagnostics to standard error.  Exit codes: 0 for valid/true results, 1 for a
 check that ran and failed (the report carries witnesses), 2 for input or
-usage errors, 3 for an internal error (an exact cross-check that disagreed,
-or memory exhausted): then stdout stays empty and stderr carries one line.
+usage errors, 3 for an internal error (an extension witness that is not an
+isomorphism, a deformation whose cubic closure fails, or memory exhausted):
+then stdout stays empty and stderr carries one line.
 Reports contain no timestamps, so identical inputs produce byte-identical
 output.
 

@@ -525,7 +525,7 @@ def kronecker_sum_det_mod_p(factors: Sequence[Matrix]) -> Optional[int]:
     sum invertible over Q.  Returns None when p divides the denominator of
     an entry, or when p <= N.  The cost is O(M^2 + b M) operations mod p per
     factor, besides one O(dim^3) characteristic polynomial per distinct
-    factor (which also bounds the O(b^2) of the later Euclid steps)."""
+    factor object (which also bounds the O(b^2) of the later Euclid steps)."""
     p = CERTIFICATE_PRIME
     for f in factors:
         if f.rows != f.cols:
@@ -534,9 +534,9 @@ def kronecker_sum_det_mod_p(factors: Sequence[Matrix]) -> Optional[int]:
         return None
     if not factors:  # the empty Kronecker sum is the 1 x 1 zero matrix
         return 0
-    charpolys = {}  # one per distinct factor: d_F repeats in Phi_q
+    charpolys = {}  # by identity: d_F repeats in Phi_q as one object
     for f in factors:
-        if f in charpolys:
+        if id(f) in charpolys:
             continue
         dense = [[0] * f.cols for _ in range(f.rows)]
         for i, row in enumerate(f.sparse_rows):
@@ -544,7 +544,7 @@ def kronecker_sum_det_mod_p(factors: Sequence[Matrix]) -> Optional[int]:
                 if e.denominator % p == 0:
                     return None
                 dense[i][j] = e.numerator * pow(e.denominator, -1, p) % p
-        charpolys[f] = _charpoly_mod(dense, p)
+        charpolys[id(f)] = _charpoly_mod(dense, p)
     largest = max(range(len(factors)), key=lambda i: factors[i].rows)
     others = factors[:largest] + factors[largest + 1:]
     M = prod(f.rows for f in others)
@@ -557,7 +557,7 @@ def kronecker_sum_det_mod_p(factors: Sequence[Matrix]) -> Optional[int]:
         fact_inv.append(fact_inv[-1] * inv[k] % p)
     series = [1] + [0] * M  # sum_j S_j(G) t^j / j!, truncated past t^M
     for f in others:
-        power_sums = _power_sums_mod(charpolys[f], M, p)
+        power_sums = _power_sums_mod(charpolys[id(f)], M, p)
         rev = [s * fi % p for s, fi in zip(power_sums, fact_inv)][::-1]
         series = [sum(map(mul, series[:k + 1], rev[M - k:])) % p
                   for k in range(M + 1)]
@@ -567,7 +567,7 @@ def kronecker_sum_det_mod_p(factors: Sequence[Matrix]) -> Optional[int]:
     e = [1]
     for k in range(1, M + 1):
         e.append(sum(map(mul, reversed(e), signed[1:k + 1])) % p * inv[k] % p)
-    return _resultant_mod(charpolys[factors[largest]], e, p)
+    return _resultant_mod(charpolys[id(factors[largest])], e, p)
 
 
 def _resultant_mod(a: list[int], b: list[int], p: int) -> int:

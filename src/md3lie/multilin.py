@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import comb
 from typing import Callable, Mapping, Sequence
 
@@ -58,14 +57,6 @@ def wedge_basis(n: int) -> Mapping[PairIndex, SparseItems]:
         out[i, j] = ((t, one),)
         out[j, i] = ((t, -one),)
     return out
-
-
-def wedge_coords(x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
-    """Coordinates of x ^ y on the pair basis of a dim-len(x) space."""
-    n = len(x)
-    if len(y) != n:
-        raise InputError("wedge of vectors of different lengths")
-    return tuple(x[i] * y[j] - x[j] * y[i] for i, j in pair_basis(n))
 
 
 class SkewTernaryTensor:
@@ -249,36 +240,6 @@ class CochainCoordinates:
         for p in pair_positions:
             idx = idx * npairs + p
         return (idx * self.n + k) * self.m + r
-
-    def evaluate(self, pair_args: Sequence[Sequence[Fraction]],
-                 last: Sequence[Fraction]) -> Vector:
-        """Multilinear evaluation; pair arguments live on the pair basis."""
-        if len(pair_args) != self.degree - 1:
-            raise InputError(f"expected {self.degree - 1} pair arguments")
-        npairs = comb(self.n, 2)
-        slots = []
-        for pv in pair_args:
-            if len(pv) != npairs:
-                raise InputError("pair argument has wrong length")
-            slots.append([(t, c) for t, c in enumerate(pv) if c])
-        if len(last) != self.n:
-            raise InputError("final argument has wrong length")
-        last_nz = [(k, c) for k, c in enumerate(last) if c]
-        out = [Fraction(0)] * self.m
-        for combo in product(*slots, last_nz):
-            coeff = Fraction(1)
-            idx = 0
-            for pos, c in combo[:-1]:
-                coeff *= c
-                idx = idx * npairs + pos
-            k, c = combo[-1]
-            coeff *= c
-            base = (idx * self.n + k) * self.m
-            for r in range(self.m):
-                v = self.coords[base + r]
-                if v:
-                    out[r] += coeff * v
-        return tuple(out)
 
     def __eq__(self, other) -> bool:
         return (

@@ -4,36 +4,11 @@ import pytest
 
 from md3lie.cohomology import ComplexAssembly
 from md3lie.corpus import example_md, random_matrix
-from md3lie.exactnum import Matrix, vec_add, vec_sub
-from md3lie.multilin import SkewTernaryTensor, pair_basis
+from md3lie.multilin import SkewTernaryTensor
 from md3lie.structures import (
     MD3LieAlgebra, ModifiedDifferential, ThreeLieAlgebra, adjoint_representation,
     coadjoint_representation,
 )
-
-
-def brute_force_degree_one_kernel(md, rep):
-    """Stacked degree-1 cocycle conditions per basis cochain, no assembler.
-
-    Independent oracle: evaluates the displayed conditions entry by entry.
-    Columns follow the cochain coordinate order (k slow, r fast)."""
-    n, m = md.n, rep.m
-    cols = []
-    for k0 in range(n):
-        for r0 in range(m):
-            F = Matrix(m, n, [1 if (r, c) == (r0, k0) else 0
-                              for r in range(m) for c in range(n)])
-            col = []
-            for i, j in pair_basis(n):
-                for c in range(n):
-                    col.extend(vec_add(
-                        vec_add(rep.rho_basis(j, c).apply(F.column(i)),
-                                rep.rho_basis(c, i).apply(F.column(j))),
-                        vec_sub(rep.rho_basis(i, j).apply(F.column(c)),
-                                F.apply(md.algebra.bracket.basis_value(i, j, c)))))
-            col.extend((rep.d_M @ F - F @ md.d).entries)
-            cols.append(tuple(col))
-    return Matrix.from_columns(cols, len(cols[0]))
 
 
 def invalid_bracket_md(rng):

@@ -7,19 +7,54 @@ dict, and every side is a dense vector or a full matrix sum, so a wrong sign,
 a skipped term or a lost action in the package's sparse evaluation shows as
 a different report.
 
+``direct_one_cocycle`` and ``direct_two_cocycle`` evaluate the displayed
+cocycle identities of a total cochain in degrees 1 and 2 term by term, on
+dense pair coordinates (``wedge_coords``) through the multilinear expansion
+of the cochain (``evaluate``), with no assembled matrix; each returns the
+residual of every identity in its own order, zero exactly on a cocycle.
+
 ``kronecker_sum_det_mod_p`` is the determinant certificate of the dims-only
 cohomology path as it was first written: the power sums of the whole
 Kronecker sum, up to its dimension N, turned into the determinant by
 Newton's identities in O(N^2), with no resultant.
 """
 
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, product
 from operator import mul
 
+from md3lie.cohomology import TotalCochain
 from md3lie.exactnum import (Matrix, _charpoly_mod, _power_sums_mod, unit, vec_add,
-                             vec_is_zero, vec_scale, vec_sub)
-from md3lie.multilin import pair_basis, wedge_coords
+                             vec_is_zero, vec_scale, vec_sub, vec_zero)
+from md3lie.multilin import cochain_dim, pair_basis
 from md3lie.structures import LeibnizData, Report, Violation
+
+
+def wedge_coords(x, y):
+    """Coordinates of x ^ y on the pair basis of a dim-len(x) space."""
+    return tuple(x[i] * y[j] - x[j] * y[i] for i, j in pair_basis(len(x)))
+
+
+def evaluate(f, pair_args, last):
+    """The cochain f on pair arguments (on the pair basis) and a final
+    argument, expanded multilinearly over their nonzero coordinates."""
+    assert len(pair_args) == f.degree - 1 and len(last) == f.n
+    npairs = len(pair_basis(f.n))
+    slots = [[(t, c) for t, c in enumerate(pv) if c] for pv in pair_args]
+    out = [Fraction(0)] * f.m
+    for combo in product(*slots, [(k, c) for k, c in enumerate(last) if c]):
+        coeff, idx = Fraction(1), 0
+        for pos, c in combo[:-1]:
+            coeff *= c
+            idx = idx * npairs + pos
+        k, c = combo[-1]
+        coeff *= c
+        base = (idx * f.n + k) * f.m
+        for r in range(f.m):
+            v = f.coords[base + r]
+            if v:
+                out[r] += coeff * v
+    return tuple(out)
 
 
 def basis_value(t, i, j, k):
@@ -153,6 +188,111 @@ def leibniz_data(md):
         col = vec_add(col, vec_scale(md.lam, wedge_coords(unit(n, i), unit(n, j))))
         cols.append(col)
     return LeibnizData(dim=dim, bracket_F=bracket_F, d_F=Matrix.from_columns(cols, dim))
+
+
+def direct_one_cocycle(md, rep, tc):
+    """Residual of a degree-1 total cochain F: for each pair (e_i, e_j) and
+    e_c, rho(e_j, e_c) F e_i + rho(e_c, e_i) F e_j + rho(e_i, e_j) F e_c -
+    F [e_i, e_j, e_c], then d_M F e_k - F d e_k for each e_k."""
+    return _residual(_one_cocycle_identities(md, rep), tc)
+
+
+def direct_two_cocycle(md, rep, tc):
+    """Residual of a degree-2 total cochain (f, g): for each X = e_a1 ^ e_b1,
+    Y = e_a2 ^ e_b2 and e_c the coboundary identity of f, then for each X
+    and e_a2 the identity tying delta g to the differentials applied to f."""
+    return _residual(_two_cocycle_identities(md, rep), tc)
+
+
+def direct_cocycle_matrix(md, rep, q):
+    """The direct residual (q = 1 or 2) of each basis cochain of C^q +
+    C^(q-1), one column each, in the stacked coordinate order."""
+    n, m = md.n, rep.m
+    identities = {1: _one_cocycle_identities, 2: _two_cocycle_identities}[q](md, rep)
+    dim = cochain_dim(q, n, m) + (cochain_dim(q - 1, n, m) if q > 1 else 0)
+    return Matrix.from_columns(
+        [_residual(identities, TotalCochain.from_stacked(q, n, m, unit(dim, j)))
+         for j in range(dim)], len(identities) * m)
+
+
+# An identity is a list of terms (coefficient, action or None, component,
+# pair arguments, final argument): the component (f, or g when True)
+# evaluated on the arguments, acted on, and scaled.
+
+
+def _residual(identities, tc):
+    out = []
+    for terms in identities:
+        total = vec_zero(tc.f.m)
+        for coeff, action, on_g, pair_args, last in terms:
+            value = evaluate(tc.g if on_g else tc.f, pair_args, last)
+            if not any(value):
+                continue
+            if action is not None:
+                value = action.apply(value)
+            total = vec_add(total, vec_scale(coeff, value))
+        out.extend(total)
+    return tuple(out)
+
+
+def _one_cocycle_identities(md, rep):
+    n, br, d = md.n, md.algebra.bracket, md.d
+    e = [unit(n, i) for i in range(n)]
+    identities = []
+    for i, j in pair_basis(n):
+        for c in range(n):
+            identities.append([(1, rho_basis(rep, j, c), False, [], e[i]),
+                               (1, rho_basis(rep, c, i), False, [], e[j]),
+                               (1, rho_basis(rep, i, j), False, [], e[c]),
+                               (-1, None, False, [], basis_value(br, i, j, c))])
+    for k in range(n):
+        identities.append([(1, rep.d_M, False, [], e[k]),
+                           (-1, None, False, [], d.column(k))])
+    return identities
+
+
+def _two_cocycle_identities(md, rep):
+    n, br, d = md.n, md.algebra.bracket, md.d
+    e = [unit(n, i) for i in range(n)]
+    pairs = pair_basis(n)
+
+    def rho(i, j):
+        return rho_basis(rep, i, j)
+
+    def at(x, y):  # f's pair argument x ^ y
+        return [wedge_coords(x, y)]
+
+    identities = []
+    for a1, b1 in pairs:
+        X = at(e[a1], e[b1])
+        for a2, b2 in pairs:
+            Y = at(e[a2], e[b2])
+            for c in range(n):
+                identities.append([
+                    (-1, rho(b2, c), False, X, e[a2]),
+                    (-1, rho(c, a2), False, X, e[b2]),
+                    (1, rho(a1, b1), False, Y, e[c]),
+                    (-1, rho(a2, b2), False, X, e[c]),
+                    (-1, None, False, Y, basis_value(br, a1, b1, c)),
+                    (1, None, False, X, basis_value(br, a2, b2, c)),
+                    (-1, None, False, at(basis_value(br, a1, b1, a2), e[b2]), e[c]),
+                    (-1, None, False, at(e[a2], basis_value(br, a1, b1, b2)), e[c]),
+                ])
+    for a1, b1 in pairs:
+        X = at(e[a1], e[b1])
+        for a2 in range(n):
+            identities.append([
+                (1, rho(b1, a2), True, [], e[a1]),
+                (1, rho(a2, a1), True, [], e[b1]),
+                (1, rho(a1, b1), True, [], e[a2]),
+                (-1, None, True, [], basis_value(br, a1, b1, a2)),
+                (1, None, False, at(d.column(a1), e[b1]), e[a2]),
+                (1, None, False, at(e[a1], d.column(b1)), e[a2]),
+                (1, None, False, X, d.column(a2)),
+                (md.lam, None, False, X, e[a2]),
+                (-1, rep.d_M, False, X, e[a2]),
+            ])
+    return identities
 
 
 def kronecker_sum_det_mod_p(factors, p):

@@ -11,7 +11,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import brute_force_degree_one_kernel
+import oracles
 
 from md3lie.cohomology import ComplexAssembly, TotalCochain
 from md3lie.corpus import (
@@ -176,7 +176,7 @@ def test_criterion_03_shift_equivalence(announce):
 def test_criterion_04_h1_value(emd, adjoint, adjoint_asm, announce):
     summary = adjoint_asm.cohomology_dim(1)
     assert (summary.z_dim, summary.b_dim, summary.h_dim) == (2, 0, 2)
-    oracle = brute_force_degree_one_kernel(emd, adjoint)
+    oracle = oracles.direct_cocycle_matrix(emd, adjoint, 1)
     assert (oracle.rows, oracle.cols) == (36, 9)
     kernel = oracle.kernel_basis()
     assert len(kernel) == 2

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import md3lie
-from md3lie import cli, cohomology, documents as docs
+from md3lie import cli, cohomology, documents as docs, extension
 from md3lie.cli import run_command
 from md3lie.corpus import abelian_md, example_md
 from md3lie.errors import InputError, ParseError
@@ -522,25 +522,21 @@ def test_internal_error_exits_three(workspace, capsys, monkeypatch):
     assert code == 0
     ext = tmp / "ext.json"
     docs.dump_json(str(ext), ext_report["extension"])
-    section = tmp / "section.json"
-    docs.dump_json(str(section), docs.matrix_to_doc(
-        Matrix.block([[Matrix.identity(3)], [Matrix.zeros(3, 3)]])))
-    argv = ["extract-cocycle", str(ext), "--section", str(section)]
-    original = cohomology._direct_two_cocycle
-    # the extracted pair is a cocycle; a direct check that says otherwise
-    # disagrees with the assembled matrix
-    monkeypatch.setattr(cohomology, "_direct_two_cocycle",
-                        lambda *args: not original(*args))
+    argv = ["equiv-check", str(ext), str(ext)]
+    # an extension is equivalent to itself; a witness that fails the
+    # homomorphism check is an internal error, not a verdict
+    monkeypatch.setattr(extension, "homomorphism_check", lambda *args: False)
     assert run_command(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("md3lie: internal error: ")
     assert captured.err.count("\n") == 1
+    assert "coboundary witness did not produce an isomorphism" in captured.err
 
     def out_of_memory(*args):
         raise MemoryError()
 
-    monkeypatch.setattr(cohomology, "_direct_two_cocycle", out_of_memory)
+    monkeypatch.setattr(extension, "homomorphism_check", out_of_memory)
     assert run_command(argv) == 3
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (

@@ -11,21 +11,20 @@ from md3lie import exactnum
 from md3lie.cohomology import ComplexAssembly, TotalCochain
 from md3lie.corpus import (
     abelian_md, corrupt_representation, det_bracket_md, example_md,
-    random_matrix, triangular_family_member,
+    random_matrix, random_vector, rational, triangular_family_member,
 )
 from md3lie.errors import InputError
-from md3lie.exactnum import Matrix, unit, vec_add, vec_scale
-from md3lie.multilin import (
-    CochainCoordinates, cochain_dim, pair_basis, wedge_coords,
-)
+from md3lie.exactnum import Matrix, unit, vec_add, vec_is_zero, vec_scale, vec_zero
+from md3lie.multilin import CochainCoordinates, cochain_dim, pair_basis
 from md3lie.structures import (
     MD3LieAlgebra, ModifiedDifferential, Representation, ThreeLieAlgebra,
     adjoint_representation, coadjoint_representation, fundamental_leibniz,
-    leibniz_data, trivial_representation,
+    leibniz_data, trivial_representation, verify_3lie,
+    verify_modified_differential, verify_representation,
 )
 
 import oracles
-from conftest import brute_force_degree_one_kernel, det_mod_p, invalid_bracket_md
+from conftest import det_mod_p, invalid_bracket_md
 
 
 def one_cochain(mat):
@@ -199,7 +198,7 @@ def test_is_coboundary(adjoint_asm):
 def test_h1_of_example_against_oracle(adjoint_asm, emd, adjoint):
     summary = adjoint_asm.cohomology_dim(1)
     assert (summary.z_dim, summary.b_dim, summary.h_dim) == (2, 0, 2)
-    oracle = brute_force_degree_one_kernel(emd, adjoint)
+    oracle = oracles.direct_cocycle_matrix(emd, adjoint, 1)
     assert (oracle.rows, oracle.cols) == (36, 9)
     assert len(oracle.kernel_basis()) == 2
     # representatives solve both conditions and span diag(f1, f2, -f2)
@@ -207,73 +206,6 @@ def test_h1_of_example_against_oracle(adjoint_asm, emd, adjoint):
         F = tc.f.to_linear_map()
         assert all(not c for c in oracle.apply(tc.f.coords))
         assert F[1, 0] == F[2, 0] == 0 and F[1, 1] + F[2, 2] == 0
-
-
-def test_z2_of_example_against_direct_conditions(adjoint_asm, emd, adjoint):
-    """Degree-2 cocycle space re-derived by evaluating the two displayed
-    conditions on every basis cochain of C^2 + C^1 (no assembler)."""
-    from md3lie.exactnum import unit, vec_add, vec_scale, vec_sub
-    from md3lie.multilin import pair_basis, wedge_coords
-
-    n = m = 3
-    alg, d = emd.algebra, emd.d
-    pairs = pair_basis(n)
-    base = [unit(n, i) for i in range(n)]
-    dim2, dim1 = cochain_dim(2, n, m), cochain_dim(1, n, m)
-    cols = []
-    for idx in range(dim2 + dim1):
-        fco = [Fraction(0)] * dim2
-        gco = [Fraction(0)] * dim1
-        (fco if idx < dim2 else gco)[idx if idx < dim2 else idx - dim2] = Fraction(1)
-        f = CochainCoordinates(2, n, m, fco)
-        g = CochainCoordinates(1, n, m, gco).to_linear_map()
-
-        def fv(x, y, z):
-            return f.evaluate([wedge_coords(x, y)], z)
-
-        col = []
-        for a1, b1 in pairs:
-            for a2, b2 in pairs:
-                for c in range(n):
-                    total = [Fraction(0)] * m
-                    for term in (
-                        vec_scale(-1, adjoint.rho_basis(b2, c).apply(
-                            fv(base[a1], base[b1], base[a2]))),
-                        vec_scale(-1, adjoint.rho_basis(c, a2).apply(
-                            fv(base[a1], base[b1], base[b2]))),
-                        adjoint.rho_basis(a1, b1).apply(
-                            fv(base[a2], base[b2], base[c])),
-                        vec_scale(-1, adjoint.rho_basis(a2, b2).apply(
-                            fv(base[a1], base[b1], base[c]))),
-                        vec_scale(-1, fv(base[a2], base[b2],
-                                         alg.bracket.basis_value(a1, b1, c))),
-                        fv(base[a1], base[b1], alg.bracket.basis_value(a2, b2, c)),
-                        vec_scale(-1, fv(alg.bracket.basis_value(a1, b1, a2),
-                                         base[b2], base[c])),
-                        vec_scale(-1, fv(base[a2],
-                                         alg.bracket.basis_value(a1, b1, b2),
-                                         base[c])),
-                    ):
-                        total = vec_add(total, term)
-                    col.extend(total)
-        for a1, b1 in pairs:
-            for a2 in range(n):
-                total = vec_add(
-                    vec_add(adjoint.rho_basis(b1, a2).apply(g.column(a1)),
-                            adjoint.rho_basis(a2, a1).apply(g.column(b1))),
-                    vec_sub(adjoint.rho_basis(a1, b1).apply(g.column(a2)),
-                            g.apply(alg.bracket.basis_value(a1, b1, a2))))
-                total = vec_add(total, fv(d.column(a1), base[b1], base[a2]))
-                total = vec_add(total, fv(base[a1], d.column(b1), base[a2]))
-                total = vec_add(total, fv(base[a1], base[b1], d.column(a2)))
-                total = vec_add(total, vec_scale(
-                    emd.lam, fv(base[a1], base[b1], base[a2])))
-                total = vec_sub(total, adjoint.d_M.apply(
-                    fv(base[a1], base[b1], base[a2])))
-                col.extend(total)
-        cols.append(tuple(col))
-    oracle = Matrix.from_columns(cols, len(cols[0]))
-    assert len(oracle.kernel_basis()) == adjoint_asm.cohomology_dim(2).z_dim
 
 
 def test_trivial_h2_is_four(trivial_asm):
@@ -310,15 +242,19 @@ def test_assembly_is_deterministic(emd, adjoint):
         assert a.partial_matrix(q) == b.partial_matrix(q)
 
 
-def test_cross_check_agreement_on_random_cochains(adjoint_asm):
-    # is_cocycle raises if the matrix route and the direct evaluation of the
-    # degree-1/2 identities ever disagree; exercise it on random cochains
+def test_cross_check_agreement_on_random_cochains(adjoint_asm, emd, adjoint):
+    # the matrix route and the direct evaluation of the degree-1/2 identities
+    # give the same verdict on random cochains
     rng = random.Random(24)
     for _ in range(8):
-        adjoint_asm.is_cocycle(one_cochain(random_matrix(rng, 3, 3)))
+        tc = one_cochain(random_matrix(rng, 3, 3))
+        assert adjoint_asm.is_cocycle(tc).valid == vec_is_zero(
+            oracles.direct_one_cocycle(emd, adjoint, tc))
         f = CochainCoordinates(
             2, 3, 3, [Fraction(rng.randint(-2, 2)) for _ in range(27)])
-        adjoint_asm.is_cocycle(two_cochain(f, random_matrix(rng, 3, 3)))
+        tc = two_cochain(f, random_matrix(rng, 3, 3))
+        assert adjoint_asm.is_cocycle(tc).valid == vec_is_zero(
+            oracles.direct_two_cocycle(emd, adjoint, tc))
 
 
 def test_higher_degree_supported(trivial_asm):
@@ -353,14 +289,14 @@ def kron(*factors):
 
 def phi_oracle(md, rep, q):
     """Sum over pair slots of d_F^T, plus d^T on the final slot, minus d_M
-    on values, with d_F (weight included) built here from wedge_coords."""
+    on values, with d_F (weight included) built here from oracles.wedge_coords."""
     n, d = md.n, md.d
     base = [unit(n, i) for i in range(n)]
     P = len(pair_basis(n))
     d_F = Matrix.from_columns([
-        vec_add(vec_add(wedge_coords(d.column(i), base[j]),
-                        wedge_coords(base[i], d.column(j))),
-                vec_scale(md.lam, wedge_coords(base[i], base[j])))
+        vec_add(vec_add(oracles.wedge_coords(d.column(i), base[j]),
+                        oracles.wedge_coords(base[i], d.column(j))),
+                vec_scale(md.lam, oracles.wedge_coords(base[i], base[j])))
         for i, j in pair_basis(n)], P)
     pair_ids = [Matrix.identity(P)] * (q - 1)
     I_n, I_m = Matrix.identity(n), Matrix.identity(rep.m)
@@ -450,7 +386,7 @@ def delta_oracle(md, rep, q):
         for terms in blocks:
             total = [Fraction(0)] * m
             for sign, action, slots, last in terms:
-                value = f.evaluate(slots, last)
+                value = oracles.evaluate(f, slots, last)
                 if not any(value):
                     continue
                 if action is not None:
@@ -715,3 +651,94 @@ def test_certificate_declines_a_prime_dividing_a_denominator(monkeypatch):
         assert dims(asm.cohomology_dim(q, representatives=False)) == want[q - 1]
         # the same complex with 1 in place of 1/7 is decided mod 7
         assert complex_with(Fraction(1)).phi_det_mod_p(q) is not None
+
+
+# ---------------------------------------------------------------------------
+# the direct cocycle identities, and the long exact sequence of the cone
+
+
+def test_direct_identities_cut_out_the_total_kernel():
+    """In degrees 1 and 2 the cocycles of every dims-only complex with n <= 3
+    are the space cut out by the displayed identities, evaluated directly on
+    each basis cochain of C^q + C^(q-1) (oracles.direct_cocycle_matrix): the
+    same dimension, the oracle kills each kernel vector of partial_q, and
+    is_cocycle accepts each kernel vector of the oracle."""
+    checked = 0
+    for md, rep, _ in dims_only_cases():
+        if md.n > 3:
+            continue
+        asm = ComplexAssembly(md, rep)
+        for q in (1, 2):
+            kernel = asm.partial_matrix(q).kernel_basis()
+            oracle = oracles.direct_cocycle_matrix(md, rep, q)
+            direct = oracle.kernel_basis()
+            assert len(kernel) == len(direct), (md, rep, q)
+            assert all(vec_is_zero(oracle.apply(v)) for v in kernel), (md, rep, q)
+            assert all(asm.is_cocycle(TotalCochain.from_stacked(q, md.n, rep.m, v)).valid
+                       for v in direct), (md, rep, q)
+            checked += bool(kernel)
+    assert checked == 44
+
+
+def test_is_cocycle_agrees_with_the_direct_identities_on_four_dims():
+    """On the n = 4 complexes at q = 2, where the oracle's full matrix is
+    too slow to build: the first two kernel vectors of partial_2, a random
+    combination of its kernel and two random cochains get the same verdict
+    from is_cocycle and from the direct identities."""
+    rng = random.Random(32)
+    for md, rep, _ in dims_only_cases():
+        if md.n != 4:
+            continue
+        asm = ComplexAssembly(md, rep)
+        kernel = asm.partial_matrix(2).kernel_basis()
+        dim = len(kernel[0])
+        combination = vec_zero(dim)
+        for v in kernel:
+            combination = vec_add(combination, vec_scale(rational(rng), v))
+        verdicts = []
+        for v in kernel[:2] + [combination] + [random_vector(rng, dim)
+                                               for _ in range(2)]:
+            tc = TotalCochain.from_stacked(2, md.n, rep.m, v)
+            verdict = asm.is_cocycle(tc).valid
+            assert verdict == vec_is_zero(oracles.direct_two_cocycle(md, rep, tc)), (
+                md, rep)
+            verdicts.append(verdict)
+        assert verdicts == [True, True, True, False, False], (md, rep)
+
+
+def phi_star_corank(asm, k):
+    """dim coker, equal to dim ker, of Phi* on H^k(delta), from delta and
+    Phi alone: dim Z^k - dim(Phi_k Z^k + B^k), the rank of [Phi_k K_k |
+    delta_(k-1)] with K_k a kernel basis of delta_k and B^1 = 0.  It is 0 at
+    k = 0, where no cochain lives."""
+    if k == 0:
+        return 0
+    kernel = asm.delta_matrix(k).kernel_basis()
+    dim = cochain_dim(k, asm.md.n, asm.rep.m)
+    blocks = [asm.phi_matrix(k) @ Matrix.from_columns(kernel, dim)]
+    if k > 1:
+        blocks.append(asm.delta_matrix(k - 1))
+    return len(kernel) - Matrix.hstack(blocks).rank()
+
+
+def test_cone_long_exact_sequence():
+    """The total complex is the mapping cone of Phi, so its long exact
+    sequence gives dim H^q = dim ker(Phi* on H^q(delta)) + dim coker(Phi* on
+    H^(q-1)(delta)) on every valid dims-only complex, in every listed
+    degree.  The right side reads delta and Phi only, never partial or the
+    certified ranks, so it checks how the cone is stacked and the dims-only
+    path in degree 3 too."""
+    pairs, nonzero_in_three = 0, 0
+    for md, rep, degrees in dims_only_cases():
+        if not (verify_3lie(md.algebra).valid and verify_modified_differential(md).valid
+                and verify_representation(md, rep).valid):
+            continue
+        asm = ComplexAssembly(md, rep)
+        for q in degrees:
+            want = phi_star_corank(asm, q) + phi_star_corank(asm, q - 1)
+            assert asm.cohomology_dim(q, representatives=False).h_dim == want, (
+                md, rep, q)
+            assert asm.cohomology_dim(q).h_dim == want, (md, rep, q)
+            pairs += 1
+            nonzero_in_three += q == 3 and want > 0
+    assert (pairs, nonzero_in_three) == (79, 12)

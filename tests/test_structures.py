@@ -9,7 +9,7 @@ from md3lie.corpus import (
 )
 from md3lie.errors import InputError
 from md3lie.exactnum import Matrix, unit
-from md3lie.multilin import SkewTernaryTensor, pair_basis, wedge_coords
+from md3lie.multilin import SkewTernaryTensor, pair_basis
 from md3lie.structures import (
     MD3LieAlgebra, ModifiedDifferential, Representation, ThreeLieAlgebra,
     adjoint_representation, derivation_shift_check,
@@ -18,6 +18,8 @@ from md3lie.structures import (
     trivial_representation, verify_3lie, verify_leibniz,
     verify_modified_differential, verify_representation,
 )
+
+from oracles import wedge_coords
 
 
 def elementary(n, i, j, value=1):
