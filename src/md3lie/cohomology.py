@@ -63,8 +63,7 @@ from types import SimpleNamespace
 from typing import Optional
 
 from .errors import InputError
-from .exactnum import (Matrix, Vector, _sparse_row, kronecker_sum_det_mod_p,
-                       vec_is_zero)
+from .exactnum import Matrix, Vector, kronecker_sum_det_mod_p, vec_is_zero
 from .multilin import CochainCoordinates, cochain_dim, pair_basis
 from .structures import MD3LieAlgebra, Representation, leibniz_data
 
@@ -79,11 +78,6 @@ def _sparse_entries(mat: Matrix) -> list[tuple[int, int, Fraction, Fraction]]:
     """(row, column, entry, -entry) for each nonzero entry."""
     return [(i, j, c, -c) for i, row in enumerate(mat.sparse_rows)
             for j, c in row.items()]
-
-
-def _signed_items(values) -> list[tuple[int, Fraction, Fraction]]:
-    """(index, value, -value) for each nonzero coordinate."""
-    return [(j, c, -c) for j, c in _sparse_row(values).items()]
 
 
 def _check_degree(q: int) -> None:
@@ -237,18 +231,18 @@ class ComplexAssembly:
         leibniz = leibniz_data(md)
         # [X_a, X_b]_F on the pair basis, listed where leibniz_data stores one
         bracket_F = [[()] * len(pairs) for _ in pairs]
-        for (a, b), value in leibniz.bracket_F.items():
-            bracket_F[a][b] = _signed_items(value)
+        for (a, b), items in leibniz.bracket_F.items():
+            bracket_F[a][b] = [(j, c, -c) for j, c in items]
         signed = md.algebra.bracket.signed
         return SimpleNamespace(
             pairs=pairs,
             bracket_F=bracket_F,
             # d_F(X_a) on the pair basis
-            d_F=[list(col.items()) for col in leibniz.d_F.transpose().sparse_rows],
+            d_F=leibniz.d_F.column_items(),
             # [X_a, e_k] and d(e_k) on the algebra basis
             ad=[[[(r, c, -c) for r, c in signed.get((i, j, k), ())]
                  for k in range(n)] for i, j in pairs],
-            d=[list(col.items()) for col in md.d.transpose().sparse_rows],
+            d=md.d.column_items(),
             rho=[[_sparse_entries(rep.rho_basis(i, j)) for j in range(n)]
                  for i in range(n)],
             d_M=_sparse_entries(rep.d_M),

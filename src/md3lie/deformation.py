@@ -8,17 +8,21 @@ deformed-pair compatibility orders 0..3, equivalence orders 0..5 and 0..2).
 Trivial deformations carry d1 = 0: the trivializing family intertwines the
 undeformed differential on both sides, which forces the linear part of d_t to
 vanish.
+
+Every bracket with an operator N in some of its slots is read from the sums
+S_0..S_3 of :func:`_slot_sums` (the brackets of a basis triple with N in 0..3
+of the slots), summed over nonzero items by SkewTernaryTensor.sparse_call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from fractions import Fraction
+from itertools import chain, combinations, product
+
 from .cohomology import ComplexAssembly, TotalCochain
 from .errors import InputError
-from .exactnum import (
-    Matrix, sparse_combination, unit, vec_add, vec_from_sparse, vec_sub, vec_zero,
-)
+from .exactnum import Matrix, sparse_combination, vec_add, vec_from_sparse
 from .multilin import (
     CochainCoordinates, SkewTernaryTensor, embed_skew_trilinear, pair_basis,
 )
@@ -128,43 +132,45 @@ def check_equivalence(ld: LinearDeformation, ld2: LinearDeformation,
 
     nus = (ld.base.algebra.bracket, ld.nu1, ld.nu2)
     nus2 = (ld.base.algebra.bracket, ld2.nu1, ld2.nu2)
-    units = [unit(n, i) for i in range(n)]
-    ncols = [N.column(i) for i in range(n)]
-    for a, b, c in combinations(range(n), 3):
-        lhs = [vec_zero(n) for _ in range(6)]
-        v = [nus[i].basis_value(a, b, c) for i in range(3)]
-        lhs[0] = v[0]
-        lhs[1] = vec_add(v[1], N.apply(v[0]))
-        lhs[2] = vec_add(v[2], N.apply(v[1]))
-        lhs[3] = N.apply(v[2])
-        rhs = [vec_zero(n) for _ in range(6)]
-        args = {0: (units[a], units[b], units[c]),
-                1: (ncols[a], ncols[b], ncols[c])}
+    ncols = N.column_items()
+    for triple in combinations(range(n), 3):
+        # N_t nu_t(a, b, c) and nu'_t(N_t a, N_t b, N_t c), order by order
+        lhs = [[] for _ in range(6)]
+        rhs = [[] for _ in range(6)]
         for j in range(3):
-            for alpha, beta, gamma in product((0, 1), repeat=3):
-                order = j + alpha + beta + gamma
-                val = nus2[j](args[alpha][0], args[beta][1], args[gamma][2])
-                rhs[order] = vec_add(rhs[order], val)
-        if lhs != rhs:
+            value = nus[j].signed.get(triple, ())
+            lhs[j].append((1, value))
+            lhs[j + 1].extend(_through(ncols, value, 1))
+            for s, side in enumerate(_slot_sums(nus2[j], ncols, triple)):
+                rhs[j + s].append((1, side.items()))
+        if any(sparse_combination(a) != sparse_combination(b)
+               for a, b in zip(lhs, rhs)):
             return False
     return True
 
 
-def _n_expansions(br: SkewTernaryTensor, ncols, a: int, b: int, c: int):
-    """Bracket sums on a basis triple with N applied to some arguments.
+def _through(cols, items, sign):
+    """Terms of sign * M v for the items of v, M given by its column items."""
+    return ((sign * c, cols[r]) for r, c in items)
 
-    Returns ([Na,b,c] + [a,Nb,c] + [a,b,Nc], [a,Nb,Nc] + [Na,b,Nc] + [Na,Nb,c])
-    for basis vectors a, b, c, where ``ncols`` are the columns of N."""
-    na, nb, nc = ncols[a], ncols[b], ncols[c]
-    once = vec_add(vec_add(br.pair_value(b, c, na), br.pair_value(c, a, nb)),
-                   br.pair_value(a, b, nc))
-    ea, eb, ec = (unit(br.dim_in, i) for i in (a, b, c))
-    twice = vec_add(vec_add(br(ea, nb, nc), br(na, eb, nc)), br(na, nb, ec))
-    return once, twice
+
+def _slot_sums(br: SkewTernaryTensor, ncols, triple) -> list[dict]:
+    """[A a, B b, C c] on a basis triple (a, b, c), for A, B, C each the
+    identity or N, summed by how many of them are N: S_0 = [a, b, c] to
+    S_3 = [Na, Nb, Nc], as {index: value} dicts without zeros.  ``ncols``
+    holds the column items of N."""
+    one = Fraction(1)
+    slots = [(((i, one),), ncols[i]) for i in triple]
+    sums = [[] for _ in range(4)]
+    for choice in product((0, 1), repeat=3):
+        value = br.sparse_call(*(slot[c] for slot, c in zip(slots, choice)))
+        sums[sum(choice)].append((1, value.items()))
+    return [sparse_combination(terms) for terms in sums]
 
 
 def is_nijenhuis(md: MD3LieAlgebra, N: Matrix) -> Report:
-    """Differential commutation plus the cubic compatibility identity."""
+    """Differential commutation plus the cubic compatibility identity
+    S_3 = N S_2 - N^2 S_1 + N^3 S_0 in the sums of :func:`_slot_sums`."""
     n = md.n
     if N.rows != n or N.cols != n:
         raise InputError("operator shape mismatch")
@@ -172,62 +178,49 @@ def is_nijenhuis(md: MD3LieAlgebra, N: Matrix) -> Report:
     if N @ md.d != md.d @ N:
         violations.append(Violation(
             "differential commutation", (), N @ md.d, md.d @ N))
-    br = md.algebra.bracket
-    ncols = [N.column(i) for i in range(n)]
     N2 = N @ N
-    N3 = N2 @ N
-    for a, b, c in combinations(range(n), 3):
-        lhs = br(ncols[a], ncols[b], ncols[c])
-        once, twice = _n_expansions(br, ncols, a, b, c)
-        rhs = vec_add(
-            vec_sub(N.apply(twice), N2.apply(once)),
-            N3.apply(br.basis_value(a, b, c)))
-        if lhs != rhs:
-            violations.append(Violation("Nijenhuis identity", (a, b, c), lhs, rhs))
+    n1, n2, n3 = (P.column_items() for P in (N, N2, N2 @ N))
+    for triple in combinations(range(n), 3):
+        s0, s1, s2, s3 = _slot_sums(md.algebra.bracket, n1, triple)
+        rhs = sparse_combination(chain(_through(n1, s2.items(), 1),
+                                       _through(n2, s1.items(), -1),
+                                       _through(n3, s0.items(), 1)))
+        if s3 != rhs:
+            violations.append(Violation("Nijenhuis identity", triple,
+                                        vec_from_sparse(s3, n),
+                                        vec_from_sparse(rhs, n)))
     return Report.from_violations(violations)
 
 
-def _require_nijenhuis(md: MD3LieAlgebra, N: Matrix) -> None:
-    if not is_nijenhuis(md, N).valid:
-        raise InputError("operator fails the Nijenhuis conditions")
-
-
 def nijenhuis_deformed_algebra(md: MD3LieAlgebra, N: Matrix) -> MD3LieAlgebra:
-    """The deformed bracket of a Nijenhuis operator, with the same d and weight."""
-    _require_nijenhuis(md, N)
-    n = md.n
-    br = md.algebra.bracket
-    ncols = [N.column(i) for i in range(n)]
-    N2 = N @ N
-
-    def deformed(a, b, c):
-        once, twice = _n_expansions(br, ncols, a, b, c)
-        return vec_add(vec_sub(twice, N.apply(once)),
-                       N2.apply(br.basis_value(a, b, c)))
-
-    tensor = SkewTernaryTensor.from_function(n, n, deformed)
-    return MD3LieAlgebra(ThreeLieAlgebra(n, tensor), md.diff)
+    """The deformed bracket S_2 - N S_1 + N^2 S_0 of a Nijenhuis operator,
+    which is nu2 of its trivial deformation, with the same d and weight."""
+    nu2 = trivial_deformation_from_nijenhuis(md, N).nu2
+    return MD3LieAlgebra(ThreeLieAlgebra(md.n, nu2), md.diff)
 
 
 def trivial_deformation_from_nijenhuis(md: MD3LieAlgebra, N: Matrix) -> LinearDeformation:
     """The trivial deformation generated by a Nijenhuis operator (d1 = 0).
 
-    nu1 absorbs the operator once, nu2 twice; the cubic closure
-    N nu2 = [N-, N-, N-] is re-checked here as an internal invariant."""
-    _require_nijenhuis(md, N)
+    nu1 = S_1 - N S_0 absorbs the operator once, nu2 = S_2 - N nu1 twice;
+    the cubic closure N nu2 = S_3 is re-checked here as an internal
+    invariant."""
+    if not is_nijenhuis(md, N).valid:
+        raise InputError("operator fails the Nijenhuis conditions")
     n = md.n
-    br = md.algebra.bracket
-    ncols = [N.column(i) for i in range(n)]
-    expansions = {t: _n_expansions(br, ncols, *t)
-                  for t in combinations(range(n), 3)}
-    nu1 = SkewTernaryTensor.from_function(n, n, lambda a, b, c: vec_sub(
-        expansions[a, b, c][0], N.apply(br.basis_value(a, b, c))))
-    nu2 = SkewTernaryTensor.from_function(n, n, lambda a, b, c: vec_sub(
-        expansions[a, b, c][1], N.apply(nu1.basis_value(a, b, c))))
-    for a, b, c in combinations(range(n), 3):
-        if N.apply(nu2.basis_value(a, b, c)) != br(ncols[a], ncols[b], ncols[c]):
+    ncols = N.column_items()
+    nu1, nu2 = {}, {}
+    for triple in combinations(range(n), 3):
+        s0, s1, s2, s3 = _slot_sums(md.algebra.bracket, ncols, triple)
+        once = sparse_combination(chain([(1, s1.items())],
+                                        _through(ncols, s0.items(), -1)))
+        twice = sparse_combination(chain([(1, s2.items())],
+                                         _through(ncols, once.items(), -1)))
+        if sparse_combination(_through(ncols, twice.items(), 1)) != s3:
             raise RuntimeError("cubic closure failed for a validated operator")
-    return LinearDeformation(md, nu1, nu2, Matrix.zeros(n, n))
+        nu1[triple], nu2[triple] = vec_from_sparse(once, n), vec_from_sparse(twice, n)
+    return LinearDeformation(md, SkewTernaryTensor(n, n, nu1),
+                             SkewTernaryTensor(n, n, nu2), Matrix.zeros(n, n))
 
 
 @dataclass(frozen=True)
@@ -254,14 +247,13 @@ def is_o_operator(md: MD3LieAlgebra, rep: Representation, R: Matrix) -> Report:
         violations.append(Violation(
             "differential intertwining", (), R @ rep.d_M, md.d @ R))
     br = md.algebra.bracket
-    units = [unit(m, i) for i in range(m)]
     rcols = [R.column(i) for i in range(m)]
     for a, b, c in combinations(range(m), 3):
         lhs = br(rcols[a], rcols[b], rcols[c])
         inner = vec_add(
-            vec_add(rep.rho_vec(rcols[a], rcols[b]).apply(units[c]),
-                    rep.rho_vec(rcols[b], rcols[c]).apply(units[a])),
-            rep.rho_vec(rcols[c], rcols[a]).apply(units[b]))
+            vec_add(rep.rho_vec(rcols[a], rcols[b]).column(c),
+                    rep.rho_vec(rcols[b], rcols[c]).column(a)),
+            rep.rho_vec(rcols[c], rcols[a]).column(b))
         rhs = R.apply(inner)
         if lhs != rhs:
             violations.append(Violation(

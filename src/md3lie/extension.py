@@ -122,10 +122,10 @@ def verify_extension(ext: AbelianExtension) -> Report:
 
 
 def _module_coords(ext: AbelianExtension, w) -> tuple:
-    x = ext.inclusion.solve_in_image(w)
-    if x is None:
+    """Module coordinates of w under the canonical inclusion [0; I]."""
+    if any(w[:ext.n]):
         raise InputError("vector does not lie in the embedded module")
-    return x
+    return w[ext.n:]
 
 
 def extract_cocycle(ext: AbelianExtension, s: Matrix) -> ExtractedCocycle:

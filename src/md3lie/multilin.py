@@ -8,6 +8,10 @@ space (the span of e_i ^ e_j, i < j) and one final argument from the algebra,
 with values in the module.  It is skew within each pair argument but carries
 no antisymmetry tying the final argument to the last pair; fully skew
 trilinear maps enter this space through :func:`embed_skew_trilinear`.
+
+Every evaluation of a skew ternary tensor sums its signed table
+(:attr:`SkewTernaryTensor.signed`) over the nonzero coordinates of the
+arguments: :meth:`SkewTernaryTensor.sparse_call`, which the dense call wraps.
 """
 
 from __future__ import annotations
@@ -64,7 +68,8 @@ class SkewTernaryTensor:
 
     Values on permuted or repeated basis triples are derived on access, so
     skewness is an invariant of the representation rather than a convention
-    to test.  Every basis value is read through :attr:`signed`.
+    to test.  Every value, on basis triples or on general vectors, is read
+    through :attr:`signed`.
     """
 
     __slots__ = ("dim_in", "dim_out", "values", "_signed")
@@ -123,32 +128,25 @@ class SkewTernaryTensor:
         """Value on (e_i, e_j, e_k) with the permutation sign worked in."""
         return vec_from_sparse(dict(self.signed.get((i, j, k), ())), self.dim_out)
 
-    def pair_value(self, i: int, j: int, w: Sequence[Fraction]) -> Vector:
-        """Value on (e_i, e_j, w) for a general vector w.
+    def sparse_call(self, x: SparseItems, y: SparseItems,
+                    z: SparseItems) -> dict[int, Fraction]:
+        """t(x, y, z) for arguments given by their nonzero (index,
+        coefficient) items, as an {index: value} dict without zeros.
 
-        Much cheaper than the general call when two arguments are basis
-        vectors: only the basis triples (i, j, k) with w_k != 0 are read."""
-        signed = self.signed
-        return vec_from_sparse(sparse_combination(
-            (c, signed.get((i, j, k), ())) for k, c in enumerate(w) if c), self.dim_out)
+        Only the basis triples (i, j, k) with x_i y_j z_k != 0 are read,
+        through :attr:`signed`."""
+        get = self.signed.get
+        return sparse_combination(
+            (a * b * c, value)
+            for i, a in x for j, b in y for k, c in z if (value := get((i, j, k))))
 
     def __call__(self, x: Sequence[Fraction], y: Sequence[Fraction],
                  z: Sequence[Fraction]) -> Vector:
         """Trilinear, totally antisymmetric evaluation on coordinate vectors."""
         if len(x) != self.dim_in or len(y) != self.dim_in or len(z) != self.dim_in:
             raise InputError("argument length does not match dim_in")
-        out = [Fraction(0)] * self.dim_out
-        for (i, j, k), val in self.values.items():
-            minor = (
-                x[i] * (y[j] * z[k] - y[k] * z[j])
-                - y[i] * (x[j] * z[k] - x[k] * z[j])
-                + z[i] * (x[j] * y[k] - x[k] * y[j])
-            )
-            if minor:
-                for r, c in enumerate(val):
-                    if c:
-                        out[r] += minor * c
-        return tuple(out)
+        x, y, z = ([(i, c) for i, c in enumerate(v) if c] for v in (x, y, z))
+        return vec_from_sparse(self.sparse_call(x, y, z), self.dim_out)
 
     def __eq__(self, other) -> bool:
         return (

@@ -9,8 +9,9 @@ Verifiers enumerate basis tuples reduced by the skew symmetries of both sides
 of each law (e.g. a_1 < a_2 and a_3 < a_4 < a_5 for the fundamental identity);
 by multilinearity this decides each law on the whole space.  Each side is
 summed over nonzero values only: the signed structure constants of
-``SkewTernaryTensor.signed``, the nonzero entries of d, and the pair actions
-that are not zero, each product of two actions formed once per check.  A
+``SkewTernaryTensor.signed``, the nonzero entries of d (or d_F), the items
+of the Leibniz bracket, and the pair actions that are not zero, each product
+of two actions formed once per check.  A
 dense witness (a vector, or a matrix for the action laws) is built only for
 a failing tuple, from the same sums, so reports are those of a dense
 evaluation: same laws, tuples, values and order.
@@ -30,7 +31,7 @@ from typing import Mapping, Sequence
 from .errors import InputError
 from .exactnum import (
     Matrix, Vector, scal, sparse_combination, unit, vec_add, vec_from_sparse,
-    vec_sub, vec_zero,
+    vec_zero,
 )
 from .multilin import (
     PairIndex, SkewTernaryTensor, SparseItems, pair_basis, wedge_basis,
@@ -168,27 +169,24 @@ class Representation:
 
 @dataclass(frozen=True)
 class LeibnizData:
-    """Leibniz bracket and derivation induced on the pair space."""
+    """Leibniz bracket and derivation induced on the pair space.
+
+    ``bracket_F`` maps a pair (a, b) of basis indices to the nonzero
+    (index, value) items of [X_a, X_b]_F, in ascending index order; a pair
+    it does not list brackets to zero."""
 
     dim: int
-    bracket_F: Mapping[tuple[int, int], Vector]
+    bracket_F: Mapping[tuple[int, int], SparseItems]
     d_F: Matrix
 
     def bracket_basis(self, a: int, b: int) -> Vector:
-        return self.bracket_F.get((a, b), vec_zero(self.dim))
+        return vec_from_sparse(dict(self.bracket_F.get((a, b), ())), self.dim)
 
     def bracket_vec(self, x, y) -> Vector:
-        out = [Fraction(0)] * self.dim
-        for a, ca in enumerate(x):
-            if not ca:
-                continue
-            for b, cb in enumerate(y):
-                if not cb:
-                    continue
-                for r, v in enumerate(self.bracket_basis(a, b)):
-                    if v:
-                        out[r] += ca * cb * v
-        return tuple(out)
+        ys = [(b, cb) for b, cb in enumerate(y) if cb]
+        return vec_from_sparse(sparse_combination(
+            (ca * cb, self.bracket_F.get((a, b), ()))
+            for a, ca in enumerate(x) if ca for b, cb in ys), self.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +265,15 @@ def derivation_shift_check(md: MD3LieAlgebra) -> bool:
     Agrees with verify_modified_differential on every input; the two checks
     are kept as separate code paths on purpose."""
     br = md.algebra.bracket
-    shifted = md.d + Matrix.identity(md.n).scale(md.lam / 2)
-    for i, j, k in combinations(range(md.n), 3):
+    n = md.n
+    shifted = md.d + Matrix.identity(n).scale(md.lam / 2)
+    e = [unit(n, i) for i in range(n)]
+    for i, j, k in combinations(range(n), 3):
         lhs = shifted.apply(br.basis_value(i, j, k))
         rhs = vec_add(
-            vec_sub(br.pair_value(j, k, shifted.column(i)),
-                    br.pair_value(i, k, shifted.column(j))),
-            br.pair_value(i, j, shifted.column(k)),
+            vec_add(br(shifted.column(i), e[j], e[k]),
+                    br(e[i], shifted.column(j), e[k])),
+            br(e[i], e[j], shifted.column(k)),
         )
         if lhs != rhs:
             return False
@@ -423,16 +423,17 @@ def leibniz_data(md: MD3LieAlgebra) -> LeibnizData:
                     ((c, wedge.get((r, b2), ())) for r, c in ad.get(b1, ())),
                     ((c, wedge.get((b1, r), ())) for r, c in ad.get(b2, ()))))
                 if v:
-                    bracket_F[a, b] = vec_from_sparse(v, dim)
+                    bracket_F[a, b] = tuple(sorted(v.items()))
     d = md.d.column_items()
-    cols = [
-        vec_from_sparse(sparse_combination(chain(
+    d_F = {}
+    for t, (i, j) in enumerate(pairs):
+        col = sparse_combination(chain(
             ((c, wedge.get((r, j), ())) for r, c in d[i]),
             ((c, wedge.get((i, r), ())) for r, c in d[j]),
-            [(md.lam, wedge[i, j])])), dim)
-        for i, j in pairs
-    ]
-    return LeibnizData(dim=dim, bracket_F=bracket_F, d_F=Matrix.from_columns(cols, dim))
+            [(md.lam, wedge[i, j])]))
+        d_F.update(((r, t), c) for r, c in col.items())
+    return LeibnizData(dim=dim, bracket_F=bracket_F,
+                       d_F=Matrix.from_entries(dim, dim, d_F))
 
 
 def fundamental_leibniz(md: MD3LieAlgebra) -> LeibnizData:
@@ -447,29 +448,32 @@ def fundamental_leibniz(md: MD3LieAlgebra) -> LeibnizData:
 
 
 def verify_leibniz(data: LeibnizData) -> Report:
-    """Leibniz identity and the derivation property of d_F on the pair basis."""
+    """Leibniz identity and the derivation property of d_F on the pair basis,
+    each side summed over the nonzero items of the bracket and of d_F."""
     violations = []
-    dim = data.dim
-    basis = [unit(dim, t) for t in range(dim)]
+    dim, br = data.dim, data.bracket_F
+
+    def record(law, args, lhs, rhs):
+        if lhs != rhs:
+            violations.append(Violation(law, args, vec_from_sparse(lhs, dim),
+                                        vec_from_sparse(rhs, dim)))
+
     for a in range(dim):
         for b in range(dim):
             for c in range(dim):
-                lhs = data.bracket_vec(basis[a], data.bracket_basis(b, c))
-                rhs = vec_add(
-                    data.bracket_vec(data.bracket_basis(a, b), basis[c]),
-                    data.bracket_vec(basis[b], data.bracket_basis(a, c)),
-                )
-                if lhs != rhs:
-                    violations.append(Violation("Leibniz identity", (a, b, c), lhs, rhs))
+                record("Leibniz identity", (a, b, c), sparse_combination(
+                    (v, br.get((a, r), ())) for r, v in br.get((b, c), ())),
+                    sparse_combination(chain(
+                        ((v, br.get((r, c), ())) for r, v in br.get((a, b), ())),
+                        ((v, br.get((b, r), ())) for r, v in br.get((a, c), ())))))
+    cols = data.d_F.column_items()
     for a in range(dim):
         for b in range(dim):
-            lhs = data.d_F.apply(data.bracket_basis(a, b))
-            rhs = vec_add(
-                data.bracket_vec(data.d_F.column(a), basis[b]),
-                data.bracket_vec(basis[a], data.d_F.column(b)),
-            )
-            if lhs != rhs:
-                violations.append(Violation("derivation property", (a, b), lhs, rhs))
+            record("derivation property", (a, b), sparse_combination(
+                (v, cols[r]) for r, v in br.get((a, b), ())),
+                sparse_combination(chain(
+                    ((v, br.get((r, b), ())) for r, v in cols[a]),
+                    ((v, br.get((a, r), ())) for r, v in cols[b]))))
     return Report.from_violations(violations)
 
 

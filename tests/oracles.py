@@ -1,11 +1,15 @@
 """Dense reference verifiers: the package's axiom checks written out entry by
 entry, with no sparse lookup.
 
-Basis values of a tensor come from its general trilinear call (which reads
-the stored triples through their minors), actions from the canonical ``rho``
-dict, and every side is a dense vector or a full matrix sum, so a wrong sign,
-a skipped term or a lost action in the package's sparse evaluation shows as
-a different report.
+Values of a tensor come from ``call``, the trilinear evaluation through the
+minors of its stored triples (it never reads the signed table of the
+package's ``SkewTernaryTensor.sparse_call``), actions from the canonical
+``rho`` dict, Leibniz brackets from dense double loops, and every side is a
+dense vector or a full matrix sum, so a wrong sign, a skipped term or a lost
+action in the package's sparse evaluation shows as a different report.
+
+``check_equivalence`` decides an equivalence of deformations by evaluating
+both deformed brackets at t = 0..5, with no expansion in t.
 
 ``direct_one_cocycle`` and ``direct_two_cocycle`` evaluate the displayed
 cocycle identities of a total cochain in degrees 1 and 2 term by term, on
@@ -57,14 +61,31 @@ def evaluate(f, pair_args, last):
     return tuple(out)
 
 
+def call(t, x, y, z):
+    """t(x, y, z) as the sum over stored triples i < j < k of their value
+    times the 3 x 3 minor of (x, y, z) on the rows i, j, k."""
+    out = [Fraction(0)] * t.dim_out
+    for (i, j, k), val in t.values.items():
+        minor = (
+            x[i] * (y[j] * z[k] - y[k] * z[j])
+            - y[i] * (x[j] * z[k] - x[k] * z[j])
+            + z[i] * (x[j] * y[k] - x[k] * y[j])
+        )
+        if minor:
+            for r, c in enumerate(val):
+                if c:
+                    out[r] += minor * c
+    return tuple(out)
+
+
 def basis_value(t, i, j, k):
     n = t.dim_in
-    return t(unit(n, i), unit(n, j), unit(n, k))
+    return call(t, unit(n, i), unit(n, j), unit(n, k))
 
 
 def pair_value(t, i, j, w):
     n = t.dim_in
-    return t(unit(n, i), unit(n, j), w)
+    return call(t, unit(n, i), unit(n, j), w)
 
 
 def rho_basis(rep, i, j):
@@ -178,7 +199,7 @@ def leibniz_data(md):
                 wedge_coords(unit(n, b1), basis_value(br, a1, a2, b2)),
             )
             if not vec_is_zero(v):
-                bracket_F[a, b] = v
+                bracket_F[a, b] = tuple((r, c) for r, c in enumerate(v) if c)
     cols = []
     for i, j in pairs:
         col = vec_add(
@@ -188,6 +209,66 @@ def leibniz_data(md):
         col = vec_add(col, vec_scale(md.lam, wedge_coords(unit(n, i), unit(n, j))))
         cols.append(col)
     return LeibnizData(dim=dim, bracket_F=bracket_F, d_F=Matrix.from_columns(cols, dim))
+
+
+def leibniz_bracket(data, x, y):
+    """[x, y]_F for coordinate vectors, from the dense basis brackets."""
+    out = [Fraction(0)] * data.dim
+    for a, ca in enumerate(x):
+        if not ca:
+            continue
+        for b, cb in enumerate(y):
+            if not cb:
+                continue
+            for r, v in enumerate(data.bracket_basis(a, b)):
+                if v:
+                    out[r] += ca * cb * v
+    return tuple(out)
+
+
+def verify_leibniz(data):
+    violations = []
+    dim = data.dim
+    basis = [unit(dim, t) for t in range(dim)]
+    for a in range(dim):
+        for b in range(dim):
+            for c in range(dim):
+                lhs = leibniz_bracket(data, basis[a], data.bracket_basis(b, c))
+                rhs = vec_add(
+                    leibniz_bracket(data, data.bracket_basis(a, b), basis[c]),
+                    leibniz_bracket(data, basis[b], data.bracket_basis(a, c)),
+                )
+                if lhs != rhs:
+                    violations.append(Violation("Leibniz identity", (a, b, c), lhs, rhs))
+    for a in range(dim):
+        for b in range(dim):
+            lhs = data.d_F.apply(data.bracket_basis(a, b))
+            rhs = vec_add(
+                leibniz_bracket(data, data.d_F.column(a), basis[b]),
+                leibniz_bracket(data, basis[a], data.d_F.column(b)),
+            )
+            if lhs != rhs:
+                violations.append(Violation("derivation property", (a, b), lhs, rhs))
+    return Report.from_violations(violations)
+
+
+def check_equivalence(ld, ld2, N):
+    """Whether N_t nu_t(a, b, c) = nu'_t(N_t a, N_t b, N_t c) on basis
+    triples and N_t d_t = d'_t N_t, for N_t = id + tN, at t = 0..5: both
+    sides are polynomials of degree at most 5 in t."""
+    n = ld.base.n
+    br = ld.base.algebra.bracket
+    for t in range(6):
+        Nt = Matrix.identity(n) + N.scale(t)
+        if Nt @ (ld.base.d + ld.d1.scale(t)) != (ld.base.d + ld2.d1.scale(t)) @ Nt:
+            return False
+        nu = br + ld.nu1.scale(t) + ld.nu2.scale(t * t)
+        nu2 = br + ld2.nu1.scale(t) + ld2.nu2.scale(t * t)
+        cols = [Nt.column(i) for i in range(n)]
+        for a, b, c in combinations(range(n), 3):
+            if Nt.apply(basis_value(nu, a, b, c)) != call(nu2, cols[a], cols[b], cols[c]):
+                return False
+    return True
 
 
 def direct_one_cocycle(md, rep, tc):

@@ -3,8 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from md3lie.cohomology import TotalCochain
-from md3lie.corpus import abelian_md, random_invertible, random_matrix, rational
+from md3lie.corpus import (
+    abelian_md, det_bracket_md, example_md, random_invertible, random_matrix,
+    random_skew_tensor, rational, triangular_family_member,
+)
 from md3lie.deformation import (
     LinearDeformation, check_equivalence, infinitesimal,
     inverse_cocycle_check, is_nijenhuis, is_o_operator,
@@ -15,8 +19,9 @@ from md3lie.errors import InputError
 from md3lie.exactnum import Matrix
 from md3lie.multilin import CochainCoordinates, SkewTernaryTensor
 from md3lie.structures import (
-    MD3LieAlgebra, ModifiedDifferential, ThreeLieAlgebra, semidirect_product,
-    trivial_representation, verify_3lie, verify_modified_differential,
+    MD3LieAlgebra, ModifiedDifferential, ThreeLieAlgebra, adjoint_representation,
+    semidirect_product, trivial_representation, verify_3lie,
+    verify_modified_differential,
 )
 
 
@@ -214,6 +219,47 @@ def test_inverse_cocycle_check_vacuous_case():
     assert inverse_cocycle_check(md, rep, R)
 
 
+def equivalence_cases():
+    """Seven (ld, ld2, N) triples for each of seven Nijenhuis operators N on
+    corpus algebras (every N that commutes with d is one for a dim-3
+    determinant bracket; the lift of a relative operator squares to zero)."""
+    rng = random.Random(2027)
+    emd = example_md()
+    adjoint = adjoint_representation(emd)
+    operators = [(emd, Matrix.diagonal([rational(rng) for _ in range(3)]))]
+    for _ in range(2):
+        md = det_bracket_md(rng)
+        operators += [(md, random_matrix(rng, 3, 3)), (md, elementary(0, 2))]
+    tri = triangular_family_member(rng)
+    d = tri.d
+    operators.append((tri, Matrix.identity(3).scale(rational(rng)) + d.scale(rational(rng))
+                      + (d @ d).scale(rational(rng))))
+    operators.append((semidirect_product(emd, adjoint),
+                      o_operator_lift(emd, adjoint, Matrix.diagonal([1, 1, -1]))))
+    cases = []
+    for md, N in operators:
+        n = md.n
+        ld, zero = trivial_deformation_from_nijenhuis(md, N), LinearDeformation.zero(md)
+        bumped = N + Matrix(n, n, [1] + [0] * (n * n - 1))
+        rand = LinearDeformation(md, random_skew_tensor(rng, n, n),
+                                 random_skew_tensor(rng, n, n), random_matrix(rng, n, n))
+        cases.append([(ld, zero, N), (rand, rand, Matrix.zeros(n, n)), (zero, ld, -N),
+                      (ld, zero, bumped), (zero, ld, N), (rand, rand, N), (ld, rand, N)])
+    return cases
+
+
+def test_check_equivalence_matches_the_evaluation_oracle():
+    verdicts = []
+    for cases in equivalence_cases():
+        got = [check_equivalence(*case) for case in cases]
+        assert got == [oracles.check_equivalence(*case) for case in cases]
+        ld, _, N = cases[0]
+        # id + tN trivializes the deformation N generates; a map is an
+        # equivalence of anything with itself at N = 0; when N^2 = 0 the
+        # inverse id - tN goes back, with nu2 reaching orders 4 and 5
+        assert got[:3] == [True, True, (N @ N).is_zero]
+        verdicts += got
+    assert (verdicts.count(True), verdicts.count(False)) == (19, 30)
 def test_equivalence_against_different_base_raises(emd):
     rng = random.Random(32)
     other = abelian_md(rng, 3)

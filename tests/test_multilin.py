@@ -12,6 +12,7 @@ from md3lie.multilin import (
     extract_skew_trilinear, pair_basis,
 )
 
+import oracles
 from oracles import evaluate, wedge_coords
 
 scalars = st.fractions(min_value=-4, max_value=4, max_denominator=4)
@@ -93,11 +94,21 @@ def test_skew_call_linear_in_first_slot(t, data):
     assert lhs == rhs
 
 
-@given(tensors(), st.integers(0, 3), st.integers(0, 3),
-       st.lists(scalars, min_size=4, max_size=4))
-@settings(max_examples=30, deadline=None)
-def test_pair_value_is_the_call_on_two_basis_vectors(t, i, j, w):
-    assert t.pair_value(i, j, w) == t(unit(4, i), unit(4, j), w)
+def vectors(n=4):
+    """Dense, mostly-zero and basis vectors of length n."""
+    mostly_zero = st.sampled_from([Fraction(0)] * 3 + [Fraction(1), Fraction(-5, 2)])
+    sparse = st.lists(mostly_zero, min_size=n, max_size=n)
+    return st.one_of(st.lists(scalars, min_size=n, max_size=n), sparse,
+                     st.integers(0, n - 1).map(lambda i: unit(n, i))).map(tuple)
+
+
+@given(tensors(), st.lists(vectors(), min_size=3, max_size=3),
+       st.lists(st.integers(0, 2), min_size=3, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_call_matches_the_minors_oracle(t, vecs, picks):
+    # picks repeats an argument, so a basis vector can fill two slots
+    args = [vecs[p] for p in picks]
+    assert t(*args) == oracles.call(t, *args)
 
 
 def test_embed_zero():

@@ -1,5 +1,5 @@
-"""Static checks on the package and script sources (standard library only),
-and on the names the benchmark tracer wraps."""
+"""Static checks on the package, script and test sources (standard library
+only), and on the names the benchmark tracer wraps."""
 
 import ast
 import importlib
@@ -10,7 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = (sorted(p for p in (ROOT / "src" / "md3lie").glob("*.py")
                   if p.name != "__init__.py")
-           + sorted((ROOT / "scripts").glob("*.py")))
+           + sorted((ROOT / "scripts").glob("*.py"))
+           + sorted((ROOT / "tests").glob("*.py")))
 
 
 def unused_names(source: str) -> list[str]:

@@ -4,6 +4,7 @@ Reports must agree in validity, law, argument tuple, both witness values and
 order, on valid inputs and on inputs where every tuple fails."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from md3lie.multilin import pair_basis
 from md3lie.structures import (
     MD3LieAlgebra, ModifiedDifferential, Representation, ThreeLieAlgebra,
     adjoint_representation, coadjoint_representation, leibniz_data,
-    semidirect_product, trivial_representation, verify_3lie,
+    semidirect_product, trivial_representation, verify_3lie, verify_leibniz,
     verify_modified_differential, verify_representation,
 )
 
@@ -130,6 +131,29 @@ def test_algebra_verifiers_match_the_dense_oracle(md):
 @pytest.mark.parametrize("md", ALGEBRAS.values(), ids=ALGEBRAS.keys())
 def test_leibniz_data_matches_the_dense_oracle(md):
     assert leibniz_data(md) == oracles.leibniz_data(md)
+
+
+def broken_leibniz():
+    """Leibniz data of the example with one bracket entry changed ([X_0, X_0]_F
+    gets an X_0 coefficient of 1), and with d_F + I."""
+    data = leibniz_data(ALGEBRAS["example"])
+    bracket = {**data.bracket_F, (0, 0): ((0, Fraction(1)),)}
+    return {"bracket-entry": replace(data, bracket_F=bracket),
+            "d_F-plus-identity": replace(data, d_F=data.d_F + Matrix.identity(data.dim))}
+
+
+@pytest.mark.parametrize("data", [leibniz_data(md) for md in ALGEBRAS.values()]
+                         + list(broken_leibniz().values()),
+                         ids=list(ALGEBRAS) + list(broken_leibniz()))
+def test_verify_leibniz_matches_the_dense_oracle(data):
+    assert_same_report(verify_leibniz(data), oracles.verify_leibniz(data))
+
+
+def test_broken_leibniz_data_fails_its_law():
+    laws = {name: {v.law for v in verify_leibniz(data).violations}
+            for name, data in broken_leibniz().items()}
+    assert laws == {"bracket-entry": {"Leibniz identity", "derivation property"},
+                    "d_F-plus-identity": {"derivation property"}}
 
 
 def test_the_cases_reach_every_law_and_both_verdicts():
