@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 from .cohomology import ComplexAssembly, TotalCochain
 from .errors import InputError
-from .exactnum import Matrix, unit, vec_sub, vec_zero
+from .exactnum import Matrix, vec_sub, vec_zero
 from .multilin import (
     CochainCoordinates, SkewTernaryTensor, embed_skew_trilinear, pair_basis,
 )
@@ -224,7 +225,12 @@ def hyperbolic_pairing(n: int) -> Matrix:
 
 
 def is_metrised(md: MD3LieAlgebra, B: Matrix) -> Report:
-    """Non-degenerate symmetric form, bracket-invariant and d-skew."""
+    """Non-degenerate symmetric form, bracket-invariant and d-skew.
+
+    Invariance, B([x1, x2, x3], x4) + B(x3, [x1, x2, x4]) = 0, is the matrix
+    identity ad(e_i1, e_i2)^T B + B ad(e_i1, e_i2) = 0 for each pair i1 < i2,
+    with ad the pair action of the bracket; each nonzero entry (i3, i4) is a
+    witness, listed in row-major order."""
     n = md.n
     if B.rows != n or B.cols != n:
         raise InputError(f"form must be {n}x{n}")
@@ -233,21 +239,11 @@ def is_metrised(md: MD3LieAlgebra, B: Matrix) -> Report:
         violations.append(Violation("symmetry", (), B, B.transpose()))
     if (rank := B.rank()) != n:
         violations.append(Violation("non-degeneracy", (), rank, n))
-    units = [unit(n, i) for i in range(n)]
-
-    def pairing(x, y):
-        return sum((c * v for c, v in zip(x, B.apply(y)) if c), Fraction(0))
-
-    br = md.algebra.bracket
     for i1, i2 in pair_basis(n):
-        for i3 in range(n):
-            for i4 in range(n):
-                lhs = (pairing(br.basis_value(i1, i2, i3), units[i4])
-                       + pairing(units[i3], br.basis_value(i1, i2, i4)))
-                if lhs:
-                    violations.append(Violation(
-                        "bracket invariance", (i1, i2, i3, i4),
-                        lhs, Fraction(0)))
+        ad = md.algebra.bracket.pair_action(i1, i2)
+        for (i3, i4), lhs in sorted((ad.transpose() @ B + B @ ad).entry_items()):
+            violations.append(Violation(
+                "bracket invariance", (i1, i2, i3, i4), lhs, Fraction(0)))
     if md.d.transpose() @ B + B @ md.d != Matrix.zeros(n, n):
         violations.append(Violation(
             "differential skewness", (),
@@ -256,7 +252,8 @@ def is_metrised(md: MD3LieAlgebra, B: Matrix) -> Report:
 
 
 def tstar_cyclicity_check(f: SkewTernaryTensor, g: Matrix) -> bool:
-    """Cyclic symmetry of f and antisymmetry of g against the dual pairing.
+    """Cyclic symmetry of f and antisymmetry of g against the dual pairing:
+    g and every pair action f(e_i, e_j, -) are skew matrices.
 
     Exactly the condition under which the hyperbolic pairing metrises the
     extension built from (f, g)."""
@@ -265,12 +262,5 @@ def tstar_cyclicity_check(f: SkewTernaryTensor, g: Matrix) -> bool:
         raise InputError("f must take values in the dual of its domain")
     if g.rows != n or g.cols != n:
         raise InputError(f"g must be {n}x{n}")
-    if g + g.transpose() != Matrix.zeros(n, n):
-        return False
-    for i, j in pair_basis(n):
-        for k in range(n):
-            vk = f.basis_value(i, j, k)
-            for l in range(k, n):
-                if vk[l] + f.basis_value(i, j, l)[k]:
-                    return False
-    return True
+    actions = (f.pair_action(i, j) for i, j in pair_basis(n))
+    return all((a + a.transpose()).is_zero for a in chain([g], actions))

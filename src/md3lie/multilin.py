@@ -12,6 +12,10 @@ trilinear maps enter this space through :func:`embed_skew_trilinear`.
 Every evaluation of a skew ternary tensor sums its signed table
 (:attr:`SkewTernaryTensor.signed`) over the nonzero coordinates of the
 arguments: :meth:`SkewTernaryTensor.sparse_call`, which the dense call wraps.
+Fixing the first two arguments at basis vectors reads the same table as a
+matrix, the pair action t(e_i, e_j, -) of :meth:`SkewTernaryTensor.pair_action`:
+the adjoint action, the invariance of a form and the cyclicity of a dual
+cocycle are identities between these matrices.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import InputError
 from .exactnum import (
-    Vector, scal, sparse_combination, vec_from_sparse, vec_is_zero, vec_zero,
+    Matrix, Vector, scal, sparse_combination, vec_from_sparse, vec_is_zero,
+    vec_zero,
 )
 
 PairIndex = tuple[int, int]
@@ -128,6 +133,13 @@ class SkewTernaryTensor:
         """Value on (e_i, e_j, e_k) with the permutation sign worked in."""
         return vec_from_sparse(dict(self.signed.get((i, j, k), ())), self.dim_out)
 
+    def pair_action(self, i: int, j: int) -> Matrix:
+        """The dim_out x dim_in matrix of t(e_i, e_j, -): column k is the
+        value on (e_i, e_j, e_k), read from :attr:`signed`."""
+        get = self.signed.get
+        return Matrix.from_entries(self.dim_out, self.dim_in, {
+            (r, k): c for k in range(self.dim_in) for r, c in get((i, j, k), ())})
+
     def sparse_call(self, x: SparseItems, y: SparseItems,
                     z: SparseItems) -> dict[int, Fraction]:
         """t(x, y, z) for arguments given by their nonzero (index,
@@ -166,12 +178,6 @@ class SkewTernaryTensor:
             key: tuple(a + b for a, b in zip(self._get(key), other._get(key)))
             for key in keys
         })
-
-    def __sub__(self, other: "SkewTernaryTensor") -> "SkewTernaryTensor":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "SkewTernaryTensor":
-        return self.scale(-1)
 
     def scale(self, s) -> "SkewTernaryTensor":
         s = scal(s)
@@ -222,9 +228,7 @@ class CochainCoordinates:
         coords = [mat[r, k] for k in range(mat.cols) for r in range(mat.rows)]
         return cls(1, mat.cols, mat.rows, coords)
 
-    def to_linear_map(self):
-        from .exactnum import Matrix
-
+    def to_linear_map(self) -> Matrix:
         if self.degree != 1:
             raise InputError("only degree-1 cochains are linear maps")
         return Matrix(
@@ -249,27 +253,11 @@ class CochainCoordinates:
     def __hash__(self):
         return hash((self.degree, self.n, self.m, self.coords))
 
-    def __add__(self, other: "CochainCoordinates") -> "CochainCoordinates":
-        self._same_space(other)
-        return CochainCoordinates(
-            self.degree, self.n, self.m,
-            tuple(a + b for a, b in zip(self.coords, other.coords)),
-        )
-
     def __sub__(self, other: "CochainCoordinates") -> "CochainCoordinates":
         self._same_space(other)
         return CochainCoordinates(
             self.degree, self.n, self.m,
             tuple(a - b for a, b in zip(self.coords, other.coords)),
-        )
-
-    def __neg__(self) -> "CochainCoordinates":
-        return self.scale(-1)
-
-    def scale(self, s) -> "CochainCoordinates":
-        s = scal(s)
-        return CochainCoordinates(
-            self.degree, self.n, self.m, tuple(s * c for c in self.coords)
         )
 
     @property
@@ -284,16 +272,14 @@ class CochainCoordinates:
 def embed_skew_trilinear(t: SkewTernaryTensor) -> CochainCoordinates:
     """Inject a fully skew trilinear map into the degree-2 cochain space.
 
-    The coefficient at ((i,j), k, r) is the r-th coordinate of t(e_i,e_j,e_k);
-    evaluating the result on basis triples reproduces the tensor."""
+    The coefficient at ((i,j), k, r) is the r-th coordinate of t(e_i,e_j,e_k),
+    entry (r, k) of ``t.pair_action(i, j)``; evaluating the result on basis
+    triples reproduces the tensor."""
     n, m = t.dim_in, t.dim_out
     coords = [Fraction(0)] * cochain_dim(2, n, m)
     for p, (i, j) in enumerate(pair_basis(n)):
-        for k in range(n):
-            val = t.basis_value(i, j, k)
-            base = (p * n + k) * m
-            for r, c in enumerate(val):
-                coords[base + r] = c
+        for (r, k), c in t.pair_action(i, j).entry_items():
+            coords[(p * n + k) * m + r] = c
     return CochainCoordinates(2, n, m, coords)
 
 

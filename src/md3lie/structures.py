@@ -182,12 +182,6 @@ class LeibnizData:
     def bracket_basis(self, a: int, b: int) -> Vector:
         return vec_from_sparse(dict(self.bracket_F.get((a, b), ())), self.dim)
 
-    def bracket_vec(self, x, y) -> Vector:
-        ys = [(b, cb) for b, cb in enumerate(y) if cb]
-        return vec_from_sparse(sparse_combination(
-            (ca * cb, self.bracket_F.get((a, b), ()))
-            for a, ca in enumerate(x) if ca for b, cb in ys), self.dim)
-
 
 # ---------------------------------------------------------------------------
 # verifiers
@@ -350,12 +344,8 @@ def verify_representation(md: MD3LieAlgebra, rep: Representation) -> Report:
 
 def adjoint_representation(md: MD3LieAlgebra) -> Representation:
     """rho(e_i, e_j) = [e_i, e_j, -] on the algebra itself, d_M = d."""
-    n = md.n
-    rho = {}
-    for i, j in pair_basis(n):
-        cols = [md.algebra.bracket.basis_value(i, j, k) for k in range(n)]
-        rho[i, j] = Matrix.from_columns(cols, n)
-    return Representation(n=n, m=n, rho=rho, d_M=md.d, lam=md.lam)
+    rho = {p: md.algebra.bracket.pair_action(*p) for p in pair_basis(md.n)}
+    return Representation(n=md.n, m=md.n, rho=rho, d_M=md.d, lam=md.lam)
 
 
 def trivial_representation(md: MD3LieAlgebra, m: int, d_M: Matrix) -> Representation:
@@ -380,17 +370,14 @@ def semidirect_product(md: MD3LieAlgebra, rep: Representation) -> MD3LieAlgebra:
     result verifies exactly when the representation does."""
     n, m = md.n, rep.m
     total = n + m
-    alg = md.algebra
-    values = {}
-    for i, j, k in combinations(range(total), 3):
-        if k < n:
-            v = alg.bracket.basis_value(i, j, k)
-            values[i, j, k] = v + vec_zero(m)
-        elif j < n:
-            # two algebra slots, one module slot
-            values[i, j, k] = vec_zero(n) + rep.rho[i, j].column(k - n)
-        # one or zero algebra slots: bracket vanishes (module is abelian)
-    bracket = SkewTernaryTensor(total, total, values)
+    values = {key: v + vec_zero(m) for key, v in md.algebra.bracket.values.items()}
+    # two algebra slots, one module slot: the columns of the action; one or
+    # zero algebra slots: the bracket vanishes (the module is abelian)
+    for (i, j), mat in rep.rho.items():
+        for c in range(m):
+            values[i, j, n + c] = vec_zero(n) + mat.column(c)
+    # stored in triple order whatever the order of the input's values
+    bracket = SkewTernaryTensor(total, total, dict(sorted(values.items())))
     d_total = Matrix.block([
         [md.d, Matrix.zeros(n, m)],
         [Matrix.zeros(m, n), rep.d_M],

@@ -8,6 +8,12 @@ package's ``SkewTernaryTensor.sparse_call``), actions from the canonical
 dense vector or a full matrix sum, so a wrong sign, a skipped term or a lost
 action in the package's sparse evaluation shows as a different report.
 
+The pair-action constructions have dense forms here too, each built from
+``basis_value`` one basis triple at a time: ``adjoint_representation``,
+``is_metrised`` (every invariance value a dense pairing of basis values),
+``tstar_cyclicity_check``, ``embed_skew_trilinear`` and
+``semidirect_product`` (every triple of the direct sum, in order).
+
 ``check_equivalence`` decides an equivalence of deformations by evaluating
 both deformed brackets at t = 0..5, with no expansion in t.
 
@@ -30,8 +36,10 @@ from operator import mul
 from md3lie.cohomology import TotalCochain
 from md3lie.exactnum import (Matrix, _charpoly_mod, _power_sums_mod, unit, vec_add,
                              vec_is_zero, vec_scale, vec_sub, vec_zero)
-from md3lie.multilin import cochain_dim, pair_basis
-from md3lie.structures import LeibnizData, Report, Violation
+from md3lie.multilin import (CochainCoordinates, SkewTernaryTensor, cochain_dim,
+                             pair_basis)
+from md3lie.structures import (LeibnizData, MD3LieAlgebra, ModifiedDifferential,
+                               Report, Representation, ThreeLieAlgebra, Violation)
 
 
 def wedge_coords(x, y):
@@ -250,6 +258,78 @@ def verify_leibniz(data):
             if lhs != rhs:
                 violations.append(Violation("derivation property", (a, b), lhs, rhs))
     return Report.from_violations(violations)
+
+
+def adjoint_representation(md):
+    """rho(e_i, e_j) with column k the dense value [e_i, e_j, e_k]."""
+    n, br = md.n, md.algebra.bracket
+    rho = {(i, j): Matrix.from_columns([basis_value(br, i, j, k) for k in range(n)], n)
+           for i, j in pair_basis(n)}
+    return Representation(n=n, m=n, rho=rho, d_M=md.d, lam=md.lam)
+
+
+def is_metrised(md, B):
+    """The metrised-form report, with each invariance value
+    B([e_i1, e_i2, e_i3], e_i4) + B(e_i3, [e_i1, e_i2, e_i4]) a sum over
+    dense pairings x . (B y) of basis values."""
+    n, br = md.n, md.algebra.bracket
+    violations = []
+    if not B.is_symmetric:
+        violations.append(Violation("symmetry", (), B, B.transpose()))
+    if (rank := B.rank()) != n:
+        violations.append(Violation("non-degeneracy", (), rank, n))
+
+    def pairing(x, y):
+        return sum((c * v for c, v in zip(x, B.apply(y))), Fraction(0))
+
+    for i1, i2 in pair_basis(n):
+        for i3 in range(n):
+            for i4 in range(n):
+                lhs = (pairing(basis_value(br, i1, i2, i3), unit(n, i4))
+                       + pairing(unit(n, i3), basis_value(br, i1, i2, i4)))
+                if lhs:
+                    violations.append(Violation(
+                        "bracket invariance", (i1, i2, i3, i4), lhs, Fraction(0)))
+    if md.d.transpose() @ B + B @ md.d != Matrix.zeros(n, n):
+        violations.append(Violation("differential skewness", (),
+                                    md.d.transpose() @ B, -(B @ md.d)))
+    return Report.from_violations(violations)
+
+
+def tstar_cyclicity_check(f, g):
+    """g(e_k)_l = -g(e_l)_k and f(e_i, e_j, e_k)_l = -f(e_i, e_j, e_l)_k,
+    entry by entry."""
+    n = f.dim_in
+    return (all(g[k, l] + g[l, k] == 0 for k in range(n) for l in range(n))
+            and all(basis_value(f, i, j, k)[l] + basis_value(f, i, j, l)[k] == 0
+                    for i, j in pair_basis(n) for k in range(n) for l in range(n)))
+
+
+def embed_skew_trilinear(t):
+    """The degree-2 coordinates listed in index order: pair, then final
+    argument k, then the dense value t(e_i, e_j, e_k)."""
+    n = t.dim_in
+    coords = []
+    for i, j in pair_basis(n):
+        for k in range(n):
+            coords.extend(basis_value(t, i, j, k))
+    return CochainCoordinates(2, n, t.dim_out, coords)
+
+
+def semidirect_product(md, rep):
+    """Every triple i < j < k of the direct sum in order: the dense bracket
+    value on algebra triples, column k - n of rho(e_i, e_j) on two algebra
+    slots and one module slot, and zero otherwise."""
+    n, m = md.n, rep.m
+    values = {}
+    for i, j, k in combinations(range(n + m), 3):
+        if k < n:
+            values[i, j, k] = basis_value(md.algebra.bracket, i, j, k) + vec_zero(m)
+        elif j < n:
+            values[i, j, k] = vec_zero(n) + rep.rho[i, j].column(k - n)
+    d = Matrix.block([[md.d, Matrix.zeros(n, m)], [Matrix.zeros(m, n), rep.d_M]])
+    return MD3LieAlgebra(ThreeLieAlgebra(n + m, SkewTernaryTensor(n + m, n + m, values)),
+                         ModifiedDifferential(md.lam, d))
 
 
 def check_equivalence(ld, ld2, N):

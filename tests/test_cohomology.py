@@ -368,7 +368,7 @@ def delta_oracle(md, rep, q):
                 x, y = pairs[a]
                 for l in range(i + 1, q + 1):
                     slots = list(rest)
-                    slots[l - 2] = leibniz.bracket_vec(X[a], X[arg[l - 1]])
+                    slots[l - 2] = oracles.leibniz_bracket(leibniz, X[a], X[arg[l - 1]])
                     terms.append(((-1) ** i, None, slots, e[z]))
                 terms.append(((-1) ** i, None, rest,
                               md.algebra.bracket(e[x], e[y], e[z])))

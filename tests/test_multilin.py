@@ -1,12 +1,12 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from md3lie.corpus import example_algebra
 from md3lie.errors import InputError
-from md3lie.exactnum import unit, vec_add
+from md3lie.exactnum import Matrix, unit, vec_add
 from md3lie.multilin import (
     CochainCoordinates, SkewTernaryTensor, cochain_dim, embed_skew_trilinear,
     extract_skew_trilinear, pair_basis,
@@ -109,6 +109,32 @@ def test_call_matches_the_minors_oracle(t, vecs, picks):
     # picks repeats an argument, so a basis vector can fill two slots
     args = [vecs[p] for p in picks]
     assert t(*args) == oracles.call(t, *args)
+
+
+@given(tensors())
+@settings(max_examples=30, deadline=None)
+def test_pair_action_columns_are_basis_values(t):
+    # every ordered pair, repeated and descending ones included
+    for i, j in product(range(t.dim_in), repeat=2):
+        a = t.pair_action(i, j)
+        assert (a.rows, a.cols) == (t.dim_out, t.dim_in)
+        for k in range(t.dim_in):
+            assert a.column(k) == oracles.basis_value(t, i, j, k)
+
+
+def test_pair_action_of_example_bracket():
+    # [e1, e2, e3] = e1: ad(e1, e2) sends e3 to e1, ad(e2, e3) sends e1 to e1
+    t = example_algebra().bracket
+    assert t.pair_action(0, 1) == Matrix(3, 3, [0, 0, 1, 0, 0, 0, 0, 0, 0])
+    assert t.pair_action(1, 0) == Matrix(3, 3, [0, 0, -1, 0, 0, 0, 0, 0, 0])
+    assert t.pair_action(1, 2) == Matrix(3, 3, [1, 0, 0, 0, 0, 0, 0, 0, 0])
+    assert t.pair_action(2, 2).is_zero
+
+
+@given(tensors())
+@settings(max_examples=30, deadline=None)
+def test_embed_matches_the_dense_oracle(t):
+    assert embed_skew_trilinear(t) == oracles.embed_skew_trilinear(t)
 
 
 def test_embed_zero():

@@ -71,3 +71,16 @@ def test_every_traced_name_exists():
                 missing.append(f"{module_name}.{name}")
                 break
     assert missing == []
+
+
+def test_star_import_binds_every_exported_name():
+    # the README example starts with ``from md3lie import *``
+    tree = ast.parse((ROOT / "src" / "md3lie" / "__init__.py").read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    package = importlib.import_module("md3lie")
+    assert package.__all__ == imported
+    namespace = {}
+    exec("from md3lie import *", namespace)
+    assert [name for name in imported
+            if namespace.get(name) is not getattr(package, name)] == []
