@@ -3,11 +3,11 @@ from fractions import Fraction
 import pytest
 
 from md3lie.cohomology import ComplexAssembly
-from md3lie.corpus import example_md, random_matrix
-from md3lie.multilin import SkewTernaryTensor
+from md3lie.corpus import example_md, random_matrix, random_skew_tensor, rational
+from md3lie.multilin import SkewTernaryTensor, pair_basis
 from md3lie.structures import (
-    MD3LieAlgebra, ModifiedDifferential, ThreeLieAlgebra, adjoint_representation,
-    coadjoint_representation,
+    MD3LieAlgebra, ModifiedDifferential, Representation, ThreeLieAlgebra,
+    adjoint_representation, coadjoint_representation,
 )
 
 
@@ -18,6 +18,19 @@ def invalid_bracket_md(rng):
         ThreeLieAlgebra(4, SkewTernaryTensor(4, 4, {
             (0, 1, 2): (1, 0, 0, 0), (0, 1, 3): (0, 0, 0, 1)})),
         ModifiedDifferential(Fraction(3, 2), random_matrix(rng, 4, 4)))
+
+
+def random_action(rng, md, m):
+    """Random dense actions on every pair and a random d_M."""
+    return Representation(
+        n=md.n, m=m, rho={p: random_matrix(rng, m, m) for p in pair_basis(md.n)},
+        d_M=random_matrix(rng, m, m), lam=md.lam)
+
+
+def random_md(rng, n):
+    """A random dense bracket and differential: nearly every tuple fails."""
+    return MD3LieAlgebra(ThreeLieAlgebra(n, random_skew_tensor(rng, n, n)),
+                         ModifiedDifferential(rational(rng), random_matrix(rng, n, n)))
 
 
 def det_mod_p(rows, p):

@@ -12,7 +12,7 @@ from itertools import combinations, permutations
 import pytest
 
 import oracles
-from conftest import invalid_bracket_md
+from conftest import invalid_bracket_md, random_action, random_md
 from md3lie.corpus import (
     abelian_md, det_bracket_md, example_md, random_matrix, random_skew_tensor,
     rational_nonzero, triangular_family_member,
@@ -22,9 +22,9 @@ from md3lie.extension import (
     hyperbolic_pairing, is_metrised, tstar_abelian_extension,
     tstar_cyclicity_check,
 )
-from md3lie.multilin import SkewTernaryTensor, pair_basis
+from md3lie.multilin import SkewTernaryTensor
 from md3lie.structures import (
-    MD3LieAlgebra, ModifiedDifferential, Representation, ThreeLieAlgebra,
+    MD3LieAlgebra, ModifiedDifferential, ThreeLieAlgebra,
     adjoint_representation, coadjoint_representation, semidirect_product,
     trivial_representation,
 )
@@ -47,11 +47,6 @@ def cyclic_tensor(rng, n):
                 tuple(sorted(quad))]
         values[i, j, k] = val
     return SkewTernaryTensor(n, n, values)
-
-
-def random_md(rng, n):
-    return MD3LieAlgebra(ThreeLieAlgebra(n, random_skew_tensor(rng, n, n)),
-                         ModifiedDifferential(Fraction(1), random_matrix(rng, n, n)))
 
 
 def build_algebras():
@@ -164,10 +159,7 @@ def semidirect_cases():
         reps = {"adjoint": adjoint_representation(md),
                 "coadjoint": coadjoint_representation(md),
                 "trivial": trivial_representation(md, 2, random_matrix(rng, 2, 2)),
-                "random": Representation(
-                    n=md.n, m=2, rho={p: random_matrix(rng, 2, 2)
-                                      for p in pair_basis(md.n)},
-                    d_M=random_matrix(rng, 2, 2), lam=md.lam)}
+                "random": random_action(rng, md, 2)}
         for rname, rep in reps.items():
             yield pytest.param(md, rep, id=f"{name}/{rname}")
 

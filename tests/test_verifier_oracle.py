@@ -10,36 +10,21 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from conftest import invalid_bracket_md
+from conftest import invalid_bracket_md, random_action, random_md
 from md3lie.corpus import (
     abelian_md, corrupt_representation, det_bracket_md, example_algebra, example_md,
-    random_matrix, random_skew_tensor, random_vector, rational,
-    triangular_family_member,
+    random_matrix, random_vector, triangular_family_member,
 )
 from md3lie.exactnum import Matrix
-from md3lie.multilin import pair_basis
 from md3lie.structures import (
-    MD3LieAlgebra, ModifiedDifferential, Representation, ThreeLieAlgebra,
-    adjoint_representation, coadjoint_representation, leibniz_data,
-    semidirect_product, trivial_representation, verify_3lie, verify_leibniz,
+    MD3LieAlgebra, ModifiedDifferential, adjoint_representation,
+    coadjoint_representation, leibniz_data, semidirect_product,
+    trivial_representation, verify_3lie, verify_leibniz,
     verify_modified_differential, verify_representation,
 )
 
 LAWS = ("bracket-pair action identity", "pair action commutator identity",
         "module differential compatibility")
-
-
-def random_action(rng, md, m):
-    """Random dense actions on every pair and a random d_M."""
-    return Representation(
-        n=md.n, m=m, rho={p: random_matrix(rng, m, m) for p in pair_basis(md.n)},
-        d_M=random_matrix(rng, m, m), lam=md.lam)
-
-
-def random_md(rng, n):
-    """A random dense bracket and differential: nearly every tuple fails."""
-    return MD3LieAlgebra(ThreeLieAlgebra(n, random_skew_tensor(rng, n, n)),
-                         ModifiedDifferential(rational(rng), random_matrix(rng, n, n)))
 
 
 def standard_reps(rng, md):
