@@ -22,7 +22,7 @@ from itertools import chain, combinations, product
 
 from .cohomology import ComplexAssembly, TotalCochain
 from .errors import InputError
-from .exactnum import Matrix, sparse_combination, vec_add, vec_from_sparse
+from .exactnum import Matrix, sparse_combination, vec_from_sparse
 from .multilin import (
     CochainCoordinates, SkewTernaryTensor, embed_skew_trilinear, pair_basis,
 )
@@ -238,7 +238,10 @@ class OOperator:
 
 
 def is_o_operator(md: MD3LieAlgebra, rep: Representation, R: Matrix) -> Report:
-    """Relative operator conditions for a module-to-algebra map."""
+    """Relative operator conditions for a module-to-algebra map.
+
+    [Ra, Rb, Rc] = R(rho(Ra, Rb) c + rho(Rb, Rc) a + rho(Rc, Ra) b) on module
+    basis triples, summed over the column items of R and of the actions."""
     n, m = md.n, rep.m
     if R.rows != n or R.cols != m:
         raise InputError(f"operator must be {n}x{m}")
@@ -247,17 +250,23 @@ def is_o_operator(md: MD3LieAlgebra, rep: Representation, R: Matrix) -> Report:
         violations.append(Violation(
             "differential intertwining", (), R @ rep.d_M, md.d @ R))
     br = md.algebra.bracket
-    rcols = [R.column(i) for i in range(m)]
+    rcols = R.column_items()
+    acts = {p: mat.column_items() for p, mat in rep._signed_actions.items()}
+
+    def acting(x, y, c):
+        # rho(R e_x, R e_y) e_c as terms over the nonzero actions
+        return [(cp * cq, acts[p, q][c]) for p, cp in rcols[x]
+                for q, cq in rcols[y] if (p, q) in acts]
+
     for a, b, c in combinations(range(m), 3):
-        lhs = br(rcols[a], rcols[b], rcols[c])
-        inner = vec_add(
-            vec_add(rep.rho_vec(rcols[a], rcols[b]).column(c),
-                    rep.rho_vec(rcols[b], rcols[c]).column(a)),
-            rep.rho_vec(rcols[c], rcols[a]).column(b))
-        rhs = R.apply(inner)
+        lhs = br.sparse_call(rcols[a], rcols[b], rcols[c])
+        inner = sparse_combination(chain(acting(a, b, c), acting(b, c, a),
+                                         acting(c, a, b)))
+        rhs = sparse_combination(_through(rcols, inner.items(), 1))
         if lhs != rhs:
             violations.append(Violation(
-                "relative bracket condition", (a, b, c), lhs, rhs))
+                "relative bracket condition", (a, b, c),
+                vec_from_sparse(lhs, n), vec_from_sparse(rhs, n)))
     return Report.from_violations(violations)
 
 

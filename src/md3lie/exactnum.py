@@ -72,14 +72,6 @@ def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
-def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(s: Fraction, u: Sequence[Fraction]) -> Vector:
-    return tuple(s * a for a in u)
-
-
 def vec_is_zero(u: Sequence[Fraction]) -> bool:
     return all(not a for a in u)
 
@@ -203,7 +195,11 @@ class Matrix:
         return [tuple(c.items()) for c in self.transpose().sparse_rows]
 
     def entry_items(self) -> tuple[tuple[tuple[int, int], Fraction], ...]:
-        """The nonzero ``((row, column), entry)`` items, row by row."""
+        """The nonzero ``((row, column), entry)`` items, row by row.
+
+        Within a row the order is unspecified: it is the insertion order of
+        the row dict, which ``@`` and ``+`` set as they meet columns.  A
+        caller that reports entries must sort them, as ``is_metrised`` does."""
         return tuple(((i, j), v) for i, r in enumerate(self.sparse_rows)
                      for j, v in r.items())
 

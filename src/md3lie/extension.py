@@ -6,6 +6,10 @@ as a vector space, which is always possible over a field.  Equivalence is
 decided through cocycle classes, turning an existential over isomorphisms
 into one exact linear solve.
 
+A section s is read through its column items and the signed table of the
+total bracket (``sparse_call``); each extracted value is a sum over nonzero
+entries, cut to its module rows, which must be all there is.
+
 Functionals on the dual carrier are coordinate vectors over the canonical
 dual basis, in the same scalar format as everything else.
 """
@@ -14,12 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
 from typing import Optional
 
 from .cohomology import ComplexAssembly, TotalCochain
 from .errors import InputError
-from .exactnum import Matrix, vec_sub, vec_zero
+from .exactnum import Matrix, sparse_combination, vec_zero
 from .multilin import (
     CochainCoordinates, SkewTernaryTensor, embed_skew_trilinear, pair_basis,
 )
@@ -51,8 +55,7 @@ class AbelianExtension:
         return self.rep.m
 
     def canonical_section(self) -> Matrix:
-        return Matrix.block([[Matrix.identity(self.n)],
-                             [Matrix.zeros(self.m, self.n)]])
+        return self.section_from(Matrix.zeros(self.m, self.n))
 
     def section_from(self, sigma: Matrix) -> Matrix:
         """The section a -> (a, sigma(a)) for any module-valued sigma."""
@@ -122,13 +125,6 @@ def verify_extension(ext: AbelianExtension) -> Report:
     return Report.from_violations(alg_report.violations + diff_report.violations)
 
 
-def _module_coords(ext: AbelianExtension, w) -> tuple:
-    """Module coordinates of w under the canonical inclusion [0; I]."""
-    if any(w[:ext.n]):
-        raise InputError("vector does not lie in the embedded module")
-    return w[ext.n:]
-
-
 def extract_cocycle(ext: AbelianExtension, s: Matrix) -> ExtractedCocycle:
     """Representation and 2-cocycle read off a section.
 
@@ -139,38 +135,40 @@ def extract_cocycle(ext: AbelianExtension, s: Matrix) -> ExtractedCocycle:
         raise InputError("map is not a section of the projection")
     n, m = ext.n, ext.m
     total = ext.total
-    scols = [s.column(i) for i in range(n)]
+    br = total.algebra.bracket
+    scols, icols = s.column_items(), ext.inclusion.column_items()
+
+    def module_rows(entries, cols):
+        # the m x cols module rows of a carrier-valued {(row, column): value}
+        # dict, whose algebra rows must vanish
+        if any(r < n for r, _ in entries):
+            raise InputError("vector does not lie in the embedded module")
+        return Matrix.from_entries(m, cols, {(r - n, c): v for (r, c), v in entries.items()})
+
     rho = {}
     for i, j in pair_basis(n):
-        cols = []
-        for c in range(m):
-            w = total.algebra.bracket(scols[i], scols[j],
-                                      ext.inclusion.column(c))
-            cols.append(_module_coords(ext, w))
-        rho[i, j] = Matrix.from_columns(cols, m)
+        rho[i, j] = module_rows({
+            (r, c): v for c in range(m)
+            for r, v in br.sparse_call(scols[i], scols[j], icols[c]).items()}, m)
         if rho[i, j] != ext.rep.rho[i, j]:
             raise InputError("extracted pair action disagrees with the construction data")
-    d_M_cols = [_module_coords(ext, total.d.apply(ext.inclusion.column(c)))
-                for c in range(m)]
-    d_M = Matrix.from_columns(d_M_cols, m)
+    d_M = module_rows(dict((total.d @ ext.inclusion).entry_items()), m)
     if d_M != ext.rep.d_M:
         raise InputError("extracted module differential disagrees with the construction data")
-
-    def upsilon_fn(i, j, k):
-        w = vec_sub(
-            total.algebra.bracket(scols[i], scols[j], scols[k]),
-            s.apply(ext.base.algebra.bracket.basis_value(i, j, k)))
-        return _module_coords(ext, w)
-
-    upsilon = SkewTernaryTensor.from_function(n, m, upsilon_fn)
-    mu_cols = [
-        _module_coords(ext, vec_sub(total.d.apply(scols[i]),
-                                    s.apply(ext.base.d.column(i))))
-        for i in range(n)
-    ]
-    mu = Matrix.from_columns(mu_cols, m)
+    # upsilon(e_i, e_j, e_k) = [s e_i, s e_j, s e_k] - s [e_i, e_j, e_k], one
+    # column per triple
+    triples = list(combinations(range(n), 3))
+    base = ext.base.algebra.bracket.signed
+    upsilon = module_rows({
+        (r, t): v for t, (i, j, k) in enumerate(triples)
+        for r, v in sparse_combination(chain(
+            [(1, br.sparse_call(scols[i], scols[j], scols[k]).items())],
+            ((-c, scols[r]) for r, c in base.get((i, j, k), ())))).items()},
+        len(triples))
+    mu = module_rows(dict((total.d @ s - s @ ext.base.d).entry_items()), n)
     rep = Representation(n=n, m=m, rho=rho, d_M=d_M, lam=ext.base.lam)
-    return ExtractedCocycle(rep=rep, upsilon=upsilon, mu=mu)
+    return ExtractedCocycle(rep=rep, upsilon=SkewTernaryTensor(n, m, {
+        triple: upsilon.column(t) for t, triple in enumerate(triples)}), mu=mu)
 
 
 def extensions_equivalent(ext1: AbelianExtension,

@@ -14,7 +14,8 @@ of the Leibniz bracket, and the pair actions that are not zero, each product
 of two actions formed once per check.  A
 dense witness (a vector, or a matrix for the action laws) is built only for
 a failing tuple, from the same sums, so reports are those of a dense
-evaluation: same laws, tuples, values and order.
+evaluation: same laws, tuples, values and order.  ``homomorphism_check``
+sums the same way, over the signed table and the column items of the map.
 
 All operator matrices use the column convention: entry (i, j) is the
 e_i-coefficient of the image of e_j.
@@ -157,14 +158,6 @@ class Representation:
     def rho_basis(self, i: int, j: int) -> Matrix:
         mat = self._signed_actions.get((i, j))
         return Matrix.zeros(self.m, self.m) if mat is None else mat
-
-    def rho_vec(self, x, y) -> Matrix:
-        """Bilinear extension of the pair action to general vectors."""
-        act = self._action_items
-        ys = [(b, cb) for b, cb in enumerate(y) if cb]
-        return Matrix.from_entries(self.m, self.m, sparse_combination(
-            (ca * cb, act[a, b])
-            for a, ca in enumerate(x) if ca for b, cb in ys if (a, b) in act))
 
 
 @dataclass(frozen=True)
@@ -468,10 +461,11 @@ def homomorphism_check(eta: Matrix, src: MD3LieAlgebra, dst: MD3LieAlgebra) -> b
     """Bracket compatibility on basis triples plus intertwining with d."""
     if eta.cols != src.n or eta.rows != dst.n:
         raise InputError("homomorphism shape does not match the algebras")
+    cols = eta.column_items()
+    src_signed, dst_bracket = src.algebra.bracket.signed, dst.algebra.bracket
     for i, j, k in combinations(range(src.n), 3):
-        lhs = eta.apply(src.algebra.bracket.basis_value(i, j, k))
-        rhs = dst.algebra.bracket(eta.column(i), eta.column(j), eta.column(k))
-        if lhs != rhs:
+        lhs = sparse_combination((c, cols[r]) for r, c in src_signed.get((i, j, k), ()))
+        if lhs != dst_bracket.sparse_call(cols[i], cols[j], cols[k]):
             return False
     return eta @ src.d == dst.d @ eta
 

@@ -17,6 +17,12 @@ The pair-action constructions have dense forms here too, each built from
 ``check_equivalence`` decides an equivalence of deformations by evaluating
 both deformed brackets at t = 0..5, with no expansion in t.
 
+``homomorphism_check``, ``is_o_operator`` and ``extract_cocycle`` are the
+package's checks on dense vectors: ``call`` on dense columns, ``Matrix.apply``
+on dense basis values, whole ``rho_vec`` matrices, and the module
+coordinates of a dense vector cut off the algebra coordinates, which must be
+zero.
+
 ``direct_one_cocycle`` and ``direct_two_cocycle`` evaluate the displayed
 cocycle identities of a total cochain in degrees 1 and 2 term by term, on
 dense pair coordinates (``wedge_coords``) through the multilinear expansion
@@ -34,12 +40,22 @@ from itertools import combinations, product
 from operator import mul
 
 from md3lie.cohomology import TotalCochain
+from md3lie.errors import InputError
 from md3lie.exactnum import (Matrix, _charpoly_mod, _power_sums_mod, unit, vec_add,
-                             vec_is_zero, vec_scale, vec_sub, vec_zero)
+                             vec_is_zero, vec_zero)
+from md3lie.extension import ExtractedCocycle
 from md3lie.multilin import (CochainCoordinates, SkewTernaryTensor, cochain_dim,
                              pair_basis)
 from md3lie.structures import (LeibnizData, MD3LieAlgebra, ModifiedDifferential,
                                Report, Representation, ThreeLieAlgebra, Violation)
+
+
+def vec_sub(u, v):
+    return tuple(a - b for a, b in zip(u, v, strict=True))
+
+
+def vec_scale(s, u):
+    return tuple(s * a for a in u)
 
 
 def wedge_coords(x, y):
@@ -350,6 +366,76 @@ def check_equivalence(ld, ld2, N):
                 return False
     return True
 
+
+def homomorphism_check(eta, src, dst):
+    """eta [e_i, e_j, e_k] = [eta e_i, eta e_j, eta e_k] on each basis
+    triple, both sides dense, then eta d = d' eta."""
+    if eta.cols != src.n or eta.rows != dst.n:
+        raise InputError("homomorphism shape does not match the algebras")
+    cols = [eta.column(i) for i in range(src.n)]
+    for i, j, k in combinations(range(src.n), 3):
+        if (eta.apply(basis_value(src.algebra.bracket, i, j, k))
+                != call(dst.algebra.bracket, cols[i], cols[j], cols[k])):
+            return False
+    return eta @ src.d == dst.d @ eta
+
+
+def is_o_operator(md, rep, R):
+    """The relative operator report, each bracket condition on dense
+    vectors: [Ra, Rb, Rc] against R of the three cyclic terms
+    rho(Ra, Rb) c, each a column of a whole ``rho_vec`` matrix."""
+    n, m = md.n, rep.m
+    if R.rows != n or R.cols != m:
+        raise InputError(f"operator must be {n}x{m}")
+    violations = []
+    if R @ rep.d_M != md.d @ R:
+        violations.append(Violation(
+            "differential intertwining", (), R @ rep.d_M, md.d @ R))
+    rcols = [R.column(i) for i in range(m)]
+    for a, b, c in combinations(range(m), 3):
+        lhs = call(md.algebra.bracket, rcols[a], rcols[b], rcols[c])
+        inner = vec_add(vec_add(rho_vec(rep, rcols[a], rcols[b]).column(c),
+                                rho_vec(rep, rcols[b], rcols[c]).column(a)),
+                        rho_vec(rep, rcols[c], rcols[a]).column(b))
+        rhs = R.apply(inner)
+        if lhs != rhs:
+            violations.append(Violation("relative bracket condition", (a, b, c), lhs, rhs))
+    return Report.from_violations(violations)
+
+
+def extract_cocycle(ext, s):
+    """The extracted representation and cocycle on dense vectors: the total
+    bracket of section and inclusion columns, s applied to dense base values
+    and d applied column by column, each cut to its module coordinates."""
+    if not ext.is_section(s):
+        raise InputError("map is not a section of the projection")
+    n, m, total = ext.n, ext.m, ext.total
+    br = total.algebra.bracket
+
+    def module_coords(w):
+        if any(w[:n]):
+            raise InputError("vector does not lie in the embedded module")
+        return w[n:]
+
+    scols = [s.column(i) for i in range(n)]
+    icols = [ext.inclusion.column(c) for c in range(m)]
+    rho = {}
+    for i, j in pair_basis(n):
+        rho[i, j] = Matrix.from_columns(
+            [module_coords(call(br, scols[i], scols[j], icols[c])) for c in range(m)], m)
+        if rho[i, j] != ext.rep.rho[i, j]:
+            raise InputError("extracted pair action disagrees with the construction data")
+    d_M = Matrix.from_columns([module_coords(total.d.apply(w)) for w in icols], m)
+    if d_M != ext.rep.d_M:
+        raise InputError("extracted module differential disagrees with the construction data")
+    upsilon = SkewTernaryTensor.from_function(n, m, lambda i, j, k: module_coords(vec_sub(
+        call(br, scols[i], scols[j], scols[k]),
+        s.apply(basis_value(ext.base.algebra.bracket, i, j, k)))))
+    mu = Matrix.from_columns([
+        module_coords(vec_sub(total.d.apply(scols[i]), s.apply(ext.base.d.column(i))))
+        for i in range(n)], m)
+    rep = Representation(n=n, m=m, rho=rho, d_M=d_M, lam=ext.base.lam)
+    return ExtractedCocycle(rep=rep, upsilon=upsilon, mu=mu)
 
 def direct_one_cocycle(md, rep, tc):
     """Residual of a degree-1 total cochain F: for each pair (e_i, e_j) and

@@ -285,6 +285,26 @@ def test_extend_extract_equiv_pipeline(workspace, capsys):
         Matrix.identity(6))
 
 
+def test_extract_cocycle_refuses_a_map_that_is_not_a_section(workspace, capsys):
+    tmp, paths = workspace
+    code, ext_report = run(capsys, ["extend", paths["example.json"],
+                                    "--rep", "adjoint",
+                                    "--f", paths["zero_tensor.json"],
+                                    "--g", paths["diag011m1.json"]])
+    assert code == 0
+    ext = tmp / "ext.json"
+    docs.dump_json(str(ext), ext_report["extension"])
+    # a 6x3 matrix that projects to diag(1, 1, 0)
+    section = tmp / "not_a_section.json"
+    docs.dump_json(str(section), docs.matrix_to_doc(Matrix.block(
+        [[Matrix.diagonal([1, 1, 0])], [Matrix.identity(3)]])))
+    assert run_command(["extract-cocycle", str(ext), "--section", str(section)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "map is not a section of the projection" in captured.err
+
+
 def test_tstar_and_metrised_commands(workspace, capsys):
     tmp, paths = workspace
     code, report = run(capsys, ["tstar", paths["example.json"]])

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -15,8 +16,8 @@ from md3lie.multilin import (
     CochainCoordinates, SkewTernaryTensor, extract_skew_trilinear,
 )
 from md3lie.structures import (
-    homomorphism_check, semidirect_product, verify_3lie,
-    verify_modified_differential,
+    MD3LieAlgebra, ThreeLieAlgebra, homomorphism_check, semidirect_product,
+    verify_3lie, verify_modified_differential,
 )
 
 
@@ -144,8 +145,31 @@ def test_sections_differ_by_coboundaries(emd, adjoint, adjoint_asm):
 
 def test_extract_rejects_non_section(emd, adjoint):
     ext = build_abelian_extension(emd, adjoint, zero_f(), Matrix.zeros(3, 3))
-    with pytest.raises(InputError):
-        extract_cocycle(ext, Matrix.zeros(6, 3))
+    # the right shape, but they project to 0 and to diag(1, 1, 0)
+    for s in (Matrix.zeros(6, 3), Matrix.block([[diag(1, 1, 0)], [Matrix.identity(3)]])):
+        with pytest.raises(InputError, match="^map is not a section of the projection$"):
+            extract_cocycle(ext, s)
+
+
+def test_extract_rejects_another_pair_action(emd, adjoint, coadjoint):
+    ext = build_abelian_extension(emd, adjoint, zero_f(), diag(0, 1, -1))
+    with pytest.raises(InputError, match="^extracted pair action disagrees"):
+        extract_cocycle(replace(ext, rep=coadjoint), ext.canonical_section())
+
+
+def test_extract_rejects_another_module_differential(emd, adjoint):
+    ext = build_abelian_extension(emd, adjoint, zero_f(), diag(0, 1, -1))
+    other = replace(adjoint, d_M=diag(1, 1, 1))
+    with pytest.raises(InputError, match="^extracted module differential disagrees"):
+        extract_cocycle(replace(ext, rep=other), ext.canonical_section())
+
+
+def test_extract_rejects_another_base_bracket(emd, adjoint):
+    # the total bracket on algebra triples then leaves the embedded module
+    ext = build_abelian_extension(emd, adjoint, zero_f(), diag(0, 1, -1))
+    other = MD3LieAlgebra(ThreeLieAlgebra.abelian(3), emd.diff)
+    with pytest.raises(InputError, match="^vector does not lie in the embedded module$"):
+        extract_cocycle(replace(ext, base=other), ext.canonical_section())
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ SOURCES = (sorted(p for p in (ROOT / "src" / "md3lie").glob("*.py")
 
 
 def unused_names(source: str) -> list[str]:
-    """Names bound by an import anywhere, or private names assigned at module
-    level, that the module never reads."""
+    """Names bound by an import anywhere, or private names assigned, defined
+    or declared as a class at module level or defined as a method, that the
+    module never reads (as a name or as an attribute)."""
     tree = ast.parse(source)
     bound = []
     for node in ast.walk(tree):
@@ -24,21 +25,35 @@ def unused_names(source: str) -> list[str]:
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue
             bound += [(a.asname or a.name).split(".")[0] for a in node.names]
-    for node in tree.body:
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    methods = [item for node in tree.body if isinstance(node, ast.ClassDef)
+               for item in node.body if isinstance(item, defs)]
+    for node in tree.body + methods:
         targets = (node.targets if isinstance(node, ast.Assign)
                    else [node.target] if isinstance(node, ast.AnnAssign) else [])
-        bound += [t.id for t in targets if isinstance(t, ast.Name)
-                  and t.id.startswith("_") and not t.id.startswith("__")]
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+        if isinstance(node, defs + (ast.ClassDef,)):
+            names.append(node.name)
+        bound += [name for name in names
+                  if name.startswith("_") and not name.startswith("__")]
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    read |= {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     return [name for name in bound if name not in read]
 
 
 def test_unused_names_are_found():
     source = ("from itertools import product\nimport os.path\n"
               "from fractions import Fraction\n_ONE = Fraction(1)\n_USED = 2\n"
-              "def f():\n    from math import comb\n    return _USED\n")
-    assert unused_names(source) == ["product", "os", "comb", "_ONE"]
+              "def f():\n    from math import comb\n    return _USED\n"
+              "def _helper():\n    return _called()\ndef _called():\n    pass\n"
+              "class _Unused:\n    pass\n"
+              "class A:\n    def _stale(self):\n        pass\n"
+              "    def _read(self):\n        pass\n"
+              "    def __eq__(self, other):\n        return self._read()\n")
+    assert unused_names(source) == ["product", "os", "comb", "_ONE", "_helper",
+                                    "_Unused", "_stale"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
