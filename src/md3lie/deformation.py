@@ -260,13 +260,11 @@ def is_o_operator(md: MD3LieAlgebra, rep: Representation, R: Matrix) -> Report:
 
     for a, b, c in combinations(range(m), 3):
         lhs = br.sparse_call(rcols[a], rcols[b], rcols[c])
-        inner = sparse_combination(chain(acting(a, b, c), acting(b, c, a),
-                                         acting(c, a, b)))
+        inner = sparse_combination(acting(a, b, c) + acting(b, c, a) + acting(c, a, b))
         rhs = sparse_combination(_through(rcols, inner.items(), 1))
         if lhs != rhs:
-            violations.append(Violation(
-                "relative bracket condition", (a, b, c),
-                vec_from_sparse(lhs, n), vec_from_sparse(rhs, n)))
+            violations.append(Violation("relative bracket condition", (a, b, c),
+                                        vec_from_sparse(lhs, n), vec_from_sparse(rhs, n)))
     return Report.from_violations(violations)
 
 

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain
 from typing import Optional
 
 from .cohomology import ComplexAssembly, TotalCochain
 from .errors import InputError
-from .exactnum import Matrix, sparse_combination, vec_zero
+from .exactnum import Matrix, sparse_combination, vec_from_sparse, vec_zero
 from .multilin import (
     CochainCoordinates, SkewTernaryTensor, embed_skew_trilinear, pair_basis,
 )
@@ -138,37 +138,39 @@ def extract_cocycle(ext: AbelianExtension, s: Matrix) -> ExtractedCocycle:
     br = total.algebra.bracket
     scols, icols = s.column_items(), ext.inclusion.column_items()
 
-    def module_rows(entries, cols):
-        # the m x cols module rows of a carrier-valued {(row, column): value}
-        # dict, whose algebra rows must vanish
-        if any(r < n for r, _ in entries):
+    def module_part(values):
+        # the module coordinates of a carrier-valued {row: value} dict, whose
+        # algebra rows must vanish
+        if any(r < n for r in values):
             raise InputError("vector does not lie in the embedded module")
-        return Matrix.from_entries(m, cols, {(r - n, c): v for (r, c), v in entries.items()})
+        return {r - n: v for r, v in values.items()}
+
+    def module_matrix(columns):
+        return Matrix.from_entries(m, len(columns), {
+            (r, c): v for c, col in enumerate(columns)
+            for r, v in module_part(dict(col)).items()})
 
     rho = {}
     for i, j in pair_basis(n):
-        rho[i, j] = module_rows({
-            (r, c): v for c in range(m)
-            for r, v in br.sparse_call(scols[i], scols[j], icols[c]).items()}, m)
+        rho[i, j] = module_matrix([br.sparse_call(scols[i], scols[j], col)
+                                   for col in icols])
         if rho[i, j] != ext.rep.rho[i, j]:
             raise InputError("extracted pair action disagrees with the construction data")
-    d_M = module_rows(dict((total.d @ ext.inclusion).entry_items()), m)
+    d_M = module_matrix((total.d @ ext.inclusion).column_items())
     if d_M != ext.rep.d_M:
         raise InputError("extracted module differential disagrees with the construction data")
-    # upsilon(e_i, e_j, e_k) = [s e_i, s e_j, s e_k] - s [e_i, e_j, e_k], one
-    # column per triple
-    triples = list(combinations(range(n), 3))
     base = ext.base.algebra.bracket.signed
-    upsilon = module_rows({
-        (r, t): v for t, (i, j, k) in enumerate(triples)
-        for r, v in sparse_combination(chain(
+
+    def upsilon_fn(i, j, k):
+        # [s e_i, s e_j, s e_k] - s [e_i, e_j, e_k]
+        return vec_from_sparse(module_part(sparse_combination(chain(
             [(1, br.sparse_call(scols[i], scols[j], scols[k]).items())],
-            ((-c, scols[r]) for r, c in base.get((i, j, k), ())))).items()},
-        len(triples))
-    mu = module_rows(dict((total.d @ s - s @ ext.base.d).entry_items()), n)
+            ((-c, scols[r]) for r, c in base.get((i, j, k), ()))))), m)
+
+    upsilon = SkewTernaryTensor.from_function(n, m, upsilon_fn)
+    mu = module_matrix((total.d @ s - s @ ext.base.d).column_items())
     rep = Representation(n=n, m=m, rho=rho, d_M=d_M, lam=ext.base.lam)
-    return ExtractedCocycle(rep=rep, upsilon=SkewTernaryTensor(n, m, {
-        triple: upsilon.column(t) for t, triple in enumerate(triples)}), mu=mu)
+    return ExtractedCocycle(rep=rep, upsilon=upsilon, mu=mu)
 
 
 def extensions_equivalent(ext1: AbelianExtension,

@@ -16,8 +16,8 @@ SOURCES = (sorted(p for p in (ROOT / "src" / "md3lie").glob("*.py")
 
 def unused_names(source: str) -> list[str]:
     """Names bound by an import anywhere, or private names assigned, defined
-    or declared as a class at module level or defined as a method, that the
-    module never reads (as a name or as an attribute)."""
+    or declared as a class at module level, that the module never reads as a
+    name; and private methods that it never reads as an attribute."""
     tree = ast.parse(source)
     bound = []
     for node in ast.walk(tree):
@@ -38,9 +38,11 @@ def unused_names(source: str) -> list[str]:
                   if name.startswith("_") and not name.startswith("__")]
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    read |= {node.attr for node in ast.walk(tree)
+    attrs = {node.attr for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    return [name for name in bound if name not in read]
+    method_names = {node.name for node in methods}
+    return [name for name in bound if name not in read
+            and not (name in method_names and name in attrs)]
 
 
 def test_unused_names_are_found():
@@ -51,9 +53,13 @@ def test_unused_names_are_found():
               "class _Unused:\n    pass\n"
               "class A:\n    def _stale(self):\n        pass\n"
               "    def _read(self):\n        pass\n"
-              "    def __eq__(self, other):\n        return self._read()\n")
-    assert unused_names(source) == ["product", "os", "comb", "_ONE", "_helper",
-                                    "_Unused", "_stale"]
+              "    def __eq__(self, other):\n        return self._read()\n"
+              "import json\nimport math\n_LIMIT = 3\n"
+              "def g(obj):\n    return obj.json, obj._LIMIT, math.pi\n")
+    # ``obj.json`` and ``obj._LIMIT`` are attribute reads, which count only
+    # for a method: the import and the constant of the same name stay unused
+    assert unused_names(source) == ["product", "os", "json", "comb", "_ONE",
+                                    "_helper", "_Unused", "_LIMIT", "_stale"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
