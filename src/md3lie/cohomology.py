@@ -19,8 +19,8 @@ input assembles too.  The degree is generic, but sizes grow like
 C(n,2)^(q-1), and a matrix whose rows x cols exceeds MAX_DENSE_ENTRIES is
 refused before it is built.
 
-Dimensions without representatives.  The total complex is the mapping cone
-of Phi.  Lemma: if partial_q partial_(q-1) = 0, so that delta delta = 0 and
+Dimensions from a certificate.  The total complex is the mapping cone of
+Phi.  Lemma: if partial_q partial_(q-1) = 0, so that delta delta = 0 and
 Phi_q delta_(q-1) = delta_(q-1) Phi_(q-1), and Phi_q is injective, then
 Phi_q maps B^q = im delta_(q-1) onto itself; for every g in C^(q-1) exactly
 one f, namely (-1)^(q+1) Phi_q^-1 delta_(q-1) g in B^q, has (f, g) in
@@ -37,20 +37,33 @@ block by block, without assembling either total: partial_q partial_(q-1)
 has the blocks delta_q delta_(q-1), (-1)^q (Phi_q delta_(q-1) -
 delta_(q-1) Phi_(q-1)) and, from q = 3 on, delta_(q-1) delta_(q-2), so it
 vanishes exactly when delta_q delta_(q-1) = 0, Phi_q delta_(q-1) =
-delta_(q-1) Phi_(q-1) and (q >= 3) delta_(q-1) delta_(q-2) = 0, each
-checked by an exact sparse product.  delta_(q-1) is a factor of every
-block, so it is assembled first; when it is zero, as on an abelian algebra
-with the adjoint action, the guard holds and nothing else is assembled.
-cohomology_dim(q, representatives=False) takes z = dim(C^q + C^(q-1)) -
-rank partial_q and b = rank partial_(q-1), each from the lemma when it
-applies and by exact elimination otherwise; the numbers are those of the
-full path.  The budget of each total is checked before its certificate, so
-a request too large to assemble is refused at once, not after power sums
-whose cost grows like M^2.
+delta_(q-1) Phi_(q-1) and (q >= 3) delta_(q-1) delta_(q-2) = 0.
+delta_(q-1) is a factor of every block, so it is assembled first; when it
+is zero, as on an abelian algebra with the adjoint action, the guard holds
+and nothing else is assembled.  Each block is a zero test of an integer
+product (Matrix.product_is_zero), the middle one the single product
+[Phi_q | delta_(q-1)] [delta_(q-1); -Phi_(q-1)]; no Fraction product runs.
+The verdicts are kept per degree, so the guards of degrees q and q - 1
+share delta_(q-1) delta_(q-2).
 
-Caching: a ComplexAssembly memoizes assembled matrices.  Population is
-idempotent (pure recomputation), so a racing first access at worst computes
-twice and discards one copy.
+One predicate, the lemma's condition, serves both paths of cohomology_dim.
+Without representatives, z = dim(C^q + C^(q-1)) - rank partial_q and b =
+rank partial_(q-1), each from the lemma when it applies and by exact
+elimination otherwise.  With representatives, the corollary H^q = 0: when
+the lemma gives both rank partial_q = dim C^q and rank partial_(q-1) =
+dim C^(q-1) (Phi_q and, from q = 2 on, Phi_(q-1) certified, both
+certificates before any guard, and the guards of degrees q and, from q = 3
+on, q - 1), then z = dim C^(q-1) = b and the list of representatives is
+empty, so no total is assembled and no kernel computed; in every other case
+the kernel of partial_q and the pivots of [partial_(q-1) | kernel] are
+computed.  Either way the numbers are those of full elimination.  The
+budget of the degree-q total is checked before any certificate on both
+paths, so a request too large to assemble is refused at once, not after
+power sums whose cost grows like M^2.
+
+Caching: a ComplexAssembly memoizes assembled matrices and guard verdicts.
+Population is idempotent (pure recomputation), so a racing first access at
+worst computes twice and discards one copy.
 """
 
 from __future__ import annotations
@@ -173,6 +186,9 @@ class ComplexAssembly:
         self._delta: dict[int, Matrix] = {}
         self._phi: dict[int, Matrix] = {}
         self._partial: dict[int, Matrix] = {}
+        # guard verdicts: partial_q partial_(q-1) = 0, and delta_q delta_(q-1) = 0
+        self._composes: dict[int, bool] = {}
+        self._squares: dict[int, bool] = {}
 
     # -- matrices ---------------------------------------------------------
 
@@ -373,43 +389,69 @@ class ComplexAssembly:
         d_F, d, neg_d_M = self._tables.phi_factors
         return kronecker_sum_det_mod_p([d_F] * (q - 1) + [d, neg_d_M])
 
+    def _full_rank_proved(self, *degrees: int) -> bool:
+        """Whether the lemma in the module docstring proves rank partial_k =
+        dim C^k for every k in degrees: Phi_k certified invertible and, for
+        k >= 2, partial_k partial_(k-1) = 0.  Every certificate runs before
+        any guard, so a singular Phi assembles nothing."""
+        return (all(self.phi_det_mod_p(k) for k in degrees)
+                and all(self._composes_to_zero(k) for k in degrees if k > 1))
+
     def _total_rank(self, q: int) -> int:
-        """Rank of partial_matrix(q): dim C^q when Phi_q is certified
-        invertible and partial_q partial_(q-1) = 0 (the lemma in the module
-        docstring; no condition at q = 1), else by exact elimination.  The
-        budget of the degree-q total is checked first, so a request too
-        large to assemble is refused before the certificate runs."""
+        """Rank of partial_matrix(q): dim C^q when the lemma proves it, else
+        by exact elimination.  The budget of the degree-q total is checked
+        first, so a request too large to assemble is refused before the
+        certificate runs."""
         _, mid, _ = self._total_dims(q)
-        if self.phi_det_mod_p(q) and (q == 1 or self._composes_to_zero(q)):
+        if self._full_rank_proved(q):
             return mid
         return self.partial_matrix(q).rank()
 
     def _composes_to_zero(self, q: int) -> bool:
         """Whether partial_q partial_(q-1) = 0 (q >= 2), decided on its
-        blocks (module docstring) without assembling either total."""
-        delta = self.delta_matrix(q - 1)
-        return delta.is_zero or (
-            (self.delta_matrix(q) @ delta).is_zero
-            and self.phi_matrix(q) @ delta == delta @ self.phi_matrix(q - 1)
-            and (q == 2 or (delta @ self.delta_matrix(q - 2)).is_zero))
+        blocks (module docstring) without assembling either total, each by
+        an integer zero test (Matrix.product_is_zero)."""
+        if q not in self._composes:
+            delta = self.delta_matrix(q - 1)
+            # the middle block Phi_q delta_(q-1) - delta_(q-1) Phi_(q-1) is
+            # the one product [Phi_q | delta_(q-1)] [delta_(q-1); -Phi_(q-1)]
+            self._composes[q] = delta.is_zero or (
+                self._squares_to_zero(q)
+                and Matrix.hstack([self.phi_matrix(q), delta]).product_is_zero(
+                    Matrix.vstack([delta, -self.phi_matrix(q - 1)]))
+                and (q == 2 or self._squares_to_zero(q - 1)))
+        return self._composes[q]
+
+    def _squares_to_zero(self, q: int) -> bool:
+        """Whether delta_q delta_(q-1) = 0; shared by the guards of degrees
+        q and q + 1."""
+        if q not in self._squares:
+            self._squares[q] = self.delta_matrix(q).product_is_zero(
+                self.delta_matrix(q - 1))
+        return self._squares[q]
 
     def cohomology_dim(self, q: int,
                        representatives: bool = True) -> CohomologySummary:
         """Exact dimensions of cocycles, coboundaries and cohomology.
 
         Representatives are the kernel basis vectors that extend a basis of
-        the coboundary space, so they project to a basis of the quotient.
-        With representatives=False the summary lists none, and the
-        dimensions come from the ranks of the total differentials in
-        degrees q and q - 1, which _total_rank may certify without
-        elimination."""
+        the coboundary space, so they project to a basis of the quotient;
+        when the lemma of the module docstring proves the ranks of the
+        degree-q and degree-(q - 1) totals full, H^q = 0 and the list is
+        empty without any elimination.  With representatives=False the
+        summary lists none, and the dimensions come from the ranks of the
+        total differentials in degrees q and q - 1, which _total_rank may
+        certify without elimination.  Both paths refuse a degree-q total
+        over the budget before anything else runs."""
         _check_degree(q)
         n, m = self.md.n, self.rep.m
+        _, mid, low = self._total_dims(q)
         if not representatives:
-            _, mid, low = self._total_dims(q)
             z_dim = mid + low - self._total_rank(q)
             b_dim = self._total_rank(q - 1) if q > 1 else 0
             return CohomologySummary(z_dim, b_dim, z_dim - b_dim, [])
+        if self._full_rank_proved(*((q, q - 1) if q > 1 else (q,))):
+            return CohomologySummary(low, low, 0, [])
         kernel = self.partial_matrix(q).kernel_basis()
         z_dim = len(kernel)
         if q == 1:

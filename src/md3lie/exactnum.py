@@ -255,11 +255,14 @@ class Matrix:
         return Matrix._raw(self.rows, self.cols,
                            ({j: s * v for j, v in r.items()} for r in self.sparse_rows))
 
-    def __matmul__(self, other: "Matrix") -> "Matrix":
+    def _check_product(self, other: "Matrix"):
         if self.cols != other.rows:
             raise InputError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
+
+    def __matmul__(self, other: "Matrix") -> "Matrix":
+        self._check_product(other)
         out = []
         for a in self.sparse_rows:
             row = {}
@@ -268,6 +271,32 @@ class Matrix:
                     row[j] = row.get(j, 0) + x * y
             out.append({j: v for j, v in row.items() if v})
         return Matrix._raw(self.rows, other.cols, out)
+
+    def product_is_zero(self, other: "Matrix") -> bool:
+        """Whether ``self @ other`` is the zero matrix, decided in integers.
+
+        Scaling a row of self, or all of other, by a positive integer keeps
+        each entry of the product zero or nonzero, so every row of self is
+        cleared of denominators by their lcm and other by the lcm of all of
+        its denominators.  The integer product is summed one row at a time,
+        and the first nonzero row decides; no Fraction is built."""
+        self._check_product(other)
+        scale = lcm(*(v.denominator for r in other.sparse_rows for v in r.values()))
+        right = [[(j, v.numerator * (scale // v.denominator)) for j, v in r.items()]
+                 for r in other.sparse_rows]
+        for a in self.sparse_rows:
+            if not a:
+                continue
+            clear = lcm(*(x.denominator for x in a.values()))
+            row = {}
+            get = row.get
+            for k, x in a.items():
+                x = x.numerator * (clear // x.denominator)
+                for j, y in right[k]:
+                    row[j] = get(j, 0) + x * y
+            if any(row.values()):
+                return False
+        return True
 
     def apply(self, v: Sequence[Fraction]) -> Vector:
         """Matrix-vector product (column convention)."""

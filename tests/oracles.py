@@ -33,13 +33,18 @@ residual of every identity in its own order, zero exactly on a cocycle.
 cohomology path as it was first written: the power sums of the whole
 Kronecker sum, up to its dimension N, turned into the determinant by
 Newton's identities in O(N^2), with no resultant.
+
+``cohomology_by_elimination`` is ``ComplexAssembly.cohomology_dim`` with
+representatives as it was before the certificate served that path too: the
+kernel basis of the assembled partial_q, and the pivot columns of
+[partial_(q-1) | kernel] for b and the representatives, in every case.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 from operator import mul
 
-from md3lie.cohomology import TotalCochain
+from md3lie.cohomology import CohomologySummary, TotalCochain
 from md3lie.errors import InputError
 from md3lie.exactnum import (Matrix, _charpoly_mod, _power_sums_mod, unit, vec_add,
                              vec_is_zero, vec_zero)
@@ -577,3 +582,20 @@ def kronecker_sum_det_mod_p(factors, p):
         e.append(sum(map(mul, reversed(e), signed[1:k + 1])) % p * inv[k] % p)
     return e[N]
 
+
+def cohomology_by_elimination(asm, q):
+    """Z, B and H dims of degree q and the representatives, by eliminating
+    the assembled totals: the kernel vectors of partial_q that extend a basis
+    of the image of partial_(q-1)."""
+    n, m = asm.md.n, asm.rep.m
+    kernel = asm.partial_matrix(q).kernel_basis()
+    if q == 1:
+        reps = [TotalCochain.from_stacked(q, n, m, v) for v in kernel]
+        return CohomologySummary(len(kernel), 0, len(kernel), reps)
+    boundary = asm.partial_matrix(q - 1)
+    pivots = Matrix.hstack(
+        [boundary, Matrix.from_columns(kernel, boundary.rows)]).pivot_columns()
+    b_dim = sum(1 for c in pivots if c < boundary.cols)
+    reps = [TotalCochain.from_stacked(q, n, m, kernel[c - boundary.cols])
+            for c in pivots if c >= boundary.cols]
+    return CohomologySummary(len(kernel), b_dim, len(kernel) - b_dim, reps)

@@ -140,13 +140,22 @@ def test_survey_script_fails_on_a_broken_complex(capsys, monkeypatch):
     assert survey.main([]) == 1
     assert capsys.readouterr().err == "FAILED corrupt: a complex identity fails\n"
     # a dims-only rank that disagrees with elimination fails the survey too
-    example = ComplexAssembly(md, adjoint_representation(md))
-    monkeypatch.setattr(survey, "instances", lambda seed: [("example", example)])
-    monkeypatch.setattr(ComplexAssembly, "_total_rank", lambda self, q: 0)
-    assert survey.main([]) == 1
+    monkeypatch.setattr(survey, "instances", lambda seed: [
+        ("example", ComplexAssembly(md, adjoint_representation(md)))])
+    with monkeypatch.context() as patch:
+        patch.setattr(ComplexAssembly, "_total_rank", lambda self, q: 0)
+        assert survey.main([]) == 1
     assert capsys.readouterr().err == (
         "FAILED example, q=1: the dims-only path gives (9, 0, 9), not (2, 0, 2)\n"
         "FAILED example, q=2: the dims-only path gives (36, 0, 36), not (10, 7, 3)\n")
+    # and so does a lemma claimed where it does not hold, on both paths
+    monkeypatch.setattr(ComplexAssembly, "_full_rank_proved", lambda self, *q: True)
+    assert survey.main([]) == 1
+    assert capsys.readouterr().err == (
+        "FAILED example, q=1: the representatives path gives (0, 0, 0), not (2, 0, 2)\n"
+        "FAILED example, q=1: the dims-only path gives (0, 0, 0), not (2, 0, 2)\n"
+        "FAILED example, q=2: the representatives path gives (9, 9, 0), not (10, 7, 3)\n"
+        "FAILED example, q=2: the dims-only path gives (9, 9, 0), not (10, 7, 3)\n")
 
 
 def test_complex_identities_random_instances():
@@ -472,17 +481,44 @@ def dims_only_cases():
     return cases
 
 
-def test_dims_only_matches_the_full_path():
+@pytest.fixture(scope="module")
+def eliminated():
+    """(algebra, representation, q, summary by oracles.cohomology_by_elimination)
+    for every dims-only case and degree."""
+    return [(md, rep, q, oracles.cohomology_by_elimination(ComplexAssembly(md, rep), q))
+            for md, rep, degrees in dims_only_cases() for q in degrees]
+
+
+def test_dims_only_matches_the_full_path(eliminated):
     certified = []
-    for md, rep, degrees in dims_only_cases():
-        for q in degrees:
-            want = dims(ComplexAssembly(md, rep).cohomology_dim(q))
-            summary = ComplexAssembly(md, rep).cohomology_dim(q, representatives=False)
-            assert dims(summary) == want, (md, rep, q)
-            assert summary.representatives == []
-            certified.append(bool(ComplexAssembly(md, rep).phi_det_mod_p(q)))
+    for md, rep, q, want in eliminated:
+        summary = ComplexAssembly(md, rep).cohomology_dim(q, representatives=False)
+        assert dims(summary) == dims(want), (md, rep, q)
+        assert summary.representatives == []
+        certified.append(bool(ComplexAssembly(md, rep).phi_det_mod_p(q)))
     # both routes to a rank are taken
     assert any(certified) and not all(certified)
+
+
+def test_representatives_match_the_elimination_oracle(eliminated):
+    """cohomology_dim(q) gives the oracle's dims and representatives, in
+    order.  Where the lemma proves H^q = 0 it assembles no total; both
+    routes are taken.  On the invalid 4-dim bracket with the coadjoint
+    action both Phi are certified but partial_2 partial_1 != 0, and the
+    oracle's (9, 16, -7) at q = 2 is kept only by the guard."""
+    routes = set()
+    for md, rep, q, want in eliminated:
+        asm = ComplexAssembly(md, rep)
+        summary = asm.cohomology_dim(q)
+        assert dims(summary) == dims(want), (md, rep, q)
+        assert ([tc.stacked() for tc in summary.representatives]
+                == [tc.stacked() for tc in want.representatives]), (md, rep, q)
+        routes.add(q in asm._partial)
+    assert routes == {True, False}
+    bad = invalid_bracket_md(random.Random(31))
+    asm = ComplexAssembly(bad, coadjoint_representation(bad))
+    assert asm.phi_det_mod_p(2) and asm.phi_det_mod_p(1)
+    assert dims(asm.cohomology_dim(2)) == (9, 16, -7)
 
 
 def test_dims_only_needs_the_guard():
@@ -495,7 +531,7 @@ def test_dims_only_needs_the_guard():
     assert not (asm.partial_matrix(2) @ asm.partial_matrix(1)).is_zero
     assert asm.partial_matrix(2).rank() == 105 != cochain_dim(2, 4, 4)
     assert (dims(asm.cohomology_dim(2, representatives=False))
-            == dims(asm.cohomology_dim(2)))
+            == dims(oracles.cohomology_by_elimination(asm, 2)))
 
 
 def guard_blocks(asm, q):
@@ -575,7 +611,32 @@ def test_dims_only_assembles_no_total_it_certifies(monkeypatch):
     assert (set(asm._delta), set(asm._phi), set(asm._partial)) == ({1}, {1}, {1})
 
 
-def test_budget_refusal_comes_before_the_certificate(emd, adjoint, monkeypatch):
+def test_representatives_assemble_no_total_they_certify(monkeypatch):
+    """Phi_3 and Phi_2 of a determinant-bracket member with the coadjoint
+    action are certified and the guards hold, so cohomology_dim(3) answers
+    H^3 = 0 without assembling a total or computing a kernel; with the
+    adjoint action Phi is singular and elimination still runs."""
+    md = det_bracket_md(random.Random(31))
+    asm = ComplexAssembly(md, coadjoint_representation(md))
+
+    def refuse(self, *args):
+        raise AssertionError("elimination path taken")
+
+    monkeypatch.setattr(ComplexAssembly, "partial_matrix", refuse)
+    monkeypatch.setattr(Matrix, "kernel_basis", refuse)
+    summary = asm.cohomology_dim(3)
+    assert (dims(summary), summary.representatives) == ((27, 27, 0), [])
+    assert not asm._partial
+    monkeypatch.undo()
+    singular = ComplexAssembly(md, adjoint_representation(md))
+    assert not singular.phi_det_mod_p(3)
+    assert dims(singular.cohomology_dim(3)) == (30, 24, 6)
+    assert set(singular._partial) == {2, 3}
+
+
+@pytest.mark.parametrize("representatives", [False, True])
+def test_budget_refusal_comes_before_the_certificate(emd, adjoint, monkeypatch,
+                                                      representatives):
     """The degree-9 total (236196 x 78732) is refused by arithmetic alone;
     the certificate's power sums there (M = 6561) would run for long."""
     def certificate(self, q):
@@ -585,7 +646,7 @@ def test_budget_refusal_comes_before_the_certificate(emd, adjoint, monkeypatch):
     asm = ComplexAssembly(emd, adjoint)
     with pytest.raises(InputError, match="a 236196 x 78732 matrix exceeds the "
                        "assembly budget"):
-        asm.cohomology_dim(9, representatives=False)
+        asm.cohomology_dim(9, representatives=representatives)
     assert not (asm._delta or asm._phi or asm._partial)
 
 
