@@ -20,48 +20,44 @@ C(n,2)^(q-1), and a matrix whose rows x cols exceeds MAX_DENSE_ENTRIES is
 refused before it is built.
 
 Dimensions from a certificate.  The total complex is the mapping cone of
-Phi.  Lemma: if partial_q partial_(q-1) = 0, so that delta delta = 0 and
-Phi_q delta_(q-1) = delta_(q-1) Phi_(q-1), and Phi_q is injective, then
-Phi_q maps B^q = im delta_(q-1) onto itself; for every g in C^(q-1) exactly
-one f, namely (-1)^(q+1) Phi_q^-1 delta_(q-1) g in B^q, has (f, g) in
-ker partial_q, so rank partial_q = dim C^q.  At q = 1, partial_1 =
-(delta_1, -Phi_1) is injective with Phi_1 and no condition is needed.
-Injectivity is certified by a nonzero det Phi_q mod a 61-bit prime, computed
-from the Kronecker factors of Phi_q (q - 1 copies of d_F^T, d^T and -d_M)
-without assembling or eliminating Phi_q: the power sums of all factors but
-the largest, of dimension b, up to M = dim C^q / b, and one resultant
-against the largest (exactnum.kronecker_sum_det_mod_p).  The guard
-partial_q partial_(q-1) = 0 is needed, because input that fails the axioms
-can have Phi_q invertible and rank partial_q != dim C^q.  It is checked
-block by block, without assembling either total: partial_q partial_(q-1)
-has the blocks delta_q delta_(q-1), (-1)^q (Phi_q delta_(q-1) -
-delta_(q-1) Phi_(q-1)) and, from q = 3 on, delta_(q-1) delta_(q-2), so it
-vanishes exactly when delta_q delta_(q-1) = 0, Phi_q delta_(q-1) =
-delta_(q-1) Phi_(q-1) and (q >= 3) delta_(q-1) delta_(q-2) = 0.
-delta_(q-1) is a factor of every block, so it is assembled first; when it
-is zero, as on an abelian algebra with the adjoint action, the guard holds
-and nothing else is assembled.  Each block is a zero test of an integer
-product (Matrix.product_is_zero), the middle one the single product
-[Phi_q | delta_(q-1)] [delta_(q-1); -Phi_(q-1)]; no Fraction product runs.
-The verdicts are kept per degree, so the guards of degrees q and q - 1
-share delta_(q-1) delta_(q-2).
+Phi.  Lemma: if the algebra passes structures.verify_3lie and
+verify_modified_differential and the representation passes
+verify_representation, then delta and Phi are the coboundary and the cochain
+map of the paper's cochain complex, so partial_q partial_(q-1) = 0 in every
+degree: delta delta = 0 and Phi_q delta_(q-1) = delta_(q-1) Phi_(q-1).  If
+moreover Phi_q is injective, Phi_q maps B^q = im delta_(q-1) onto itself;
+for every g in C^(q-1) exactly one f, namely (-1)^(q+1) Phi_q^-1
+delta_(q-1) g in B^q, has (f, g) in ker partial_q, so rank partial_q =
+dim C^q.  At q = 1, partial_1 = (delta_1, -Phi_1) is injective with Phi_1
+and no condition is needed.  Injectivity is certified by a nonzero det
+Phi_q mod a 61-bit prime, computed from the Kronecker factors of Phi_q
+(q - 1 copies of d_F^T, d^T and -d_M) without assembling or eliminating
+Phi_q: the power sums of all factors but the largest, of dimension b, up to
+M = dim C^q / b, and one resultant against the largest
+(exactnum.kronecker_sum_det_mod_p).  The characteristic polynomial of each
+factor is computed once per complex and shared by the certificates of every
+degree.  The axioms are needed, because input that fails them can have
+Phi_q invertible and rank partial_q != dim C^q; such input is never
+certified and always eliminated.  Every certificate runs before the axioms
+are verified, and they are verified once per complex, so a singular Phi and
+a degree-1 request run no verifier; the verdict only chooses the path, and
+the numbers are those of full elimination either way.
 
 One predicate, the lemma's condition, serves both paths of cohomology_dim.
 Without representatives, z = dim(C^q + C^(q-1)) - rank partial_q and b =
 rank partial_(q-1), each from the lemma when it applies and by exact
 elimination otherwise.  With representatives, the corollary H^q = 0: when
 the lemma gives both rank partial_q = dim C^q and rank partial_(q-1) =
-dim C^(q-1) (Phi_q and, from q = 2 on, Phi_(q-1) certified, both
-certificates before any guard, and the guards of degrees q and, from q = 3
-on, q - 1), then z = dim C^(q-1) = b and the list of representatives is
-empty, so no total is assembled and no kernel computed; in every other case
+dim C^(q-1) (Phi_q and, from q = 2 on, Phi_(q-1) certified, and the axioms
+verified), then z = dim C^(q-1) = b and the list of representatives is
+empty, so nothing is assembled and no kernel computed; in every other case
 the kernel of partial_q and the pivots of [partial_(q-1) | kernel] are
-computed.  Either way the numbers are those of full elimination.  The
-budget of the degree-q total is checked before any certificate on both
-paths, so a request too large to assemble is refused at once, not after
-power sums whose cost grows like M^2.
+computed.  The budget of the degree-q total is checked before any
+certificate on both paths, so a request too large to assemble is refused at
+once, not after power sums whose cost grows like M^2.
 
-Caching: a ComplexAssembly memoizes assembled matrices and guard verdicts.
+Caching: a ComplexAssembly memoizes assembled matrices, characteristic
+polynomials and the axiom verdict.
 Population is idempotent (pure recomputation), so a racing first access at
 worst computes twice and discards one copy.
 """
@@ -76,9 +72,12 @@ from types import SimpleNamespace
 from typing import Optional
 
 from .errors import InputError
-from .exactnum import Matrix, Vector, kronecker_sum_det_mod_p, vec_is_zero
+from .exactnum import Matrix, Vector, _kronecker_sum_det, vec_is_zero
 from .multilin import CochainCoordinates, cochain_dim, pair_basis
-from .structures import MD3LieAlgebra, Representation, leibniz_data
+from .structures import (
+    MD3LieAlgebra, Representation, leibniz_data, verify_3lie,
+    verify_modified_differential, verify_representation,
+)
 
 #: Largest matrix, in rows x cols, that the assembly will build; the abelian
 #: n=4 degree-3 total differential (about 2.7M entries) fits.
@@ -186,9 +185,9 @@ class ComplexAssembly:
         self._delta: dict[int, Matrix] = {}
         self._phi: dict[int, Matrix] = {}
         self._partial: dict[int, Matrix] = {}
-        # guard verdicts: partial_q partial_(q-1) = 0, and delta_q delta_(q-1) = 0
-        self._composes: dict[int, bool] = {}
-        self._squares: dict[int, bool] = {}
+        # characteristic polynomials mod p of the Phi factors, by the identity
+        # of the _tables.phi_factors objects, which live as long as self
+        self._charpolys: dict[int, Optional[list[int]]] = {}
 
     # -- matrices ---------------------------------------------------------
 
@@ -387,15 +386,24 @@ class ComplexAssembly:
         nonzero value proves Phi_q invertible."""
         _check_degree(q)
         d_F, d, neg_d_M = self._tables.phi_factors
-        return kronecker_sum_det_mod_p([d_F] * (q - 1) + [d, neg_d_M])
+        return _kronecker_sum_det([d_F] * (q - 1) + [d, neg_d_M], self._charpolys)
+
+    @cached_property
+    def _axioms_hold(self) -> bool:
+        """Whether the algebra and the representation pass their verifiers,
+        the condition under which partial partial = 0 (module docstring)."""
+        md = self.md
+        return (verify_3lie(md.algebra).valid
+                and verify_modified_differential(md).valid
+                and verify_representation(md, self.rep).valid)
 
     def _full_rank_proved(self, *degrees: int) -> bool:
         """Whether the lemma in the module docstring proves rank partial_k =
-        dim C^k for every k in degrees: Phi_k certified invertible and, for
-        k >= 2, partial_k partial_(k-1) = 0.  Every certificate runs before
-        any guard, so a singular Phi assembles nothing."""
+        dim C^k for every k in degrees: Phi_k certified invertible and, when
+        some k >= 2, the axioms verified.  Every certificate runs before the
+        verifiers, so a singular Phi verifies nothing and assembles nothing."""
         return (all(self.phi_det_mod_p(k) for k in degrees)
-                and all(self._composes_to_zero(k) for k in degrees if k > 1))
+                and (max(degrees) < 2 or self._axioms_hold))
 
     def _total_rank(self, q: int) -> int:
         """Rank of partial_matrix(q): dim C^q when the lemma proves it, else
@@ -406,29 +414,6 @@ class ComplexAssembly:
         if self._full_rank_proved(q):
             return mid
         return self.partial_matrix(q).rank()
-
-    def _composes_to_zero(self, q: int) -> bool:
-        """Whether partial_q partial_(q-1) = 0 (q >= 2), decided on its
-        blocks (module docstring) without assembling either total, each by
-        an integer zero test (Matrix.product_is_zero)."""
-        if q not in self._composes:
-            delta = self.delta_matrix(q - 1)
-            # the middle block Phi_q delta_(q-1) - delta_(q-1) Phi_(q-1) is
-            # the one product [Phi_q | delta_(q-1)] [delta_(q-1); -Phi_(q-1)]
-            self._composes[q] = delta.is_zero or (
-                self._squares_to_zero(q)
-                and Matrix.hstack([self.phi_matrix(q), delta]).product_is_zero(
-                    Matrix.vstack([delta, -self.phi_matrix(q - 1)]))
-                and (q == 2 or self._squares_to_zero(q - 1)))
-        return self._composes[q]
-
-    def _squares_to_zero(self, q: int) -> bool:
-        """Whether delta_q delta_(q-1) = 0; shared by the guards of degrees
-        q and q + 1."""
-        if q not in self._squares:
-            self._squares[q] = self.delta_matrix(q).product_is_zero(
-                self.delta_matrix(q - 1))
-        return self._squares[q]
 
     def cohomology_dim(self, q: int,
                        representatives: bool = True) -> CohomologySummary:

@@ -272,32 +272,6 @@ class Matrix:
             out.append({j: v for j, v in row.items() if v})
         return Matrix._raw(self.rows, other.cols, out)
 
-    def product_is_zero(self, other: "Matrix") -> bool:
-        """Whether ``self @ other`` is the zero matrix, decided in integers.
-
-        Scaling a row of self, or all of other, by a positive integer keeps
-        each entry of the product zero or nonzero, so every row of self is
-        cleared of denominators by their lcm and other by the lcm of all of
-        its denominators.  The integer product is summed one row at a time,
-        and the first nonzero row decides; no Fraction is built."""
-        self._check_product(other)
-        scale = lcm(*(v.denominator for r in other.sparse_rows for v in r.values()))
-        right = [[(j, v.numerator * (scale // v.denominator)) for j, v in r.items()]
-                 for r in other.sparse_rows]
-        for a in self.sparse_rows:
-            if not a:
-                continue
-            clear = lcm(*(x.denominator for x in a.values()))
-            row = {}
-            get = row.get
-            for k, x in a.items():
-                x = x.numerator * (clear // x.denominator)
-                for j, y in right[k]:
-                    row[j] = get(j, 0) + x * y
-            if any(row.values()):
-                return False
-        return True
-
     def apply(self, v: Sequence[Fraction]) -> Vector:
         """Matrix-vector product (column convention)."""
         if len(v) != self.cols:
@@ -551,6 +525,16 @@ def kronecker_sum_det_mod_p(factors: Sequence[Matrix]) -> Optional[int]:
     an entry, or when p <= N.  The cost is O(M^2 + b M) operations mod p per
     factor, besides one O(dim^3) characteristic polynomial per distinct
     factor object (which also bounds the O(b^2) of the later Euclid steps)."""
+    return _kronecker_sum_det(factors, {})
+
+
+def _kronecker_sum_det(factors: Sequence[Matrix],
+                       charpolys: dict[int, Optional[list[int]]]) -> Optional[int]:
+    """kronecker_sum_det_mod_p, reading and filling ``charpolys``: the
+    characteristic polynomial mod p of each factor by its identity, None
+    where p divides the denominator of an entry.  The caller keeps every
+    factor it keys alive as long as the dict, so an identity is never
+    reused by another matrix."""
     p = CERTIFICATE_PRIME
     for f in factors:
         if f.rows != f.cols:
@@ -559,17 +543,11 @@ def kronecker_sum_det_mod_p(factors: Sequence[Matrix]) -> Optional[int]:
         return None
     if not factors:  # the empty Kronecker sum is the 1 x 1 zero matrix
         return 0
-    charpolys = {}  # by identity: d_F repeats in Phi_q as one object
-    for f in factors:
-        if id(f) in charpolys:
-            continue
-        dense = [[0] * f.cols for _ in range(f.rows)]
-        for i, row in enumerate(f.sparse_rows):
-            for j, e in row.items():
-                if e.denominator % p == 0:
-                    return None
-                dense[i][j] = e.numerator * pow(e.denominator, -1, p) % p
-        charpolys[id(f)] = _charpoly_mod(dense, p)
+    for f in factors:  # by identity: d_F repeats in Phi_q as one object
+        if id(f) not in charpolys:
+            charpolys[id(f)] = _factor_charpoly(f, p)
+        if charpolys[id(f)] is None:
+            return None
     largest = max(range(len(factors)), key=lambda i: factors[i].rows)
     others = factors[:largest] + factors[largest + 1:]
     M = prod(f.rows for f in others)
@@ -593,6 +571,18 @@ def kronecker_sum_det_mod_p(factors: Sequence[Matrix]) -> Optional[int]:
     for k in range(1, M + 1):
         e.append(sum(map(mul, reversed(e), signed[1:k + 1])) % p * inv[k] % p)
     return _resultant_mod(charpolys[id(factors[largest])], e, p)
+
+
+def _factor_charpoly(f: Matrix, p: int) -> Optional[list[int]]:
+    """The characteristic polynomial of f mod p, or None when p divides the
+    denominator of an entry."""
+    dense = [[0] * f.cols for _ in range(f.rows)]
+    for i, row in enumerate(f.sparse_rows):
+        for j, e in row.items():
+            if e.denominator % p == 0:
+                return None
+            dense[i][j] = e.numerator * pow(e.denominator, -1, p) % p
+    return _charpoly_mod(dense, p)
 
 
 def _resultant_mod(a: list[int], b: list[int], p: int) -> int:

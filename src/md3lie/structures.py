@@ -11,7 +11,8 @@ by multilinearity this decides each law on the whole space.  Each side is
 summed over nonzero values only: the signed structure constants of
 ``SkewTernaryTensor.signed``, the nonzero entries of d (or d_F), the items
 of the Leibniz bracket, and the pair actions that are not zero, each product
-of two actions formed once per check.  A
+of two actions formed once per check.  A tuple at which every term reads a
+zero bracket or a zero action is skipped, since both sides vanish there.  A
 dense witness (a vector, or a matrix for the action laws) is built only for
 a failing tuple, from the same sums, so reports are those of a dense
 evaluation: same laws, tuples, values and order.  ``homomorphism_check``
@@ -199,11 +200,20 @@ def fundamental_identity_sides(outer: SkewTernaryTensor, inner: SkewTernaryTenso
     return lhs, rhs
 
 
+def _bracketing_pairs(br: SkewTernaryTensor) -> set[PairIndex]:
+    """The ordered pairs (i, j) whose bracket [e_i, e_j, -] is not zero."""
+    return {key[:2] for key in br.signed}
+
+
 def verify_3lie(alg: ThreeLieAlgebra) -> Report:
-    """Check the fundamental identity on all deciding basis 5-tuples."""
+    """Check the fundamental identity on all deciding basis 5-tuples; a pair
+    (a1, a2) with [x_a1, x_a2, -] = 0 zeroes both sides and is skipped."""
     violations = []
     n = alg.n
+    active = _bracketing_pairs(alg.bracket)
     for i1, i2 in pair_basis(n):
+        if (i1, i2) not in active:
+            continue
         for triple in combinations(range(n), 3):
             idx = (i1, i2) + triple
             lhs, rhs = fundamental_identity_sides(alg.bracket, alg.bracket, idx)
@@ -233,11 +243,16 @@ def derivation_sides(br: SkewTernaryTensor, cols: Sequence[SparseItems],
 
 
 def verify_modified_differential(md: MD3LieAlgebra) -> Report:
-    """Check the modified differential rule on all basis triples."""
+    """Check the modified differential rule on all basis triples; every term
+    reads the bracket of a pair of the triple, so a triple whose pairs all
+    bracket to zero is skipped."""
     violations = []
     n = md.n
     cols = md.d.column_items()
+    active = _bracketing_pairs(md.algebra.bracket)
     for triple in combinations(range(n), 3):
+        if active.isdisjoint(combinations(triple, 2)):
+            continue
         lhs, rhs = derivation_sides(md.algebra.bracket, cols, triple, md.lam)
         if lhs != rhs:
             violations.append(Violation("modified differential rule", triple,
@@ -272,7 +287,9 @@ def verify_representation(md: MD3LieAlgebra, rep: Representation) -> Report:
 
     Each side is a sum of products of two actions, of actions scaled by
     structure constants or entries of d, and of d_M products, summed over
-    the nonzero ones only; a product is formed once for both action laws."""
+    the nonzero ones only; a product is formed once for both action laws.
+    Skipped, as every term vanishes: an i4 with rho(-, e_i4) = 0 in the
+    bracket-pair identity, a p with rho(p) = 0 and [p, -] = 0 in the other."""
     if rep.lam != md.lam:
         raise InputError("representation weight differs from the algebra weight")
     if rep.n != md.n:
@@ -305,15 +322,19 @@ def verify_representation(md: MD3LieAlgebra, rep: Representation) -> Report:
             violations.append(Violation(law, args, Matrix.from_entries(m, m, lhs),
                                         Matrix.from_entries(m, m, rhs)))
 
+    acted = sorted({j for _, j in mats})
     for i1, i2, i3 in combinations(range(n), 3):
         value = br.get((i1, i2, i3), ())
-        for i4 in range(n):
+        for i4 in acted:
             check("bracket-pair action identity", (i1, i2, i3, i4),
                   acting(value, i4),
                   [(1, product((i2, i3), (i1, i4))), (1, product((i3, i1), (i2, i4))),
                    (1, product((i1, i2), (i3, i4)))])
     pairs = pair_basis(n)
+    bracketing = _bracketing_pairs(md.algebra.bracket)
     for p in pairs:
+        if p not in mats and p not in bracketing:
+            continue
         for q in pairs:
             i3, i4 = q
             check("pair action commutator identity", p + q,

@@ -34,6 +34,10 @@ cohomology path as it was first written: the power sums of the whole
 Kronecker sum, up to its dimension N, turned into the determinant by
 Newton's identities in O(N^2), with no resultant.
 
+``product_is_zero`` decides ``a @ b = 0`` in integers, the zero test of the
+run-time guard that the totals compose to zero before the verified axioms
+took its place; the tests check that implication with it.
+
 ``cohomology_by_elimination`` is ``ComplexAssembly.cohomology_dim`` with
 representatives as it was before the certificate served that path too: the
 kernel basis of the assembled partial_q, and the pivot columns of
@@ -42,6 +46,7 @@ kernel basis of the assembled partial_q, and the pivot columns of
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 from operator import mul
 
 from md3lie.cohomology import CohomologySummary, TotalCochain
@@ -581,6 +586,34 @@ def kronecker_sum_det_mod_p(factors, p):
     for k in range(1, N + 1):
         e.append(sum(map(mul, reversed(e), signed[1:k + 1])) % p * inv[k] % p)
     return e[N]
+
+
+def product_is_zero(a, b):
+    """Whether ``a @ b`` is the zero matrix, decided in integers.
+
+    Scaling a row of a, or all of b, by a positive integer keeps each entry
+    of the product zero or nonzero, so every row of a is cleared of
+    denominators by their lcm and b by the lcm of all of its denominators.
+    The integer product is summed one row at a time, and the first nonzero
+    row decides; no Fraction is built.  A shape mismatch raises the
+    InputError of ``@``."""
+    a._check_product(b)
+    scale = lcm(*(v.denominator for r in b.sparse_rows for v in r.values()))
+    right = [[(j, v.numerator * (scale // v.denominator)) for j, v in r.items()]
+             for r in b.sparse_rows]
+    for row_a in a.sparse_rows:
+        if not row_a:
+            continue
+        clear = lcm(*(x.denominator for x in row_a.values()))
+        row = {}
+        get = row.get
+        for k, x in row_a.items():
+            x = x.numerator * (clear // x.denominator)
+            for j, y in right[k]:
+                row[j] = get(j, 0) + x * y
+        if any(row.values()):
+            return False
+    return True
 
 
 def cohomology_by_elimination(asm, q):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from md3lie import exactnum
+from md3lie import cohomology, exactnum
 from md3lie.cohomology import ComplexAssembly, TotalCochain
 from md3lie.corpus import (
     abelian_md, corrupt_representation, det_bracket_md, example_md,
@@ -133,12 +133,31 @@ def test_survey_script_fails_on_a_broken_complex(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.err == "" and " NO " not in captured.out
     md = example_md()
+    # an identity may fail where the axioms do: the row says so, and both
+    # paths still agree with elimination
     corrupt = corrupt_representation(random.Random(1), md, adjoint_representation(md),
                                      "module differential compatibility")
     monkeypatch.setattr(survey, "instances",
                         lambda seed: [("corrupt", ComplexAssembly(md, corrupt))])
-    assert survey.main([]) == 1
-    assert capsys.readouterr().err == "FAILED corrupt: a complex identity fails\n"
+    assert survey.main([]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[2].split()[:4] == ["corrupt", "no", "NO", "1"]
+    # where the axioms pass, a failing identity is a broken assembly
+    phi_matrix = ComplexAssembly.phi_matrix
+
+    def phi_2_plus_identity(self, q):
+        phi = phi_matrix(self, q)
+        return phi + Matrix.identity(phi.rows) if q == 2 else phi
+
+    monkeypatch.setattr(survey, "instances", lambda seed: [
+        ("broken", ComplexAssembly(md, adjoint_representation(md)))])
+    with monkeypatch.context() as patch:
+        patch.setattr(ComplexAssembly, "phi_matrix", phi_2_plus_identity)
+        assert survey.main([]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "FAILED broken: the axioms pass but a complex identity fails\n"
+    assert captured.out.splitlines()[2].split()[:4] == ["broken", "yes", "NO", "1"]
     # a dims-only rank that disagrees with elimination fails the survey too
     monkeypatch.setattr(survey, "instances", lambda seed: [
         ("example", ComplexAssembly(md, adjoint_representation(md)))])
@@ -505,7 +524,7 @@ def test_representatives_match_the_elimination_oracle(eliminated):
     order.  Where the lemma proves H^q = 0 it assembles no total; both
     routes are taken.  On the invalid 4-dim bracket with the coadjoint
     action both Phi are certified but partial_2 partial_1 != 0, and the
-    oracle's (9, 16, -7) at q = 2 is kept only by the guard."""
+    oracle's (9, 16, -7) at q = 2 is kept only by the failing axioms."""
     routes = set()
     for md, rep, q, want in eliminated:
         asm = ComplexAssembly(md, rep)
@@ -524,10 +543,11 @@ def test_representatives_match_the_elimination_oracle(eliminated):
 def test_dims_only_needs_the_guard():
     """On the invalid 4-dim bracket with the adjoint action Phi_2 is
     invertible, but partial_2 partial_1 != 0 and rank partial_2 is not
-    dim C^2: only the guard keeps z_2 right."""
+    dim C^2: only the failing axioms keep z_2 right."""
     md = invalid_bracket_md(random.Random(31))
     asm = ComplexAssembly(md, adjoint_representation(md))
     assert asm.phi_det_mod_p(2)
+    assert not verify_3lie(md.algebra).valid
     assert not (asm.partial_matrix(2) @ asm.partial_matrix(1)).is_zero
     assert asm.partial_matrix(2).rank() == 105 != cochain_dim(2, 4, 4)
     assert (dims(asm.cohomology_dim(2, representatives=False))
@@ -545,17 +565,18 @@ def guard_blocks(asm, q):
 
 
 def test_block_guard_matches_the_full_product():
-    """The guard decides partial_q partial_(q-1) = 0 exactly as the product
-    of the assembled totals does, on every dims-only case in degree >= 2."""
+    """The blocks, and the integer product of the oracle, decide
+    partial_q partial_(q-1) = 0 exactly as the Fraction product of the
+    assembled totals does, on every dims-only case in degree >= 2."""
     verdicts, failing = set(), set()
     for md, rep, degrees in dims_only_cases():
         for q in degrees:
             if q < 2:
                 continue
             asm = ComplexAssembly(md, rep)
-            holds = asm._composes_to_zero(q)
-            assert holds == (asm.partial_matrix(q)
-                             @ asm.partial_matrix(q - 1)).is_zero, (md, rep, q)
+            top, low = asm.partial_matrix(q), asm.partial_matrix(q - 1)
+            holds = (top @ low).is_zero
+            assert oracles.product_is_zero(top, low) == holds, (md, rep, q)
             blocks = guard_blocks(asm, q)
             assert holds == all(blocks)
             verdicts.add(holds)
@@ -568,7 +589,8 @@ def test_block_guard_matches_the_full_product():
 
 def test_block_guard_checks_every_block(emd, adjoint):
     """On the valid example complex, breaking any one factor of a block
-    makes partial_3 partial_2 nonzero, and the guard says so."""
+    makes partial_3 partial_2 nonzero, and the blocks and the integer
+    product say so."""
     delta_2 = ComplexAssembly(emd, adjoint).delta_matrix(2)
     row = next(i for i, r in enumerate(delta_2.sparse_rows) if r)
     col = next(j for r in delta_2.sparse_rows for j in r)
@@ -579,25 +601,69 @@ def test_block_guard_checks_every_block(emd, adjoint):
     def plus_identity(mat):
         return mat + Matrix.identity(mat.rows)
 
+    def composes(asm):
+        holds = oracles.product_is_zero(asm.partial_matrix(3), asm.partial_matrix(2))
+        assert holds == all(guard_blocks(asm, 3))
+        return holds
+
     # (cache, degree, change): delta_3 delta_2 != 0 when delta_3 reads a
     # nonzero row of delta_2, delta_2 delta_1 != 0 when delta_1 hits a
     # nonzero column, and Phi_3 + 1 or Phi_2 + 1 breaks Phi delta = delta Phi
     changes = [("_delta", 3, lambda m: bump(m, 0, row)),
                ("_delta", 1, lambda m: bump(m, col, 0)),
                ("_phi", 3, plus_identity), ("_phi", 2, plus_identity)]
-    assert ComplexAssembly(emd, adjoint)._composes_to_zero(3)
+    assert composes(ComplexAssembly(emd, adjoint))
     for cache, q, change in changes:
         asm = ComplexAssembly(emd, adjoint)
         matrix = asm.delta_matrix if cache == "_delta" else asm.phi_matrix
         getattr(asm, cache)[q] = change(matrix(q))
         assert not (asm.partial_matrix(3) @ asm.partial_matrix(2)).is_zero, (cache, q)
-        assert not asm._composes_to_zero(3), (cache, q)
+        assert not composes(asm), (cache, q)
+
+
+def pool_complexes():
+    """32 triangular and 32 determinant-bracket members of the corpus, each
+    with the adjoint and the coadjoint action."""
+    members = ([triangular_family_member(random.Random(f"tri-{i}")) for i in range(32)]
+               + [det_bracket_md(random.Random(f"det-{i}")) for i in range(32)])
+    return [(md, rep(md)) for md in members
+            for rep in (adjoint_representation, coadjoint_representation)]
+
+
+def axioms_hold(md, rep):
+    return (verify_3lie(md.algebra).valid and verify_modified_differential(md).valid
+            and verify_representation(md, rep).valid)
+
+
+def test_verified_axioms_make_the_totals_compose_to_zero():
+    """The implication the certified ranks rest on: every complex that
+    passes the verifiers has partial_q partial_(q-1) = 0 for 2 <= q <= 4
+    (where the budget admits the degree-q total), and every complex where
+    a product is nonzero fails a verifier.  Checked on the dims-only cases
+    and the corpus pool, by the integer product of the oracle."""
+    valid, nonzero = 0, 0
+    complexes = [(md, rep) for md, rep, _ in dims_only_cases()] + pool_complexes()
+    for md, rep in complexes:
+        holds = axioms_hold(md, rep)
+        asm = ComplexAssembly(md, rep)
+        for q in (2, 3, 4):
+            try:
+                asm._total_dims(q)
+            except InputError:
+                continue
+            zero = oracles.product_is_zero(asm.partial_matrix(q),
+                                           asm.partial_matrix(q - 1))
+            assert zero or not holds, (md, rep, q)
+            nonzero += not zero
+        valid += holds
+    assert valid >= 128 and nonzero
 
 
 def test_dims_only_assembles_no_total_it_certifies(monkeypatch):
-    """On abelian n=5 with the adjoint action delta_1 is zero, so the guard
-    holds without building delta_2, Phi_2 or any degree-2 total; only
-    partial_1, whose Phi_1 is singular, is assembled and eliminated."""
+    """On abelian n=5 with the adjoint action Phi_2 is certified and the
+    axioms hold, so rank partial_2 needs no delta_2, Phi_2 or degree-2
+    total; only partial_1, whose Phi_1 is singular, is assembled and
+    eliminated."""
     md = abelian_md(random.Random("md3lie-bench/ab5-0"), 5)
     asm = ComplexAssembly(md, adjoint_representation(md))
     partial_matrix = ComplexAssembly.partial_matrix
@@ -613,9 +679,10 @@ def test_dims_only_assembles_no_total_it_certifies(monkeypatch):
 
 def test_representatives_assemble_no_total_they_certify(monkeypatch):
     """Phi_3 and Phi_2 of a determinant-bracket member with the coadjoint
-    action are certified and the guards hold, so cohomology_dim(3) answers
-    H^3 = 0 without assembling a total or computing a kernel; with the
-    adjoint action Phi is singular and elimination still runs."""
+    action are certified and the axioms hold, so cohomology_dim(3) answers
+    H^3 = 0 without assembling a delta, a Phi or a total, or computing a
+    kernel; with the adjoint action Phi is singular and elimination still
+    runs."""
     md = det_bracket_md(random.Random(31))
     asm = ComplexAssembly(md, coadjoint_representation(md))
 
@@ -626,12 +693,57 @@ def test_representatives_assemble_no_total_they_certify(monkeypatch):
     monkeypatch.setattr(Matrix, "kernel_basis", refuse)
     summary = asm.cohomology_dim(3)
     assert (dims(summary), summary.representatives) == ((27, 27, 0), [])
-    assert not asm._partial
+    assert not (asm._delta or asm._phi or asm._partial)
     monkeypatch.undo()
     singular = ComplexAssembly(md, adjoint_representation(md))
     assert not singular.phi_det_mod_p(3)
     assert dims(singular.cohomology_dim(3)) == (30, 24, 6)
     assert set(singular._partial) == {2, 3}
+
+
+def test_an_uncertified_rank_runs_no_verifier(monkeypatch):
+    """The axioms are verified only after every certificate a rank needs
+    has passed: a singular Phi (the adjoint action of a determinant-bracket
+    member) and a degree-1 request take no verifier, on both paths."""
+    md = det_bracket_md(random.Random(31))
+
+    def refuse(*args):
+        raise AssertionError("a verifier ran")
+
+    for name in ("verify_3lie", "verify_modified_differential",
+                 "verify_representation"):
+        monkeypatch.setattr(cohomology, name, refuse)
+    singular = ComplexAssembly(md, adjoint_representation(md))
+    for q in (1, 2, 3):
+        for representatives in (False, True):
+            singular.cohomology_dim(q, representatives=representatives)
+    certified = ComplexAssembly(md, coadjoint_representation(md))
+    assert certified.phi_det_mod_p(1)
+    for representatives in (False, True):
+        assert dims(certified.cohomology_dim(1, representatives)) == (0, 0, 0)
+    with pytest.raises(AssertionError, match="a verifier ran"):
+        certified.cohomology_dim(2)
+
+
+def test_certificates_share_the_characteristic_polynomials(monkeypatch):
+    """Phi_3 and Phi_2 have the factors d_F, d and -d_M; a certified
+    cohomology_dim(3) takes the characteristic polynomial of each once, on
+    both paths."""
+    md = det_bracket_md(random.Random(31))
+    charpoly = exactnum._charpoly_mod
+    calls = []
+
+    def counted(a, p):
+        calls.append(p)
+        return charpoly(a, p)
+
+    monkeypatch.setattr(exactnum, "_charpoly_mod", counted)
+    for representatives in (True, False):
+        calls.clear()
+        asm = ComplexAssembly(md, coadjoint_representation(md))
+        assert dims(asm.cohomology_dim(3, representatives)) == (27, 27, 0)
+        assert len(calls) == 3
+        assert asm.phi_det_mod_p(3) and len(calls) == 3
 
 
 @pytest.mark.parametrize("representatives", [False, True])

@@ -1,7 +1,9 @@
 """The sparse verifiers against the dense oracles of ``oracles.py``.
 
 Reports must agree in validity, law, argument tuple, both witness values and
-order, on valid inputs and on inputs where every tuple fails."""
+order, on valid inputs, on inputs where every tuple fails, and on inputs
+where the verifiers' skips of zero brackets and zero actions apply only in
+part."""
 
 import random
 from dataclasses import replace
@@ -16,8 +18,10 @@ from md3lie.corpus import (
     random_matrix, triangular_family_member,
 )
 from md3lie.exactnum import Matrix
+from md3lie.multilin import SkewTernaryTensor
 from md3lie.structures import (
-    MD3LieAlgebra, ModifiedDifferential, adjoint_representation,
+    MD3LieAlgebra, ModifiedDifferential, Representation, ThreeLieAlgebra,
+    adjoint_representation,
     coadjoint_representation, leibniz_data, semidirect_product,
     trivial_representation, verify_3lie, verify_leibniz,
     verify_modified_differential, verify_representation,
@@ -33,6 +37,12 @@ def standard_reps(rng, md):
         "coadjoint": coadjoint_representation(md),
         "trivial": trivial_representation(md, 2, random_matrix(rng, 2, 2)),
     }
+
+
+def partial_action(rng, md, m, pairs):
+    """Random actions on the given pairs only, zero on the others."""
+    return Representation(n=md.n, m=m, rho={p: random_matrix(rng, m, m) for p in pairs},
+                          d_M=random_matrix(rng, m, m), lam=md.lam)
 
 
 def build_cases():
@@ -80,6 +90,27 @@ def build_cases():
         ab = abelian_md(rng, n)
         add(f"ab{n}", ab, {"adjoint": adjoint_representation(ab),
                            "random": random_action(rng, ab, 2)})
+    # the skips apply in part: a zero bracket under a nonzero, invalid
+    # action, on every pair or on two pairs that leave e_3 unacted on
+    ab4 = abelian_md(rng, 4)
+    add("ab4-partial", ab4, {"random": random_action(rng, ab4, 2),
+                             "two-pairs": partial_action(rng, ab4, 2, [(0, 1), (1, 2)])})
+    # exactly one nonzero triple, so three pairs of the 3-Lie check and of
+    # the commutator identity are not skipped, and the triple (0, 1, 2) of
+    # the differential rule reads its bracket through the pair (1, 2) alone
+    one = MD3LieAlgebra(ThreeLieAlgebra(4, SkewTernaryTensor(4, 4, {
+        (1, 2, 3): (Fraction(1), Fraction(0), Fraction(-2), Fraction(1, 3))})),
+        ModifiedDifferential(Fraction(1, 2), random_matrix(rng, 4, 4)))
+    add("one-triple", one, {"adjoint": adjoint_representation(one),
+                            "coadjoint": coadjoint_representation(one),
+                            "two-pairs": partial_action(rng, one, 2, [(0, 3), (2, 3)])})
+    # d = 0: the rule reads lam [x, y, z] alone, which holds only at weight 0
+    for lam in (0, 1):
+        zero_d = MD3LieAlgebra(example_algebra(),
+                               ModifiedDifferential(Fraction(lam), Matrix.zeros(3, 3)))
+        add(f"example-d0-lam{lam}", zero_d, {
+            "adjoint": adjoint_representation(zero_d),
+            "random": random_action(rng, zero_d, 2)})
     return cases
 
 
