@@ -3,7 +3,7 @@
 
 For each instance the script runs the three axiom verifiers and re-checks the
 complex identities (the squares of the differentials and the cochain-map
-commutation) before printing the exact dimensions in degrees 1 and 2:
+commutation) before printing the exact dimensions in degrees 1 to 3:
 z = cols - rank partial_q and b = rank partial_(q-1), both by eliminating the
 assembled totals.  Verified axioms imply the identities, so an instance that
 passes the verifiers and fails an identity is a fault of the assembly.  Both
@@ -76,7 +76,7 @@ def main(argv=None) -> int:
         axioms, holds = axioms_hold(asm), identities_hold(asm)
         if axioms and not holds:
             failures.append(f"{name}: the axioms pass but a complex identity fails")
-        for q in (1, 2):
+        for q in (1, 2, 3):
             total = asm.partial_matrix(q)
             z = total.cols - total.rank()
             b = asm.partial_matrix(q - 1).rank() if q > 1 else 0

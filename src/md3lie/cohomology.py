@@ -39,9 +39,9 @@ factor is computed once per complex and shared by the certificates of every
 degree.  The axioms are needed, because input that fails them can have
 Phi_q invertible and rank partial_q != dim C^q; such input is never
 certified and always eliminated.  Every certificate runs before the axioms
-are verified, and they are verified once per complex, so a singular Phi and
-a degree-1 request run no verifier; the verdict only chooses the path, and
-the numbers are those of full elimination either way.
+are verified, and they are verified once per complex, so a singular Phi on
+the dims-only path and a degree-1 request run no verifier; the verdict only
+chooses the path, and the numbers are those of full elimination either way.
 
 One predicate, the lemma's condition, serves both paths of cohomology_dim.
 Without representatives, z = dim(C^q + C^(q-1)) - rank partial_q and b =
@@ -51,10 +51,23 @@ the lemma gives both rank partial_q = dim C^q and rank partial_(q-1) =
 dim C^(q-1) (Phi_q and, from q = 2 on, Phi_(q-1) certified, and the axioms
 verified), then z = dim C^(q-1) = b and the list of representatives is
 empty, so nothing is assembled and no kernel computed; in every other case
-the kernel of partial_q and the pivots of [partial_(q-1) | kernel] are
-computed.  The budget of the degree-q total is checked before any
-certificate on both paths, so a request too large to assemble is refused at
-once, not after power sums whose cost grows like M^2.
+the representatives come from the pivots of [partial_(q-1) | K], K the
+kernel basis of partial_q.  The budget of the degree-q total is checked
+before any certificate on both paths, so a request too large to assemble
+is refused at once, not after power sums whose cost grows like M^2.
+
+Representatives from the free coordinates.  Let F be the z free columns of
+the echelon form of partial_q; a vector of ker partial_q is fixed by its
+coordinates on F, and K restricted to the rows F is diagonal with positive
+entries.  Lemma: when partial_q partial_(q-1) = 0, projecting onto F is
+injective on ker partial_q, which contains im partial_(q-1), so a
+combination of columns of [partial_(q-1) | K] vanishes exactly when its
+rows F do, and [partial_(q-1)|_F | I_z] has the pivots of [partial_(q-1) |
+K].  Its condition is the same verified-axioms predicate.  So from q = 2 on
+valid input pivots that z-row matrix: its pivots inside the boundary block
+count b, those beyond it name the free columns whose kernel vectors are the
+representatives, and only those vectors are back-substituted.  Input that
+fails an axiom eliminates the full [partial_(q-1) | K].
 
 Caching: a ComplexAssembly memoizes assembled matrices, characteristic
 polynomials and the axiom verdict.
@@ -85,6 +98,7 @@ MAX_DENSE_ENTRIES = 10_000_000
 #: No higher degree fits the budget once n >= 3 (C^(q+1) has 2^q coordinates
 #: or more); checked first, it also bounds n <= 2 and the powers in cochain_dim.
 MAX_DEGREE = MAX_DENSE_ENTRIES.bit_length()
+_ONE = Fraction(1)
 
 def _sparse_entries(mat: Matrix) -> list[tuple[int, int, Fraction, Fraction]]:
     """(row, column, entry, -entry) for each nonzero entry."""
@@ -437,21 +451,32 @@ class ComplexAssembly:
             return CohomologySummary(z_dim, b_dim, z_dim - b_dim, [])
         if self._full_rank_proved(*((q, q - 1) if q > 1 else (q,))):
             return CohomologySummary(low, low, 0, [])
-        kernel = self.partial_matrix(q).kernel_basis()
-        z_dim = len(kernel)
+        total = self.partial_matrix(q)
         if q == 1:
-            reps = [TotalCochain.from_stacked(q, n, m, v) for v in kernel]
-            return CohomologySummary(z_dim, 0, z_dim, reps)
+            reps = [TotalCochain.from_stacked(q, n, m, v)
+                    for v in total.kernel_basis()]
+            return CohomologySummary(len(reps), 0, len(reps), reps)
         boundary = self.partial_matrix(q - 1)
-        stacked = Matrix.hstack(
-            [boundary, Matrix.from_columns(kernel, boundary.rows)])
+        width = boundary.cols
+        pivoted = set(total.pivot_columns())
+        free = [c for c in range(total.cols) if c not in pivoted]
+        if self._axioms_hold:
+            # the quotient lemma: [partial_(q-1) | K] on the rows F only,
+            # where K is diagonal, scaled to the identity
+            stacked = Matrix._raw(len(free), width + len(free), (
+                {**boundary.sparse_rows[f], width + i: _ONE}
+                for i, f in enumerate(free)))
+        else:
+            stacked = Matrix.hstack(
+                [boundary, Matrix.from_columns(total.kernel_basis(), boundary.rows)])
         pivots = stacked.pivot_columns()
         # the pivots are the leftmost independent columns, so those inside
-        # the boundary block count its rank
-        b_dim = sum(1 for c in pivots if c < boundary.cols)
-        reps = [TotalCochain.from_stacked(q, n, m, kernel[c - boundary.cols])
-                for c in pivots if c >= boundary.cols]
-        return CohomologySummary(z_dim, b_dim, z_dim - b_dim, reps)
+        # the boundary block count its rank; column width + i is the kernel
+        # vector at free[i]
+        b_dim = sum(1 for c in pivots if c < width)
+        reps = [TotalCochain.from_stacked(q, n, m, v) for v in total._kernel_vectors(
+            [free[c - width] for c in pivots if c >= width])]
+        return CohomologySummary(len(free), b_dim, len(free) - b_dim, reps)
 
     def apply_partial(self, tc: TotalCochain) -> TotalCochain:
         """The total differential applied to tc, as a degree-(q+1) cochain."""

@@ -28,11 +28,14 @@ one common denominator, and a kernel vector is the primitive integer vector
 it yields.
 
 All values are immutable after construction and every operation is a pure
-function, so concurrent use on shared inputs is safe.
+function, so concurrent use on shared inputs is safe.  A matrix memoizes
+its plain echelon form (no augmented columns), which rank, pivot_columns
+and kernel_basis share; filling the memo twice stores equal values.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
@@ -106,7 +109,7 @@ class Matrix:
     from the rows; every operation works row by row and never stores a
     zero."""
 
-    __slots__ = ("rows", "cols", "sparse_rows")
+    __slots__ = ("rows", "cols", "sparse_rows", "_plain_echelon")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
         entries = tuple(entries)
@@ -118,6 +121,7 @@ class Matrix:
         self.cols = cols
         self.sparse_rows = tuple(_sparse_row(entries[i * cols:(i + 1) * cols])
                                  for i in range(rows))
+        self._plain_echelon = None
 
     @classmethod
     def _raw(cls, rows: int, cols: int, sparse_rows) -> "Matrix":
@@ -126,6 +130,7 @@ class Matrix:
         m.rows = rows
         m.cols = cols
         m.sparse_rows = tuple(sparse_rows)
+        m._plain_echelon = None
         return m
 
     @classmethod
@@ -327,7 +332,10 @@ class Matrix:
 
         ``extra`` holds augmented columns (right-hand sides).  Echelon row r
         is a primitive ``{column: int}`` dict whose first column is
-        ``pivots[r]``."""
+        ``pivots[r]``.  Without ``extra`` the result is memoized; callers
+        must not mutate it."""
+        if not extra and self._plain_echelon is not None:
+            return self._plain_echelon
         cols = self.cols
         rows = []
         for i, row in enumerate(self.sparse_rows):
@@ -338,7 +346,10 @@ class Matrix:
                         row[cols + k] = col[i]
             if row:
                 rows.append(_integer_row(row))
-        return _eliminate(rows, cols + len(extra))
+        echelon = _eliminate(rows, cols + len(extra))
+        if not extra:
+            self._plain_echelon = echelon
+        return echelon
 
     def rank(self) -> int:
         """Exact rank over the rationals."""
@@ -346,20 +357,23 @@ class Matrix:
 
     def pivot_columns(self) -> list[int]:
         """Pivot columns of the echelon form (leftmost independent columns)."""
-        return self._echelon()[1]
+        return list(self._echelon()[1])
 
     def kernel_basis(self) -> list[Vector]:
         """Basis of the right null space; every v satisfies self @ v = 0.
 
         One basis vector per free column, normalized to a primitive integer
         vector with positive entry at its free column."""
+        pivots = set(self._echelon()[1])
+        return self._kernel_vectors([c for c in range(self.cols) if c not in pivots])
+
+    def _kernel_vectors(self, free: Sequence[int]) -> list[Vector]:
+        """The kernel_basis vectors at the free columns ``free``, in that
+        order; only those are back-substituted."""
         rows, pivots = self._echelon()
         basis = []
-        k = 0  # pivots left of the column; only those can be nonzero
-        for fc in range(self.cols):
-            if k < len(pivots) and pivots[k] == fc:
-                k += 1
-                continue
+        for fc in free:
+            k = bisect_left(pivots, fc)  # only pivots left of fc can be nonzero
             x, _ = _back_substitute(rows[:k], pivots[:k], {fc: 1})
             g = gcd(*x.values())
             basis.append(_rational(x, g if x[fc] > 0 else -g, self.cols))

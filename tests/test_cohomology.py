@@ -156,7 +156,12 @@ def test_survey_script_fails_on_a_broken_complex(capsys, monkeypatch):
         patch.setattr(ComplexAssembly, "phi_matrix", phi_2_plus_identity)
         assert survey.main([]) == 1
     captured = capsys.readouterr()
-    assert captured.err == "FAILED broken: the axioms pass but a complex identity fails\n"
+    # the quotient path rests on partial partial = 0, so it reads wrong dims
+    # where the verified axioms no longer describe the assembled matrices
+    assert captured.err == (
+        "FAILED broken: the axioms pass but a complex identity fails\n"
+        "FAILED broken, q=2: the representatives path gives (10, 6, 4), not (10, 7, 3)\n"
+        "FAILED broken, q=3: the representatives path gives (28, 21, 7), not (28, 26, 2)\n")
     assert captured.out.splitlines()[2].split()[:4] == ["broken", "yes", "NO", "1"]
     # a dims-only rank that disagrees with elimination fails the survey too
     monkeypatch.setattr(survey, "instances", lambda seed: [
@@ -166,7 +171,8 @@ def test_survey_script_fails_on_a_broken_complex(capsys, monkeypatch):
         assert survey.main([]) == 1
     assert capsys.readouterr().err == (
         "FAILED example, q=1: the dims-only path gives (9, 0, 9), not (2, 0, 2)\n"
-        "FAILED example, q=2: the dims-only path gives (36, 0, 36), not (10, 7, 3)\n")
+        "FAILED example, q=2: the dims-only path gives (36, 0, 36), not (10, 7, 3)\n"
+        "FAILED example, q=3: the dims-only path gives (108, 0, 108), not (28, 26, 2)\n")
     # and so does a lemma claimed where it does not hold, on both paths
     monkeypatch.setattr(ComplexAssembly, "_full_rank_proved", lambda self, *q: True)
     assert survey.main([]) == 1
@@ -174,7 +180,9 @@ def test_survey_script_fails_on_a_broken_complex(capsys, monkeypatch):
         "FAILED example, q=1: the representatives path gives (0, 0, 0), not (2, 0, 2)\n"
         "FAILED example, q=1: the dims-only path gives (0, 0, 0), not (2, 0, 2)\n"
         "FAILED example, q=2: the representatives path gives (9, 9, 0), not (10, 7, 3)\n"
-        "FAILED example, q=2: the dims-only path gives (9, 9, 0), not (10, 7, 3)\n")
+        "FAILED example, q=2: the dims-only path gives (9, 9, 0), not (10, 7, 3)\n"
+        "FAILED example, q=3: the representatives path gives (27, 27, 0), not (28, 26, 2)\n"
+        "FAILED example, q=3: the dims-only path gives (27, 27, 0), not (28, 26, 2)\n")
 
 
 def test_complex_identities_random_instances():
@@ -521,19 +529,34 @@ def test_dims_only_matches_the_full_path(eliminated):
 
 def test_representatives_match_the_elimination_oracle(eliminated):
     """cohomology_dim(q) gives the oracle's dims and representatives, in
-    order.  Where the lemma proves H^q = 0 it assembles no total; both
-    routes are taken.  On the invalid 4-dim bracket with the coadjoint
-    action both Phi are certified but partial_2 partial_1 != 0, and the
-    oracle's (9, 16, -7) at q = 2 is kept only by the failing axioms."""
-    routes = set()
+    order.  Where the lemma proves H^q = 0 it assembles no total; valid
+    input of degree >= 2 takes the free-coordinate quotient, invalid input
+    the full [B | K] path, and every route is taken.  On the invalid 4-dim
+    bracket with the coadjoint action both Phi are certified but partial_2
+    partial_1 != 0, and the oracle's (9, 16, -7) at q = 2 is kept only by
+    the failing axioms."""
+    routes, fallback_laws = set(), {2: set(), 3: set()}
     for md, rep, q, want in eliminated:
         asm = ComplexAssembly(md, rep)
         summary = asm.cohomology_dim(q)
         assert dims(summary) == dims(want), (md, rep, q)
         assert ([tc.stacked() for tc in summary.representatives]
                 == [tc.stacked() for tc in want.representatives]), (md, rep, q)
-        routes.add(q in asm._partial)
-    assert routes == {True, False}
+        if q not in asm._partial:
+            routes.add("certified")
+        elif q == 1:
+            routes.add("kernel")
+        elif asm._axioms_hold:
+            routes.add("quotient")
+        else:
+            routes.add("fallback")
+            fallback_laws[q] |= {v.law for v in verify_representation(md, rep).violations}
+    assert routes == {"certified", "kernel", "quotient", "fallback"}
+    # every representation law, broken by corrupt_representation, takes the
+    # full [B | K] path at q = 2 and 3
+    laws = {"bracket-pair action identity", "pair action commutator identity",
+            "module differential compatibility"}
+    assert fallback_laws[2] >= laws and fallback_laws[3] >= laws
     bad = invalid_bracket_md(random.Random(31))
     asm = ComplexAssembly(bad, coadjoint_representation(bad))
     assert asm.phi_det_mod_p(2) and asm.phi_det_mod_p(1)
@@ -704,25 +727,71 @@ def test_representatives_assemble_no_total_they_certify(monkeypatch):
 def test_an_uncertified_rank_runs_no_verifier(monkeypatch):
     """The axioms are verified only after every certificate a rank needs
     has passed: a singular Phi (the adjoint action of a determinant-bracket
-    member) and a degree-1 request take no verifier, on both paths."""
+    member) takes no verifier on the dims-only path, and a degree-1 request
+    takes none on either path.  The representatives path of degree >= 2
+    verifies them to choose the quotient, once per complex."""
     md = det_bracket_md(random.Random(31))
+    names = ("verify_3lie", "verify_modified_differential", "verify_representation")
+    calls = []
+
+    def counted(name, verifier):
+        def run(*args):
+            calls.append(name)
+            return verifier(*args)
+        return run
+
+    for name in names:
+        monkeypatch.setattr(cohomology, name, counted(name, getattr(cohomology, name)))
+    singular = ComplexAssembly(md, adjoint_representation(md))
+    for q in (1, 2, 3):
+        singular.cohomology_dim(q, representatives=False)
+    singular.cohomology_dim(1)
+    assert calls == []
+    singular.cohomology_dim(2)
+    singular.cohomology_dim(3)
+    assert sorted(calls) == sorted(names)
 
     def refuse(*args):
         raise AssertionError("a verifier ran")
 
-    for name in ("verify_3lie", "verify_modified_differential",
-                 "verify_representation"):
+    for name in names:
         monkeypatch.setattr(cohomology, name, refuse)
-    singular = ComplexAssembly(md, adjoint_representation(md))
-    for q in (1, 2, 3):
-        for representatives in (False, True):
-            singular.cohomology_dim(q, representatives=representatives)
     certified = ComplexAssembly(md, coadjoint_representation(md))
     assert certified.phi_det_mod_p(1)
     for representatives in (False, True):
         assert dims(certified.cohomology_dim(1, representatives)) == (0, 0, 0)
     with pytest.raises(AssertionError, match="a verifier ran"):
         certified.cohomology_dim(2)
+
+
+def test_the_quotient_back_substitutes_only_the_representatives(monkeypatch):
+    """A valid uncertified degree-3 job (a triangular member with the adjoint
+    action) pivots on the free rows of partial_3: it builds no kernel matrix
+    and back-substitutes one kernel vector per representative, and its
+    answer is the oracle's."""
+    md = triangular_family_member(random.Random("tri-0"))
+    rep = adjoint_representation(md)
+    asm = ComplexAssembly(md, rep)
+    assert asm._axioms_hold and not asm._full_rank_proved(3, 2)
+    back_substitute = exactnum._back_substitute
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return back_substitute(*args)
+
+    def refuse(*args):
+        raise AssertionError("a kernel matrix was built")
+
+    monkeypatch.setattr(exactnum, "_back_substitute", counted)
+    monkeypatch.setattr(Matrix, "from_columns", refuse)
+    summary = asm.cohomology_dim(3)
+    monkeypatch.undo()
+    assert len(calls) == summary.h_dim > 0
+    want = oracles.cohomology_by_elimination(ComplexAssembly(md, rep), 3)
+    assert dims(summary) == dims(want)
+    assert ([tc.stacked() for tc in summary.representatives]
+            == [tc.stacked() for tc in want.representatives])
 
 
 def test_certificates_share_the_characteristic_polynomials(monkeypatch):

@@ -257,6 +257,39 @@ def test_kernel_basis_matches_dense_bareiss(m):
     assert [tuple(v) for v in m.kernel_basis()] == dense_kernel(m)
 
 
+@given(all_matrices, st.data())
+@settings(max_examples=150, deadline=None)
+def test_kernel_vectors_at_chosen_free_columns_match_the_kernel_basis(m, data):
+    """Back-substituting any free columns, in any order, gives the
+    kernel_basis vectors at those columns, with or without the echelon
+    memo filled first."""
+    basis = m.kernel_basis()
+    pivots = set(m.pivot_columns())
+    free = [c for c in range(m.cols) if c not in pivots]
+    chosen = data.draw(st.lists(st.sampled_from(range(len(free))), unique=True)
+                       if free else st.just([]))
+    want = [basis[i] for i in chosen]
+    assert m._kernel_vectors([free[i] for i in chosen]) == want
+    fresh = Matrix._raw(m.rows, m.cols, m.sparse_rows)
+    assert fresh._kernel_vectors([free[i] for i in chosen]) == want
+
+
+@given(all_matrices, all_matrices, st.data())
+@settings(max_examples=150, deadline=None)
+def test_echelon_memo_is_read_by_its_own_matrix_only(a, b, data):
+    """Each matrix answers from its own echelon, whichever matrices were
+    eliminated before it; an augmented elimination is not memoized, and
+    mutating a returned pivot list changes nothing."""
+    rhs = data.draw(st.lists(sparse_scalars, min_size=a.rows, max_size=a.rows))
+    a.solve_in_image(rhs)
+    a.pivot_columns().append(a.cols)
+    for m in (a, b, a.transpose(), b, a):
+        _, pivots = dense_bareiss(m)
+        assert m.pivot_columns() == pivots
+        assert m.rank() == len(pivots)
+        assert [tuple(v) for v in m.kernel_basis()] == dense_kernel(m)
+
+
 @pytest.mark.parametrize("strategy", [
     sparse_matrices(), with_zero_lines(), with_duplicated_rows(),
     kronecker_blocks()], ids=["sparse", "zero-lines", "duplicated", "kronecker"])
