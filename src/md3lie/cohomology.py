@@ -15,9 +15,12 @@ substitutes one argument of the column cochain by a sparse table vector
 Phi) or applies rho or -d_M to its values, so it names the column blocks it
 reads, each with one coefficient.  The tables come from
 structures.leibniz_data once per complex; no axiom is verified, so invalid
-input assembles too.  The degree is generic, but sizes grow like
-C(n,2)^(q-1), and a matrix whose rows x cols exceeds MAX_DENSE_ENTRIES is
-refused before it is built.
+input assembles too.  Every term is a table entry times +-1, so assembly
+runs over integers: the tables are scaled once by the lcm D of all their
+denominators, and each row is its integers over D (exactnum's integer
+rows).  The degree is generic, but sizes grow like C(n,2)^(q-1), and a
+matrix whose rows x cols exceeds MAX_DENSE_ENTRIES is refused before it is
+built.
 
 Dimensions from a certificate.  The total complex is the mapping cone of
 Phi.  Lemma: if the algebra passes structures.verify_3lie and
@@ -66,26 +69,28 @@ rows F do, and [partial_(q-1)|_F | I_z] has the pivots of [partial_(q-1) |
 K].  Its condition is the same verified-axioms predicate.  So from q = 2 on
 valid input pivots that z-row matrix: its pivots inside the boundary block
 count b, those beyond it name the free columns whose kernel vectors are the
-representatives, and only those vectors are back-substituted.  Input that
-fails an axiom eliminates the full [partial_(q-1) | K].
+representatives, and only those vectors are back-substituted; row f is its
+integer row with its denominator at the identity column.  Input that fails
+an axiom eliminates the full [partial_(q-1) | K].
 
-Caching: a ComplexAssembly memoizes assembled matrices, characteristic
-polynomials and the axiom verdict.
-Population is idempotent (pure recomputation), so a racing first access at
-worst computes twice and discards one copy.
+Caching: a ComplexAssembly memoizes assembled matrices, tables, the Phi
+factors (all a certificate reads), characteristic polynomials and the axiom
+verdict.  Population is idempotent (pure recomputation), so a racing first
+access at worst computes twice and discards one copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
+from math import lcm
 from types import SimpleNamespace
 from typing import Optional
 
 from .errors import InputError
-from .exactnum import Matrix, Vector, _kronecker_sum_det, vec_is_zero
+from .exactnum import (Matrix, Vector, _IntegerMatrix, _kronecker_sum_det,
+                       vec_is_zero)
 from .multilin import CochainCoordinates, cochain_dim, pair_basis
 from .structures import (
     MD3LieAlgebra, Representation, leibniz_data, verify_3lie,
@@ -98,11 +103,10 @@ MAX_DENSE_ENTRIES = 10_000_000
 #: No higher degree fits the budget once n >= 3 (C^(q+1) has 2^q coordinates
 #: or more); checked first, it also bounds n <= 2 and the powers in cochain_dim.
 MAX_DEGREE = MAX_DENSE_ENTRIES.bit_length()
-_ONE = Fraction(1)
 
-def _sparse_entries(mat: Matrix) -> list[tuple[int, int, Fraction, Fraction]]:
-    """(row, column, entry, -entry) for each nonzero entry."""
-    return [(i, j, c, -c) for i, row in enumerate(mat.sparse_rows)
+def _sparse_entries(mat: Matrix, scaled) -> list[tuple[int, int, int, int]]:
+    """(row, column, entry, -entry) for each nonzero entry, scaled."""
+    return [(i, j, scaled(c), -scaled(c)) for i, row in enumerate(mat.sparse_rows)
             for j, c in row.items()]
 
 
@@ -200,7 +204,7 @@ class ComplexAssembly:
         self._phi: dict[int, Matrix] = {}
         self._partial: dict[int, Matrix] = {}
         # characteristic polynomials mod p of the Phi factors, by the identity
-        # of the _tables.phi_factors objects, which live as long as self
+        # of the _phi_factors objects, which live as long as self
         self._charpolys: dict[int, Optional[list[int]]] = {}
 
     # -- matrices ---------------------------------------------------------
@@ -253,31 +257,49 @@ class ComplexAssembly:
     # -- assembly ---------------------------------------------------------
 
     @cached_property
+    def _leibniz(self):
+        return leibniz_data(self.md)
+
+    @cached_property
+    def _phi_factors(self) -> tuple[Matrix, Matrix, Matrix]:
+        # Phi_q is the Kronecker sum of q - 1 copies of d_F^T, then d^T and
+        # -d_M; a transpose has the same determinant
+        return self._leibniz.d_F, self.md.d, -self.rep.d_M
+
+    @cached_property
     def _tables(self):
-        """Sparse operator data shared by every assembly of this complex."""
+        """Sparse operator data shared by every assembly of this complex,
+        each entry times ``den``, the lcm of all their denominators."""
         md, rep, n = self.md, self.rep, self.md.n
         pairs = pair_basis(n)
-        leibniz = leibniz_data(md)
+        leibniz, signed = self._leibniz, md.algebra.bracket.signed
+        rho = [[rep.rho_basis(i, j) for j in range(n)] for i in range(n)]
+        den = lcm(*{c.denominator for c in chain(
+            (c for items in chain(leibniz.bracket_F.values(), signed.values())
+             for _, c in items),
+            (c for mat in chain((leibniz.d_F, md.d, rep.d_M), *rho)
+             for row in mat.sparse_rows for c in row.values()))})
+
+        def scaled(c):
+            return c.numerator * (den // c.denominator)
+
         # [X_a, X_b]_F on the pair basis, listed where leibniz_data stores one
         bracket_F = [[()] * len(pairs) for _ in pairs]
         for (a, b), items in leibniz.bracket_F.items():
-            bracket_F[a][b] = [(j, c, -c) for j, c in items]
-        signed = md.algebra.bracket.signed
+            bracket_F[a][b] = [(j, scaled(c), -scaled(c)) for j, c in items]
         return SimpleNamespace(
             pairs=pairs,
+            den=den,
             bracket_F=bracket_F,
             # d_F(X_a) on the pair basis
-            d_F=leibniz.d_F.column_items(),
+            d_F=[[(r, scaled(c)) for r, c in col]
+                 for col in leibniz.d_F.column_items()],
             # [X_a, e_k] and d(e_k) on the algebra basis
-            ad=[[[(r, c, -c) for r, c in signed.get((i, j, k), ())]
+            ad=[[[(r, scaled(c), -scaled(c)) for r, c in signed.get((i, j, k), ())]
                  for k in range(n)] for i, j in pairs],
-            d=md.d.column_items(),
-            rho=[[_sparse_entries(rep.rho_basis(i, j)) for j in range(n)]
-                 for i in range(n)],
-            d_M=_sparse_entries(rep.d_M),
-            # Phi_q is the Kronecker sum of q - 1 copies of d_F^T, then d^T
-            # and -d_M; a transpose has the same determinant
-            phi_factors=(leibniz.d_F, md.d, -rep.d_M),
+            d=[[(r, scaled(c)) for r, c in col] for col in md.d.column_items()],
+            rho=[[_sparse_entries(mat, scaled) for mat in row] for row in rho],
+            d_M=_sparse_entries(rep.d_M, scaled),
         )
 
     def _block(self, args, k: int) -> int:
@@ -335,7 +357,7 @@ class ComplexAssembly:
         yield tb.d_M, [(block(arg, k), -1)]
 
     def _assemble(self, arity: int, cols: int, terms) -> Matrix:
-        """Matrix whose row block (arg, k) sums the terms(arg, k).
+        """Matrix whose row block (arg, k) sums the terms(arg, k), over den.
 
         Row blocks run over pair-index tuples ``arg`` of length ``arity`` and
         a final index k, in cochain coordinate order, m rows each.  A term
@@ -345,7 +367,7 @@ class ComplexAssembly:
         coeff is then +-1), None meaning the identity.  Only additions run:
         a sign picks an entry or its stored negation."""
         n, m = self.md.n, self.rep.m
-        P = len(self._tables.pairs)
+        P, den = len(self._tables.pairs), self._tables.den
         rows = P ** arity * n * m
         _check_entry_budget(rows, cols)
         data = [{} for _ in range(rows)]
@@ -364,8 +386,9 @@ class ComplexAssembly:
                         row[j] = v if prev is None else prev + v
         # terms can cancel; the matrix stores no zeros, and only a row that
         # some term touched holds an entry to filter
-        return Matrix._raw(rows, cols, ({j: v for j, v in row.items() if v}
-                                        if row else row for row in data))
+        return _IntegerMatrix(rows, cols, (
+            ({j: v for j, v in row.items() if v} if row else row, den)
+            for row in data))
 
     # -- membership and dimensions ----------------------------------------
 
@@ -399,7 +422,7 @@ class ComplexAssembly:
         factors of Phi_q without assembling it; None when undecided.  A
         nonzero value proves Phi_q invertible."""
         _check_degree(q)
-        d_F, d, neg_d_M = self._tables.phi_factors
+        d_F, d, neg_d_M = self._phi_factors
         return _kronecker_sum_det([d_F] * (q - 1) + [d, neg_d_M], self._charpolys)
 
     @cached_property
@@ -463,9 +486,10 @@ class ComplexAssembly:
         if self._axioms_hold:
             # the quotient lemma: [partial_(q-1) | K] on the rows F only,
             # where K is diagonal, scaled to the identity
-            stacked = Matrix._raw(len(free), width + len(free), (
-                {**boundary.sparse_rows[f], width + i: _ONE}
-                for i, f in enumerate(free)))
+            rows = boundary._integer_rows()
+            stacked = _IntegerMatrix(len(free), width + len(free), (
+                ({**row, width + i: den}, den)
+                for i, (row, den) in enumerate(rows[f] for f in free)))
         else:
             stacked = Matrix.hstack(
                 [boundary, Matrix.from_columns(total.kernel_basis(), boundary.rows)])

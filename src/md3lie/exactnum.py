@@ -6,15 +6,21 @@ anywhere in the package.
 
 A Matrix stores one ``{column: Fraction}`` dict per row and never stores a
 zero; the dense views (``entries``, ``row``, ``column``, indexing) are
-computed from the rows, and every operation works row by row.
+computed from the rows, and every operation works row by row.  Elimination
+reads the rows as integers: a ``{column: int}`` dict over one positive
+denominator per row.  A Fraction-built matrix fills them on its first
+elimination; one built from integer rows (the complex assembly, its stacks
+and negations) is born with them and builds its Fraction rows lazily.
 
 Rank, kernel, solve and inverse share one sparse fraction-free elimination
-engine.  Each nonzero row is read once into a ``{column: int}`` dict, its
-denominators cleared by their lcm and its content (gcd) divided out.
-Columns are eliminated left to right without column pivoting, so the pivot
-columns are the leftmost independent columns whichever rows serve as pivots.
-At each column only the rows with a nonzero there are updated, against the
-one with the fewest nonzeros, and each updated row is made primitive again.
+engine, which divides the content (gcd) out of each integer row.  Columns
+are eliminated left to right without column pivoting, so the pivot columns
+are the leftmost independent columns whichever rows serve as pivots.  At
+each column only the rows with a nonzero there are updated, against the one
+with the fewest nonzeros (the earliest input row on ties), and each updated
+row is made primitive again.  At column c no active row has an entry left of
+c, so the rows hit are those whose leading column is c: rows are filed by
+leading column, and each updated row is filed again.
 
 Growth is bounded by minors of the input.  After k pivots, an updated row
 lies in the span of its original row and the k original pivot rows, and
@@ -29,8 +35,9 @@ it yields.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent use on shared inputs is safe.  A matrix memoizes
-its plain echelon form (no augmented columns), which rank, pivot_columns
-and kernel_basis share; filling the memo twice stores equal values.
+its integer rows, its Fraction rows and its plain echelon form (no augmented
+columns), which rank, pivot_columns and kernel_basis share; filling a memo
+twice stores equal values.
 """
 
 from __future__ import annotations
@@ -57,10 +64,6 @@ def scal(value) -> Fraction:
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise InputError(f"not an exact scalar: {value!r}")
-
-
-def vec(values: Iterable) -> Vector:
-    return tuple(scal(v) for v in values)
 
 
 def vec_zero(n: int) -> Vector:
@@ -109,7 +112,7 @@ class Matrix:
     from the rows; every operation works row by row and never stores a
     zero."""
 
-    __slots__ = ("rows", "cols", "sparse_rows", "_plain_echelon")
+    __slots__ = ("rows", "cols", "sparse_rows", "_int_rows", "_plain_echelon")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
         entries = tuple(entries)
@@ -117,20 +120,17 @@ class Matrix:
             raise InputError(
                 f"entry count {len(entries)} does not match shape {rows}x{cols}"
             )
-        self.rows = rows
-        self.cols = cols
+        self.rows, self.cols = rows, cols
         self.sparse_rows = tuple(_sparse_row(entries[i * cols:(i + 1) * cols])
                                  for i in range(rows))
-        self._plain_echelon = None
+        self._int_rows = self._plain_echelon = None
 
     @classmethod
     def _raw(cls, rows: int, cols: int, sparse_rows) -> "Matrix":
         # Internal fast path: rows are {column: Fraction} dicts without zeros.
         m = object.__new__(cls)
-        m.rows = rows
-        m.cols = cols
-        m.sparse_rows = tuple(sparse_rows)
-        m._plain_echelon = None
+        m.rows, m.cols, m.sparse_rows = rows, cols, tuple(sparse_rows)
+        m._int_rows = m._plain_echelon = None
         return m
 
     @classmethod
@@ -305,6 +305,18 @@ class Matrix:
         if any(p.rows != rows for p in parts):
             raise InputError("hstack: row count mismatch")
         out = [{} for _ in range(rows)]
+        if any(isinstance(p, _IntegerMatrix) for p in parts):
+            # every row over the lcm of the parts' row denominators
+            ints = [p._integer_rows() for p in parts]
+            den = lcm(*{d for part in ints for r, d in part if r})
+            offset = 0
+            for p, part in zip(parts, ints):
+                for row, (r, d) in zip(out, part):
+                    s = den // d
+                    for j, v in r.items():
+                        row[offset + j] = s * v
+                offset += p.cols
+            return _IntegerMatrix(rows, offset, ((row, den) for row in out))
         offset = 0
         for p in parts:
             for row, r in zip(out, p.sparse_rows):
@@ -318,6 +330,9 @@ class Matrix:
         cols = parts[0].cols
         if any(p.cols != cols for p in parts):
             raise InputError("vstack: column count mismatch")
+        if any(isinstance(p, _IntegerMatrix) for p in parts):
+            return _IntegerMatrix(sum(p.rows for p in parts), cols,
+                                  (r for p in parts for r in p._integer_rows()))
         return cls._raw(sum(p.rows for p in parts), cols,
                         (r for p in parts for r in p.sparse_rows))
 
@@ -327,29 +342,21 @@ class Matrix:
 
     # ---- fraction-free elimination -------------------------------------
 
-    def _echelon(self, extra: Sequence[Sequence[Fraction]] = ()):
-        """Sparse integer echelon rows and pivot columns of ``[self | extra...]``.
+    def _integer_rows(self):
+        """(``{column: int}`` without zeros, denominator > 0) per row, filled
+        from the Fraction rows once; callers must not mutate them."""
+        if self._int_rows is None:
+            self._int_rows = tuple(_integer_row(r) if r else ({}, 1)
+                                   for r in self.sparse_rows)
+        return self._int_rows
 
-        ``extra`` holds augmented columns (right-hand sides).  Echelon row r
-        is a primitive ``{column: int}`` dict whose first column is
-        ``pivots[r]``.  Without ``extra`` the result is memoized; callers
-        must not mutate it."""
-        if not extra and self._plain_echelon is not None:
-            return self._plain_echelon
-        cols = self.cols
-        rows = []
-        for i, row in enumerate(self.sparse_rows):
-            if extra:
-                row = dict(row)
-                for k, col in enumerate(extra):
-                    if col[i]:
-                        row[cols + k] = col[i]
-            if row:
-                rows.append(_integer_row(row))
-        echelon = _eliminate(rows, cols + len(extra))
-        if not extra:
-            self._plain_echelon = echelon
-        return echelon
+    def _echelon(self):
+        """Echelon rows (primitive ``{column: int}`` dicts, row r first at
+        ``pivots[r]``) and pivot columns, memoized; callers must not mutate."""
+        if self._plain_echelon is None:
+            self._plain_echelon = _eliminate(
+                [_content_free(r) for r, _ in self._integer_rows() if r])
+        return self._plain_echelon
 
     def rank(self) -> int:
         """Exact rank over the rationals."""
@@ -383,7 +390,8 @@ class Matrix:
         """Some x with self @ x = b when b is in the image, else None."""
         if len(b) != self.rows:
             raise InputError(f"rhs length {len(b)} != rows {self.rows}")
-        rows, pivots = self._echelon([vec(b)])
+        augmented = Matrix.hstack([self, Matrix.from_columns([b], self.rows)])
+        rows, pivots = augmented._echelon()
         if pivots and pivots[-1] == self.cols:
             return None  # pivot in the augmented column: inconsistent
         return _rational(*_back_substitute(rows, pivots, {}, self.cols), self.cols)
@@ -396,7 +404,7 @@ class Matrix:
         if self.rows != self.cols:
             raise InputError("inverse of a non-square matrix")
         n = self.rows
-        rows, pivots = self._echelon([unit(n, j) for j in range(n)])
+        rows, pivots = Matrix.hstack([self, Matrix.identity(n)])._echelon()
         if pivots and pivots[-1] >= n:
             raise InputError("matrix is singular")
         columns = [_rational(*_back_substitute(rows, pivots, {}, n + j), n)
@@ -413,11 +421,50 @@ def _sparse_row(values: Sequence) -> dict[int, Fraction]:
     return row
 
 
-def _integer_row(row: dict[int, Fraction]) -> dict[int, int]:
-    """Clear a nonzero row's denominators by their lcm; divide out its content."""
+class _IntegerMatrix(Matrix):
+    """A matrix born with integer rows (``Matrix._integer_rows``); its
+    Fraction rows are built at the first read of ``sparse_rows``, once."""
+
+    __slots__ = ()
+
+    def __init__(self, rows: int, cols: int, int_rows):
+        self.rows, self.cols, self._int_rows = rows, cols, tuple(int_rows)
+        self._plain_echelon = None
+        _FRACTION_ROWS.__set__(self, None)
+
+    @property
+    def sparse_rows(self):
+        rows = _FRACTION_ROWS.__get__(self)
+        if rows is None:
+            rows = tuple({j: Fraction(v, den) for j, v in r.items()}
+                         for r, den in self._int_rows)
+            _FRACTION_ROWS.__set__(self, rows)
+        return rows
+
+    def __reduce__(self):  # copy and pickle rebuild from the integer rows
+        return _IntegerMatrix, (self.rows, self.cols, self._int_rows)
+
+    def __neg__(self) -> "Matrix":
+        return _IntegerMatrix(self.rows, self.cols, (
+            ({j: -v for j, v in r.items()}, den) for r, den in self._int_rows))
+
+    def apply(self, v: Sequence[Fraction]) -> Vector:
+        """Matrix-vector product: one integer sum per row, v over its lcm."""
+        if len(v) != self.cols:
+            raise InputError(f"vector length {len(v)} != cols {self.cols}")
+        scale = lcm(*(e.denominator for e in v))
+        w = [e.numerator * (scale // e.denominator) for e in v]
+        return tuple(Fraction(sum(x * w[j] for j, x in r.items()), den * scale)
+                     for r, den in self._int_rows)
+
+
+_FRACTION_ROWS = Matrix.sparse_rows  # the slot below _IntegerMatrix.sparse_rows
+
+
+def _integer_row(row: dict[int, Fraction]) -> tuple[dict[int, int], int]:
+    """A nonzero row as integers over the lcm of its denominators."""
     scale = lcm(*(e.denominator for e in row.values()))
-    return _content_free(
-        {j: e.numerator * (scale // e.denominator) for j, e in row.items()})
+    return {j: e.numerator * (scale // e.denominator) for j, e in row.items()}, scale
 
 
 def _content_free(row: dict[int, int]) -> dict[int, int]:
@@ -427,31 +474,34 @@ def _content_free(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
-def _eliminate(rows: list[dict[int, int]], ncols: int):
+def _eliminate(rows: list[dict[int, int]]):
     """Echelon rows and pivot columns of primitive sparse integer rows.
 
     Columns are taken left to right.  At column c the pivot is the active
     row with the fewest nonzeros (the lowest index on ties); every other
     active row with a nonzero at c becomes ``(pv/g)*row - (h/g)*pivot_row``
     with ``g = gcd(pv, h)``, its content divided out.  Rows without an
-    entry at c are not touched."""
+    entry at c are not touched.  The rows hit at c are those filed under
+    leading column c; an updated row is filed again."""
+    filed: dict[int, list[int]] = {}
+    for k, r in enumerate(rows):
+        if r:
+            filed.setdefault(min(r), []).append(k)
     echelon: list[dict[int, int]] = []
     pivots: list[int] = []
-    for c in range(ncols):
-        if not rows:
-            break
-        hits = [k for k, r in enumerate(rows) if c in r]
-        if not hits:
-            continue
-        p = min(hits, key=lambda k: len(rows[k]))
+    while filed:
+        c = min(filed)
+        hits = filed.pop(c)
+        p = min(hits, key=lambda k: (len(rows[k]), k))
         prow = rows[p]
         pv = prow[c]
         for k in hits:
             if k != p:
-                rows[k] = _cancel(rows[k], prow, c, pv)
+                r = rows[k] = _cancel(rows[k], prow, c, pv)
+                if r:
+                    filed.setdefault(min(r), []).append(k)
         echelon.append(prow)
         pivots.append(c)
-        rows = [r for k, r in enumerate(rows) if k != p and r]
     return echelon, pivots
 
 

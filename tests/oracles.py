@@ -38,6 +38,10 @@ Newton's identities in O(N^2), with no resultant.
 run-time guard that the totals compose to zero before the verified axioms
 took its place; the tests check that implication with it.
 
+``scan_eliminate`` is the elimination engine as it was before it filed rows
+by leading column: at every column it scans every active row for a nonzero
+there and rebuilds the active list after each pivot.
+
 ``cohomology_by_elimination`` is ``ComplexAssembly.cohomology_dim`` with
 representatives as it was before the certificate served that path too: the
 kernel basis of the assembled partial_q, and the pivot columns of
@@ -51,8 +55,8 @@ from operator import mul
 
 from md3lie.cohomology import CohomologySummary, TotalCochain
 from md3lie.errors import InputError
-from md3lie.exactnum import (Matrix, _charpoly_mod, _power_sums_mod, unit, vec_add,
-                             vec_is_zero, vec_zero)
+from md3lie.exactnum import (Matrix, _cancel, _charpoly_mod, _power_sums_mod, unit,
+                             vec_add, vec_is_zero, vec_zero)
 from md3lie.extension import ExtractedCocycle
 from md3lie.multilin import (CochainCoordinates, SkewTernaryTensor, cochain_dim,
                              pair_basis)
@@ -614,6 +618,33 @@ def product_is_zero(a, b):
         if any(row.values()):
             return False
     return True
+
+
+def scan_eliminate(rows, ncols):
+    """Echelon rows and pivot columns of sparse integer rows, by a scan.
+
+    At column c the pivot is the active row with the fewest nonzeros (the
+    lowest index on ties), found among every active row that has a nonzero
+    at c; every other such row is cancelled against it (exactnum._cancel),
+    and the active list is rebuilt without the pivot and the rows that
+    vanished."""
+    echelon, pivots = [], []
+    for c in range(ncols):
+        if not rows:
+            break
+        hits = [k for k, r in enumerate(rows) if c in r]
+        if not hits:
+            continue
+        p = min(hits, key=lambda k: len(rows[k]))
+        prow = rows[p]
+        pv = prow[c]
+        for k in hits:
+            if k != p:
+                rows[k] = _cancel(rows[k], prow, c, pv)
+        echelon.append(prow)
+        pivots.append(c)
+        rows = [r for k, r in enumerate(rows) if k != p and r]
+    return echelon, pivots
 
 
 def cohomology_by_elimination(asm, q):

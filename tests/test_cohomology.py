@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from md3lie import cohomology, exactnum
+from md3lie import cohomology, documents, exactnum
+from md3lie.cli import run_command
 from md3lie.cohomology import ComplexAssembly, TotalCochain
 from md3lie.corpus import (
     abelian_md, corrupt_representation, det_bracket_md, example_md,
@@ -794,6 +795,107 @@ def test_the_quotient_back_substitutes_only_the_representatives(monkeypatch):
             == [tc.stacked() for tc in want.representatives])
 
 
+def scaled_complexes():
+    """The example and triangular and determinant-bracket members whose
+    tables have denominators 1, 2, 3 and 6, with both actions."""
+    members = [example_md(), triangular_family_member(random.Random("tri-0")),
+               triangular_family_member(random.Random("tri-1")),
+               det_bracket_md(random.Random("det-0"))]
+    return [(md, rep(md)) for md in members
+            for rep in (adjoint_representation, coadjoint_representation)]
+
+
+def test_integer_assembly_matches_the_direct_residuals():
+    """Assembled over integers scaled by the tables' common denominator, the
+    totals of degrees 1 and 2 are the direct residual matrices of the
+    displayed cocycle identities (oracles.direct_cocycle_matrix), entry by
+    entry, whatever that denominator is."""
+    dens = set()
+    for md, rep in scaled_complexes():
+        asm = ComplexAssembly(md, rep)
+        for q in (1, 2):
+            assert asm.partial_matrix(q) == oracles.direct_cocycle_matrix(md, rep, q)
+        dens.add(asm._tables.den)
+    assert dens == {1, 2, 3, 6}
+
+
+def test_integer_and_fraction_forms_of_the_complex_agree():
+    """delta_q, Phi_q and partial_q for q = 1..3 are born with integer rows;
+    the Fraction-built matrix of their dense rows equals each under == and
+    hash and agrees in apply, in products and in the echelon form."""
+    rng = random.Random(33)
+    for md, rep in scaled_complexes():
+        asm = ComplexAssembly(md, rep)
+        for q in (1, 2, 3):
+            for m in (asm.delta_matrix(q), asm.phi_matrix(q), asm.partial_matrix(q)):
+                assert isinstance(m, exactnum._IntegerMatrix)
+                fresh = exactnum._IntegerMatrix(m.rows, m.cols, m._int_rows)
+                ref = Matrix.from_rows([m.row(i) for i in range(m.rows)])
+                assert m == ref and hash(m) == hash(ref) and m.entries == ref.entries
+                v = random_vector(rng, m.cols)
+                assert fresh.apply(v) == ref.apply(v)
+                left = Matrix.from_rows([random_vector(rng, m.rows)])
+                right = Matrix.from_columns([v], m.cols)
+                assert m @ right == ref @ right and left @ m == left @ ref
+                assert fresh._echelon() == ref._echelon()
+
+
+def test_the_quotient_is_the_boundary_on_the_free_rows_beside_the_identity(
+        monkeypatch):
+    """The z-row matrix that the quotient lemma pivots is exactly
+    [partial_(q-1)|_F | I_z], in integer rows over the boundary's
+    denominators (here 3 and 2)."""
+    stacked = []
+    pivot_columns = Matrix.pivot_columns
+
+    def recorded(self):
+        stacked.append(self)
+        return pivot_columns(self)
+
+    monkeypatch.setattr(Matrix, "pivot_columns", recorded)
+    for md in (triangular_family_member(random.Random("tri-0")),
+               det_bracket_md(random.Random("det-0"))):
+        asm = ComplexAssembly(md, adjoint_representation(md))
+        for q in (2, 3):
+            stacked.clear()
+            summary = asm.cohomology_dim(q)
+            total, quotient = stacked
+            boundary = asm.partial_matrix(q - 1)
+            pivots = set(pivot_columns(total))
+            free = [c for c in range(total.cols) if c not in pivots]
+            assert len(free) == summary.z_dim > 0
+            assert isinstance(quotient, exactnum._IntegerMatrix)
+            assert {den for _, den in quotient._int_rows} == {asm._tables.den} != {1}
+            assert quotient == Matrix.hstack([
+                Matrix.from_rows([boundary.row(f) for f in free]),
+                Matrix.identity(len(free))])
+
+
+def test_a_valid_degree_3_job_reads_integer_rows_only(monkeypatch, tmp_path, capsys):
+    """The CLI job cohomology --degree 3 --representatives on a valid,
+    uncertified complex (a triangular member with the adjoint action)
+    assembles, stacks and eliminates integer rows end to end: no
+    integer-built matrix builds its Fraction rows, and no Fraction row is
+    converted to integers.  Its report is the one it gives unrestricted."""
+    md = triangular_family_member(random.Random("tri-0"))
+    asm = ComplexAssembly(md, adjoint_representation(md))
+    assert asm._axioms_hold and not asm._full_rank_proved(3, 2)
+    path = tmp_path / "tri-0.json"
+    path.write_text(documents.serialize_algebra(md), encoding="utf-8")
+    argv = ["cohomology", str(path), "--rep", "adjoint", "--degree", "3",
+            "--representatives"]
+    assert run_command(argv) == 0
+    want = capsys.readouterr()
+
+    def refuse(*args):
+        raise AssertionError("a Fraction row was read or converted")
+
+    monkeypatch.setattr(exactnum, "_integer_row", refuse)
+    monkeypatch.setattr(exactnum._IntegerMatrix, "sparse_rows", property(refuse))
+    assert run_command(argv) == 0
+    assert capsys.readouterr() == want
+
+
 def test_certificates_share_the_characteristic_polynomials(monkeypatch):
     """Phi_3 and Phi_2 have the factors d_F, d and -d_M; a certified
     cohomology_dim(3) takes the characteristic polynomial of each once, on
@@ -812,6 +914,8 @@ def test_certificates_share_the_characteristic_polynomials(monkeypatch):
         asm = ComplexAssembly(md, coadjoint_representation(md))
         assert dims(asm.cohomology_dim(3, representatives)) == (27, 27, 0)
         assert len(calls) == 3
+        # a certified job reads the Phi factors and builds no scaled table
+        assert "_tables" not in vars(asm)
         assert asm.phi_det_mod_p(3) and len(calls) == 3
 
 

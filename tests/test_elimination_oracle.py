@@ -11,6 +11,12 @@ implementations that share none of that check it:
   columns and kernel basis must be equal to the engine's exactly.
 - sympy's exact linear algebra over QQ, when sympy is installed.
 
+The engine files rows by their leading column; ``oracles.scan_eliminate``,
+the engine as it was before, scans every active row at every column.  On
+random sparse integer rows (rows of equal length, empty and duplicated
+rows, rows that span a small space) and on every dims-only total both must
+return identical echelon rows and pivot columns.
+
 Besides random matrices and low-rank products of two random factors, the
 strategies draw the shapes on which the fewest-nonzeros choice takes a
 different pivot row than the dense path: mostly-zero matrices, matrices
@@ -26,8 +32,11 @@ from math import gcd, lcm, prod
 import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
 
+import oracles
+from md3lie.cohomology import ComplexAssembly
 from md3lie.errors import InputError
-from md3lie.exactnum import Matrix
+from md3lie.exactnum import Matrix, _content_free, _eliminate
+from test_cohomology import dims_only_cases
 
 try:
     import sympy
@@ -320,12 +329,83 @@ def test_echelon_rows_are_primitive_and_within_hadamard_bound(m, extra, data):
                                      for c in columns])
     bound_sq = prod(max(1, sum(v * v for v in row))
                     for row in integer_rows(augmented) if any(row))
-    rows, pivots = m._echelon(columns)
+    rows, pivots = augmented._echelon()
     assert len(rows) == len(pivots)
     for row, pc in zip(rows, pivots):
         assert min(row) == pc and all(row.values())
         assert gcd(*row.values()) == 1
         assert all(v * v <= bound_sq for v in row.values())
+
+
+# ---------------------------------------------------------------------------
+# the engine filed by leading column against the scan
+
+
+nonzero_ints = st.integers(-3, 3).filter(bool)
+
+
+@st.composite
+def sparse_integer_rows(draw):
+    """(rows, ncols): sparse integer rows, random, of one length, or integer
+    combinations of a few rows; with empty and duplicated rows inserted."""
+    ncols = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["random", "one length", "low rank"]))
+    count = draw(st.integers(0, 10))
+    if kind == "one length":
+        length = draw(st.integers(1, ncols))
+        rows = [dict(zip(draw(st.permutations(range(ncols)))[:length],
+                         draw(st.lists(nonzero_ints, min_size=length,
+                                       max_size=length))))
+                for _ in range(count)]
+    else:
+        rows = [draw(st.dictionaries(st.integers(0, ncols - 1), nonzero_ints,
+                                     max_size=ncols)) for _ in range(count)]
+    if kind == "low rank" and rows:
+        base = rows[:draw(st.integers(1, 3))]
+        rows = []
+        for _ in range(count):
+            row = {}
+            for b in base:
+                c = draw(st.integers(-2, 2))
+                for j, v in b.items():
+                    row[j] = row.get(j, 0) + c * v
+            rows.append({j: v for j, v in row.items() if v})
+    for _ in range(draw(st.integers(0, 3))):
+        source = draw(st.sampled_from(rows)) if rows and draw(st.booleans()) else {}
+        rows.insert(draw(st.integers(0, len(rows))), dict(source))
+    return rows, ncols
+
+
+@given(sparse_integer_rows())
+@settings(max_examples=400, deadline=None)
+def test_filed_engine_matches_the_scan(case):
+    rows, ncols = case
+    want = oracles.scan_eliminate([dict(r) for r in rows], ncols)
+    assert _eliminate([dict(r) for r in rows]) == want
+
+
+def test_a_refiled_row_wins_a_tie_by_input_position():
+    """Row 1 loses its column-0 entry against row 0 and is filed again under
+    column 1, after row 2; both then hold two nonzeros, and the earlier
+    input row is the pivot, as the scan takes it."""
+    rows = [{0: 1}, {0: 1, 1: 1, 2: 1}, {1: 1, 2: 2}]
+    want = ([{0: 1}, {1: 1, 2: 1}, {2: 1}], [0, 1, 2])
+    assert oracles.scan_eliminate([dict(r) for r in rows], 3) == want
+    assert _eliminate([dict(r) for r in rows]) == want
+
+
+def test_filed_engine_matches_the_scan_on_the_totals():
+    """Every dims-only total, eliminated from its primitive integer rows."""
+    checked = 0
+    for md, rep, degrees in dims_only_cases():
+        asm = ComplexAssembly(md, rep)
+        for q in degrees:
+            total = asm.partial_matrix(q)
+            rows = [_content_free(r) for r, _ in total._integer_rows() if r]
+            assert (_eliminate(list(rows))
+                    == oracles.scan_eliminate(list(rows), total.cols)), (md, rep, q)
+            checked += 1
+    assert checked == 92
 
 
 # ---------------------------------------------------------------------------

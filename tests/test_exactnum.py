@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -226,6 +228,69 @@ def test_equality_and_hash_follow_the_entries(shape, data):
     assert (a == b) == (a_ref == b_ref)
     if a_ref != b_ref:
         assert a != b
+
+
+@st.composite
+def integer_rows(draw, shape=shapes):
+    """(rows, cols, int_rows): sparse integer rows, each over a denominator
+    in {1, 2, 3, 6}.  No Matrix is drawn, so printing an example builds no
+    Fraction view."""
+    rows, cols = draw(shape)
+    return rows, cols, [(draw(st.dictionaries(st.integers(0, cols - 1),
+                                              st.integers(-4, 4).filter(bool),
+                                              max_size=cols)) if cols else {},
+                         draw(st.sampled_from([1, 2, 3, 6]))) for _ in range(rows)]
+
+
+def fraction_view_built(m):
+    return exactnum._FRACTION_ROWS.__get__(m) is not None
+
+
+@given(integer_rows(), st.integers(0, 3), st.data())
+@settings(max_examples=200, deadline=None)
+def test_integer_and_fraction_forms_agree(drawn, inner, data):
+    """An integer-built matrix eliminates, applies and stacks without its
+    Fraction rows, and agrees with the Fraction-built matrix of the same
+    quotients in every view, in products, in stacks with Fraction-built
+    parts and in its echelon form; a Fraction-built matrix fills its integer
+    rows on its first elimination."""
+    rows, cols, int_rows = drawn
+    m = exactnum._IntegerMatrix(rows, cols, int_rows)
+    ref = Matrix(rows, cols, [Fraction(r.get(j, 0), den) for r, den in int_rows
+                              for j in range(cols)])
+    v = data.draw(st.lists(cancelling, min_size=cols, max_size=cols))
+    assert m.apply(v) == ref.apply(v)
+    assert all(isinstance(x, Fraction) for x in m.apply(v))
+    assert ref._int_rows is None
+    assert m._echelon() == ref._echelon()
+    assert ref._int_rows is not None
+    rhs = data.draw(st.lists(cancelling, min_size=rows, max_size=rows))
+    assert m.solve_in_image(rhs) == ref.solve_in_image(rhs)
+    assert m.kernel_basis() == ref.kernel_basis()
+    def fractions(r, c):
+        return Matrix(r, c, data.draw(st.lists(cancelling, min_size=r * c,
+                                               max_size=r * c)))
+
+    a, c = fractions(rows, inner), fractions(inner, cols)
+    stacks = [(Matrix.hstack([m, a, -m]), Matrix.hstack([ref, a, -ref])),
+              (Matrix.vstack([-m, c, m]), Matrix.vstack([-ref, c, ref])),
+              (Matrix.block([[m, a], [-m, a]]), Matrix.block([[ref, a], [-ref, a]]))]
+    for got, want in stacks:
+        assert isinstance(got, exactnum._IntegerMatrix)
+        assert got._echelon() == want._echelon()
+        w = data.draw(st.lists(cancelling, min_size=got.cols, max_size=got.cols))
+        assert got.apply(w) == want.apply(w)
+    assert type(Matrix.hstack([ref, a])) is Matrix
+    assert not any(fraction_view_built(x) for x in [m] + [got for got, _ in stacks])
+    for got, want in stacks:
+        assert got == want and hash(got) == hash(want)
+    check(m, [list(ref.row(i)) for i in range(rows)], rows, cols)
+    assert fraction_view_built(m)
+    assert m == ref and ref == m and hash(m) == hash(ref)
+    assert copy.copy(m) == pickle.loads(pickle.dumps(m)) == ref
+    b = fractions(cols, inner)
+    assert m @ b == ref @ b and a.transpose() @ m == a.transpose() @ ref
+    assert -m == -ref and m - ref == Matrix.zeros(rows, cols)
 
 
 @given(shapes, st.integers(0, 4), st.data())
