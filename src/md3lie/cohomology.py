@@ -54,24 +54,26 @@ the lemma gives both rank partial_q = dim C^q and rank partial_(q-1) =
 dim C^(q-1) (Phi_q and, from q = 2 on, Phi_(q-1) certified, and the axioms
 verified), then z = dim C^(q-1) = b and the list of representatives is
 empty, so nothing is assembled and no kernel computed; in every other case
-the representatives come from the pivots of [partial_(q-1) | K], K the
-kernel basis of partial_q.  The budget of the degree-q total is checked
-before any certificate on both paths, so a request too large to assemble
-is refused at once, not after power sums whose cost grows like M^2.
+the representatives are the kernel vectors of partial_q at the pivots of
+[partial_(q-1) | K] beyond partial_(q-1), found as below.  The budget of
+the degree-q total is checked before any certificate on both paths, so a
+request too large to assemble is refused at once, not after power sums
+whose cost grows like M^2.
 
-Representatives from the free coordinates.  Let F be the z free columns of
-the echelon form of partial_q; a vector of ker partial_q is fixed by its
+Representatives from the free coordinates.  Let B = partial_(q-1), with no
+columns at q = 1, F the z free columns of the echelon form of partial_q, and
+K the kernel basis of partial_q; a vector of ker partial_q is fixed by its
 coordinates on F, and K restricted to the rows F is diagonal with positive
-entries.  Lemma: when partial_q partial_(q-1) = 0, projecting onto F is
-injective on ker partial_q, which contains im partial_(q-1), so a
-combination of columns of [partial_(q-1) | K] vanishes exactly when its
-rows F do, and [partial_(q-1)|_F | I_z] has the pivots of [partial_(q-1) |
-K].  Its condition is the same verified-axioms predicate.  So from q = 2 on
-valid input pivots that z-row matrix: its pivots inside the boundary block
+entries.  Lemma, for every input: [B | K] has the pivots of
+[[partial_q B, 0], [B|_F, I_z]].  Indeed B y + K w = 0 exactly when
+partial_q B y = 0 and B|_F y + K|_F w = 0, because B y + K w then lies in
+ker partial_q and vanishes on F; scaling K|_F to I_z moves no pivot.  The
+top block is partial_q partial_(q-1), zero at q = 1 and on input that
+passes the axioms, and built only on input that fails one.  So
+cohomology_dim pivots that matrix: its pivots inside the boundary block
 count b, those beyond it name the free columns whose kernel vectors are the
-representatives, and only those vectors are back-substituted; row f is its
-integer row with its denominator at the identity column.  Input that fails
-an axiom eliminates the full [partial_(q-1) | K].
+representatives, and only those vectors are back-substituted; row f of the
+lower block is its integer row with its denominator at the identity column.
 
 Caching: a ComplexAssembly memoizes assembled matrices, tables, the Phi
 factors (all a certificate reads), characteristic polynomials and the axiom
@@ -103,12 +105,6 @@ MAX_DENSE_ENTRIES = 10_000_000
 #: No higher degree fits the budget once n >= 3 (C^(q+1) has 2^q coordinates
 #: or more); checked first, it also bounds n <= 2 and the powers in cochain_dim.
 MAX_DEGREE = MAX_DENSE_ENTRIES.bit_length()
-
-def _sparse_entries(mat: Matrix, scaled) -> list[tuple[int, int, int, int]]:
-    """(row, column, entry, -entry) for each nonzero entry, scaled."""
-    return [(i, j, scaled(c), -scaled(c)) for i, row in enumerate(mat.sparse_rows)
-            for j, c in row.items()]
-
 
 def _check_degree(q: int) -> None:
     if q < 1:
@@ -273,11 +269,11 @@ class ComplexAssembly:
         md, rep, n = self.md, self.rep, self.md.n
         pairs = pair_basis(n)
         leibniz, signed = self._leibniz, md.algebra.bracket.signed
-        rho = [[rep.rho_basis(i, j) for j in range(n)] for i in range(n)]
+        act = rep._action_items
         den = lcm(*{c.denominator for c in chain(
-            (c for items in chain(leibniz.bracket_F.values(), signed.values())
-             for _, c in items),
-            (c for mat in chain((leibniz.d_F, md.d, rep.d_M), *rho)
+            (c for items in chain(leibniz.bracket_F.values(), signed.values(),
+                                  act.values()) for _, c in items),
+            (c for mat in (leibniz.d_F, md.d, rep.d_M)
              for row in mat.sparse_rows for c in row.values()))})
 
         def scaled(c):
@@ -286,7 +282,7 @@ class ComplexAssembly:
         # [X_a, X_b]_F on the pair basis, listed where leibniz_data stores one
         bracket_F = [[()] * len(pairs) for _ in pairs]
         for (a, b), items in leibniz.bracket_F.items():
-            bracket_F[a][b] = [(j, scaled(c), -scaled(c)) for j, c in items]
+            bracket_F[a][b] = [(j, scaled(c)) for j, c in items]
         return SimpleNamespace(
             pairs=pairs,
             den=den,
@@ -295,11 +291,13 @@ class ComplexAssembly:
             d_F=[[(r, scaled(c)) for r, c in col]
                  for col in leibniz.d_F.column_items()],
             # [X_a, e_k] and d(e_k) on the algebra basis
-            ad=[[[(r, scaled(c), -scaled(c)) for r, c in signed.get((i, j, k), ())]
+            ad=[[[(r, scaled(c)) for r, c in signed.get((i, j, k), ())]
                  for k in range(n)] for i, j in pairs],
             d=[[(r, scaled(c)) for r, c in col] for col in md.d.column_items()],
-            rho=[[_sparse_entries(mat, scaled) for mat in row] for row in rho],
-            d_M=_sparse_entries(rep.d_M, scaled),
+            # (row, column, entry) of rho(e_i, e_j) and of d_M
+            rho=[[[(r, s, scaled(c)) for (r, s), c in act.get((i, j), ())]
+                  for j in range(n)] for i in range(n)],
+            d_M=[(r, s, scaled(c)) for (r, s), c in rep.d_M.entry_items()],
         )
 
     def _block(self, args, k: int) -> int:
@@ -337,14 +335,13 @@ class ComplexAssembly:
                 yield action, [(block(rest, k), sign)]
             # bracket absorbed into the final slot, with sign -sign
             if tb.ad[a][k]:
-                yield None, [(block(rest, kk), nc if sign > 0 else c)
-                             for kk, c, nc in tb.ad[a][k]]
+                yield None, [(block(rest, kk), -sign * c) for kk, c in tb.ad[a][k]]
             # [X_i, X_l]_F absorbed into a later pair slot, with sign -sign
             for l in range(i, len(rest)):
                 bracket = tb.bracket_F[a][rest[l]]
                 if bracket:
                     yield None, [(block(rest[:l] + (p,) + rest[l + 1:], k),
-                                  nc if sign > 0 else c) for p, c, nc in bracket]
+                                  -sign * c) for p, c in bracket]
 
     def _phi_terms(self, arg, k):
         """Terms of (Phi f)(X_1, ..., X_(q-1), e_k): d_F on each pair slot
@@ -363,27 +360,24 @@ class ComplexAssembly:
         a final index k, in cochain coordinate order, m rows each.  A term
         (T, columns) adds coeff * T(values of f at block) for each (block,
         coeff) in columns, a column block as _block numbers it; T holds the
-        sparse entries of a module endomorphism with their negations (its
-        coeff is then +-1), None meaning the identity.  Only additions run:
-        a sign picks an entry or its stored negation."""
+        (row, column, entry) items of a module endomorphism (its coeff is
+        then +-1), None meaning the identity."""
         n, m = self.md.n, self.rep.m
         P, den = len(self._tables.pairs), self._tables.den
         rows = P ** arity * n * m
         _check_entry_budget(rows, cols)
         data = [{} for _ in range(rows)]
-        identity = [(r, r, None, None) for r in range(m)]
+        identity = [(r, r, 1) for r in range(m)]
         blocks = product(product(range(P), repeat=arity), range(n))
         for block, (arg, k) in enumerate(blocks):
             row_base = block * m
             for T, columns in terms(arg, k):
                 T = identity if T is None else T
                 for col_base, coeff in columns:
-                    for r, r0, t, nt in T:
+                    for r, r0, t in T:
                         row = data[row_base + r]
                         j = col_base + r0
-                        v = coeff if t is None else t if coeff > 0 else nt
-                        prev = row.get(j)
-                        row[j] = v if prev is None else prev + v
+                        row[j] = row.get(j, 0) + coeff * t
         # terms can cancel; the matrix stores no zeros, and only a row that
         # some term touched holds an entry to filter
         return _IntegerMatrix(rows, cols, (
@@ -475,24 +469,19 @@ class ComplexAssembly:
         if self._full_rank_proved(*((q, q - 1) if q > 1 else (q,))):
             return CohomologySummary(low, low, 0, [])
         total = self.partial_matrix(q)
-        if q == 1:
-            reps = [TotalCochain.from_stacked(q, n, m, v)
-                    for v in total.kernel_basis()]
-            return CohomologySummary(len(reps), 0, len(reps), reps)
-        boundary = self.partial_matrix(q - 1)
+        boundary = (self.partial_matrix(q - 1) if q > 1
+                    else Matrix.zeros(total.cols, 0))
         width = boundary.cols
         pivoted = set(total.pivot_columns())
         free = [c for c in range(total.cols) if c not in pivoted]
-        if self._axioms_hold:
-            # the quotient lemma: [partial_(q-1) | K] on the rows F only,
-            # where K is diagonal, scaled to the identity
-            rows = boundary._integer_rows()
-            stacked = _IntegerMatrix(len(free), width + len(free), (
-                ({**row, width + i: den}, den)
-                for i, (row, den) in enumerate(rows[f] for f in free)))
-        else:
-            stacked = Matrix.hstack(
-                [boundary, Matrix.from_columns(total.kernel_basis(), boundary.rows)])
+        # the quotient lemma: [[partial_q B, 0], [B|_F, I_z]] has the pivots
+        # of [B | K]; its top block is zero at q = 1 and on valid input
+        top = (() if q == 1 or self._axioms_hold
+               else (total @ boundary)._integer_rows())
+        rows = boundary._integer_rows()
+        stacked = _IntegerMatrix(len(top) + len(free), width + len(free), chain(
+            top, (({**row, width + i: den}, den)
+                  for i, (row, den) in enumerate(rows[f] for f in free))))
         pivots = stacked.pivot_columns()
         # the pivots are the leftmost independent columns, so those inside
         # the boundary block count its rank; column width + i is the kernel

@@ -105,7 +105,8 @@ def matrix_from_doc(obj, where: str, rows: int | None = None,
     if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
         raise ParseError(f"{where}: expected an array of rows")
     nrows = len(obj)
-    ncols = len(obj[0]) if obj else 0
+    # an empty row list shows no column count and takes the expected one
+    ncols = len(obj[0]) if obj else cols or 0
     if any(len(r) != ncols for r in obj):
         raise ParseError(f"{where}: ragged rows")
     if rows is not None and nrows != rows:

@@ -22,7 +22,8 @@ from md3lie.exactnum import Matrix
 from md3lie.extension import tstar_abelian_extension
 from md3lie.multilin import SkewTernaryTensor
 from md3lie.structures import (
-    adjoint_representation, verify_3lie, verify_modified_differential,
+    adjoint_representation, trivial_representation, verify_3lie,
+    verify_modified_differential,
 )
 
 
@@ -512,13 +513,44 @@ def test_reports_are_deterministic(workspace, capsys):
 
 
 def test_extension_document_round_trip(workspace):
+    """parse(serialize(x)) is the identity, also for an extension by the zero
+    module: its 0 x 3 g serializes as [], which shows no column count, and
+    parsing takes the expected one."""
     md = example_md()
-    ext = tstar_abelian_extension(md, SkewTernaryTensor.zero(3, 3),
-                                  Matrix.zeros(3, 3))
-    doc = docs.extension_to_doc(ext)
-    back = docs.extension_from_doc(doc)
-    assert back.total == ext.total
-    assert back.cocycle_f == ext.cocycle_f and back.cocycle_g == ext.cocycle_g
+    zero_module = trivial_representation(md, 0, Matrix.zeros(0, 0))
+    for ext in (tstar_abelian_extension(md, SkewTernaryTensor.zero(3, 3),
+                                        Matrix.zeros(3, 3)),
+                extension.build_abelian_extension(
+                    md, zero_module, SkewTernaryTensor.zero(3, 0), Matrix.zeros(0, 3))):
+        doc = docs.extension_to_doc(ext)
+        back = docs.extension_from_doc(doc)
+        assert back.total == ext.total
+        assert back.cocycle_f == ext.cocycle_f and back.cocycle_g == ext.cocycle_g
+        assert docs.extension_to_doc(back) == doc
+    assert doc["g"] == []
+    assert docs.matrix_from_doc([], "g") == Matrix.zeros(0, 0)
+    with pytest.raises(ParseError, match="expected 2 rows, found 0"):
+        docs.matrix_from_doc([], "g", rows=2, cols=3)
+
+
+def test_extend_takes_a_zero_module(workspace, capsys):
+    tmp, paths = workspace
+    md = example_md()
+    rep = docs.representation_to_doc(
+        trivial_representation(md, 0, Matrix.zeros(0, 0)))
+    rep_path = str(tmp / "zero_module.json")
+    f_path, g_path = str(tmp / "f0.json"), str(tmp / "g0.json")
+    docs.dump_json(rep_path, rep)
+    docs.dump_json(f_path, docs.tensor_to_doc(SkewTernaryTensor.zero(3, 0)))
+    docs.dump_json(g_path, docs.matrix_to_doc(Matrix.zeros(0, 3)))
+    code, report = run(capsys, ["extend", paths["example.json"], "--rep", rep_path,
+                                "--f", f_path, "--g", g_path])
+    assert code == 0 and report["valid"]
+    assert report["extension"]["g"] == []
+    ext_path = str(tmp / "ext0.json")
+    docs.dump_json(ext_path, report["extension"])
+    code, report = run(capsys, ["equiv-check", ext_path, ext_path])
+    assert code == 0 and report["equivalent"]
 
 
 def test_python_dash_m_runs_the_cli(workspace):

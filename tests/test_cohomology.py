@@ -530,13 +530,14 @@ def test_dims_only_matches_the_full_path(eliminated):
 
 def test_representatives_match_the_elimination_oracle(eliminated):
     """cohomology_dim(q) gives the oracle's dims and representatives, in
-    order.  Where the lemma proves H^q = 0 it assembles no total; valid
-    input of degree >= 2 takes the free-coordinate quotient, invalid input
-    the full [B | K] path, and every route is taken.  On the invalid 4-dim
+    order.  Where the lemma proves H^q = 0 it assembles no total; every
+    other job pivots the free-coordinate quotient, with no top block at
+    q = 1 and on valid input, and with the product partial_q partial_(q-1)
+    on top on invalid input; every route is taken.  On the invalid 4-dim
     bracket with the coadjoint action both Phi are certified but partial_2
     partial_1 != 0, and the oracle's (9, 16, -7) at q = 2 is kept only by
     the failing axioms."""
-    routes, fallback_laws = set(), {2: set(), 3: set()}
+    routes, invalid_laws = set(), {2: set(), 3: set()}
     for md, rep, q, want in eliminated:
         asm = ComplexAssembly(md, rep)
         summary = asm.cohomology_dim(q)
@@ -546,18 +547,18 @@ def test_representatives_match_the_elimination_oracle(eliminated):
         if q not in asm._partial:
             routes.add("certified")
         elif q == 1:
-            routes.add("kernel")
+            routes.add("degree 1")
         elif asm._axioms_hold:
-            routes.add("quotient")
+            routes.add("valid")
         else:
-            routes.add("fallback")
-            fallback_laws[q] |= {v.law for v in verify_representation(md, rep).violations}
-    assert routes == {"certified", "kernel", "quotient", "fallback"}
-    # every representation law, broken by corrupt_representation, takes the
-    # full [B | K] path at q = 2 and 3
+            routes.add("invalid")
+            invalid_laws[q] |= {v.law for v in verify_representation(md, rep).violations}
+    assert routes == {"certified", "degree 1", "valid", "invalid"}
+    # every representation law, broken by corrupt_representation, builds
+    # the top block at q = 2 and 3
     laws = {"bracket-pair action identity", "pair action commutator identity",
             "module differential compatibility"}
-    assert fallback_laws[2] >= laws and fallback_laws[3] >= laws
+    assert invalid_laws[2] >= laws and invalid_laws[3] >= laws
     bad = invalid_bracket_md(random.Random(31))
     asm = ComplexAssembly(bad, coadjoint_representation(bad))
     assert asm.phi_det_mod_p(2) and asm.phi_det_mod_p(1)
@@ -766,14 +767,17 @@ def test_an_uncertified_rank_runs_no_verifier(monkeypatch):
 
 
 def test_the_quotient_back_substitutes_only_the_representatives(monkeypatch):
-    """A valid uncertified degree-3 job (a triangular member with the adjoint
-    action) pivots on the free rows of partial_3: it builds no kernel matrix
-    and back-substitutes one kernel vector per representative, and its
-    answer is the oracle's."""
-    md = triangular_family_member(random.Random("tri-0"))
-    rep = adjoint_representation(md)
-    asm = ComplexAssembly(md, rep)
-    assert asm._axioms_hold and not asm._full_rank_proved(3, 2)
+    """An uncertified job pivots on the free rows of partial_q: it builds no
+    kernel matrix and back-substitutes one kernel vector per representative,
+    and its answer is the oracle's.  The jobs: a valid degree-3 one (a
+    triangular member with the adjoint action), the invalid 4-dim bracket
+    with the coadjoint action at q = 2, and a corrupted action at q = 3."""
+    tri = triangular_family_member(random.Random("tri-0"))
+    bad = invalid_bracket_md(random.Random(31))
+    example = example_md()
+    corrupt = corrupt_representation(
+        random.Random(5), example, adjoint_representation(example),
+        "pair action commutator identity")
     back_substitute = exactnum._back_substitute
     calls = []
 
@@ -784,15 +788,25 @@ def test_the_quotient_back_substitutes_only_the_representatives(monkeypatch):
     def refuse(*args):
         raise AssertionError("a kernel matrix was built")
 
-    monkeypatch.setattr(exactnum, "_back_substitute", counted)
-    monkeypatch.setattr(Matrix, "from_columns", refuse)
-    summary = asm.cohomology_dim(3)
-    monkeypatch.undo()
-    assert len(calls) == summary.h_dim > 0
-    want = oracles.cohomology_by_elimination(ComplexAssembly(md, rep), 3)
-    assert dims(summary) == dims(want)
-    assert ([tc.stacked() for tc in summary.representatives]
-            == [tc.stacked() for tc in want.representatives])
+    jobs = [(tri, adjoint_representation(tri), 3, True),
+            (bad, coadjoint_representation(bad), 2, False),
+            (example, corrupt, 3, False)]
+    answers = []
+    for md, rep, q, valid in jobs:
+        asm = ComplexAssembly(md, rep)
+        assert asm._axioms_hold is valid and not asm._full_rank_proved(q, q - 1)
+        calls.clear()
+        monkeypatch.setattr(exactnum, "_back_substitute", counted)
+        monkeypatch.setattr(Matrix, "from_columns", refuse)
+        summary = asm.cohomology_dim(q)
+        monkeypatch.undo()
+        assert len(calls) == len(summary.representatives) > 0, (md, rep, q)
+        want = oracles.cohomology_by_elimination(ComplexAssembly(md, rep), q)
+        assert dims(summary) == dims(want)
+        assert ([tc.stacked() for tc in summary.representatives]
+                == [tc.stacked() for tc in want.representatives])
+        answers.append(dims(summary))
+    assert answers[1] == (9, 16, -7)
 
 
 def scaled_complexes():

@@ -17,6 +17,11 @@ random sparse integer rows (rows of equal length, empty and duplicated
 rows, rows that span a small space) and on every dims-only total both must
 return identical echelon rows and pivot columns.
 
+The free-coordinate quotient that ``cohomology`` pivots for representatives
+is checked on random integer pairs (T, B), with T B = 0 and without:
+[B | K], K the kernel basis of T, and [[T B, 0], [B|_F, I_z]], F the free
+columns of T, have the same pivot columns.
+
 Besides random matrices and low-rank products of two random factors, the
 strategies draw the shapes on which the fewest-nonzeros choice takes a
 different pivot row than the dense path: mostly-zero matrices, matrices
@@ -406,6 +411,64 @@ def test_filed_engine_matches_the_scan_on_the_totals():
                     == oracles.scan_eliminate(list(rows), total.cols)), (md, rep, q)
             checked += 1
     assert checked == 92
+
+
+# ---------------------------------------------------------------------------
+# the free-coordinate quotient of the kernel
+
+
+sparse_ints = st.one_of(zero, zero, small_ints)
+
+
+@st.composite
+def quotient_pairs(draw):
+    """(T, B), integer matrices with B of T.cols rows: B arbitrary, or its
+    columns integer combinations of T's kernel basis, so that T @ B = 0."""
+    rows, cols, inner = (draw(st.integers(0, 5)) for _ in range(3))
+    t = Matrix(rows, cols, entries(draw, rows * cols, sparse_ints))
+    if draw(st.booleans()):  # rank at most inner
+        t = (Matrix(rows, inner, entries(draw, rows * inner, sparse_ints))
+             @ Matrix(inner, cols, entries(draw, inner * cols, sparse_ints)))
+    width = draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        kernel = t.kernel_basis()
+        c = Matrix(len(kernel), width, entries(draw, len(kernel) * width, sparse_ints))
+        return t, Matrix.from_columns(kernel, cols) @ c
+    return t, Matrix(cols, width, entries(draw, cols * width, sparse_ints))
+
+
+def free_quotient(t: Matrix, b: Matrix) -> Matrix:
+    """[[T B, 0], [B|_F, I_z]], F the z free columns of T."""
+    pivots = set(t.pivot_columns())
+    free = [c for c in range(t.cols) if c not in pivots]
+    tb = t @ b
+    rows = ([list(tb.row(i)) + [0] * len(free) for i in range(tb.rows)]
+            + [list(b.row(f)) + [int(i == j) for j in range(len(free))]
+               for i, f in enumerate(free)])
+    return Matrix(len(rows), b.cols + len(free), [e for row in rows for e in row])
+
+
+@given(quotient_pairs())
+@settings(max_examples=200, deadline=None)
+def test_the_quotient_has_the_pivots_of_the_boundary_beside_the_kernel(case):
+    """B y + K w = 0 exactly when T B y = 0 and B|_F y + K|_F w = 0, K the
+    kernel basis of T, whose rows F are a positive diagonal; so both
+    matrices have the same pivot columns, whether or not T B = 0."""
+    t, b = case
+    kernel = Matrix.from_columns(t.kernel_basis(), t.cols)
+    assert (Matrix.hstack([b, kernel]).pivot_columns()
+            == free_quotient(t, b).pivot_columns())
+
+
+@pytest.mark.parametrize("zero_product", [True, False])
+def test_quotient_pairs_reach_both_products(zero_product):
+    def wanted(case):
+        t, b = case
+        return (t @ b).is_zero is zero_product and not b.is_zero and t.rank() > 0
+
+    t, b = find(quotient_pairs(), wanted,
+                settings=settings(database=None, phases=[Phase.generate]))
+    assert wanted((t, b))
 
 
 # ---------------------------------------------------------------------------
