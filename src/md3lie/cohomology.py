@@ -75,10 +75,11 @@ count b, those beyond it name the free columns whose kernel vectors are the
 representatives, and only those vectors are back-substituted; row f of the
 lower block is its integer row with its denominator at the identity column.
 
-Caching: a ComplexAssembly memoizes assembled matrices, tables, the Phi
-factors (all a certificate reads), characteristic polynomials and the axiom
-verdict.  Population is idempotent (pure recomputation), so a racing first
-access at worst computes twice and discards one copy.
+Caching: a ComplexAssembly memoizes assembled matrices, tables, the
+characteristic polynomials mod p of d_F, d and -d_M (all a certificate
+reads, computed together once) and the axiom verdict.  Population is
+idempotent (pure recomputation), so a racing first access at worst computes
+twice and discards one copy.
 """
 
 from __future__ import annotations
@@ -91,8 +92,8 @@ from types import SimpleNamespace
 from typing import Optional
 
 from .errors import InputError
-from .exactnum import (Matrix, Vector, _IntegerMatrix, _kronecker_sum_det,
-                       vec_is_zero)
+from .exactnum import (Matrix, Vector, charpoly_mod_p,
+                       kronecker_sum_det_from_polys, vec_is_zero)
 from .multilin import CochainCoordinates, cochain_dim, pair_basis
 from .structures import (
     MD3LieAlgebra, Representation, leibniz_data, verify_3lie,
@@ -199,9 +200,6 @@ class ComplexAssembly:
         self._delta: dict[int, Matrix] = {}
         self._phi: dict[int, Matrix] = {}
         self._partial: dict[int, Matrix] = {}
-        # characteristic polynomials mod p of the Phi factors, by the identity
-        # of the _phi_factors objects, which live as long as self
-        self._charpolys: dict[int, Optional[list[int]]] = {}
 
     # -- matrices ---------------------------------------------------------
 
@@ -257,10 +255,11 @@ class ComplexAssembly:
         return leibniz_data(self.md)
 
     @cached_property
-    def _phi_factors(self) -> tuple[Matrix, Matrix, Matrix]:
+    def _phi_polys(self) -> tuple[Optional[list[int]], ...]:
         # Phi_q is the Kronecker sum of q - 1 copies of d_F^T, then d^T and
-        # -d_M; a transpose has the same determinant
-        return self._leibniz.d_F, self.md.d, -self.rep.d_M
+        # -d_M; a transpose has the same characteristic polynomial
+        return tuple(charpoly_mod_p(f) for f in (self._leibniz.d_F, self.md.d,
+                                                 -self.rep.d_M))
 
     @cached_property
     def _tables(self):
@@ -380,7 +379,7 @@ class ComplexAssembly:
                         row[j] = row.get(j, 0) + coeff * t
         # terms can cancel; the matrix stores no zeros, and only a row that
         # some term touched holds an entry to filter
-        return _IntegerMatrix(rows, cols, (
+        return Matrix._raw(rows, cols, int_rows=(
             ({j: v for j, v in row.items() if v} if row else row, den)
             for row in data))
 
@@ -416,8 +415,8 @@ class ComplexAssembly:
         factors of Phi_q without assembling it; None when undecided.  A
         nonzero value proves Phi_q invertible."""
         _check_degree(q)
-        d_F, d, neg_d_M = self._phi_factors
-        return _kronecker_sum_det([d_F] * (q - 1) + [d, neg_d_M], self._charpolys)
+        c_F, c_d, c_M = self._phi_polys
+        return kronecker_sum_det_from_polys([c_F] * (q - 1) + [c_d, c_M])
 
     @cached_property
     def _axioms_hold(self) -> bool:
@@ -479,7 +478,7 @@ class ComplexAssembly:
         top = (() if q == 1 or self._axioms_hold
                else (total @ boundary)._integer_rows())
         rows = boundary._integer_rows()
-        stacked = _IntegerMatrix(len(top) + len(free), width + len(free), chain(
+        stacked = Matrix._raw(len(top) + len(free), width + len(free), int_rows=chain(
             top, (({**row, width + i: den}, den)
                   for i, (row, den) in enumerate(rows[f] for f in free))))
         pivots = stacked.pivot_columns()
@@ -487,7 +486,7 @@ class ComplexAssembly:
         # the boundary block count its rank; column width + i is the kernel
         # vector at free[i]
         b_dim = sum(1 for c in pivots if c < width)
-        reps = [TotalCochain.from_stacked(q, n, m, v) for v in total._kernel_vectors(
+        reps = [TotalCochain.from_stacked(q, n, m, v) for v in total.kernel_basis(
             [free[c - width] for c in pivots if c >= width])]
         return CohomologySummary(len(free), b_dim, len(free) - b_dim, reps)
 

@@ -4,13 +4,15 @@ Scalars are ``fractions.Fraction``: denominators are always positive and
 fractions are kept reduced, so equality is exact and there are no tolerances
 anywhere in the package.
 
-A Matrix stores one ``{column: Fraction}`` dict per row and never stores a
-zero; the dense views (``entries``, ``row``, ``column``, indexing) are
-computed from the rows, and every operation works row by row.  Elimination
-reads the rows as integers: a ``{column: int}`` dict over one positive
-denominator per row.  A Fraction-built matrix fills them on its first
-elimination; one built from integer rows (the complex assembly, its stacks
-and negations) is born with them and builds its Fraction rows lazily.
+A Matrix holds its rows in one or both of two forms: ``{column: Fraction}``
+dicts, or ``{column: int}`` dicts over one positive denominator per row.
+Neither stores a zero, and each form is filled from the other the first time
+it is read.  The dense views (``entries``, ``row``, ``column``, indexing),
+products and sums read the Fraction rows; elimination, ``apply`` and the
+stacks of a part that has integer rows read the integer rows.  So the complex
+assembly, which builds integer rows, reaches its echelon forms without a
+Fraction, and a matrix built from Fractions converts once, when it is
+first read as integers.
 
 Rank, kernel, solve and inverse share one sparse fraction-free elimination
 engine, which divides the content (gcd) out of each integer row.  Columns
@@ -35,9 +37,9 @@ it yields.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent use on shared inputs is safe.  A matrix memoizes
-its integer rows, its Fraction rows and its plain echelon form (no augmented
-columns), which rank, pivot_columns and kernel_basis share; filling a memo
-twice stores equal values.
+its two row forms and its plain echelon form (no augmented columns), which
+rank, pivot_columns and kernel_basis share; filling a memo twice stores
+equal values.
 """
 
 from __future__ import annotations
@@ -108,11 +110,13 @@ class Matrix:
 
     ``sparse_rows[i]`` is the ``{column: Fraction}`` dict of row i and holds
     no zero value, so two matrices are equal exactly when their rows are.
-    ``entries``, ``row``, ``column`` and indexing are dense views computed
-    from the rows; every operation works row by row and never stores a
-    zero."""
+    ``_integer_rows()[i]`` is the same row as a ``{column: int}`` dict over
+    a positive denominator.  A matrix is built with either form (or both)
+    and fills the other, once, the first time it is read.  ``entries``,
+    ``row``, ``column`` and indexing are dense views computed from the rows;
+    every operation works row by row and never stores a zero."""
 
-    __slots__ = ("rows", "cols", "sparse_rows", "_int_rows", "_plain_echelon")
+    __slots__ = ("rows", "cols", "_fraction_rows", "_int_rows", "_plain_echelon")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
         entries = tuple(entries)
@@ -121,17 +125,31 @@ class Matrix:
                 f"entry count {len(entries)} does not match shape {rows}x{cols}"
             )
         self.rows, self.cols = rows, cols
-        self.sparse_rows = tuple(_sparse_row(entries[i * cols:(i + 1) * cols])
-                                 for i in range(rows))
+        self._fraction_rows = tuple(_sparse_row(entries[i * cols:(i + 1) * cols])
+                                    for i in range(rows))
         self._int_rows = self._plain_echelon = None
 
     @classmethod
-    def _raw(cls, rows: int, cols: int, sparse_rows) -> "Matrix":
-        # Internal fast path: rows are {column: Fraction} dicts without zeros.
+    def _raw(cls, rows: int, cols: int, sparse_rows=None, int_rows=None) -> "Matrix":
+        # Internal fast path: sparse_rows are {column: Fraction} dicts and
+        # int_rows ({column: int}, den > 0) pairs, neither holding a zero;
+        # give at least one form
         m = object.__new__(cls)
-        m.rows, m.cols, m.sparse_rows = rows, cols, tuple(sparse_rows)
-        m._int_rows = m._plain_echelon = None
+        m.rows, m.cols, m._plain_echelon = rows, cols, None
+        m._fraction_rows = None if sparse_rows is None else tuple(sparse_rows)
+        m._int_rows = None if int_rows is None else tuple(int_rows)
         return m
+
+    @property
+    def sparse_rows(self) -> tuple[dict[int, Fraction], ...]:
+        """The ``{column: Fraction}`` dict of each row; callers must not
+        mutate them."""
+        rows = self._fraction_rows
+        if rows is None:
+            rows = self._fraction_rows = tuple(
+                {j: Fraction(v, den) for j, v in r.items()}
+                for r, den in self._int_rows)
+        return rows
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
@@ -250,8 +268,14 @@ class Matrix:
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        return Matrix._raw(self.rows, self.cols,
-                           ({j: -v for j, v in r.items()} for r in self.sparse_rows))
+        """Negates each row form the matrix holds, and builds no other."""
+        fractions, ints = self._fraction_rows, self._int_rows
+        return Matrix._raw(
+            self.rows, self.cols,
+            None if fractions is None else
+            ({j: -v for j, v in r.items()} for r in fractions),
+            None if ints is None else
+            (({j: -v for j, v in r.items()}, den) for r, den in ints))
 
     def scale(self, s) -> "Matrix":
         s = scal(s)
@@ -268,21 +292,25 @@ class Matrix:
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._check_product(other)
+        right = other.sparse_rows
         out = []
         for a in self.sparse_rows:
             row = {}
             for k, x in a.items():
-                for j, y in other.sparse_rows[k].items():
+                for j, y in right[k].items():
                     row[j] = row.get(j, 0) + x * y
             out.append({j: v for j, v in row.items() if v})
         return Matrix._raw(self.rows, other.cols, out)
 
     def apply(self, v: Sequence[Fraction]) -> Vector:
-        """Matrix-vector product (column convention)."""
+        """Matrix-vector product (column convention): one integer sum per
+        integer row, with v over the lcm of its denominators."""
         if len(v) != self.cols:
             raise InputError(f"vector length {len(v)} != cols {self.cols}")
-        return tuple(sum((x * v[j] for j, x in r.items()), _ZERO)
-                     for r in self.sparse_rows)
+        scale = lcm(*(e.denominator for e in v))
+        w = [e.numerator * (scale // e.denominator) for e in v]
+        return tuple(Fraction(sum(x * w[j] for j, x in r.items()), den * scale)
+                     for r, den in self._integer_rows())
 
     def transpose(self) -> "Matrix":
         out = [{} for _ in range(self.cols)]
@@ -305,19 +333,18 @@ class Matrix:
         if any(p.rows != rows for p in parts):
             raise InputError("hstack: row count mismatch")
         out = [{} for _ in range(rows)]
-        if any(isinstance(p, _IntegerMatrix) for p in parts):
+        offset = 0
+        if any(p._int_rows is not None for p in parts):
             # every row over the lcm of the parts' row denominators
             ints = [p._integer_rows() for p in parts]
             den = lcm(*{d for part in ints for r, d in part if r})
-            offset = 0
             for p, part in zip(parts, ints):
                 for row, (r, d) in zip(out, part):
                     s = den // d
                     for j, v in r.items():
                         row[offset + j] = s * v
                 offset += p.cols
-            return _IntegerMatrix(rows, offset, ((row, den) for row in out))
-        offset = 0
+            return cls._raw(rows, offset, int_rows=((row, den) for row in out))
         for p in parts:
             for row, r in zip(out, p.sparse_rows):
                 for j, v in r.items():
@@ -330,9 +357,9 @@ class Matrix:
         cols = parts[0].cols
         if any(p.cols != cols for p in parts):
             raise InputError("vstack: column count mismatch")
-        if any(isinstance(p, _IntegerMatrix) for p in parts):
-            return _IntegerMatrix(sum(p.rows for p in parts), cols,
-                                  (r for p in parts for r in p._integer_rows()))
+        if any(p._int_rows is not None for p in parts):
+            return cls._raw(sum(p.rows for p in parts), cols,
+                            int_rows=(r for p in parts for r in p._integer_rows()))
         return cls._raw(sum(p.rows for p in parts), cols,
                         (r for p in parts for r in p.sparse_rows))
 
@@ -347,7 +374,7 @@ class Matrix:
         from the Fraction rows once; callers must not mutate them."""
         if self._int_rows is None:
             self._int_rows = tuple(_integer_row(r) if r else ({}, 1)
-                                   for r in self.sparse_rows)
+                                   for r in self._fraction_rows)
         return self._int_rows
 
     def _echelon(self):
@@ -366,18 +393,21 @@ class Matrix:
         """Pivot columns of the echelon form (leftmost independent columns)."""
         return list(self._echelon()[1])
 
-    def kernel_basis(self) -> list[Vector]:
+    def kernel_basis(self, free: Optional[Sequence[int]] = None) -> list[Vector]:
         """Basis of the right null space; every v satisfies self @ v = 0.
 
         One basis vector per free column, normalized to a primitive integer
-        vector with positive entry at its free column."""
-        pivots = set(self._echelon()[1])
-        return self._kernel_vectors([c for c in range(self.cols) if c not in pivots])
-
-    def _kernel_vectors(self, free: Sequence[int]) -> list[Vector]:
-        """The kernel_basis vectors at the free columns ``free``, in that
-        order; only those are back-substituted."""
+        vector with positive entry at its free column.  Given ``free``, a
+        list of free columns, only the vectors at those columns are
+        back-substituted and returned, in that order; a pivot column or one
+        out of range raises InputError."""
         rows, pivots = self._echelon()
+        pivoted = set(pivots)
+        if free is None:
+            free = [c for c in range(self.cols) if c not in pivoted]
+        elif any(c in pivoted or not 0 <= c < self.cols for c in free):
+            raise InputError(f"not free columns of this {self.rows}x{self.cols} "
+                             f"matrix: {list(free)}")
         basis = []
         for fc in free:
             k = bisect_left(pivots, fc)  # only pivots left of fc can be nonzero
@@ -419,46 +449,6 @@ def _sparse_row(values: Sequence) -> dict[int, Fraction]:
         if e:
             row[j] = e
     return row
-
-
-class _IntegerMatrix(Matrix):
-    """A matrix born with integer rows (``Matrix._integer_rows``); its
-    Fraction rows are built at the first read of ``sparse_rows``, once."""
-
-    __slots__ = ()
-
-    def __init__(self, rows: int, cols: int, int_rows):
-        self.rows, self.cols, self._int_rows = rows, cols, tuple(int_rows)
-        self._plain_echelon = None
-        _FRACTION_ROWS.__set__(self, None)
-
-    @property
-    def sparse_rows(self):
-        rows = _FRACTION_ROWS.__get__(self)
-        if rows is None:
-            rows = tuple({j: Fraction(v, den) for j, v in r.items()}
-                         for r, den in self._int_rows)
-            _FRACTION_ROWS.__set__(self, rows)
-        return rows
-
-    def __reduce__(self):  # copy and pickle rebuild from the integer rows
-        return _IntegerMatrix, (self.rows, self.cols, self._int_rows)
-
-    def __neg__(self) -> "Matrix":
-        return _IntegerMatrix(self.rows, self.cols, (
-            ({j: -v for j, v in r.items()}, den) for r, den in self._int_rows))
-
-    def apply(self, v: Sequence[Fraction]) -> Vector:
-        """Matrix-vector product: one integer sum per row, v over its lcm."""
-        if len(v) != self.cols:
-            raise InputError(f"vector length {len(v)} != cols {self.cols}")
-        scale = lcm(*(e.denominator for e in v))
-        w = [e.numerator * (scale // e.denominator) for e in v]
-        return tuple(Fraction(sum(x * w[j] for j, x in r.items()), den * scale)
-                     for r, den in self._int_rows)
-
-
-_FRACTION_ROWS = Matrix.sparse_rows  # the slot below _IntegerMatrix.sparse_rows
 
 
 def _integer_row(row: dict[int, Fraction]) -> tuple[dict[int, int], int]:
@@ -587,34 +577,28 @@ def kronecker_sum_det_mod_p(factors: Sequence[Matrix]) -> Optional[int]:
     commutes with that reduction, so a nonzero result proves the Kronecker
     sum invertible over Q.  Returns None when p divides the denominator of
     an entry, or when p <= N.  The cost is O(M^2 + b M) operations mod p per
-    factor, besides one O(dim^3) characteristic polynomial per distinct
-    factor object (which also bounds the O(b^2) of the later Euclid steps)."""
-    return _kronecker_sum_det(factors, {})
-
-
-def _kronecker_sum_det(factors: Sequence[Matrix],
-                       charpolys: dict[int, Optional[list[int]]]) -> Optional[int]:
-    """kronecker_sum_det_mod_p, reading and filling ``charpolys``: the
-    characteristic polynomial mod p of each factor by its identity, None
-    where p divides the denominator of an entry.  The caller keeps every
-    factor it keys alive as long as the dict, so an identity is never
-    reused by another matrix."""
-    p = CERTIFICATE_PRIME
+    factor, besides one O(dim^3) characteristic polynomial per factor (which
+    also bounds the O(b^2) of the later Euclid steps)."""
     for f in factors:
         if f.rows != f.cols:
             raise InputError("Kronecker sum of a non-square matrix")
-    if p <= prod(f.rows for f in factors):
+    return kronecker_sum_det_from_polys([charpoly_mod_p(f) for f in factors])
+
+
+def kronecker_sum_det_from_polys(polys: Sequence[Optional[list[int]]]) -> Optional[int]:
+    """kronecker_sum_det_mod_p of the factors whose characteristic
+    polynomials mod p are ``polys`` (as charpoly_mod_p returns them,
+    None where it declined); None when one is None or p <= N.  A caller
+    that takes several Kronecker sums of the same factors computes each
+    polynomial once."""
+    p = CERTIFICATE_PRIME
+    if None in polys or p <= prod(len(c) - 1 for c in polys):
         return None
-    if not factors:  # the empty Kronecker sum is the 1 x 1 zero matrix
+    if not polys:  # the empty Kronecker sum is the 1 x 1 zero matrix
         return 0
-    for f in factors:  # by identity: d_F repeats in Phi_q as one object
-        if id(f) not in charpolys:
-            charpolys[id(f)] = _factor_charpoly(f, p)
-        if charpolys[id(f)] is None:
-            return None
-    largest = max(range(len(factors)), key=lambda i: factors[i].rows)
-    others = factors[:largest] + factors[largest + 1:]
-    M = prod(f.rows for f in others)
+    largest = max(range(len(polys)), key=lambda i: len(polys[i]))
+    others = polys[:largest] + polys[largest + 1:]
+    M = prod(len(c) - 1 for c in others)
     inv = [0, 1]  # inverses of 0 < k <= M mod p
     for k in range(2, M + 1):
         inv.append(-(p // k) * inv[p % k] % p)
@@ -623,8 +607,8 @@ def _kronecker_sum_det(factors: Sequence[Matrix],
         fact.append(fact[-1] * k % p)
         fact_inv.append(fact_inv[-1] * inv[k] % p)
     series = [1] + [0] * M  # sum_j S_j(G) t^j / j!, truncated past t^M
-    for f in others:
-        power_sums = _power_sums_mod(charpolys[id(f)], M, p)
+    for c in others:
+        power_sums = _power_sums_mod(c, M, p)
         rev = [s * fi % p for s, fi in zip(power_sums, fact_inv)][::-1]
         series = [sum(map(mul, series[:k + 1], rev[M - k:])) % p
                   for k in range(M + 1)]
@@ -634,12 +618,14 @@ def _kronecker_sum_det(factors: Sequence[Matrix],
     e = [1]
     for k in range(1, M + 1):
         e.append(sum(map(mul, reversed(e), signed[1:k + 1])) % p * inv[k] % p)
-    return _resultant_mod(charpolys[id(factors[largest])], e, p)
+    return _resultant_mod(polys[largest], e, p)
 
 
-def _factor_charpoly(f: Matrix, p: int) -> Optional[list[int]]:
-    """The characteristic polynomial of f mod p, or None when p divides the
+def charpoly_mod_p(f: Matrix) -> Optional[list[int]]:
+    """The characteristic polynomial ``[1, c_1, ..., c_r]`` of the square
+    matrix f mod p = CERTIFICATE_PRIME, or None when p divides the
     denominator of an entry."""
+    p = CERTIFICATE_PRIME
     dense = [[0] * f.cols for _ in range(f.rows)]
     for i, row in enumerate(f.sparse_rows):
         for j, e in row.items():

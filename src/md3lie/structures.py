@@ -156,10 +156,6 @@ class Representation:
         """The nonzero ((row, column), entry) items of each signed action."""
         return {p: mat.entry_items() for p, mat in self._signed_actions.items()}
 
-    def rho_basis(self, i: int, j: int) -> Matrix:
-        mat = self._signed_actions.get((i, j))
-        return Matrix.zeros(self.m, self.m) if mat is None else mat
-
 
 @dataclass(frozen=True)
 class LeibnizData:

@@ -409,11 +409,11 @@ def delta_oracle(md, rep, q):
                     terms.append(((-1) ** i, None, slots, e[z]))
                 terms.append(((-1) ** i, None, rest,
                               md.algebra.bracket(e[x], e[y], e[z])))
-                terms.append(((-1) ** (i + 1), rep.rho_basis(x, y), rest, e[z]))
+                terms.append(((-1) ** (i + 1), oracles.rho_basis(rep, x, y), rest, e[z]))
             head = [X[t] for t in arg[:-1]]
             xq, yq = pairs[arg[-1]]
-            terms.append(((-1) ** (q + 1), rep.rho_basis(yq, z), head, e[xq]))
-            terms.append(((-1) ** (q + 1), rep.rho_basis(z, xq), head, e[yq]))
+            terms.append(((-1) ** (q + 1), oracles.rho_basis(rep, yq, z), head, e[xq]))
+            terms.append(((-1) ** (q + 1), oracles.rho_basis(rep, z, xq), head, e[yq]))
             blocks.append(terms)
     dim = cochain_dim(q, n, m)
     columns = []
@@ -769,9 +769,11 @@ def test_an_uncertified_rank_runs_no_verifier(monkeypatch):
 def test_the_quotient_back_substitutes_only_the_representatives(monkeypatch):
     """An uncertified job pivots on the free rows of partial_q: it builds no
     kernel matrix and back-substitutes one kernel vector per representative,
-    and its answer is the oracle's.  The jobs: a valid degree-3 one (a
-    triangular member with the adjoint action), the invalid 4-dim bracket
-    with the coadjoint action at q = 2, and a corrupted action at q = 3."""
+    its representatives are exactly what one Matrix.kernel_basis(free) call
+    on partial_q returns, and its answer is the oracle's.  The jobs: a valid
+    degree-3 one (a triangular member with the adjoint action), the invalid
+    4-dim bracket with the coadjoint action at q = 2, and a corrupted action
+    at q = 3."""
     tri = triangular_family_member(random.Random("tri-0"))
     bad = invalid_bracket_md(random.Random(31))
     example = example_md()
@@ -779,11 +781,16 @@ def test_the_quotient_back_substitutes_only_the_representatives(monkeypatch):
         random.Random(5), example, adjoint_representation(example),
         "pair action commutator identity")
     back_substitute = exactnum._back_substitute
-    calls = []
+    kernel_basis = Matrix.kernel_basis
+    calls, kernels = [], []
 
     def counted(*args):
         calls.append(args)
         return back_substitute(*args)
+
+    def recorded(self, free=None):
+        kernels.append((self, free, kernel_basis(self, free)))
+        return kernels[-1][2]
 
     def refuse(*args):
         raise AssertionError("a kernel matrix was built")
@@ -796,11 +803,16 @@ def test_the_quotient_back_substitutes_only_the_representatives(monkeypatch):
         asm = ComplexAssembly(md, rep)
         assert asm._axioms_hold is valid and not asm._full_rank_proved(q, q - 1)
         calls.clear()
+        kernels.clear()
         monkeypatch.setattr(exactnum, "_back_substitute", counted)
         monkeypatch.setattr(Matrix, "from_columns", refuse)
+        monkeypatch.setattr(Matrix, "kernel_basis", recorded)
         summary = asm.cohomology_dim(q)
         monkeypatch.undo()
         assert len(calls) == len(summary.representatives) > 0, (md, rep, q)
+        ((total, free, vectors),) = kernels
+        assert total is asm.partial_matrix(q) and len(free) == len(calls)
+        assert [tc.stacked() for tc in summary.representatives] == vectors
         want = oracles.cohomology_by_elimination(ComplexAssembly(md, rep), q)
         assert dims(summary) == dims(want)
         assert ([tc.stacked() for tc in summary.representatives]
@@ -842,8 +854,8 @@ def test_integer_and_fraction_forms_of_the_complex_agree():
         asm = ComplexAssembly(md, rep)
         for q in (1, 2, 3):
             for m in (asm.delta_matrix(q), asm.phi_matrix(q), asm.partial_matrix(q)):
-                assert isinstance(m, exactnum._IntegerMatrix)
-                fresh = exactnum._IntegerMatrix(m.rows, m.cols, m._int_rows)
+                assert m._fraction_rows is None
+                fresh = Matrix._raw(m.rows, m.cols, int_rows=m._int_rows)
                 ref = Matrix.from_rows([m.row(i) for i in range(m.rows)])
                 assert m == ref and hash(m) == hash(ref) and m.entries == ref.entries
                 v = random_vector(rng, m.cols)
@@ -878,7 +890,7 @@ def test_the_quotient_is_the_boundary_on_the_free_rows_beside_the_identity(
             pivots = set(pivot_columns(total))
             free = [c for c in range(total.cols) if c not in pivots]
             assert len(free) == summary.z_dim > 0
-            assert isinstance(quotient, exactnum._IntegerMatrix)
+            assert quotient._fraction_rows is None
             assert {den for _, den in quotient._int_rows} == {asm._tables.den} != {1}
             assert quotient == Matrix.hstack([
                 Matrix.from_rows([boundary.row(f) for f in free]),
@@ -904,8 +916,15 @@ def test_a_valid_degree_3_job_reads_integer_rows_only(monkeypatch, tmp_path, cap
     def refuse(*args):
         raise AssertionError("a Fraction row was read or converted")
 
+    fraction_rows = Matrix.sparse_rows.fget
+
+    def no_fraction_view(self):
+        if self._fraction_rows is None:
+            refuse()
+        return fraction_rows(self)
+
     monkeypatch.setattr(exactnum, "_integer_row", refuse)
-    monkeypatch.setattr(exactnum._IntegerMatrix, "sparse_rows", property(refuse))
+    monkeypatch.setattr(Matrix, "sparse_rows", property(no_fraction_view))
     assert run_command(argv) == 0
     assert capsys.readouterr() == want
 

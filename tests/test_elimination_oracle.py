@@ -283,9 +283,9 @@ def test_kernel_vectors_at_chosen_free_columns_match_the_kernel_basis(m, data):
     chosen = data.draw(st.lists(st.sampled_from(range(len(free))), unique=True)
                        if free else st.just([]))
     want = [basis[i] for i in chosen]
-    assert m._kernel_vectors([free[i] for i in chosen]) == want
+    assert m.kernel_basis([free[i] for i in chosen]) == want
     fresh = Matrix._raw(m.rows, m.cols, m.sparse_rows)
-    assert fresh._kernel_vectors([free[i] for i in chosen]) == want
+    assert fresh.kernel_basis([free[i] for i in chosen]) == want
 
 
 @given(all_matrices, all_matrices, st.data())

@@ -41,6 +41,16 @@ def test_kernel_examples():
     assert v[0] * (-1) == v[1] and v[0] != 0
 
 
+def test_kernel_basis_at_chosen_free_columns():
+    m = Matrix.from_rows([[1, 2, 0, 3], [0, 0, 1, 4]])  # pivots 0 and 2
+    basis = m.kernel_basis()
+    assert m.kernel_basis([3, 1]) == [basis[1], basis[0]]
+    assert m.kernel_basis([]) == []
+    for free in ([0], [1, 2], [4], [-1], [3, 9]):
+        with pytest.raises(InputError):
+            m.kernel_basis(free)
+
+
 def test_solve_examples():
     b = (Fraction(3), Fraction(-1, 2))
     assert Matrix.identity(2).solve_in_image(b) == b
@@ -230,6 +240,15 @@ def test_equality_and_hash_follow_the_entries(shape, data):
         assert a != b
 
 
+def test_copy_and_pickle_keep_both_row_forms():
+    m = Matrix.from_rows([[Fraction(1, 2), 0, 3], [0, Fraction(-2, 3), 1]])
+    assert m.rank() == 2  # fills the integer rows and the echelon memo
+    for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert twin._fraction_rows == m._fraction_rows
+        assert twin._int_rows == m._int_rows == (({0: 1, 2: 6}, 2), ({1: -2, 2: 3}, 3))
+        assert twin == m and twin.kernel_basis() == m.kernel_basis()
+
+
 @st.composite
 def integer_rows(draw, shape=shapes):
     """(rows, cols, int_rows): sparse integer rows, each over a denominator
@@ -243,25 +262,25 @@ def integer_rows(draw, shape=shapes):
 
 
 def fraction_view_built(m):
-    return exactnum._FRACTION_ROWS.__get__(m) is not None
+    return m._fraction_rows is not None
 
 
 @given(integer_rows(), st.integers(0, 3), st.data())
 @settings(max_examples=200, deadline=None)
 def test_integer_and_fraction_forms_agree(drawn, inner, data):
-    """An integer-built matrix eliminates, applies and stacks without its
-    Fraction rows, and agrees with the Fraction-built matrix of the same
-    quotients in every view, in products, in stacks with Fraction-built
-    parts and in its echelon form; a Fraction-built matrix fills its integer
-    rows on its first elimination."""
+    """An integer-built matrix eliminates, applies, negates and stacks
+    without its Fraction rows, and agrees with the Fraction-built matrix of
+    the same quotients in every view, in products, in stacks with
+    Fraction-built parts and in its echelon form; a Fraction-built matrix
+    fills its integer rows on its first apply."""
     rows, cols, int_rows = drawn
-    m = exactnum._IntegerMatrix(rows, cols, int_rows)
+    m = Matrix._raw(rows, cols, int_rows=int_rows)
     ref = Matrix(rows, cols, [Fraction(r.get(j, 0), den) for r, den in int_rows
                               for j in range(cols)])
     v = data.draw(st.lists(cancelling, min_size=cols, max_size=cols))
+    assert ref._int_rows is None
     assert m.apply(v) == ref.apply(v)
     assert all(isinstance(x, Fraction) for x in m.apply(v))
-    assert ref._int_rows is None
     assert m._echelon() == ref._echelon()
     assert ref._int_rows is not None
     rhs = data.draw(st.lists(cancelling, min_size=rows, max_size=rows))
@@ -276,18 +295,26 @@ def test_integer_and_fraction_forms_agree(drawn, inner, data):
               (Matrix.vstack([-m, c, m]), Matrix.vstack([-ref, c, ref])),
               (Matrix.block([[m, a], [-m, a]]), Matrix.block([[ref, a], [-ref, a]]))]
     for got, want in stacks:
-        assert isinstance(got, exactnum._IntegerMatrix)
+        assert got._int_rows is not None
         assert got._echelon() == want._echelon()
         w = data.draw(st.lists(cancelling, min_size=got.cols, max_size=got.cols))
         assert got.apply(w) == want.apply(w)
-    assert type(Matrix.hstack([ref, a])) is Matrix
+    # parts without integer rows stack their Fraction rows
+    fresh = Matrix(rows, cols, ref.entries)
+    assert Matrix.hstack([fresh, fresh])._int_rows is None
+    assert Matrix.vstack([fresh, fresh])._int_rows is None
     assert not any(fraction_view_built(x) for x in [m] + [got for got, _ in stacks])
     for got, want in stacks:
         assert got == want and hash(got) == hash(want)
     check(m, [list(ref.row(i)) for i in range(rows)], rows, cols)
     assert fraction_view_built(m)
     assert m == ref and ref == m and hash(m) == hash(ref)
-    assert copy.copy(m) == pickle.loads(pickle.dumps(m)) == ref
+    # negation keeps each row form that the matrix holds, and builds no other
+    assert fraction_view_built(-m) and (-m)._int_rows is not None
+    assert (-fresh)._int_rows is None
+    for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert twin == ref and twin._int_rows == m._int_rows
+        assert twin._fraction_rows == m._fraction_rows
     b = fractions(cols, inner)
     assert m @ b == ref @ b and a.transpose() @ m == a.transpose() @ ref
     assert -m == -ref and m - ref == Matrix.zeros(rows, cols)

@@ -20,6 +20,8 @@ from md3lie.structures import (
     verify_3lie, verify_modified_differential,
 )
 
+import oracles
+
 
 def zero_f():
     return SkewTernaryTensor.zero(3, 3)
@@ -60,7 +62,7 @@ def test_extension_adds_f_and_g_to_the_direct_sum(emd, adjoint):
                 if k < 3:
                     want = emd.algebra.bracket.basis_value(i, j, k) + f.basis_value(i, j, k)
                 else:
-                    want = (0, 0, 0) + adjoint.rho_basis(i, j).column(k - 3)
+                    want = (0, 0, 0) + oracles.rho_basis(adjoint, i, j).column(k - 3)
                 assert bracket.basis_value(i, j, k) == want
     assert ext.total.d == Matrix.block([[emd.d, Matrix.zeros(3, 3)],
                                         [g, adjoint.d_M]])

@@ -67,6 +67,37 @@ def test_no_unused_imports_or_private_constants(path):
     assert unused_names(path.read_text(encoding="utf-8")) == []
 
 
+ENGINE_INTERNALS = {"_echelon", "_eliminate", "_back_substitute", "_kernel_vectors"}
+
+
+def engine_internals_read(source: str) -> list[str]:
+    """The private elimination names that source reads as an attribute or
+    imports by name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return sorted(found & ENGINE_INTERNALS)
+
+
+def test_engine_internals_are_found():
+    source = ("from .exactnum import _eliminate\nm._echelon()\n"
+              "total._kernel_vectors(free)\n_back_substitute(rows)\n")
+    assert engine_internals_read(source) == ["_echelon", "_eliminate",
+                                             "_kernel_vectors"]
+
+
+def test_only_exactnum_reaches_the_elimination_engine():
+    # every other module eliminates through a public Matrix method, a name
+    # the benchmark's tracer wraps, so no elimination escapes its layer
+    readers = {path.name: engine_internals_read(path.read_text(encoding="utf-8"))
+               for path in (ROOT / "src" / "md3lie").glob("*.py")
+               if path.name != "exactnum.py"}
+    assert {name: read for name, read in readers.items() if read} == {}
+
+
 def traced_targets() -> list[tuple[str, str]]:
     """(module, name) for every entry point the benchmark's tracer wraps,
     read from the ``TARGETS`` literal of ``perfbench/tracing.py``."""
