@@ -13,8 +13,10 @@ rows, so no dense matrix is built on the way to elimination.  A term either
 substitutes one argument of the column cochain by a sparse table vector
 ([X, Y]_F or [X, e_k] for delta; d_F, which carries the weight, or d for
 Phi) or applies rho or -d_M to its values, so it names the column blocks it
-reads, each with one coefficient.  The tables come from
-structures.leibniz_data once per complex; no axiom is verified, so invalid
+reads, each with one coefficient.  A column block's first index is a sum of
+one stride per pair slot and the final index times m, so substituting p for
+the pair in slot l moves a block by (p - arg[l]) stride_l.  The tables come
+from structures.leibniz_data once per complex; no axiom is verified, so invalid
 input assembles too.  Every term is a table entry times +-1, so assembly
 runs over integers: the tables are scaled once by the lcm D of all their
 denominators, and each row is its integers over D (exactnum's integer
@@ -37,14 +39,23 @@ Phi_q mod a 61-bit prime, computed from the Kronecker factors of Phi_q
 (q - 1 copies of d_F^T, d^T and -d_M) without assembling or eliminating
 Phi_q: the power sums of all factors but the largest, of dimension b, up to
 M = dim C^q / b, and one resultant against the largest
-(exactnum.kronecker_sum_det_mod_p).  The characteristic polynomial of each
-factor is computed once per complex and shared by the certificates of every
-degree.  The axioms are needed, because input that fails them can have
-Phi_q invertible and rank partial_q != dim C^q; such input is never
-certified and always eliminated.  Every certificate runs before the axioms
-are verified, and they are verified once per complex, so a singular Phi on
-the dims-only path and a degree-1 request run no verifier; the verdict only
-chooses the path, and the numbers are those of full elimination either way.
+(exactnum.kronecker_sum_det_mod_p).  The characteristic polynomials of d
+and -d_M are computed once per complex and shared by the certificates of
+every degree; that of d_F = d ^ 1 + 1 ^ d + lam, whose eigenvalues are
+mu_i + mu_j + lam for those mu of d, follows from d's by power sums
+(exactnum.wedge_charpoly_mod_p), once per complex and only from q = 2 on,
+so no certificate builds d_F or leibniz_data.  The axioms are needed,
+because input that fails them can have Phi_q invertible and rank partial_q
+!= dim C^q; such input is never certified and always eliminated.  Every
+certificate runs before the axioms are verified, and they are verified once
+per complex, so a singular Phi on the dims-only path and a degree-1 request
+run no verifier; the verdict only chooses the path, and the numbers are
+those of full elimination either way.  For the adjoint representation of
+this algebra object, or its coadjoint, only verify_3lie and
+verify_modified_differential run: an algebra that passes them makes both a
+representation (structures.Representation says why, and the tests check it
+against verify_representation).  Any other representation, a file equal to
+the adjoint included, is verified by verify_representation as well.
 
 One predicate, the lemma's condition, serves both paths of cohomology_dim.
 Without representatives, z = dim(C^q + C^(q-1)) - rank partial_q and b =
@@ -76,8 +87,9 @@ representatives, and only those vectors are back-substituted; row f of the
 lower block is its integer row with its denominator at the identity column.
 
 Caching: a ComplexAssembly memoizes assembled matrices, tables, the
-characteristic polynomials mod p of d_F, d and -d_M (all a certificate
-reads, computed together once) and the axiom verdict.  Population is
+characteristic polynomials mod p of d and -d_M (computed together, all a
+degree-1 certificate reads), that of d_F (derived from d's on the first
+certificate of degree 2 or more) and the axiom verdict.  Population is
 idempotent (pure recomputation), so a racing first access at worst computes
 twice and discards one copy.
 """
@@ -88,12 +100,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
 from math import lcm
+from operator import mul
 from types import SimpleNamespace
 from typing import Optional
 
 from .errors import InputError
 from .exactnum import (Matrix, Vector, charpoly_mod_p,
-                       kronecker_sum_det_from_polys, vec_is_zero)
+                       kronecker_sum_det_from_polys, vec_is_zero,
+                       wedge_charpoly_mod_p)
 from .multilin import CochainCoordinates, cochain_dim, pair_basis
 from .structures import (
     MD3LieAlgebra, Representation, leibniz_data, verify_3lie,
@@ -207,16 +221,14 @@ class ComplexAssembly:
         """Coboundary C^q -> C^(q+1) in the canonical cochain bases."""
         _check_degree(q)
         if q not in self._delta:
-            self._delta[q] = self._assemble(
-                q, cochain_dim(q, self.md.n, self.rep.m), self._delta_terms)
+            self._delta[q] = self._assemble(q, q - 1, self._delta_terms)
         return self._delta[q]
 
     def phi_matrix(self, q: int) -> Matrix:
         """Cochain map C^q -> C^q built from the differentials and weight."""
         _check_degree(q)
         if q not in self._phi:
-            self._phi[q] = self._assemble(
-                q - 1, cochain_dim(q, self.md.n, self.rep.m), self._phi_terms)
+            self._phi[q] = self._assemble(q - 1, q - 1, self._phi_terms)
         return self._phi[q]
 
     def partial_matrix(self, q: int) -> Matrix:
@@ -255,11 +267,16 @@ class ComplexAssembly:
         return leibniz_data(self.md)
 
     @cached_property
-    def _phi_polys(self) -> tuple[Optional[list[int]], ...]:
-        # Phi_q is the Kronecker sum of q - 1 copies of d_F^T, then d^T and
-        # -d_M; a transpose has the same characteristic polynomial
-        return tuple(charpoly_mod_p(f) for f in (self._leibniz.d_F, self.md.d,
-                                                 -self.rep.d_M))
+    def _phi_polys(self) -> tuple[Optional[list[int]], Optional[list[int]]]:
+        # the characteristic polynomials mod p of d and -d_M, the last two
+        # Kronecker factors of every Phi_q (d^T has that of d)
+        return charpoly_mod_p(self.md.d), charpoly_mod_p(-self.rep.d_M)
+
+    @cached_property
+    def _pair_poly(self) -> Optional[list[int]]:
+        # that of d_F = d ^ 1 + 1 ^ d + lam, the other q - 1 factors, from
+        # d's alone: no d_F (and no leibniz_data) is built for a certificate
+        return wedge_charpoly_mod_p(self._phi_polys[0], self.md.lam)
 
     @cached_property
     def _tables(self):
@@ -299,78 +316,77 @@ class ComplexAssembly:
             d_M=[(r, s, scaled(c)) for (r, s), c in rep.d_M.entry_items()],
         )
 
-    def _block(self, args, k: int) -> int:
-        """First column of the cochain coordinates at pair arguments args and
-        final index k (the order of CochainCoordinates.index)."""
-        P = len(self._tables.pairs)
-        idx = 0
-        for p in args:
-            idx = idx * P + p
-        return (idx * self.md.n + k) * self.rep.m
-
-    def _delta_terms(self, arg, k):
+    def _delta_terms(self, arg, k, stride):
         """Terms of (delta f)(X_1, ..., X_q, e_k) for the pairs X_i in arg.
 
         A term whose action or table vector is zero is not listed: on an
         abelian algebra with the adjoint action every one is, and delta_q is
         assembled without computing a column block."""
-        tb, block = self._tables, self._block
+        tb, m = self._tables, self.rep.m
         pairs, rho = tb.pairs, tb.rho
         xq, yq = pairs[arg[-1]]
-        head = arg[:-1]
+        # the column block of the pairs arg[:-1] (stride is one shorter)
+        head = sum(map(mul, arg, stride))
         # boundary terms pairing the last pair with the final slot
         top = 1 if len(arg) % 2 else -1
         if rho[yq][k]:
-            yield rho[yq][k], [(block(head, xq), top)]
+            yield rho[yq][k], [(head + xq * m, top)]
         if rho[k][xq]:
-            yield rho[k][xq], [(block(head, yq), top)]
+            yield rho[k][xq], [(head + yq * m, top)]
         for i, a in enumerate(arg):
             # alternating sign of the i-th pair, +1 for the first
             sign = -1 if i % 2 else 1
             rest = arg[:i] + arg[i + 1:]
+            base = sum(map(mul, rest, stride))
             # action of the removed pair
             action = rho[pairs[a][0]][pairs[a][1]]
             if action:
-                yield action, [(block(rest, k), sign)]
+                yield action, [(base + k * m, sign)]
             # bracket absorbed into the final slot, with sign -sign
             if tb.ad[a][k]:
-                yield None, [(block(rest, kk), -sign * c) for kk, c in tb.ad[a][k]]
+                yield None, [(base + kk * m, -sign * c) for kk, c in tb.ad[a][k]]
             # [X_i, X_l]_F absorbed into a later pair slot, with sign -sign
             for l in range(i, len(rest)):
                 bracket = tb.bracket_F[a][rest[l]]
                 if bracket:
-                    yield None, [(block(rest[:l] + (p,) + rest[l + 1:], k),
-                                  -sign * c) for p, c in bracket]
+                    at = base + k * m - rest[l] * stride[l]
+                    yield None, [(at + p * stride[l], -sign * c)
+                                 for p, c in bracket]
 
-    def _phi_terms(self, arg, k):
+    def _phi_terms(self, arg, k, stride):
         """Terms of (Phi f)(X_1, ..., X_(q-1), e_k): d_F on each pair slot
         (it carries the weight), d on the final slot, minus d_M on values."""
-        tb, block = self._tables, self._block
+        tb, m = self._tables, self.rep.m
+        base = sum(map(mul, arg, stride))
         for i, a in enumerate(arg):
-            yield None, [(block(arg[:i] + (p,) + arg[i + 1:], k), c)
-                         for p, c in tb.d_F[a]]
-        yield None, [(block(arg, kk), c) for kk, c in tb.d[k]]
-        yield tb.d_M, [(block(arg, k), -1)]
+            at = base + k * m - a * stride[i]
+            yield None, [(at + p * stride[i], c) for p, c in tb.d_F[a]]
+        yield None, [(base + kk * m, c) for kk, c in tb.d[k]]
+        yield tb.d_M, [(base + k * m, -1)]
 
-    def _assemble(self, arity: int, cols: int, terms) -> Matrix:
-        """Matrix whose row block (arg, k) sums the terms(arg, k), over den.
+    def _assemble(self, arity: int, col_arity: int, terms) -> Matrix:
+        """Matrix whose row block (arg, k) sums the terms(arg, k, stride),
+        over den.
 
         Row blocks run over pair-index tuples ``arg`` of length ``arity`` and
-        a final index k, in cochain coordinate order, m rows each.  A term
-        (T, columns) adds coeff * T(values of f at block) for each (block,
-        coeff) in columns, a column block as _block numbers it; T holds the
-        (row, column, entry) items of a module endomorphism (its coeff is
+        a final index k, in cochain coordinate order, m rows each; so do the
+        column blocks, over tuples of length ``col_arity``, and the column
+        block of (args, k) is ``sum(args[l] * stride[l]) + k * m`` (the
+        order of CochainCoordinates.index).  A term (T, columns) adds coeff *
+        T(values of f at block) for each (block, coeff) in columns; T holds
+        the (row, column, entry) items of a module endomorphism (its coeff is
         then +-1), None meaning the identity."""
         n, m = self.md.n, self.rep.m
         P, den = len(self._tables.pairs), self._tables.den
-        rows = P ** arity * n * m
+        rows, cols = P ** arity * n * m, P ** col_arity * n * m
         _check_entry_budget(rows, cols)
+        stride = [P ** (col_arity - 1 - l) * n * m for l in range(col_arity)]
         data = [{} for _ in range(rows)]
         identity = [(r, r, 1) for r in range(m)]
         blocks = product(product(range(P), repeat=arity), range(n))
         for block, (arg, k) in enumerate(blocks):
             row_base = block * m
-            for T, columns in terms(arg, k):
+            for T, columns in terms(arg, k, stride):
                 T = identity if T is None else T
                 for col_base, coeff in columns:
                     for r, r0, t in T:
@@ -415,17 +431,21 @@ class ComplexAssembly:
         factors of Phi_q without assembling it; None when undecided.  A
         nonzero value proves Phi_q invertible."""
         _check_degree(q)
-        c_F, c_d, c_M = self._phi_polys
-        return kronecker_sum_det_from_polys([c_F] * (q - 1) + [c_d, c_M])
+        pairs = [self._pair_poly] * (q - 1) if q > 1 else []
+        return kronecker_sum_det_from_polys(pairs + list(self._phi_polys))
 
     @cached_property
     def _axioms_hold(self) -> bool:
         """Whether the algebra and the representation pass their verifiers,
-        the condition under which partial partial = 0 (module docstring)."""
-        md = self.md
+        the condition under which partial partial = 0 (module docstring).
+        The adjoint of this md object, or a dual of it, passes
+        verify_representation whenever md passes the other two (see
+        Representation), so that verifier runs only for other
+        representations."""
+        md, rep = self.md, self.rep
         return (verify_3lie(md.algebra).valid
                 and verify_modified_differential(md).valid
-                and verify_representation(md, self.rep).valid)
+                and (rep._adjoint_of is md or verify_representation(md, rep).valid))
 
     def _full_rank_proved(self, *degrees: int) -> bool:
         """Whether the lemma in the module docstring proves rank partial_k =

@@ -635,6 +635,57 @@ def charpoly_mod_p(f: Matrix) -> Optional[list[int]]:
     return _charpoly_mod(dense, p)
 
 
+def wedge_charpoly_mod_p(c: Optional[list[int]], lam) -> Optional[list[int]]:
+    """The characteristic polynomial mod p = CERTIFICATE_PRIME of ``A ^ 1 +
+    1 ^ A + lam``, the map ``a ^ b -> A a ^ b + a ^ A b + lam a ^ b`` on the
+    N = C(r, 2) pairs, from the characteristic polynomial ``c = [1, c_1,
+    ..., c_r]`` of A mod p (as charpoly_mod_p gives it); None when c is
+    None, when p divides the denominator of lam, or when p = 2 or p <= N.
+
+    Over an algebraic closure A is triangular, and so is the pair map, with
+    eigenvalues ``mu_i + mu_j + lam`` (i < j) for the eigenvalues mu of A.
+    Let ``nu = mu + lam / 2``: their power sums are ``t_l = sum_m C(l, m)
+    (lam / 2)^(l - m) s_m`` for the power sums s_m of A (_power_sums_mod),
+    and, as the sum over all ordered (i, j) counts each i < j twice and
+    adds ``(2 nu_i)^k`` on the diagonal,
+
+        sum_(i<j) (nu_i + nu_j)^k = (sum_(l=0..k) C(k, l) t_l t_(k-l)
+                                     - 2^k t_k) / 2.
+
+    Newton's identities turn these power sums into the coefficients.  Each
+    step is a polynomial identity in c and lam that divides by 2 and by
+    integers up to N only, so over the field of p elements it gives the
+    reduction of the polynomial over Q.  O(N^2) operations mod p, and no
+    N x N matrix."""
+    p = CERTIFICATE_PRIME
+    lam = Fraction(lam)
+    if c is None or lam.denominator % p == 0:
+        return None
+    r = len(c) - 1
+    N = r * (r - 1) // 2
+    if p <= max(N, 2):
+        return None
+    half = lam.numerator * pow(2 * lam.denominator, -1, p) % p
+    binom = [[1]]  # Pascal's rows C(k, 0..k) for k <= N
+    for k in range(N):
+        binom.append([1] + [a + b for a, b in zip(binom[k], binom[k][1:])] + [1])
+    s = _power_sums_mod(c, N, p)
+    powers = [1]  # (lam / 2)^j
+    for _ in range(N):
+        powers.append(powers[-1] * half % p)
+    t = [sum(b * powers[k - m] * s[m] for m, b in enumerate(row)) % p
+         for k, row in enumerate(binom)]
+    inv2 = pow(2, -1, p)
+    sums = [(sum(b * t[m] * t[k - m] for m, b in enumerate(row))
+             - pow(2, k, p) * t[k]) * inv2 % p for k, row in enumerate(binom)]
+    # Newton, as in _power_sums_mod: k c_k = -(sums_k + sum_(0<i<k) c_i sums_(k-i))
+    out = [1]
+    for k in range(1, N + 1):
+        acc = sums[k] + sum(map(mul, out[1:], reversed(sums[1:k])))
+        out.append(-acc * pow(k, -1, p) % p)
+    return out
+
+
 def _resultant_mod(a: list[int], b: list[int], p: int) -> int:
     """``prod_(a(alpha) = 0) b(alpha) mod p`` over the roots of the monic a,
     that is Res(a, b); coefficients run from the highest degree down and

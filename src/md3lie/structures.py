@@ -24,7 +24,7 @@ e_i-coefficient of the image of e_j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations
@@ -117,6 +117,17 @@ class Representation:
     ``rho`` is stored on canonical pairs i < j and extended skew on access;
     the weight is shared with the base algebra and consistency is enforced
     at verification boundaries.
+
+    ``_adjoint_of`` is the algebra object that adjoint_representation built
+    this on, directly or through dual_representation, and None otherwise.
+    Only those two constructors set it (it is not an __init__ argument, so
+    dataclasses.replace and literal construction leave it None), and it
+    takes no part in equality.  Such a representation passes
+    verify_representation whenever that algebra passes verify_3lie and
+    verify_modified_differential: the action laws of the adjoint are the
+    fundamental identity, its module differential rule is the modified
+    differential rule, and both laws transpose into themselves under the
+    dual.
     """
 
     n: int
@@ -124,6 +135,8 @@ class Representation:
     rho: Mapping[PairIndex, Matrix]
     d_M: Matrix
     lam: Fraction
+    _adjoint_of: MD3LieAlgebra | None = field(default=None, init=False,
+                                              compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "lam", scal(self.lam))
@@ -355,7 +368,9 @@ def verify_representation(md: MD3LieAlgebra, rep: Representation) -> Report:
 def adjoint_representation(md: MD3LieAlgebra) -> Representation:
     """rho(e_i, e_j) = [e_i, e_j, -] on the algebra itself, d_M = d."""
     rho = {p: md.algebra.bracket.pair_action(*p) for p in pair_basis(md.n)}
-    return Representation(n=md.n, m=md.n, rho=rho, d_M=md.d, lam=md.lam)
+    rep = Representation(n=md.n, m=md.n, rho=rho, d_M=md.d, lam=md.lam)
+    object.__setattr__(rep, "_adjoint_of", md)
+    return rep
 
 
 def trivial_representation(md: MD3LieAlgebra, m: int, d_M: Matrix) -> Representation:
@@ -365,8 +380,10 @@ def trivial_representation(md: MD3LieAlgebra, m: int, d_M: Matrix) -> Representa
 def dual_representation(rep: Representation) -> Representation:
     """Transpose-negated action and module differential on the dual module."""
     rho = {p: -mat.transpose() for p, mat in rep.rho.items()}
-    return Representation(n=rep.n, m=rep.m, rho=rho,
+    dual = Representation(n=rep.n, m=rep.m, rho=rho,
                           d_M=-rep.d_M.transpose(), lam=rep.lam)
+    object.__setattr__(dual, "_adjoint_of", rep._adjoint_of)
+    return dual
 
 
 def coadjoint_representation(md: MD3LieAlgebra) -> Representation:

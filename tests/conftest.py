@@ -1,9 +1,14 @@
+import importlib
+import sys
 from fractions import Fraction
+from functools import cache
+from pathlib import Path
 
 import pytest
 
 from md3lie.cohomology import ComplexAssembly
 from md3lie.corpus import example_md, random_matrix, random_skew_tensor, rational
+from md3lie.documents import algebra_from_doc
 from md3lie.multilin import SkewTernaryTensor, pair_basis
 from md3lie.structures import (
     MD3LieAlgebra, ModifiedDifferential, Representation, ThreeLieAlgebra,
@@ -31,6 +36,28 @@ def random_md(rng, n):
     """A random dense bracket and differential: nearly every tuple fails."""
     return MD3LieAlgebra(ThreeLieAlgebra(n, random_skew_tensor(rng, n, n)),
                          ModifiedDifferential(rational(rng), random_matrix(rng, n, n)))
+
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@cache
+def _bench_module(name):
+    # the benchmark's modules import one another by bare name
+    sys.path.insert(0, str(BENCH))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(str(BENCH))
+
+
+def bench_pool(name):
+    """(key, algebra) for each member of a benchmark pool (``DIM3_POOL``,
+    ``DIM6_POOL`` or ``AB5_POOL`` of perfbench/workloads.py), parsed from
+    the seeded document that perfbench/instances.py writes for the key."""
+    inst = _bench_module("instances")
+    return [(key, algebra_from_doc(inst.algebra_doc(inst.algebra(key))))
+            for key in getattr(_bench_module("workloads"), name)]
 
 
 def det_mod_p(rows, p):

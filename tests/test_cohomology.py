@@ -1,13 +1,16 @@
+import dataclasses
 import importlib.util
 import itertools
+import json
 import random
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from md3lie import cohomology, documents, exactnum
+from md3lie import cli, cohomology, documents, exactnum
 from md3lie.cli import run_command
 from md3lie.cohomology import ComplexAssembly, TotalCochain
 from md3lie.corpus import (
@@ -19,13 +22,14 @@ from md3lie.exactnum import Matrix, unit, vec_add, vec_is_zero, vec_zero
 from md3lie.multilin import CochainCoordinates, cochain_dim, pair_basis
 from md3lie.structures import (
     MD3LieAlgebra, ModifiedDifferential, Representation, ThreeLieAlgebra,
-    adjoint_representation, coadjoint_representation, fundamental_leibniz,
-    leibniz_data, trivial_representation, verify_3lie,
-    verify_modified_differential, verify_representation,
+    adjoint_representation, coadjoint_representation, dual_representation,
+    fundamental_leibniz, leibniz_data, semidirect_product,
+    trivial_representation, verify_3lie, verify_modified_differential,
+    verify_representation,
 )
 
 import oracles
-from conftest import det_mod_p, invalid_bracket_md
+from conftest import bench_pool, det_mod_p, invalid_bracket_md
 
 
 def one_cochain(mat):
@@ -706,16 +710,19 @@ def test_representatives_assemble_no_total_they_certify(monkeypatch):
     """Phi_3 and Phi_2 of a determinant-bracket member with the coadjoint
     action are certified and the axioms hold, so cohomology_dim(3) answers
     H^3 = 0 without assembling a delta, a Phi or a total, or computing a
-    kernel; with the adjoint action Phi is singular and elimination still
-    runs."""
+    kernel; it calls neither leibniz_data nor verify_representation (the
+    coadjoint of a valid algebra is a representation).  With the adjoint
+    action Phi is singular and elimination still runs."""
     md = det_bracket_md(random.Random(31))
     asm = ComplexAssembly(md, coadjoint_representation(md))
 
-    def refuse(self, *args):
+    def refuse(*args):
         raise AssertionError("elimination path taken")
 
     monkeypatch.setattr(ComplexAssembly, "partial_matrix", refuse)
     monkeypatch.setattr(Matrix, "kernel_basis", refuse)
+    monkeypatch.setattr(cohomology, "leibniz_data", refuse)
+    monkeypatch.setattr(cohomology, "verify_representation", refuse)
     summary = asm.cohomology_dim(3)
     assert (dims(summary), summary.representatives) == ((27, 27, 0), [])
     assert not (asm._delta or asm._phi or asm._partial)
@@ -731,7 +738,8 @@ def test_an_uncertified_rank_runs_no_verifier(monkeypatch):
     has passed: a singular Phi (the adjoint action of a determinant-bracket
     member) takes no verifier on the dims-only path, and a degree-1 request
     takes none on either path.  The representatives path of degree >= 2
-    verifies them to choose the quotient, once per complex."""
+    verifies them to choose the quotient, once per complex: the two algebra
+    verifiers, as the adjoint of a valid algebra is a representation."""
     md = det_bracket_md(random.Random(31))
     names = ("verify_3lie", "verify_modified_differential", "verify_representation")
     calls = []
@@ -751,7 +759,7 @@ def test_an_uncertified_rank_runs_no_verifier(monkeypatch):
     assert calls == []
     singular.cohomology_dim(2)
     singular.cohomology_dim(3)
-    assert sorted(calls) == sorted(names)
+    assert sorted(calls) == sorted(names[:2])
 
     def refuse(*args):
         raise AssertionError("a verifier ran")
@@ -764,6 +772,196 @@ def test_an_uncertified_rank_runs_no_verifier(monkeypatch):
         assert dims(certified.cohomology_dim(1, representatives)) == (0, 0, 0)
     with pytest.raises(AssertionError, match="a verifier ran"):
         certified.cohomology_dim(2)
+
+
+# ---------------------------------------------------------------------------
+# the representation verdict that the algebra's verdict implies
+
+
+def valid_pool_algebras():
+    """The example, every member of the benchmark's DIM3_POOL, DIM6_POOL and
+    AB5_POOL, and the corpus draws of pool_complexes, all valid."""
+    members = [example_md()] + [md for md, rep in pool_complexes()[::2]]
+    for name in ("DIM3_POOL", "DIM6_POOL", "AB5_POOL"):
+        members += [md for _, md in bench_pool(name)]
+    return members
+
+
+def algebra_verdict(md):
+    return verify_3lie(md.algebra).valid and verify_modified_differential(md).valid
+
+
+def test_a_valid_algebra_implies_its_adjoint_and_coadjoint(monkeypatch):
+    """The lemma _axioms_hold rests on, with the verifier as the oracle: on
+    every valid pool algebra, adjoint and coadjoint pass
+    verify_representation, and _axioms_hold says so without running it."""
+    def refuse(*args):
+        raise AssertionError("verify_representation ran")
+
+    algebras = valid_pool_algebras()
+    for md in algebras:
+        assert algebra_verdict(md)
+        for make in (adjoint_representation, coadjoint_representation):
+            rep = make(md)
+            assert verify_representation(md, rep).valid, md
+            with monkeypatch.context() as mp:
+                mp.setattr(cohomology, "verify_representation", refuse)
+                assert ComplexAssembly(md, rep)._axioms_hold
+    assert len(algebras) == 1 + 64 + 64 + 128 + 16
+
+
+@st.composite
+def valid_algebras(draw):
+    """A valid algebra of one of the corpus families, drawn by hypothesis,
+    or the semidirect product of one with its adjoint action (dim 6)."""
+    rng = draw(st.randoms(use_true_random=False))
+    make = draw(st.sampled_from([
+        lambda rng: example_md(), triangular_family_member, det_bracket_md,
+        lambda rng: abelian_md(rng, rng.randint(1, 5))]))
+    md = make(rng)
+    if draw(st.booleans()):
+        md = semidirect_product(md, adjoint_representation(md))
+    return md
+
+
+@given(md=valid_algebras())
+@settings(max_examples=40, deadline=None)
+def test_drawn_valid_algebras_imply_their_adjoint_and_coadjoint(md):
+    assert algebra_verdict(md)
+    for make in (adjoint_representation, coadjoint_representation):
+        rep = make(md)
+        assert verify_representation(md, rep).valid
+        assert rep._adjoint_of is md
+        assert dual_representation(rep)._adjoint_of is md
+
+
+def test_the_axiom_verdict_is_the_conjunction_of_the_verifiers(monkeypatch):
+    """On every pool complex, valid or not, _axioms_hold equals the three
+    verifiers' conjunction; verify_representation runs exactly when the
+    algebra passes and the representation is not the adjoint or coadjoint
+    built on this md object."""
+    calls = []
+    verify = cohomology.verify_representation
+
+    def counted(md, rep):
+        calls.append(rep)
+        return verify(md, rep)
+
+    monkeypatch.setattr(cohomology, "verify_representation", counted)
+    complexes = ([(md, rep) for md, rep, _ in dims_only_cases()] + pool_complexes()
+                 + [(md, make(md)) for _, md in bench_pool("DIM3_POOL")
+                    for make in (adjoint_representation, coadjoint_representation)])
+    verdicts, ran = set(), 0
+    for md, rep in complexes:
+        calls.clear()
+        holds = ComplexAssembly(md, rep)._axioms_hold
+        assert holds == axioms_hold(md, rep), (md, rep)
+        implied = rep._adjoint_of is md
+        assert len(calls) == (algebra_verdict(md) and not implied), (md, rep)
+        verdicts.add(holds)
+        ran += len(calls)
+    assert verdicts == {True, False} and ran
+
+
+def test_the_verifier_runs_on_a_representation_no_constructor_vouches_for(
+        monkeypatch):
+    """verify_representation still runs, and reports what it reports today,
+    for a representation equal to the example's adjoint but in one entry,
+    for dataclasses.replace of the adjoint (with and without a change), for
+    an adjoint built on another md object (equal, or with another d), and
+    for one loaded from a file equal to the adjoint."""
+    md = example_md()
+    adjoint = adjoint_representation(md)
+    bump = Matrix.from_entries(3, 3, {(1, 0): Fraction(1)})
+    other = MD3LieAlgebra(md.algebra, ModifiedDifferential(md.lam, md.d + bump))
+    cases = {
+        "one entry": (Representation(n=3, m=3, rho=adjoint.rho,
+                                     d_M=adjoint.d_M + bump, lam=md.lam), False),
+        "replace": (dataclasses.replace(adjoint), True),
+        "replace d_M": (dataclasses.replace(adjoint, d_M=adjoint.d_M + bump),
+                        False),
+        "equal md": (adjoint_representation(
+            MD3LieAlgebra(md.algebra, md.diff)), True),
+        "other md": (adjoint_representation(other), False),
+        "file": (documents.representation_from_doc(
+            documents.representation_to_doc(adjoint), md, "adjoint.json"), True),
+    }
+    reports = []
+    verify = cohomology.verify_representation
+
+    def recorded(*args):
+        reports.append(verify(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(cohomology, "verify_representation", recorded)
+    for name, (rep, valid) in cases.items():
+        reports.clear()
+        assert ComplexAssembly(md, rep)._axioms_hold is valid, name
+        (report,) = reports
+        assert report == verify_representation(md, rep), name
+        laws = {v.law for v in report.violations}
+        assert report.valid is valid
+        assert valid or laws == {"module differential compatibility"}
+    reports.clear()
+    for rep in (adjoint, coadjoint_representation(md)):
+        assert ComplexAssembly(md, rep)._axioms_hold
+    assert reports == []
+
+
+def test_the_implied_verdict_leaves_every_report_as_it_was(monkeypatch, tmp_path,
+                                                           capsys):
+    """cohomology --representatives on the example and a seeded sample of
+    the benchmark's DIM3_POOL, both actions, q = 1..3, prints the same
+    bytes with the implied verdict turned off (the CLI's constructors hand
+    out copies that no constructor vouches for) and on; off, the
+    representation verifier runs, on, it never does.  The example's
+    adjoint from a file reports what --rep adjoint reports."""
+    members = [("example", example_md())] + random.Random("implied").sample(
+        bench_pool("DIM3_POOL"), 8)
+    paths = []
+    for key, md in members:
+        paths.append(tmp_path / f"{key}.json")
+        paths[-1].write_text(documents.serialize_algebra(md), encoding="utf-8")
+    rep_file = tmp_path / "adjoint.json"
+    rep_file.write_text(json.dumps(documents.representation_to_doc(
+        adjoint_representation(example_md()))), encoding="utf-8")
+    calls = []
+    verify = cohomology.verify_representation
+
+    def counted(*args):
+        calls.append(args)
+        return verify(*args)
+
+    def reports(argvs):
+        out = []
+        for argv in argvs:
+            code = run_command(argv)
+            out.append((code, capsys.readouterr()))
+        return out
+
+    argvs = [["cohomology", str(path), "--rep", rep, "--degree", str(q),
+              "--representatives"]
+             for path in paths for rep in ("adjoint", "coadjoint")
+             for q in (1, 2, 3)]
+    monkeypatch.setattr(cohomology, "verify_representation", counted)
+    on = reports(argvs)
+    assert calls == []
+    for name in ("adjoint_representation", "coadjoint_representation"):
+        make = getattr(cli, name)
+        monkeypatch.setattr(cli, name,
+                            lambda md, make=make: dataclasses.replace(make(md)))
+    off = reports(argvs)
+    assert calls and all(verify(*args).valid for args in calls)
+    assert off == on
+    assert all(code == 0 and out.out for code, out in on)
+
+    def without_argv(out):
+        return [(code, {k: v for k, v in json.loads(o.out).items() if k != "argv"})
+                for code, o in out]
+
+    from_file = reports([argv[:3] + [str(rep_file)] + argv[4:]
+                         for argv in argvs[:3]])
+    assert without_argv(from_file) == without_argv(on[:3])
 
 
 def test_the_quotient_back_substitutes_only_the_representatives(monkeypatch):
@@ -931,8 +1129,10 @@ def test_a_valid_degree_3_job_reads_integer_rows_only(monkeypatch, tmp_path, cap
 
 def test_certificates_share_the_characteristic_polynomials(monkeypatch):
     """Phi_3 and Phi_2 have the factors d_F, d and -d_M; a certified
-    cohomology_dim(3) takes the characteristic polynomial of each once, on
-    both paths."""
+    cohomology_dim(3) takes the characteristic polynomials of d and -d_M
+    once, on both paths, and d_F's from d's: it builds no leibniz_data and
+    no scaled table.  A degree-1 certificate, whose Phi_1 has no d_F
+    factor, computes no polynomial of d_F."""
     md = det_bracket_md(random.Random(31))
     charpoly = exactnum._charpoly_mod
     calls = []
@@ -946,10 +1146,24 @@ def test_certificates_share_the_characteristic_polynomials(monkeypatch):
         calls.clear()
         asm = ComplexAssembly(md, coadjoint_representation(md))
         assert dims(asm.cohomology_dim(3, representatives)) == (27, 27, 0)
-        assert len(calls) == 3
-        # a certified job reads the Phi factors and builds no scaled table
-        assert "_tables" not in vars(asm)
-        assert asm.phi_det_mod_p(3) and len(calls) == 3
+        assert len(calls) == 2
+        assert "_leibniz" not in vars(asm) and "_tables" not in vars(asm)
+        assert asm.phi_det_mod_p(3) and len(calls) == 2
+    calls.clear()
+    asm = ComplexAssembly(md, coadjoint_representation(md))
+    assert dims(asm.cohomology_dim(1)) == (0, 0, 0)
+    assert len(calls) == 2 and "_pair_poly" not in vars(asm)
+
+
+def test_the_pair_polynomial_is_that_of_d_F():
+    """The certificate's d_F factor, taken from d's characteristic
+    polynomial, is that of leibniz_data's d_F on every pool algebra and on
+    every dims-only complex, valid or not."""
+    algebras = valid_pool_algebras() + [md for md, _, _ in dims_only_cases()]
+    for md in algebras:
+        asm = ComplexAssembly(md, adjoint_representation(md))
+        assert asm._pair_poly == exactnum.charpoly_mod_p(leibniz_data(md).d_F), md
+        assert "_leibniz" not in vars(asm)
 
 
 @pytest.mark.parametrize("representatives", [False, True])

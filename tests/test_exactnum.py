@@ -7,7 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from md3lie import exactnum
 from md3lie.errors import InputError
-from md3lie.exactnum import Matrix, _resultant_mod, kronecker_sum_det_mod_p
+from md3lie.exactnum import (Matrix, _resultant_mod, charpoly_mod_p,
+                             kronecker_sum_det_mod_p, wedge_charpoly_mod_p)
+from md3lie.structures import (MD3LieAlgebra, ModifiedDifferential, ThreeLieAlgebra,
+                               leibniz_data)
 
 import oracles
 from conftest import det_mod_p
@@ -477,3 +480,76 @@ def test_kronecker_sum_det_declines_what_it_cannot_decide(monkeypatch):
     assert kronecker_sum_det_mod_p([Matrix.identity(6)]) == 1
     with pytest.raises(InputError):
         kronecker_sum_det_mod_p([Matrix.zeros(1, 2)])
+
+
+# ---------------------------------------------------------------------------
+# the characteristic polynomial of the pair map, from the operator's
+
+
+def pair_map(d, lam):
+    """d_F = d ^ 1 + 1 ^ d + lam on the pairs, as leibniz_data builds it."""
+    return leibniz_data(MD3LieAlgebra(ThreeLieAlgebra.abelian(d.rows),
+                                      ModifiedDifferential(lam, d))).d_F
+
+
+@st.composite
+def operators(draw):
+    """A square operator up to 6 x 6: random entries, or a Jordan block (one
+    eigenvalue, ones above the diagonal: not diagonalizable from 2 x 2 on)
+    conjugated by an elementary matrix I + c E_ij, whose inverse is
+    I - c E_ij."""
+    n = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        return Matrix(n, n, draw(st.lists(scalars, min_size=n * n, max_size=n * n)))
+    a = draw(scalars)
+    jordan = Matrix(n, n, [a if j == i else 1 if j == i + 1 else 0
+                           for i in range(n) for j in range(n)])
+    if n < 2:
+        return jordan
+    i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                         unique=True))
+    c = draw(scalars.filter(bool))
+    e = Matrix.from_entries(n, n, {(i, j): c})
+    return (Matrix.identity(n) + e) @ jordan @ (Matrix.identity(n) - e)
+
+
+def test_wedge_charpoly_examples():
+    # d = diag(1, 2, 3) at weight -5: pair eigenvalues -2, -1, 0
+    p = exactnum.CERTIFICATE_PRIME
+    c = charpoly_mod_p(Matrix.diagonal([1, 2, 3]))
+    assert wedge_charpoly_mod_p(c, -5) == [1, 3, 2, 0]
+    # a 2 x 2 Jordan block at a: the one pair has 2a + lam
+    c = charpoly_mod_p(Matrix.from_rows([[Fraction(1, 3), 1], [0, Fraction(1, 3)]]))
+    assert wedge_charpoly_mod_p(c, Fraction(1, 2)) == [1, -7 * pow(6, -1, p) % p]
+    # no pairs on a line or a point
+    assert wedge_charpoly_mod_p(charpoly_mod_p(Matrix.identity(1)), 3) == [1]
+    assert wedge_charpoly_mod_p(charpoly_mod_p(Matrix.zeros(0, 0)), 3) == [1]
+
+
+@pytest.mark.parametrize("prime", [exactnum.CERTIFICATE_PRIME, 257])
+@given(d=operators(), lam=scalars)
+@settings(max_examples=80, deadline=None)
+def test_wedge_charpoly_is_that_of_the_pair_map(prime, d, lam):
+    # 257 wraps the intermediate values and exceeds N = C(6, 2) = 15
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactnum, "CERTIFICATE_PRIME", prime)
+        got = wedge_charpoly_mod_p(charpoly_mod_p(d), lam)
+        assert got == charpoly_mod_p(pair_map(d, lam))
+
+
+def test_wedge_charpoly_declines_what_it_cannot_decide(monkeypatch):
+    monkeypatch.setattr(exactnum, "CERTIFICATE_PRIME", 7)
+    d = Matrix.from_rows([[1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 3, 1], [0, 0, 0, -1]])
+    c = charpoly_mod_p(d)
+    # N = C(4, 2) = 6 < 7 is decided
+    assert wedge_charpoly_mod_p(c, Fraction(1, 2)) == charpoly_mod_p(
+        pair_map(d, Fraction(1, 2))) is not None
+    # 7 divides the weight's denominator; d's polynomial was declined
+    assert wedge_charpoly_mod_p(c, Fraction(1, 7)) is None
+    assert wedge_charpoly_mod_p(None, 1) is None
+    # p <= N = 10, though d's polynomial is decided
+    five = charpoly_mod_p(Matrix.identity(5))
+    assert five is not None and wedge_charpoly_mod_p(five, 1) is None
+    # lam / 2 has no value mod 2
+    monkeypatch.setattr(exactnum, "CERTIFICATE_PRIME", 2)
+    assert wedge_charpoly_mod_p(charpoly_mod_p(Matrix.identity(2)), 1) is None
