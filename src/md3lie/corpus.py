@@ -11,7 +11,9 @@ generated instance is still checked exhaustively by the tests that consume it.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 from .exactnum import Matrix
 from .multilin import SkewTernaryTensor
@@ -48,13 +50,15 @@ def random_invertible(rng: random.Random, n: int) -> Matrix:
 
 
 def random_skew_tensor(rng: random.Random, n: int, m: int) -> SkewTernaryTensor:
-    return SkewTernaryTensor.from_function(
-        n, m, lambda i, j, k: [rational(rng) for _ in range(m)])
+    """m draws per triple, triples in lexicographic order."""
+    return SkewTernaryTensor(n, m, {
+        triple: {r: rational(rng) for r in range(m)}
+        for triple in combinations(range(n), 3)})
 
 
 def example_algebra() -> ThreeLieAlgebra:
     """Dim-3 algebra with [e1, e2, e3] = e1 and all other brackets zero."""
-    return ThreeLieAlgebra(3, SkewTernaryTensor(3, 3, {(0, 1, 2): (1, 0, 0)}))
+    return ThreeLieAlgebra(3, SkewTernaryTensor(3, 3, {(0, 1, 2): {0: 1}}))
 
 
 def example_md() -> MD3LieAlgebra:
@@ -80,8 +84,7 @@ def triangular_family_member(rng: random.Random) -> MD3LieAlgebra:
 
 def det_bracket_algebra(w) -> ThreeLieAlgebra:
     """[x, y, z] = det(x, y, z) w on a 3-dim space."""
-    w = tuple(w)
-    return ThreeLieAlgebra(3, SkewTernaryTensor(3, 3, {(0, 1, 2): w}))
+    return ThreeLieAlgebra(3, SkewTernaryTensor(3, 3, {(0, 1, 2): dict(enumerate(w))}))
 
 
 def det_bracket_md(rng: random.Random) -> MD3LieAlgebra:
@@ -120,28 +123,16 @@ def corrupt_representation(rng: random.Random, md: MD3LieAlgebra,
     actually reports a violation."""
     if target not in _CORRUPTION_TARGETS:
         raise ValueError(f"unknown target {target!r}")
+    on_d_M = target == "module differential compatibility"
+    pairs = sorted(rep.rho)
     for _ in range(100):
         eps = rational_nonzero(rng)
-        if target == "module differential compatibility":
-            i = rng.randrange(rep.m)
-            j = rng.randrange(rep.m)
-            bump = Matrix(rep.m, rep.m, [
-                eps if (r, c) == (i, j) else 0
-                for r in range(rep.m) for c in range(rep.m)])
-            cand = Representation(n=rep.n, m=rep.m, rho=rep.rho,
-                                  d_M=rep.d_M + bump, lam=rep.lam)
-        else:
-            pairs = sorted(rep.rho)
-            pair = pairs[rng.randrange(len(pairs))]
-            i = rng.randrange(rep.m)
-            j = rng.randrange(rep.m)
-            bump = Matrix(rep.m, rep.m, [
-                eps if (r, c) == (i, j) else 0
-                for r in range(rep.m) for c in range(rep.m)])
-            rho = dict(rep.rho)
-            rho[pair] = rho[pair] + bump
-            cand = Representation(n=rep.n, m=rep.m, rho=rho,
-                                  d_M=rep.d_M, lam=rep.lam)
+        pair = None if on_d_M else pairs[rng.randrange(len(pairs))]
+        i = rng.randrange(rep.m)
+        j = rng.randrange(rep.m)
+        bump = Matrix.from_entries(rep.m, rep.m, {(i, j): eps})
+        cand = (replace(rep, d_M=rep.d_M + bump) if on_d_M
+                else replace(rep, rho={**rep.rho, pair: rep.rho[pair] + bump}))
         report = verify_representation(md, cand)
         if any(v.law == target for v in report.violations):
             return cand

@@ -218,7 +218,7 @@ def trivial_deformation_from_nijenhuis(md: MD3LieAlgebra, N: Matrix) -> LinearDe
                                          _through(ncols, once.items(), -1)))
         if sparse_combination(_through(ncols, twice.items(), 1)) != s3:
             raise RuntimeError("cubic closure failed for a validated operator")
-        nu1[triple], nu2[triple] = vec_from_sparse(once, n), vec_from_sparse(twice, n)
+        nu1[triple], nu2[triple] = once, twice
     return LinearDeformation(md, SkewTernaryTensor(n, n, nu1),
                              SkewTernaryTensor(n, n, nu2), Matrix.zeros(n, n))
 

@@ -118,14 +118,14 @@ def matrix_from_doc(obj, where: str, rows: int | None = None,
     return Matrix(nrows, ncols, flat)
 
 
-def _value_map_to_doc(val) -> dict:
-    return {str(r + 1): scalar_str(c) for r, c in enumerate(val) if c}
+def _value_map_to_doc(items) -> dict:
+    return {str(r + 1): scalar_str(c) for r, c in items}
 
 
-def _value_map_from_doc(obj, dim_out: int, where: str) -> tuple:
+def _value_map_from_doc(obj, dim_out: int, where: str) -> dict:
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected an object of coefficients")
-    out = [Fraction(0)] * dim_out
+    out = {}
     for key, text in obj.items():
         if not isinstance(key, str) or not _INDEX_KEY_RE.fullmatch(key):
             raise ParseError(f"{where}: bad basis index {key!r}")
@@ -133,13 +133,13 @@ def _value_map_from_doc(obj, dim_out: int, where: str) -> tuple:
         if not 1 <= idx <= dim_out:
             raise ParseError(f"{where}: basis index {idx} out of range 1..{dim_out}")
         out[idx - 1] = parse_scalar(text, f"{where}.{key}")
-    return tuple(out)
+    return out
 
 
 def _triple_list_to_doc(tensor: SkewTernaryTensor) -> list:
     return [
         {"args": [i + 1, j + 1, k + 1], "value": _value_map_to_doc(val)}
-        for (i, j, k), val in sorted(tensor.values.items())
+        for (i, j, k), val in tensor.values.items()
     ]
 
 
@@ -210,7 +210,7 @@ def serialize_algebra(md: MD3LieAlgebra) -> str:
 def algebra_from_doc(doc, where: str = "algebra") -> MD3LieAlgebra:
     dim = _require_dim(doc, "dim", where)
     # the differential first: its dim x dim entries must be in the document,
-    # so a false dim fails before the bracket allocates values of that length
+    # so a false dim is reported there, before the bracket is read
     d = matrix_from_doc(_require(doc, "differential", where),
                         f"{where}.differential", rows=dim, cols=dim)
     values = _triple_list_from_doc(_require(doc, "bracket", where), dim, dim,

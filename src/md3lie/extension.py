@@ -6,9 +6,12 @@ as a vector space, which is always possible over a field.  Equivalence is
 decided through cocycle classes, turning an existential over isomorphisms
 into one exact linear solve.
 
+The total bracket is the semidirect product's with the items of f added,
+module indices shifted past the algebra's; nothing is built per zero entry.
 A section s is read through its column items and the signed table of the
 total bracket (``sparse_call``); each extracted value is a sum over nonzero
-entries, cut to its module rows, which must be all there is.
+entries, cut to its module rows, which must be all there is, and upsilon is
+handed to the tensor as those sparse values.
 
 Functionals on the dual carrier are coordinate vectors over the canonical
 dual basis, in the same scalar format as everything else.
@@ -18,12 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
 from typing import Optional
 
 from .cohomology import ComplexAssembly, TotalCochain
 from .errors import InputError
-from .exactnum import Matrix, sparse_combination, vec_from_sparse, vec_zero
+from .exactnum import Matrix, sparse_combination
 from .multilin import (
     CochainCoordinates, SkewTernaryTensor, embed_skew_trilinear, pair_basis,
 )
@@ -103,9 +106,9 @@ def build_abelian_extension(md: MD3LieAlgebra, rep: Representation,
     if g.rows != m or g.cols != n:
         raise InputError(f"g must be {m}x{n}")
     split = semidirect_product(md, rep)
-    values = dict(split.algebra.bracket.values)
-    for key, v in f.values.items():
-        values[key] = values.get(key, vec_zero(n + m))[:n] + v
+    values = {key: dict(items) for key, items in split.algebra.bracket.values.items()}
+    for key, items in f.values.items():
+        values.setdefault(key, {}).update((n + r, c) for r, c in items)
     bracket = SkewTernaryTensor(n + m, n + m, values)
     d_total = split.d + Matrix.block([
         [Matrix.zeros(n, n + m)],
@@ -161,13 +164,14 @@ def extract_cocycle(ext: AbelianExtension, s: Matrix) -> ExtractedCocycle:
         raise InputError("extracted module differential disagrees with the construction data")
     base = ext.base.algebra.bracket.signed
 
-    def upsilon_fn(i, j, k):
+    def upsilon_value(i, j, k):
         # [s e_i, s e_j, s e_k] - s [e_i, e_j, e_k]
-        return vec_from_sparse(module_part(sparse_combination(chain(
+        return module_part(sparse_combination(chain(
             [(1, br.sparse_call(scols[i], scols[j], scols[k]).items())],
-            ((-c, scols[r]) for r, c in base.get((i, j, k), ()))))), m)
+            ((-c, scols[r]) for r, c in base.get((i, j, k), ())))))
 
-    upsilon = SkewTernaryTensor.from_function(n, m, upsilon_fn)
+    upsilon = SkewTernaryTensor(n, m, {
+        triple: upsilon_value(*triple) for triple in combinations(range(n), 3)})
     mu = module_matrix((total.d @ s - s @ ext.base.d).column_items())
     rep = Representation(n=n, m=m, rho=rho, d_M=d_M, lam=ext.base.lam)
     return ExtractedCocycle(rep=rep, upsilon=upsilon, mu=mu)

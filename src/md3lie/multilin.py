@@ -9,7 +9,9 @@ with values in the module.  It is skew within each pair argument but carries
 no antisymmetry tying the final argument to the last pair; fully skew
 trilinear maps enter this space through :func:`embed_skew_trilinear`.
 
-Every evaluation of a skew ternary tensor sums its signed table
+A skew ternary tensor stores sparse items only, the shape of the tensor
+document: the nonzero (index, value) items of each increasing triple.  Every
+evaluation sums its signed table
 (:attr:`SkewTernaryTensor.signed`) over the nonzero coordinates of the
 arguments: :meth:`SkewTernaryTensor.sparse_call`, which the dense call wraps.
 Fixing the first two arguments at basis vectors reads the same table as a
@@ -22,13 +24,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import comb
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import InputError
 from .exactnum import (
-    Matrix, Vector, scal, sparse_combination, vec_from_sparse, vec_is_zero,
-    vec_zero,
+    Matrix, Vector, scal, sparse_combination, vec_from_sparse, vec_zero,
 )
 
 PairIndex = tuple[int, int]
@@ -71,44 +73,44 @@ def wedge_basis(n: int) -> Mapping[PairIndex, SparseItems]:
 class SkewTernaryTensor:
     """Totally antisymmetric trilinear map, stored on triples i < j < k.
 
-    Values on permuted or repeated basis triples are derived on access, so
-    skewness is an invariant of the representation rather than a convention
-    to test.  Every value, on basis triples or on general vectors, is read
-    through :attr:`signed`.
+    ``values`` maps each triple i < j < k with a nonzero value, in triple
+    order, to the nonzero (index, value) items of that value in index order;
+    the constructor takes the same data as ``{(i, j, k): {index: value}}``
+    and drops zeros.  Values on permuted or repeated basis triples are
+    derived on access, so skewness is an invariant of the representation
+    rather than a convention to test.  Every value, on basis triples or on
+    general vectors, is read through :attr:`signed`.
     """
 
     __slots__ = ("dim_in", "dim_out", "values", "_signed")
 
     def __init__(self, dim_in: int, dim_out: int,
-                 values: Mapping[tuple[int, int, int], Sequence]):
+                 values: Mapping[tuple[int, int, int], Mapping[int, object]]):
         self.dim_in = dim_in
         self.dim_out = dim_out
-        clean: dict[tuple[int, int, int], Vector] = {}
+        clean = []
         for key, val in values.items():
             i, j, k = key
             if not (0 <= i < j < k < dim_in):
                 raise InputError(f"triple {key} not strictly increasing in range")
-            v = tuple(scal(c) for c in val)
-            if len(v) != dim_out:
-                raise InputError(f"value length {len(v)} != dim_out {dim_out}")
-            if not vec_is_zero(v):
-                clean[i, j, k] = v
-        self.values = clean
+            if not isinstance(val, Mapping):
+                raise InputError(f"value at {key} is not an {{index: value}} mapping")
+            items = []
+            for r, c in val.items():
+                if not (isinstance(r, int) and 0 <= r < dim_out):
+                    raise InputError(f"index {r!r} at {key} is not in [0, {dim_out})")
+                if c := scal(c):
+                    items.append((r, c))
+            if items:
+                items.sort()
+                clean.append(((i, j, k), tuple(items)))
+        clean.sort()
+        self.values: dict[tuple[int, int, int], SparseItems] = dict(clean)
         self._signed = None
 
     @classmethod
     def zero(cls, dim_in: int, dim_out: int) -> "SkewTernaryTensor":
         return cls(dim_in, dim_out, {})
-
-    @classmethod
-    def from_function(cls, dim_in: int, dim_out: int,
-                      fn: Callable[[int, int, int], Sequence]) -> "SkewTernaryTensor":
-        vals = {}
-        for i in range(dim_in):
-            for j in range(i + 1, dim_in):
-                for k in range(j + 1, dim_in):
-                    vals[i, j, k] = fn(i, j, k)
-        return cls(dim_in, dim_out, vals)
 
     @property
     def signed(self) -> Mapping[tuple[int, int, int], SparseItems]:
@@ -119,8 +121,7 @@ class SkewTernaryTensor:
         triple whose value is zero, is absent: its value is zero."""
         if self._signed is None:
             table = {}
-            for (i, j, k), v in self.values.items():
-                even = tuple((r, c) for r, c in enumerate(v) if c)
+            for (i, j, k), even in self.values.items():
                 odd = tuple((r, -c) for r, c in even)
                 for key in ((i, j, k), (j, k, i), (k, i, j)):
                     table[key] = even
@@ -169,28 +170,23 @@ class SkewTernaryTensor:
         )
 
     def __hash__(self):
-        return hash((self.dim_in, self.dim_out, frozenset(self.values.items())))
+        return hash((self.dim_in, self.dim_out, tuple(self.values.items())))
 
     def __add__(self, other: "SkewTernaryTensor") -> "SkewTernaryTensor":
         self._same_shape(other)
-        keys = set(self.values) | set(other.values)
         return SkewTernaryTensor(self.dim_in, self.dim_out, {
-            key: tuple(a + b for a, b in zip(self._get(key), other._get(key)))
-            for key in keys
-        })
+            key: sparse_combination((1, t.values.get(key, ())) for t in (self, other))
+            for key in self.values.keys() | other.values.keys()})
 
     def scale(self, s) -> "SkewTernaryTensor":
         s = scal(s)
         return SkewTernaryTensor(self.dim_in, self.dim_out, {
-            key: tuple(s * c for c in val) for key, val in self.values.items()
+            key: {r: s * c for r, c in items} for key, items in self.values.items()
         })
 
     @property
     def is_zero(self) -> bool:
         return not self.values
-
-    def _get(self, key) -> Vector:
-        return self.values.get(key, vec_zero(self.dim_out))
 
     def _same_shape(self, other: "SkewTernaryTensor"):
         if self.dim_in != other.dim_in or self.dim_out != other.dim_out:
@@ -290,12 +286,14 @@ def extract_skew_trilinear(coords: CochainCoordinates) -> SkewTernaryTensor:
     cochain is not fully skew (the embedding is then not invertible)."""
     if coords.degree != 2:
         raise InputError("only degree-2 cochains embed skew tensors")
-    n, m = coords.n, coords.m
+    n, m, flat = coords.n, coords.m, coords.coords
     pos = pair_position(n)
-    t = SkewTernaryTensor.from_function(
-        n, m,
-        lambda i, j, k: coords.coords[(pos[i, j] * n + k) * m : (pos[i, j] * n + k) * m + m],
-    )
+
+    def value(i, j, k):
+        start = (pos[i, j] * n + k) * m
+        return {r: flat[start + r] for r in range(m) if flat[start + r]}
+
+    t = SkewTernaryTensor(n, m, {key: value(*key) for key in combinations(range(n), 3)})
     if embed_skew_trilinear(t) != coords:
         raise InputError("degree-2 cochain is not fully skew")
     return t

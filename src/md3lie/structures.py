@@ -3,7 +3,10 @@
 Houses the structure types, the axiom verifiers (which report witnesses, not
 booleans alone), and the constructions that come with proofs: adjoint and dual
 representations, semidirect products, and the Leibniz bracket on the pair
-space of fundamental objects.
+space of fundamental objects.  A semidirect product is assembled from the
+stored items of the bracket and the nonzero entries of the pair actions,
+module indices shifted past the algebra's, so its cost follows the nonzeros
+of its inputs.
 
 Verifiers enumerate basis tuples reduced by the skew symmetries of both sides
 of each law (e.g. a_1 < a_2 and a_3 < a_4 < a_5 for the fundamental identity);
@@ -33,7 +36,6 @@ from typing import Mapping, Sequence
 from .errors import InputError
 from .exactnum import (
     Matrix, Vector, scal, sparse_combination, unit, vec_add, vec_from_sparse,
-    vec_zero,
 )
 from .multilin import (
     PairIndex, SkewTernaryTensor, SparseItems, pair_basis, wedge_basis,
@@ -397,14 +399,15 @@ def semidirect_product(md: MD3LieAlgebra, rep: Representation) -> MD3LieAlgebra:
     result verifies exactly when the representation does."""
     n, m = md.n, rep.m
     total = n + m
-    values = {key: v + vec_zero(m) for key, v in md.algebra.bracket.values.items()}
-    # two algebra slots, one module slot: the columns of the action; one or
-    # zero algebra slots: the bracket vanishes (the module is abelian)
-    for (i, j), mat in rep.rho.items():
-        for c in range(m):
-            values[i, j, n + c] = vec_zero(n) + mat.column(c)
-    # stored in triple order whatever the order of the input's values
-    bracket = SkewTernaryTensor(total, total, dict(sorted(values.items())))
+    values = {key: dict(items) for key, items in md.algebra.bracket.values.items()}
+    # two algebra slots, one module slot: the entries of the action, module
+    # indices shifted by n; one or zero algebra slots: the bracket vanishes
+    # (the module is abelian)
+    for (i, j), items in rep._action_items.items():
+        if i < j:
+            for (r, c), v in items:
+                values.setdefault((i, j, n + c), {})[n + r] = v
+    bracket = SkewTernaryTensor(total, total, values)
     d_total = Matrix.block([
         [md.d, Matrix.zeros(n, m)],
         [Matrix.zeros(m, n), rep.d_M],

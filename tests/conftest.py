@@ -21,7 +21,7 @@ def invalid_bracket_md(rng):
     at weight 3/2."""
     return MD3LieAlgebra(
         ThreeLieAlgebra(4, SkewTernaryTensor(4, 4, {
-            (0, 1, 2): (1, 0, 0, 0), (0, 1, 3): (0, 0, 0, 1)})),
+            (0, 1, 2): {0: 1}, (0, 1, 3): {3: 1}})),
         ModifiedDifferential(Fraction(3, 2), random_matrix(rng, 4, 4)))
 
 

@@ -100,8 +100,8 @@ def evaluate(f, pair_args, last):
 
 
 def call(t, x, y, z):
-    """t(x, y, z) as the sum over stored triples i < j < k of their value
-    times the 3 x 3 minor of (x, y, z) on the rows i, j, k."""
+    """t(x, y, z) as the sum over stored triples i < j < k of their stored
+    items times the 3 x 3 minor of (x, y, z) on the rows i, j, k."""
     out = [Fraction(0)] * t.dim_out
     for (i, j, k), val in t.values.items():
         minor = (
@@ -110,9 +110,8 @@ def call(t, x, y, z):
             + z[i] * (x[j] * y[k] - x[k] * y[j])
         )
         if minor:
-            for r, c in enumerate(val):
-                if c:
-                    out[r] += minor * c
+            for r, c in val:
+                out[r] += minor * c
     return tuple(out)
 
 
@@ -357,6 +356,7 @@ def semidirect_product(md, rep):
             values[i, j, k] = basis_value(md.algebra.bracket, i, j, k) + vec_zero(m)
         elif j < n:
             values[i, j, k] = vec_zero(n) + rep.rho[i, j].column(k - n)
+    values = {key: dict(enumerate(v)) for key, v in values.items()}
     d = Matrix.block([[md.d, Matrix.zeros(n, m)], [Matrix.zeros(m, n), rep.d_M]])
     return MD3LieAlgebra(ThreeLieAlgebra(n + m, SkewTernaryTensor(n + m, n + m, values)),
                          ModifiedDifferential(md.lam, d))
@@ -442,9 +442,10 @@ def extract_cocycle(ext, s):
     d_M = Matrix.from_columns([module_coords(total.d.apply(w)) for w in icols], m)
     if d_M != ext.rep.d_M:
         raise InputError("extracted module differential disagrees with the construction data")
-    upsilon = SkewTernaryTensor.from_function(n, m, lambda i, j, k: module_coords(vec_sub(
+    upsilon = SkewTernaryTensor(n, m, {(i, j, k): dict(enumerate(module_coords(vec_sub(
         call(br, scols[i], scols[j], scols[k]),
-        s.apply(basis_value(ext.base.algebra.bracket, i, j, k)))))
+        s.apply(basis_value(ext.base.algebra.bracket, i, j, k))))))
+        for i, j, k in combinations(range(n), 3)})
     mu = Matrix.from_columns([
         module_coords(vec_sub(total.d.apply(scols[i]), s.apply(ext.base.d.column(i))))
         for i in range(n)], m)

@@ -24,7 +24,7 @@ from md3lie.deformation import (
     is_nijenhuis, is_o_operator, nijenhuis_deformed_algebra, o_operator_lift,
     trivial_deformation_from_nijenhuis, verify_linear_deformation,
 )
-from md3lie.exactnum import Matrix, unit
+from md3lie.exactnum import Matrix
 from md3lie.extension import (
     build_abelian_extension, extensions_equivalent, extract_cocycle,
     hyperbolic_pairing, is_metrised, tstar_abelian_extension,
@@ -69,7 +69,7 @@ def skew_embedding_matrix(n, m):
     cols = []
     for triple in combinations(range(n), 3):
         for r in range(m):
-            t = SkewTernaryTensor(n, m, {triple: unit(m, r)})
+            t = SkewTernaryTensor(n, m, {triple: {r: 1}})
             cols.append(embed_skew_trilinear(t).coords)
     return Matrix.from_columns(cols, cochain_dim(2, n, m))
 
@@ -92,7 +92,7 @@ def unpack_extension_data(vec, n, m, ntriples):
     values = {}
     pos = 0
     for triple in combinations(range(n), 3):
-        values[triple] = tuple(vec[pos:pos + m])
+        values[triple] = dict(enumerate(vec[pos:pos + m]))
         pos += m
     assert pos == ntriples
     f = SkewTernaryTensor(n, m, values)

@@ -612,7 +612,9 @@ _LEAVES = st.one_of(
 )
 _TARGETS = [("verify", "algebra"), ("verify", "rep"),
             ("deform-check", "algebra"), ("deform-check", "tensor"),
-            ("cohomology", "algebra"), ("cohomology", "rep")]
+            ("cohomology", "algebra"), ("cohomology", "rep"),
+            ("extend", "tensor"), ("tstar", "tensor"),
+            ("extract-cocycle", "extension"), ("equiv-check", "extension")]
 
 
 def _paths(node, path=()):
@@ -648,10 +650,16 @@ def _mutate(doc, data):
 @settings(max_examples=200, deadline=None)
 def test_malformed_documents_keep_the_exit_contract(data):
     md = example_md()
-    tensor = SkewTernaryTensor(3, 3, {(0, 1, 2): (1, 2, 0)})
+    tensor = SkewTernaryTensor(3, 3, {(0, 1, 2): {0: 1, 1: 2}})
+    g = Matrix.diagonal([0, 1, -1])
+    ext = docs.extension_to_doc(extension.build_abelian_extension(
+        md, adjoint_representation(md), tensor, g))
     documents = {"algebra": docs.algebra_to_doc(md),
                  "rep": docs.representation_to_doc(adjoint_representation(md)),
-                 "tensor": docs.tensor_to_doc(tensor)}
+                 "tensor": docs.tensor_to_doc(tensor), "g": docs.matrix_to_doc(g),
+                 "extension": ext, "reference": copy.deepcopy(ext),
+                 "section": docs.matrix_to_doc(Matrix.block(
+                     [[Matrix.identity(3)], [Matrix.zeros(3, 3)]]))}
     command, target = data.draw(st.sampled_from(_TARGETS))
     for _ in range(data.draw(st.integers(1, 3))):
         _mutate(documents[target], data)
@@ -670,6 +678,13 @@ def test_malformed_documents_keep_the_exit_contract(data):
                              "--nu1", paths["tensor"]],
             "cohomology": ["cohomology", paths["algebra"], "--rep", paths["rep"],
                            "--degree", "1"],
+            "extend": ["extend", paths["algebra"], "--rep", paths["rep"],
+                       "--f", paths["tensor"], "--g", paths["g"]],
+            "tstar": ["tstar", paths["algebra"], "--f", paths["tensor"],
+                      "--g", paths["g"]],
+            "extract-cocycle": ["extract-cocycle", paths["extension"],
+                                "--section", paths["section"]],
+            "equiv-check": ["equiv-check", paths["extension"], paths["reference"]],
         }[command]
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):

@@ -63,7 +63,7 @@ def test_order_zero_reproduces_base_axioms(emd):
     # the witnesses themselves are the base verifiers', on either law
     bad = MD3LieAlgebra(
         ThreeLieAlgebra(4, SkewTernaryTensor(4, 4, {
-            (0, 1, 2): (1, 0, 0, 0), (0, 1, 3): (0, 0, 0, 1)})),
+            (0, 1, 2): {0: 1}, (0, 1, 3): {3: 1}})),
         ModifiedDifferential(Fraction(3, 2), random_matrix(random.Random(4), 4, 4)))
     seen = set()
     for base in (broken_base, bad):

@@ -467,7 +467,8 @@ def test_quotient_pairs_reach_both_products(zero_product):
         return (t @ b).is_zero is zero_product and not b.is_zero and t.rank() > 0
 
     t, b = find(quotient_pairs(), wanted,
-                settings=settings(database=None, phases=[Phase.generate]))
+                settings=settings(database=None, phases=[Phase.generate],
+                                  max_examples=1000))
     assert wanted((t, b))
 
 

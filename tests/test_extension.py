@@ -1,8 +1,10 @@
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
+from md3lie import multilin
 from md3lie.cohomology import TotalCochain
 from md3lie.corpus import random_matrix, random_skew_tensor
 from md3lie.errors import InputError
@@ -16,8 +18,9 @@ from md3lie.multilin import (
     CochainCoordinates, SkewTernaryTensor, extract_skew_trilinear,
 )
 from md3lie.structures import (
-    MD3LieAlgebra, ThreeLieAlgebra, homomorphism_check, semidirect_product,
-    verify_3lie, verify_modified_differential,
+    MD3LieAlgebra, ModifiedDifferential, ThreeLieAlgebra, adjoint_representation,
+    homomorphism_check, semidirect_product, trivial_representation, verify_3lie,
+    verify_modified_differential,
 )
 
 import oracles
@@ -105,6 +108,52 @@ def test_shape_validation(emd, adjoint):
                                 Matrix.zeros(3, 3))
     with pytest.raises(InputError):
         build_abelian_extension(emd, adjoint, zero_f(), Matrix.zeros(2, 3))
+
+
+def test_n60_constructions_coerce_in_proportion_to_nonzeros(monkeypatch):
+    """On n = 60, where the carrier has C(120, 3) triples, the scalars the
+    tensor layer coerces are bounded by a small multiple of the inputs'
+    nonzero structure constants and action entries: nothing is built per
+    zero entry of the semidirect product or of the extension."""
+    n = 60
+    coerced = []
+    scal = multilin.scal
+
+    def counting_scal(c):
+        coerced.append(c)
+        return scal(c)
+
+    monkeypatch.setattr(multilin, "scal", counting_scal)
+
+    def assert_bounded(md, rep, f=None):
+        tensors = [md.algebra.bracket] + ([] if f is None else [f])
+        nonzeros = (sum(len(items) for t in tensors for items in t.values.values())
+                    + sum(len(mat.entry_items()) for mat in rep.rho.values()))
+        assert 0 < len(coerced) <= 3 * nonzeros, (len(coerced), nonzeros)
+        coerced.clear()
+
+    abelian = MD3LieAlgebra(ThreeLieAlgebra.abelian(n),
+                            ModifiedDifferential(0, Matrix.zeros(n, n)))
+    f = SkewTernaryTensor(n, n, {(0, 1, 2): {3: 1, n - 1: Fraction(-2, 3)}})
+    coerced.clear()
+    ext = tstar_abelian_extension(abelian, f, Matrix.zeros(n, n))
+    assert ext.total.algebra.bracket.values == {(0, 1, 2): (
+        (n + 3, Fraction(1)), (2 * n - 1, Fraction(-2, 3)))}
+    assert_bounded(abelian, ext.rep, f)
+    trivial = trivial_representation(abelian, 1, Matrix.zeros(1, 1))
+    f1 = SkewTernaryTensor(n, 1, {(0, 1, 2): {0: 5}})
+    coerced.clear()
+    ext = build_abelian_extension(abelian, trivial, f1, Matrix.zeros(1, n))
+    assert ext.total.algebra.bracket.values == {(0, 1, 2): ((n, Fraction(5)),)}
+    assert_bounded(abelian, trivial, f1)
+    # [e1, e2, e3] = e1 inside n = 60: its adjoint acts on three pairs
+    md = MD3LieAlgebra(ThreeLieAlgebra(n, SkewTernaryTensor(n, n, {(0, 1, 2): {0: 1}})),
+                       ModifiedDifferential(0, Matrix.zeros(n, n)))
+    adjoint = adjoint_representation(md)
+    coerced.clear()
+    split = semidirect_product(md, adjoint)
+    assert len(split.algebra.bracket.values) == 4
+    assert_bounded(md, adjoint)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,6 +38,48 @@ def test_cochain_dim_recursion():
             assert cochain_dim(q + 1, n, m) == len(pair_basis(n)) * cochain_dim(q, n, m)
 
 
+@pytest.mark.parametrize("values", [
+    {(0, 1, 2): (1, 0, 0)},                # a dense value
+    {(0, 1, 2): [1, 0, 0]},
+    {(0, 1, 2): {3: 1}},                   # index past dim_out
+    {(0, 1, 2): {-1: 1}},
+    {(0, 1, 2): {"1": 1}},
+    {(1, 0, 2): {0: 1}},                   # triples not increasing
+    {(0, 2, 2): {0: 1}},
+    {(0, 1, 3): {0: 1}},                   # outside dim_in
+], ids=["tuple", "list", "index-high", "index-negative", "index-str",
+        "unordered", "repeated", "triple-high"])
+def test_constructor_refuses_what_is_not_sparse_items(values):
+    with pytest.raises(InputError):
+        SkewTernaryTensor(3, 3, values)
+
+
+def test_constructor_drops_zero_entries_and_zero_triples():
+    t = SkewTernaryTensor(4, 3, {(0, 1, 3): {1: 0}, (1, 2, 3): {},
+                                 (0, 1, 2): {2: "1/2", 0: Fraction(0)}})
+    assert t.values == {(0, 1, 2): ((2, Fraction(1, 2)),)}
+    assert SkewTernaryTensor(4, 3, {(0, 1, 3): {1: 0, 2: "0"}}) == SkewTernaryTensor.zero(4, 3)
+    assert SkewTernaryTensor(4, 3, {(0, 1, 3): {1: 0}}).is_zero
+
+
+@given(st.data())
+@settings(max_examples=50, deadline=None)
+def test_mappings_in_any_order_build_equal_tensors(data):
+    triples = list(combinations(range(4), 3))
+    entries = data.draw(st.dictionaries(
+        st.tuples(st.sampled_from(triples), st.integers(0, 2)), scalars, max_size=10))
+    mapping = {}
+    for (triple, r), c in entries.items():
+        mapping.setdefault(triple, {})[r] = c
+    order = data.draw(st.permutations(list(mapping)))
+    reordered = {key: dict(data.draw(st.permutations(list(mapping[key].items()))))
+                 for key in order}
+    a, b = SkewTernaryTensor(4, 3, mapping), SkewTernaryTensor(4, 3, reordered)
+    assert a == b and hash(a) == hash(b)
+    assert list(a.values) == list(b.values) == sorted(a.values)
+    assert all(list(items) == sorted(items) for items in a.values.values())
+
+
 def test_skew_call_on_example_bracket():
     t = example_algebra().bracket
     e = [unit(3, i) for i in range(3)]
@@ -60,8 +102,8 @@ def tensors(draw, n=4, m=2):
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                values[i, j, k] = draw(
-                    st.lists(scalars, min_size=m, max_size=m))
+                values[i, j, k] = dict(enumerate(draw(
+                    st.lists(scalars, min_size=m, max_size=m))))
     return SkewTernaryTensor(n, m, values)
 
 

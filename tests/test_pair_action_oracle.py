@@ -40,7 +40,7 @@ def cyclic_tensor(rng, n):
     w = {quad: rational_nonzero(rng) for quad in combinations(range(n), 4)}
     values = {}
     for i, j, k in combinations(range(n), 3):
-        val = [Fraction(0)] * n
+        val = {}
         for l in set(range(n)) - {i, j, k}:
             quad = (i, j, k, l)
             val[l] = permutation_sign(sorted(range(4), key=quad.__getitem__)) * w[

@@ -42,8 +42,8 @@ def test_example_algebra_is_valid():
 
 def test_invalid_four_dimensional_bracket():
     bad = ThreeLieAlgebra(4, SkewTernaryTensor(4, 4, {
-        (0, 1, 2): (1, 0, 0, 0),
-        (0, 1, 3): (0, 0, 0, 1),
+        (0, 1, 2): {0: 1},
+        (0, 1, 3): {3: 1},
     }))
     report = verify_3lie(bad)
     assert not report.valid and report.violations

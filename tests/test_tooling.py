@@ -1,8 +1,12 @@
 """Static checks on the package, script and test sources (standard library
-only), and on the names the benchmark tracer wraps."""
+only), on the names the benchmark tracer wraps, and a run of the README's
+library example."""
 
 import ast
 import importlib
+import io
+import re
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -136,3 +140,14 @@ def test_star_import_binds_every_exported_name():
     exec("from md3lie import *", namespace)
     assert [name for name in imported
             if namespace.get(name) is not getattr(package, name)] == []
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S).group(1)
+    pinned = "z_dim=2, b_dim=0, h_dim=2"
+    assert f"# {pinned}" in code
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    assert out.getvalue().startswith(f"CohomologySummary({pinned}, ")

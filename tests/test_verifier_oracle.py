@@ -99,7 +99,7 @@ def build_cases():
     # the commutator identity are not skipped, and the triple (0, 1, 2) of
     # the differential rule reads its bracket through the pair (1, 2) alone
     one = MD3LieAlgebra(ThreeLieAlgebra(4, SkewTernaryTensor(4, 4, {
-        (1, 2, 3): (Fraction(1), Fraction(0), Fraction(-2), Fraction(1, 3))})),
+        (1, 2, 3): {0: Fraction(1), 2: Fraction(-2), 3: Fraction(1, 3)}})),
         ModifiedDifferential(Fraction(1, 2), random_matrix(rng, 4, 4)))
     add("one-triple", one, {"adjoint": adjoint_representation(one),
                             "coadjoint": coadjoint_representation(one),
