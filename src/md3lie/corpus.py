@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .exactnum import Matrix
-from .multilin import SkewTernaryTensor
+from .multilin import SkewTernaryTensor, pair_basis
 from .structures import (
     MD3LieAlgebra, ModifiedDifferential, Representation, ThreeLieAlgebra,
     verify_representation,
@@ -124,7 +124,7 @@ def corrupt_representation(rng: random.Random, md: MD3LieAlgebra,
     if target not in _CORRUPTION_TARGETS:
         raise ValueError(f"unknown target {target!r}")
     on_d_M = target == "module differential compatibility"
-    pairs = sorted(rep.rho)
+    pairs = pair_basis(rep.n)
     for _ in range(100):
         eps = rational_nonzero(rng)
         pair = None if on_d_M else pairs[rng.randrange(len(pairs))]
@@ -132,7 +132,8 @@ def corrupt_representation(rng: random.Random, md: MD3LieAlgebra,
         j = rng.randrange(rep.m)
         bump = Matrix.from_entries(rep.m, rep.m, {(i, j): eps})
         cand = (replace(rep, d_M=rep.d_M + bump) if on_d_M
-                else replace(rep, rho={**rep.rho, pair: rep.rho[pair] + bump}))
+                else replace(rep, rho={
+                    **rep.rho, pair: rep.rho.get(pair, Matrix.zeros(rep.m, rep.m)) + bump}))
         report = verify_representation(md, cand)
         if any(v.law == target for v in report.violations):
             return cand

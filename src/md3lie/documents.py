@@ -224,8 +224,7 @@ def algebra_from_doc(doc, where: str = "algebra") -> MD3LieAlgebra:
 def representation_to_doc(rep: Representation) -> dict:
     rho = [
         {"pair": [i + 1, j + 1], "matrix": matrix_to_doc(mat)}
-        for (i, j), mat in sorted(rep.rho.items())
-        if not mat.is_zero
+        for (i, j), mat in rep.rho.items()
     ]
     return {
         "schema": REPRESENTATION_SCHEMA,

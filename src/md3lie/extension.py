@@ -153,14 +153,13 @@ def extract_cocycle(ext: AbelianExtension, s: Matrix) -> ExtractedCocycle:
             (r, c): v for c, col in enumerate(columns)
             for r, v in module_part(dict(col)).items()})
 
-    rho = {}
-    for i, j in pair_basis(n):
-        rho[i, j] = module_matrix([br.sparse_call(scols[i], scols[j], col)
-                                   for col in icols])
-        if rho[i, j] != ext.rep.rho[i, j]:
-            raise InputError("extracted pair action disagrees with the construction data")
-    d_M = module_matrix((total.d @ ext.inclusion).column_items())
-    if d_M != ext.rep.d_M:
+    rep = Representation(n=n, m=m, rho={
+        (i, j): module_matrix([br.sparse_call(scols[i], scols[j], col) for col in icols])
+        for i, j in pair_basis(n)},
+        d_M=module_matrix((total.d @ ext.inclusion).column_items()), lam=ext.base.lam)
+    if rep.rho != ext.rep.rho:
+        raise InputError("extracted pair action disagrees with the construction data")
+    if rep.d_M != ext.rep.d_M:
         raise InputError("extracted module differential disagrees with the construction data")
     base = ext.base.algebra.bracket.signed
 
@@ -173,7 +172,6 @@ def extract_cocycle(ext: AbelianExtension, s: Matrix) -> ExtractedCocycle:
     upsilon = SkewTernaryTensor(n, m, {
         triple: upsilon_value(*triple) for triple in combinations(range(n), 3)})
     mu = module_matrix((total.d @ s - s @ ext.base.d).column_items())
-    rep = Representation(n=n, m=m, rho=rho, d_M=d_M, lam=ext.base.lam)
     return ExtractedCocycle(rep=rep, upsilon=upsilon, mu=mu)
 
 
@@ -234,7 +232,8 @@ def is_metrised(md: MD3LieAlgebra, B: Matrix) -> Report:
     Invariance, B([x1, x2, x3], x4) + B(x3, [x1, x2, x4]) = 0, is the matrix
     identity ad(e_i1, e_i2)^T B + B ad(e_i1, e_i2) = 0 for each pair i1 < i2,
     with ad the pair action of the bracket; each nonzero entry (i3, i4) is a
-    witness, listed in row-major order."""
+    witness, listed in row-major order.  Only the pairs that bracket are
+    visited: a zero ad gives no witness."""
     n = md.n
     if B.rows != n or B.cols != n:
         raise InputError(f"form must be {n}x{n}")
@@ -243,8 +242,9 @@ def is_metrised(md: MD3LieAlgebra, B: Matrix) -> Report:
         violations.append(Violation("symmetry", (), B, B.transpose()))
     if (rank := B.rank()) != n:
         violations.append(Violation("non-degeneracy", (), rank, n))
-    for i1, i2 in pair_basis(n):
-        ad = md.algebra.bracket.pair_action(i1, i2)
+    br = md.algebra.bracket
+    for i1, i2 in br.acting_pairs():
+        ad = br.pair_action(i1, i2)
         for (i3, i4), lhs in sorted((ad.transpose() @ B + B @ ad).entry_items()):
             violations.append(Violation(
                 "bracket invariance", (i1, i2, i3, i4), lhs, Fraction(0)))
@@ -257,7 +257,8 @@ def is_metrised(md: MD3LieAlgebra, B: Matrix) -> Report:
 
 def tstar_cyclicity_check(f: SkewTernaryTensor, g: Matrix) -> bool:
     """Cyclic symmetry of f and antisymmetry of g against the dual pairing:
-    g and every pair action f(e_i, e_j, -) are skew matrices.
+    g and every pair action f(e_i, e_j, -) are skew matrices (a zero one is,
+    so only the pairs of f's stored triples are read).
 
     Exactly the condition under which the hyperbolic pairing metrises the
     extension built from (f, g)."""
@@ -266,5 +267,5 @@ def tstar_cyclicity_check(f: SkewTernaryTensor, g: Matrix) -> bool:
         raise InputError("f must take values in the dual of its domain")
     if g.rows != n or g.cols != n:
         raise InputError(f"g must be {n}x{n}")
-    actions = (f.pair_action(i, j) for i, j in pair_basis(n))
+    actions = (f.pair_action(i, j) for i, j in f.acting_pairs())
     return all((a + a.transpose()).is_zero for a in chain([g], actions))

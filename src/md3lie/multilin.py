@@ -17,7 +17,8 @@ arguments: :meth:`SkewTernaryTensor.sparse_call`, which the dense call wraps.
 Fixing the first two arguments at basis vectors reads the same table as a
 matrix, the pair action t(e_i, e_j, -) of :meth:`SkewTernaryTensor.pair_action`:
 the adjoint action, the invariance of a form and the cyclicity of a dual
-cocycle are identities between these matrices.
+cocycle are identities between these matrices, read on the pairs of
+:meth:`SkewTernaryTensor.acting_pairs` only (every other pair acts by zero).
 """
 
 from __future__ import annotations
@@ -140,6 +141,11 @@ class SkewTernaryTensor:
         get = self.signed.get
         return Matrix.from_entries(self.dim_out, self.dim_in, {
             (r, k): c for k in range(self.dim_in) for r, c in get((i, j, k), ())})
+
+    def acting_pairs(self) -> list[PairIndex]:
+        """The pairs i < j on which t(e_i, e_j, -) is not zero, in
+        :func:`pair_basis` order: the pairs of the stored triples."""
+        return sorted({p for key in self.values for p in combinations(key, 2)})
 
     def sparse_call(self, x: SparseItems, y: SparseItems,
                     z: SparseItems) -> dict[int, Fraction]:
@@ -269,13 +275,15 @@ def embed_skew_trilinear(t: SkewTernaryTensor) -> CochainCoordinates:
     """Inject a fully skew trilinear map into the degree-2 cochain space.
 
     The coefficient at ((i,j), k, r) is the r-th coordinate of t(e_i,e_j,e_k),
-    entry (r, k) of ``t.pair_action(i, j)``; evaluating the result on basis
-    triples reproduces the tensor."""
+    read from the signed items of (i, j, k) with i < j; evaluating the result
+    on basis triples reproduces the tensor."""
     n, m = t.dim_in, t.dim_out
     coords = [Fraction(0)] * cochain_dim(2, n, m)
-    for p, (i, j) in enumerate(pair_basis(n)):
-        for (r, k), c in t.pair_action(i, j).entry_items():
-            coords[(p * n + k) * m + r] = c
+    pos = pair_position(n)
+    for (i, j, k), items in t.signed.items():
+        if i < j:
+            for r, c in items:
+                coords[(pos[i, j] * n + k) * m + r] = c
     return CochainCoordinates(2, n, m, coords)
 
 

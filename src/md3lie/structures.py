@@ -38,7 +38,7 @@ from .exactnum import (
     Matrix, Vector, scal, sparse_combination, unit, vec_add, vec_from_sparse,
 )
 from .multilin import (
-    PairIndex, SkewTernaryTensor, SparseItems, pair_basis, wedge_basis,
+    PairIndex, SkewTernaryTensor, SparseItems, pair_basis, pair_position, wedge_basis,
 )
 
 
@@ -116,9 +116,11 @@ class MD3LieAlgebra:
 class Representation:
     """Pair action rho on a module, with the module differential.
 
-    ``rho`` is stored on canonical pairs i < j and extended skew on access;
-    the weight is shared with the base algebra and consistency is enforced
-    at verification boundaries.
+    ``rho`` lists the canonical pairs i < j whose action is not zero, in
+    pair_basis order; a pair it does not list acts by zero.  The constructor
+    takes any mapping on canonical pairs, checks that every matrix is m x m
+    (zero ones too) and drops the zero ones.  The weight is shared with the
+    base algebra and consistency is enforced at verification boundaries.
 
     ``_adjoint_of`` is the algebra object that adjoint_representation built
     this on, directly or through dual_representation, and None otherwise.
@@ -142,16 +144,13 @@ class Representation:
 
     def __post_init__(self):
         object.__setattr__(self, "lam", scal(self.lam))
-        full = {}
-        for p in pair_basis(self.n):
-            mat = self.rho.get(p, Matrix.zeros(self.m, self.m))
+        for p, mat in self.rho.items():
+            if p not in pair_position(self.n):
+                raise InputError(f"rho key {p} is not a canonical pair")
             if mat.rows != self.m or mat.cols != self.m:
                 raise InputError(f"rho{p} is not {self.m}x{self.m}")
-            full[p] = mat
-        for p in self.rho:
-            if p not in full:
-                raise InputError(f"rho key {p} is not a canonical pair")
-        object.__setattr__(self, "rho", full)
+        object.__setattr__(self, "rho", {
+            p: self.rho[p] for p in sorted(self.rho) if not self.rho[p].is_zero})
         if self.d_M.rows != self.m or self.d_M.cols != self.m:
             raise InputError("module differential shape mismatch")
 
@@ -161,9 +160,8 @@ class Representation:
         nonzero; every other pair acts by zero."""
         out = {}
         for (i, j), mat in self.rho.items():
-            if not mat.is_zero:
-                out[i, j] = mat
-                out[j, i] = -mat
+            out[i, j] = mat
+            out[j, i] = -mat
         return out
 
     @cached_property
@@ -211,20 +209,12 @@ def fundamental_identity_sides(outer: SkewTernaryTensor, inner: SkewTernaryTenso
     return lhs, rhs
 
 
-def _bracketing_pairs(br: SkewTernaryTensor) -> set[PairIndex]:
-    """The ordered pairs (i, j) whose bracket [e_i, e_j, -] is not zero."""
-    return {key[:2] for key in br.signed}
-
-
 def verify_3lie(alg: ThreeLieAlgebra) -> Report:
     """Check the fundamental identity on all deciding basis 5-tuples; a pair
     (a1, a2) with [x_a1, x_a2, -] = 0 zeroes both sides and is skipped."""
     violations = []
     n = alg.n
-    active = _bracketing_pairs(alg.bracket)
-    for i1, i2 in pair_basis(n):
-        if (i1, i2) not in active:
-            continue
+    for i1, i2 in alg.bracket.acting_pairs():
         for triple in combinations(range(n), 3):
             idx = (i1, i2) + triple
             lhs, rhs = fundamental_identity_sides(alg.bracket, alg.bracket, idx)
@@ -260,7 +250,7 @@ def verify_modified_differential(md: MD3LieAlgebra) -> Report:
     violations = []
     n = md.n
     cols = md.d.column_items()
-    active = _bracketing_pairs(md.algebra.bracket)
+    active = set(md.algebra.bracket.acting_pairs())
     for triple in combinations(range(n), 3):
         if active.isdisjoint(combinations(triple, 2)):
             continue
@@ -342,7 +332,7 @@ def verify_representation(md: MD3LieAlgebra, rep: Representation) -> Report:
                   [(1, product((i2, i3), (i1, i4))), (1, product((i3, i1), (i2, i4))),
                    (1, product((i1, i2), (i3, i4)))])
     pairs = pair_basis(n)
-    bracketing = _bracketing_pairs(md.algebra.bracket)
+    bracketing = set(md.algebra.bracket.acting_pairs())
     for p in pairs:
         if p not in mats and p not in bracketing:
             continue
@@ -369,7 +359,8 @@ def verify_representation(md: MD3LieAlgebra, rep: Representation) -> Report:
 
 def adjoint_representation(md: MD3LieAlgebra) -> Representation:
     """rho(e_i, e_j) = [e_i, e_j, -] on the algebra itself, d_M = d."""
-    rho = {p: md.algebra.bracket.pair_action(*p) for p in pair_basis(md.n)}
+    br = md.algebra.bracket
+    rho = {p: br.pair_action(*p) for p in br.acting_pairs()}
     rep = Representation(n=md.n, m=md.n, rho=rho, d_M=md.d, lam=md.lam)
     object.__setattr__(rep, "_adjoint_of", md)
     return rep
@@ -403,10 +394,9 @@ def semidirect_product(md: MD3LieAlgebra, rep: Representation) -> MD3LieAlgebra:
     # two algebra slots, one module slot: the entries of the action, module
     # indices shifted by n; one or zero algebra slots: the bracket vanishes
     # (the module is abelian)
-    for (i, j), items in rep._action_items.items():
-        if i < j:
-            for (r, c), v in items:
-                values.setdefault((i, j, n + c), {})[n + r] = v
+    for (i, j), mat in rep.rho.items():
+        for (r, c), v in mat.entry_items():
+            values.setdefault((i, j, n + c), {})[n + r] = v
     bracket = SkewTernaryTensor(total, total, values)
     d_total = Matrix.block([
         [md.d, Matrix.zeros(n, m)],

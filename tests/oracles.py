@@ -126,11 +126,12 @@ def pair_value(t, i, j, w):
 
 
 def rho_basis(rep, i, j):
+    zero = Matrix.zeros(rep.m, rep.m)
     if i < j:
-        return rep.rho[i, j]
+        return rep.rho.get((i, j), zero)
     if i > j:
-        return -rep.rho[j, i]
-    return Matrix.zeros(rep.m, rep.m)
+        return -rep.rho.get((j, i), zero)
+    return zero
 
 
 def rho_vec(rep, x, y):
@@ -138,7 +139,7 @@ def rho_vec(rep, x, y):
     for i, j in pair_basis(rep.n):
         c = x[i] * y[j] - x[j] * y[i]
         if c:
-            out = out + rep.rho[i, j].scale(c)
+            out = out + rep.rho.get((i, j), Matrix.zeros(rep.m, rep.m)).scale(c)
     return out
 
 
@@ -355,7 +356,8 @@ def semidirect_product(md, rep):
         if k < n:
             values[i, j, k] = basis_value(md.algebra.bracket, i, j, k) + vec_zero(m)
         elif j < n:
-            values[i, j, k] = vec_zero(n) + rep.rho[i, j].column(k - n)
+            values[i, j, k] = vec_zero(n) + rep.rho.get(
+                (i, j), Matrix.zeros(m, m)).column(k - n)
     values = {key: dict(enumerate(v)) for key, v in values.items()}
     d = Matrix.block([[md.d, Matrix.zeros(n, m)], [Matrix.zeros(m, n), rep.d_M]])
     return MD3LieAlgebra(ThreeLieAlgebra(n + m, SkewTernaryTensor(n + m, n + m, values)),
@@ -437,7 +439,7 @@ def extract_cocycle(ext, s):
     for i, j in pair_basis(n):
         rho[i, j] = Matrix.from_columns(
             [module_coords(call(br, scols[i], scols[j], icols[c])) for c in range(m)], m)
-        if rho[i, j] != ext.rep.rho[i, j]:
+        if rho[i, j] != ext.rep.rho.get((i, j), Matrix.zeros(m, m)):
             raise InputError("extracted pair action disagrees with the construction data")
     d_M = Matrix.from_columns([module_coords(total.d.apply(w)) for w in icols], m)
     if d_M != ext.rep.d_M:

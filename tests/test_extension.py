@@ -19,8 +19,8 @@ from md3lie.multilin import (
 )
 from md3lie.structures import (
     MD3LieAlgebra, ModifiedDifferential, ThreeLieAlgebra, adjoint_representation,
-    homomorphism_check, semidirect_product, trivial_representation, verify_3lie,
-    verify_modified_differential,
+    coadjoint_representation, homomorphism_check, semidirect_product,
+    trivial_representation, verify_3lie, verify_modified_differential,
 )
 
 import oracles
@@ -154,6 +154,45 @@ def test_n60_constructions_coerce_in_proportion_to_nonzeros(monkeypatch):
     split = semidirect_product(md, adjoint)
     assert len(split.algebra.bracket.values) == 4
     assert_bounded(md, adjoint)
+
+
+def test_n60_pair_action_constructions_build_per_nonzero_action(monkeypatch):
+    """On an abelian n = 60 algebra with zero d no pair acts, so the adjoint,
+    the coadjoint and the invariance check of a form build a fixed number of
+    matrices, and the cyclicity check and the degree-2 embedding of a tensor
+    build a fixed number plus a few per pair that the tensor acts on; none of
+    them builds one per each of the C(60, 2) pairs."""
+    n = 60
+    made = []
+    raw = Matrix._raw.__func__
+
+    def counting_raw(cls, *args, **kwargs):
+        made.append(1)
+        return raw(cls, *args, **kwargs)
+
+    abelian = MD3LieAlgebra(ThreeLieAlgebra.abelian(n),
+                            ModifiedDifferential(0, Matrix.zeros(n, n)))
+    identity, zero = Matrix.identity(n), Matrix.zeros(n, n)
+    # f(e1, e2, e3) = e4 and its cyclic images: the 4-form e1^e2^e3^e4, so
+    # every one of its six pair actions is skew and the check reads them all
+    cyclic = SkewTernaryTensor(n, n, {(0, 1, 2): {3: 1}, (0, 1, 3): {2: -1},
+                                      (0, 2, 3): {1: 1}, (1, 2, 3): {0: -1}})
+    one_triple = SkewTernaryTensor(n, 1, {(0, 1, 2): {0: 5}})
+    monkeypatch.setattr(Matrix, "_raw", classmethod(counting_raw))
+    results = {}
+    for name, build, actions in [
+            ("adjoint", lambda: adjoint_representation(abelian), 0),
+            ("coadjoint", lambda: coadjoint_representation(abelian), 0),
+            ("is_metrised", lambda: is_metrised(abelian, identity), 0),
+            ("tstar_cyclicity_check", lambda: tstar_cyclicity_check(cyclic, zero), 6),
+            ("embed_skew_trilinear", lambda: multilin.embed_skew_trilinear(one_triple), 3)]:
+        made.clear()
+        results[name] = build()
+        assert len(made) <= 8 + 3 * actions, (name, len(made))
+    monkeypatch.undo()
+    assert results["adjoint"].rho == results["coadjoint"].rho == {}
+    assert results["is_metrised"].valid and results["tstar_cyclicity_check"]
+    assert extract_skew_trilinear(results["embed_skew_trilinear"]) == one_triple
 
 
 # ---------------------------------------------------------------------------

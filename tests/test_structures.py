@@ -1,14 +1,17 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from md3lie.corpus import (
-    abelian_md, det_bracket_md, example_algebra, example_md, random_matrix,
-    rational, triangular_family_member,
+    abelian_md, corrupt_representation, det_bracket_md, example_algebra, example_md,
+    random_matrix, rational, triangular_family_member,
 )
+from md3lie.documents import representation_from_doc, representation_to_doc
 from md3lie.errors import InputError
 from md3lie.exactnum import Matrix, unit
+from md3lie.extension import build_abelian_extension, extract_cocycle
 from md3lie.multilin import SkewTernaryTensor, pair_basis
 from md3lie.structures import (
     MD3LieAlgebra, ModifiedDifferential, Representation, ThreeLieAlgebra,
@@ -19,7 +22,7 @@ from md3lie.structures import (
     verify_modified_differential, verify_representation,
 )
 
-from oracles import rho_basis, wedge_coords
+from oracles import adjoint_representation as oracle_adjoint, rho_basis, wedge_coords
 
 
 def elementary(n, i, j, value=1):
@@ -204,6 +207,99 @@ def test_representation_scaling_law(emd, adjoint):
         scaled_rep = Representation(n=3, m=3, rho=adjoint.rho,
                                     d_M=adjoint.d_M.scale(k), lam=k * emd.lam)
         assert verify_representation(scaled_md, scaled_rep).valid
+
+
+# ---------------------------------------------------------------------------
+# the stored form of a representation: nonzero actions on canonical pairs
+
+
+LAWS = ("bracket-pair action identity", "pair action commutator identity",
+        "module differential compatibility")
+
+
+def sparse_adjoint_md():
+    """The semidirect product of a triangular algebra with its adjoint: 6 of
+    its 15 pairs act by zero in its own adjoint."""
+    tri = triangular_family_member(random.Random(5))
+    return semidirect_product(tri, adjoint_representation(tri))
+
+
+def test_zero_actions_are_dropped(emd):
+    d_M = Matrix.identity(2)
+    empty = Representation(n=3, m=2, rho={}, d_M=d_M, lam=emd.lam)
+    assert Representation(n=3, m=2, rho={(0, 1): Matrix.zeros(2, 2)},
+                          d_M=d_M, lam=emd.lam) == empty
+    assert empty.rho == {}
+
+
+def test_no_construction_stores_a_zero_action(emd):
+    md = sparse_adjoint_md()
+    adjoint = adjoint_representation(md)
+    assert len(adjoint.rho) == 9
+    assert list(adjoint.rho) == [p for p in pair_basis(md.n)
+                                 if not rho_basis(oracle_adjoint(md), *p).is_zero]
+    m = 2
+    zero_doc = {"module_dim": m, "d_M": [["1", "0"], ["0", "1"]],
+                "rho": [{"pair": [1, 2], "matrix": [["0", "0"], ["0", "0"]]}]}
+    ext = build_abelian_extension(md, adjoint, SkewTernaryTensor.zero(md.n, md.n),
+                                  Matrix.zeros(md.n, md.n))
+    built = {
+        "adjoint": adjoint,
+        "dual": dual_representation(adjoint),
+        "trivial": trivial_representation(md, m, Matrix.identity(m)),
+        "document": representation_from_doc(zero_doc, md),
+        "extracted": extract_cocycle(ext, ext.canonical_section()).rep,
+    }
+    for name, rep in built.items():
+        assert not any(mat.is_zero for mat in rep.rho.values()), name
+    assert built["document"].rho == built["trivial"].rho == {}
+    assert built["extracted"].rho == adjoint.rho
+
+
+def test_every_action_is_checked_for_shape(emd):
+    for rho in ({(0, 1): Matrix.zeros(3, 3)}, {(0, 1): Matrix.zeros(2, 3)},
+                {(0, 2): Matrix.identity(2), (1, 2): Matrix.identity(3)}):
+        with pytest.raises(InputError, match="is not 2x2"):
+            Representation(n=3, m=2, rho=rho, d_M=Matrix.identity(2), lam=emd.lam)
+
+
+def test_only_canonical_pairs_are_keys(emd):
+    for key in ((1, 0), (0, 0), (0, 3), (-1, 2)):
+        with pytest.raises(InputError, match="is not a canonical pair"):
+            Representation(n=3, m=2, rho={key: Matrix.zeros(2, 2)},
+                           d_M=Matrix.identity(2), lam=emd.lam)
+
+
+def test_actions_are_stored_in_pair_basis_order(emd):
+    rng = random.Random(17)
+    mats = {p: random_matrix(rng, 2, 2) for p in pair_basis(4)}
+    reps = [Representation(n=4, m=2, rho=dict(order), d_M=Matrix.identity(2), lam=emd.lam)
+            for order in (mats.items(), reversed(mats.items()),
+                          sorted(mats.items(), key=lambda item: item[0][::-1]))]
+    docs_ = [json.dumps(representation_to_doc(rep)) for rep in reps]
+    assert all(list(rep.rho) == list(pair_basis(4)) for rep in reps)
+    assert docs_[1:] == docs_[:1] * 2
+
+
+@pytest.mark.parametrize("law", LAWS)
+def test_corrupting_a_representation_with_zero_actions(law):
+    md = sparse_adjoint_md()
+    rep = adjoint_representation(md)
+    zero = Matrix.zeros(rep.m, rep.m)
+    absent_pair_hit = False
+    for seed in range(8):
+        bad = corrupt_representation(random.Random(seed), md, rep, law)
+        assert law in {v.law for v in verify_representation(md, bad).violations}
+        moved = [(p, bad.rho.get(p, zero) - rep.rho.get(p, zero)) for p in pair_basis(md.n)]
+        moved = [(p, diff) for p, diff in moved if not diff.is_zero]
+        if law == "module differential compatibility":
+            assert moved == [] and len((bad.d_M - rep.d_M).entry_items()) == 1
+        else:
+            assert bad.d_M == rep.d_M
+            assert len(moved) == 1 and len(moved[0][1].entry_items()) == 1
+            absent_pair_hit |= moved[0][0] not in rep.rho
+        assert not any(mat.is_zero for mat in bad.rho.values())
+    assert absent_pair_hit or law == "module differential compatibility"
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,21 @@
 """Static checks on the package, script and test sources (standard library
-only), on the names the benchmark tracer wraps, and a run of the README's
-library example."""
+only), on the names the benchmark tracer wraps, and runs of the README's
+library example and command-line walkthrough."""
 
 import ast
 import importlib
 import io
+import json
 import re
-from contextlib import redirect_stdout
+import runpy
+import shlex
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+
+from md3lie import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = (sorted(p for p in (ROOT / "src" / "md3lie").glob("*.py")
@@ -151,3 +157,56 @@ def test_readme_library_example_runs():
     with redirect_stdout(out):
         exec(compile(code, "README.md", "exec"), {})
     assert out.getvalue().startswith(f"CohomologySummary({pinned}, ")
+
+
+def readme_walkthrough() -> list[list[str]]:
+    """The shell lines of the README's command-line walkthrough, split into
+    words, continuation lines joined."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"Then, for example.*?```sh\n(.*?)```", readme, re.S).group(1)
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+
+
+def run_cli(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.run_command(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_readme_walkthrough_runs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["make_fixtures.py", "--out", "fixtures"])
+    with redirect_stdout(io.StringIO()):
+        runpy.run_path(str(ROOT / "scripts" / "make_fixtures.py"), run_name="__main__")
+    codes = []
+    for words in readme_walkthrough():
+        if words[:2] == ["python", "-c"]:
+            exec(words[2], {})
+            continue
+        if words[:4] == ["PYTHONPATH=src", "python", "-m", "md3lie"]:
+            words = ["md3lie"] + words[4:]
+        assert words[0] == "md3lie", words
+        argv, target = words[1:], None
+        if ">" in argv:
+            argv, target = argv[:argv.index(">")], argv[-1]
+        code, out, err = run_cli(argv)
+        report = json.loads(out)  # one JSON document, nothing else
+        assert report["schema"] == "md3lie-report/1" and err == "", argv
+        # 0: valid or true, 1: the check ran and failed
+        assert code == (0 if report.get("valid", True) else 1), argv
+        codes.append((argv[0], code))
+        if target is not None:
+            (tmp_path / target).write_text(out, encoding="utf-8")
+    assert codes == [("verify", 0), ("verify", 0), ("cohomology", 0),
+                     ("nijenhuis-check", 1), ("o-operator-check", 0),
+                     ("deform-check", 0), ("extend", 0), ("extract-cocycle", 0),
+                     ("tstar", 0), ("metrised-check", 1)]
+    # the written adjoint reads as the literal: the same report, argv aside
+    example, rep_file = "fixtures/example_dim3.json", "fixtures/adjoint.json"
+    for argv in [["verify", example]] + [
+            ["cohomology", example, "--degree", str(q), "--representatives"]
+            for q in (1, 2, 3)]:
+        code, out, err = run_cli(argv + ["--rep", rep_file])
+        assert (code, out.replace(json.dumps(rep_file), '"adjoint"'), err) == run_cli(
+            argv + ["--rep", "adjoint"])
