@@ -15,14 +15,15 @@ substitutes one argument of the column cochain by a sparse table vector
 Phi) or applies rho or -d_M to its values, so it names the column blocks it
 reads, each with one coefficient.  A column block's first index is a sum of
 one stride per pair slot and the final index times m, so substituting p for
-the pair in slot l moves a block by (p - arg[l]) stride_l.  The tables come
-from structures.leibniz_data once per complex; no axiom is verified, so invalid
-input assembles too.  Every term is a table entry times +-1, so assembly
-runs over integers: the tables are scaled once by the lcm D of all their
-denominators, and each row is its integers over D (exactnum's integer
-rows).  The degree is generic, but sizes grow like C(n,2)^(q-1), and a
-matrix whose rows x cols exceeds MAX_DENSE_ENTRIES is refused before it is
-built.
+the pair in slot l moves a block by (p - arg[l]) stride_l.  The tables are
+built once per complex, those of [X, Y]_F and d_F (from
+structures.leibniz_data) only when a degree of 2 or more first reads them;
+no axiom is verified, so invalid input assembles too.  Every term is a table
+entry times +-1, so assembly runs over integers: the tables are scaled once
+by the lcm D of all their denominators, known before the pair tables are
+built, and each row is its integers over D (exactnum's integer rows).
+The degree is generic, but sizes grow like C(n,2)^(q-1), and a matrix whose
+rows x cols exceeds MAX_DENSE_ENTRIES is refused before it is built.
 
 Dimensions from a certificate.  The total complex is the mapping cone of
 Phi.  Lemma: if the algebra passes structures.verify_3lie and
@@ -36,24 +37,40 @@ delta_(q-1) g in B^q, has (f, g) in ker partial_q, so rank partial_q =
 dim C^q.  At q = 1, partial_1 = (delta_1, -Phi_1) is injective with Phi_1
 and no condition is needed.  Injectivity is certified by a nonzero det
 Phi_q mod a 61-bit prime, computed from the Kronecker factors of Phi_q
-(q - 1 copies of d_F^T, d^T and -d_M) without assembling or eliminating
-Phi_q: the power sums of all factors but the largest, of dimension b, up to
-M = dim C^q / b, and one resultant against the largest
-(exactnum.kronecker_sum_det_mod_p).  The characteristic polynomials of d
-and -d_M are computed once per complex and shared by the certificates of
-every degree; that of d_F = d ^ 1 + 1 ^ d + lam, whose eigenvalues are
-mu_i + mu_j + lam for those mu of d, follows from d's by power sums
-(exactnum.wedge_charpoly_mod_p), once per complex and only from q = 2 on,
-so no certificate builds d_F or leibniz_data.  The axioms are needed,
-because input that fails them can have Phi_q invertible and rank partial_q
-!= dim C^q; such input is never certified and always eliminated.  Every
-certificate runs before the axioms are verified, and they are verified once
-per complex, so a singular Phi on the dims-only path and a degree-1 request
-run no verifier; the verdict only chooses the path, and the numbers are
-those of full elimination either way.  For the adjoint representation of
-this algebra object, or its coadjoint, only verify_3lie and
-verify_modified_differential run: an algebra that passes them makes both a
-representation (structures.Representation says why, and the tests check it
+(q - 1 copies of d_F^T, then d^T and -d_M) without assembling or
+eliminating Phi_q.  Phi_q's eigenvalues are the sums of one eigenvalue of
+each factor, and d_F = d ^ 1 + 1 ^ d + lam has the eigenvalues mu_i + mu_j
++ lam (i < j) for those mu of d, so the certificate reads d, d_M and lam
+alone, and builds neither d_F nor leibniz_data.  Two paths give the same
+number:
+
+- exact, where the nonzero patterns of d and d_M split into strongly
+  connected components of one index, or of two with a rational spectrum
+  (exactnum.rational_spectrum; d = k I on the det family, diagonal on the
+  example): the spectrum of the sum of q - 1 copies of d_F is that of the
+  degree before plus one copy, as {eigenvalue: multiplicity} dicts over
+  integers (every eigenvalue times one common scale), and det Phi_q is the
+  product of its sums with those of d (+) -d_M, reduced mod p; no
+  characteristic polynomial is computed;
+- mod p, on every other input: det Phi_q is the resultant of the
+  characteristic polynomial of the head (the sum of q - 1 copies of d_F,
+  composed from the head of the degree before and d_F's, itself from d's by
+  exactnum.wedge_charpoly_mod_p) and of the tail (d (+) -d_M), two
+  polynomials of degree C(n, 2)^(q - 1) and nm (exactnum's Kronecker
+  helpers).
+
+The exact path answers only where p divides no denominator involved and
+exceeds every integer the polynomials divide by, and the polynomials decide
+elsewhere, so the two decline (None) on the same input.  The axioms are
+needed, because input that fails them can have Phi_q invertible and rank
+partial_q != dim C^q; such input is never certified and always eliminated.
+Every certificate runs before the axioms are verified, and they are
+verified once per complex, so a singular Phi on the dims-only path and a
+degree-1 request run no verifier; the verdict only chooses the path, and the
+numbers are those of full elimination either way.  For the adjoint
+representation of this algebra object, or its coadjoint, only verify_3lie
+and verify_modified_differential run: an algebra that passes them makes both
+a representation (structures.Representation says why, and the tests check it
 against verify_representation).  Any other representation, a file equal to
 the adjoint included, is verified by verify_representation as well.
 
@@ -68,8 +85,8 @@ empty, so nothing is assembled and no kernel computed; in every other case
 the representatives are the kernel vectors of partial_q at the pivots of
 [partial_(q-1) | K] beyond partial_(q-1), found as below.  The budget of
 the degree-q total is checked before any certificate on both paths, so a
-request too large to assemble is refused at once, not after power sums
-whose cost grows like M^2.
+request too large to assemble is refused at once, not after a certificate
+whose cost grows with dim C^q.
 
 Representatives from the free coordinates.  Let B = partial_(q-1), with no
 columns at q = 1, F the z free columns of the echelon form of partial_q, and
@@ -86,16 +103,21 @@ count b, those beyond it name the free columns whose kernel vectors are the
 representatives, and only those vectors are back-substituted; row f of the
 lower block is its integer row with its denominator at the identity column.
 
-Caching: a ComplexAssembly memoizes assembled matrices, tables, the
-characteristic polynomials mod p of d and -d_M (computed together, all a
-degree-1 certificate reads), that of d_F (derived from d's on the first
-certificate of degree 2 or more) and the axiom verdict.  Population is
-idempotent (pure recomputation), so a racing first access at worst computes
-twice and discards one copy.
+Caching: a ComplexAssembly memoizes assembled matrices, the tables and,
+from degree 2 on, the pair tables, the axiom verdict and the certificate's
+spectral data: the exact spectra of d_F and of d (+) -d_M, or the
+characteristic polynomials mod p of d and -d_M (computed together, with
+their composed tail), and d_F's from the first certificate of degree 2 or
+more; and the head of every degree certified so far, so a certificate of
+Phi_q after one of Phi_(q-1) adds one d_F factor to the head and takes one
+product or one resultant.  Population is idempotent (pure recomputation),
+so a racing first access at worst computes twice and discards one copy; a
+racing extension of the heads appends equal values.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
@@ -105,9 +127,12 @@ from types import SimpleNamespace
 from typing import Optional
 
 from .errors import InputError
-from .exactnum import (Matrix, Vector, charpoly_mod_p,
-                       kronecker_sum_det_from_polys, vec_is_zero,
-                       wedge_charpoly_mod_p)
+from .exactnum import (
+    EMPTY_SUM_POLY, Matrix, Vector, charpoly_mod_p, kronecker_sum_charpoly_mod_p,
+    kronecker_sum_det_from_halves, kronecker_sum_spectrum, negated_charpoly_mod_p,
+    rational_spectrum, reduces_mod_p, spectrum_det_mod_p, vec_is_zero,
+    wedge_charpoly_mod_p, wedge_spectrum,
+)
 from .multilin import CochainCoordinates, cochain_dim, pair_basis
 from .structures import (
     MD3LieAlgebra, Representation, leibniz_data, verify_3lie,
@@ -214,6 +239,9 @@ class ComplexAssembly:
         self._delta: dict[int, Matrix] = {}
         self._phi: dict[int, Matrix] = {}
         self._partial: dict[int, Matrix] = {}
+        # Kronecker sums of q - 1 copies of d_F at index q - 1, as exact
+        # spectra (True) or characteristic polynomials mod p (False)
+        self._pair_sums = {True: [{0: 1}], False: [EMPTY_SUM_POLY]}
 
     # -- matrices ---------------------------------------------------------
 
@@ -269,8 +297,16 @@ class ComplexAssembly:
     @cached_property
     def _phi_polys(self) -> tuple[Optional[list[int]], Optional[list[int]]]:
         # the characteristic polynomials mod p of d and -d_M, the last two
-        # Kronecker factors of every Phi_q (d^T has that of d)
-        return charpoly_mod_p(self.md.d), charpoly_mod_p(-self.rep.d_M)
+        # Kronecker factors of every Phi_q (d^T has that of d); the adjoint's
+        # d_M is d itself
+        d, d_M = self.md.d, self.rep.d_M
+        c_d = charpoly_mod_p(d)
+        return c_d, negated_charpoly_mod_p(c_d if d_M is d else charpoly_mod_p(d_M))
+
+    @cached_property
+    def _tail_poly(self) -> Optional[list[int]]:
+        # that of d (+) -d_M, the tail of every Phi_q
+        return kronecker_sum_charpoly_mod_p(*self._phi_polys)
 
     @cached_property
     def _pair_poly(self) -> Optional[list[int]]:
@@ -279,33 +315,71 @@ class ComplexAssembly:
         return wedge_charpoly_mod_p(self._phi_polys[0], self.md.lam)
 
     @cached_property
+    def _spectra(self) -> Optional[SimpleNamespace]:
+        """The exact spectra of d_F and of d (+) -d_M, each eigenvalue times
+        ``scale`` (an integer), when d and d_M have a rational_spectrum; None
+        otherwise.  ``den`` is the lcm of scale and the denominators of d,
+        d_M and lam."""
+        md, rep = self.md, self.rep
+        # on a zero module every Phi_q is empty, whatever d's spectrum; the
+        # adjoint's d_M is d itself
+        mu = rational_spectrum(md.d) if rep.m else []
+        if mu is None:
+            return None
+        eta = mu if rep.d_M is md.d or not rep.m else rational_spectrum(rep.d_M)
+        if eta is None:
+            return None
+        lam = md.lam
+        scale = lcm(lam.denominator, *(v.denominator for v in chain(mu, eta)))
+
+        def scaled(v):
+            return v.numerator * (scale // v.denominator)
+
+        mu = Counter(map(scaled, mu))
+        return SimpleNamespace(
+            pair=wedge_spectrum(mu, scaled(lam)),
+            tail=kronecker_sum_spectrum(mu, Counter(-scaled(v) for v in eta)),
+            scale=scale,
+            den=lcm(scale, *(c.denominator for mat in (md.d, rep.d_M)
+                             for row in mat.sparse_rows for c in row.values())))
+
+    def _pair_sum(self, q: int, exact: bool):
+        """The Kronecker sum of q - 1 copies of d_F, as its exact spectrum or
+        its characteristic polynomial mod p; each degree adds one copy to the
+        sum of the degree before."""
+        sums = self._pair_sums[exact]
+        while len(sums) < q:
+            if exact:
+                one, compose = self._spectra.pair, kronecker_sum_spectrum
+            else:
+                one, compose = self._pair_poly, kronecker_sum_charpoly_mod_p
+            # the sum of one copy is that copy
+            sums.append(compose(sums[-1], one) if len(sums) > 1 else one)
+        return sums[q - 1]
+
+    @cached_property
     def _tables(self):
         """Sparse operator data shared by every assembly of this complex,
-        each entry times ``den``, the lcm of all their denominators."""
+        each entry times ``den``, the lcm of all their denominators and those
+        of _pair_tables, which only degrees 2 and up read.  No table here
+        reads leibniz_data: d_F's entries are entries of d, or d_ii + d_jj +
+        lam on its diagonal, and those of [X, Y]_F sums of structure
+        constants, so lam's denominator (once a pair exists) is all they add."""
         md, rep, n = self.md, self.rep, self.md.n
         pairs = pair_basis(n)
-        leibniz, signed = self._leibniz, md.algebra.bracket.signed
-        act = rep._action_items
+        signed, act = md.algebra.bracket.signed, rep._action_items
         den = lcm(*{c.denominator for c in chain(
-            (c for items in chain(leibniz.bracket_F.values(), signed.values(),
-                                  act.values()) for _, c in items),
-            (c for mat in (leibniz.d_F, md.d, rep.d_M)
-             for row in mat.sparse_rows for c in row.values()))})
+            (c for items in chain(signed.values(), act.values()) for _, c in items),
+            (c for mat in (md.d, rep.d_M) for row in mat.sparse_rows
+             for c in row.values()),
+            [md.lam] if pairs else ())})
 
         def scaled(c):
             return c.numerator * (den // c.denominator)
 
-        # [X_a, X_b]_F on the pair basis, listed where leibniz_data stores one
-        bracket_F = [[()] * len(pairs) for _ in pairs]
-        for (a, b), items in leibniz.bracket_F.items():
-            bracket_F[a][b] = [(j, scaled(c)) for j, c in items]
         return SimpleNamespace(
             pairs=pairs,
             den=den,
-            bracket_F=bracket_F,
-            # d_F(X_a) on the pair basis
-            d_F=[[(r, scaled(c)) for r, c in col]
-                 for col in leibniz.d_F.column_items()],
             # [X_a, e_k] and d(e_k) on the algebra basis
             ad=[[[(r, scaled(c)) for r, c in signed.get((i, j, k), ())]
                  for k in range(n)] for i, j in pairs],
@@ -316,6 +390,23 @@ class ComplexAssembly:
             d_M=[(r, s, scaled(c)) for (r, s), c in rep.d_M.entry_items()],
         )
 
+    @cached_property
+    def _pair_tables(self):
+        """[X_a, X_b]_F (where leibniz_data stores one) and the columns of
+        d_F on the pair basis, times _tables.den."""
+        leibniz, pairs, den = self._leibniz, self._tables.pairs, self._tables.den
+
+        def scaled(c):
+            return c.numerator * (den // c.denominator)
+
+        bracket_F = [[()] * len(pairs) for _ in pairs]
+        for (a, b), items in leibniz.bracket_F.items():
+            bracket_F[a][b] = [(j, scaled(c)) for j, c in items]
+        return SimpleNamespace(
+            bracket_F=bracket_F,
+            d_F=[[(r, scaled(c)) for r, c in col]
+                 for col in leibniz.d_F.column_items()])
+
     def _delta_terms(self, arg, k, stride):
         """Terms of (delta f)(X_1, ..., X_q, e_k) for the pairs X_i in arg.
 
@@ -324,6 +415,8 @@ class ComplexAssembly:
         assembled without computing a column block."""
         tb, m = self._tables, self.rep.m
         pairs, rho = tb.pairs, tb.rho
+        # [X, Y]_F is read from degree 2 on only
+        bracket_F = self._pair_tables.bracket_F if len(arg) > 1 else None
         xq, yq = pairs[arg[-1]]
         # the column block of the pairs arg[:-1] (stride is one shorter)
         head = sum(map(mul, arg, stride))
@@ -347,7 +440,7 @@ class ComplexAssembly:
                 yield None, [(base + kk * m, -sign * c) for kk, c in tb.ad[a][k]]
             # [X_i, X_l]_F absorbed into a later pair slot, with sign -sign
             for l in range(i, len(rest)):
-                bracket = tb.bracket_F[a][rest[l]]
+                bracket = bracket_F[a][rest[l]]
                 if bracket:
                     at = base + k * m - rest[l] * stride[l]
                     yield None, [(at + p * stride[l], -sign * c)
@@ -357,10 +450,11 @@ class ComplexAssembly:
         """Terms of (Phi f)(X_1, ..., X_(q-1), e_k): d_F on each pair slot
         (it carries the weight), d on the final slot, minus d_M on values."""
         tb, m = self._tables, self.rep.m
+        d_F = self._pair_tables.d_F if arg else None
         base = sum(map(mul, arg, stride))
         for i, a in enumerate(arg):
             at = base + k * m - a * stride[i]
-            yield None, [(at + p * stride[i], c) for p, c in tb.d_F[a]]
+            yield None, [(at + p * stride[i], c) for p, c in d_F[a]]
         yield None, [(base + kk * m, c) for kk, c in tb.d[k]]
         yield tb.d_M, [(base + k * m, -1)]
 
@@ -429,10 +523,28 @@ class ComplexAssembly:
     def phi_det_mod_p(self, q: int) -> Optional[int]:
         """det Phi_q modulo exactnum.CERTIFICATE_PRIME, from the Kronecker
         factors of Phi_q without assembling it; None when undecided.  A
-        nonzero value proves Phi_q invertible."""
+        nonzero value proves Phi_q invertible.
+
+        Where d and d_M have exact spectra it is the product of Phi_q's
+        eigenvalues, else one resultant of the characteristic polynomials of
+        its two halves (module docstring).  The polynomials decide whenever p
+        divides a denominator of d, d_M, lam or the eigenvalues, or p <=
+        max(dim C^q, C(n, 2), 2), so a prime that they decline (None) is
+        declined whichever path the input takes."""
         _check_degree(q)
-        pairs = [self._pair_poly] * (q - 1) if q > 1 else []
-        return kronecker_sum_det_from_polys(pairs + list(self._phi_polys))
+        n = self.md.n
+        pairs = n * (n - 1) // 2
+        size = pairs ** (q - 1) * n * self.rep.m
+        exact = self._spectra
+        if exact is not None and reduces_mod_p(exact.den, max(size, pairs, 2)):
+            return spectrum_det_mod_p(kronecker_sum_spectrum(
+                self._pair_sum(q, True), exact.tail), exact.scale)
+        # checked first, so no sum of a size that declines is composed
+        if not reduces_mod_p(1, size):
+            return None
+        if q == 1:  # Phi_1 = d^T (+) -d_M, whose factors are its halves
+            return kronecker_sum_det_from_halves(*self._phi_polys)
+        return kronecker_sum_det_from_halves(self._pair_sum(q, False), self._tail_poly)
 
     @cached_property
     def _axioms_hold(self) -> bool:

@@ -55,7 +55,9 @@ _CHUNK = 10 ** _CHUNK_DIGITS
 
 def _int_str(k: int) -> str:
     """str(k) for any length: str() stops at sys.get_int_max_str_digits(),
-    so the digits are printed in chunks below it."""
+    so the digits of |k| >= _CHUNK are printed in chunks below it."""
+    if -_CHUNK < k < _CHUNK:
+        return str(k)
     rest, chunks = abs(k), []
     while rest >= _CHUNK:
         rest, low = divmod(rest, _CHUNK)
@@ -64,7 +66,8 @@ def _int_str(k: int) -> str:
 
 
 def scalar_str(x: Fraction) -> str:
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     den = "" if x.denominator == 1 else "/" + _int_str(x.denominator)
     return _int_str(x.numerator) + den
 

@@ -46,7 +46,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import gcd, lcm, prod
+from functools import reduce
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -554,71 +555,179 @@ def _rational(x: dict[int, int], den: int, n: int) -> Vector:
 #: Modulus of kronecker_sum_det_mod_p (the Mersenne prime 2^61 - 1).
 CERTIFICATE_PRIME = 2 ** 61 - 1
 
+#: Characteristic polynomial of the empty Kronecker sum, the 1 x 1 zero matrix.
+EMPTY_SUM_POLY = [1, 0]
+
 
 def kronecker_sum_det_mod_p(factors: Sequence[Matrix]) -> Optional[int]:
     """``det(F_1 (+) ... (+) F_r) mod p`` for p = CERTIFICATE_PRIME, or None.
 
     The Kronecker sum is ``sum_i I (x) ... (x) F_i (x) ... (x) I`` on the
     tensor product of the factors' spaces, of dimension N = prod dim F_i.
-    It is never built.  Let L be the first factor of largest dimension b,
-    and G the Kronecker sum of the others, of dimension M = N / b.  The
-    power sums ``s_j = tr(F^j)`` of each other factor, up to M, come from
-    its characteristic polynomial mod p; those of G follow from ``sum_j S_j
-    t^j / j! = prod_i sum_j s_j(F_i) t^j / j!``, and Newton's identities
-    turn them into the elementary symmetric functions e_k of G's
-    eigenvalues.  Then ``det(L (+) G) = prod_(alpha, beta) (alpha + beta)``
-    is the resultant of L's characteristic polynomial and ``h(x) = sum_k e_k
-    x^(M-k) = prod_beta (x + beta)``, taken by the Euclidean algorithm
-    (_resultant_mod; Bostan, Flajolet, Salvy and Schost, Fast computation of
-    special resultants, J. Symb. Comput. 2006).  Every step is an identity
-    over the field of p elements that divides by nonzero field elements and
-    by integers up to M < p only, so the result is the determinant of the
-    factors reduced mod p.  Over the integers localized at p the determinant
-    commutes with that reduction, so a nonzero result proves the Kronecker
-    sum invertible over Q.  Returns None when p divides the denominator of
-    an entry, or when p <= N.  The cost is O(M^2 + b M) operations mod p per
-    factor, besides one O(dim^3) characteristic polynomial per factor (which
-    also bounds the O(b^2) of the later Euclid steps)."""
+    It is never built.  Its head is the Kronecker sum of all factors but the
+    last two, its tail that of the last two; each half's characteristic
+    polynomial is composed factor by factor (kronecker_sum_charpoly_mod_p),
+    and the determinant is one resultant of the two
+    (kronecker_sum_det_from_halves).  A caller that takes several Kronecker
+    sums of related factors can keep the halves: the complex assembly adds
+    one factor to its head per degree.  Returns None when p divides the
+    denominator of an entry, or when p <= N.  The cost is one O(dim^3)
+    characteristic polynomial per factor, and O(N_i^2) operations mod p for
+    each half of dimension N_i."""
     for f in factors:
         if f.rows != f.cols:
             raise InputError("Kronecker sum of a non-square matrix")
-    return kronecker_sum_det_from_polys([charpoly_mod_p(f) for f in factors])
-
-
-def kronecker_sum_det_from_polys(polys: Sequence[Optional[list[int]]]) -> Optional[int]:
-    """kronecker_sum_det_mod_p of the factors whose characteristic
-    polynomials mod p are ``polys`` (as charpoly_mod_p returns them,
-    None where it declined); None when one is None or p <= N.  A caller
-    that takes several Kronecker sums of the same factors computes each
-    polynomial once."""
-    p = CERTIFICATE_PRIME
-    if None in polys or p <= prod(len(c) - 1 for c in polys):
+    polys = [charpoly_mod_p(f) for f in factors]
+    if None in polys or CERTIFICATE_PRIME <= prod(len(c) - 1 for c in polys):
         return None
-    if not polys:  # the empty Kronecker sum is the 1 x 1 zero matrix
-        return 0
-    largest = max(range(len(polys)), key=lambda i: len(polys[i]))
-    others = polys[:largest] + polys[largest + 1:]
-    M = prod(len(c) - 1 for c in others)
-    inv = [0, 1]  # inverses of 0 < k <= M mod p
-    for k in range(2, M + 1):
-        inv.append(-(p // k) * inv[p % k] % p)
-    fact, fact_inv = [1], [1]
-    for k in range(1, M + 1):
+    head = reduce(kronecker_sum_charpoly_mod_p, polys[:-2], EMPTY_SUM_POLY)
+    tail = reduce(kronecker_sum_charpoly_mod_p, polys[-2:], EMPTY_SUM_POLY)
+    return kronecker_sum_det_from_halves(head, tail)
+
+
+def kronecker_sum_charpoly_mod_p(a: Optional[list[int]],
+                                 b: Optional[list[int]]) -> Optional[list[int]]:
+    """The characteristic polynomial mod p = CERTIFICATE_PRIME of ``A (+) B
+    = A (x) I + I (x) B`` from those of A and B (as charpoly_mod_p gives
+    them); None when one is None or p <= N = deg a * deg b.
+
+    Its eigenvalues are the sums alpha + beta, so its power sums are ``S_k =
+    sum_l C(k, l) s_l(A) s_(k-l)(B)``: ``sum_k S_k t^k / k!`` is the product
+    of the factors' series, truncated past t^N (_power_sums_mod gives theirs).
+    Newton's identities turn S into the coefficients.  Every step divides by
+    integers up to N < p only, so over the field of p elements it gives the
+    reduction of the polynomial over Q.  O(N^2) operations mod p."""
+    p = CERTIFICATE_PRIME
+    if a is None or b is None:
+        return None
+    N = (len(a) - 1) * (len(b) - 1)
+    if p <= N:
+        return None
+    fact = [1]
+    for k in range(1, N + 1):
         fact.append(fact[-1] * k % p)
-        fact_inv.append(fact_inv[-1] * inv[k] % p)
-    series = [1] + [0] * M  # sum_j S_j(G) t^j / j!, truncated past t^M
-    for c in others:
-        power_sums = _power_sums_mod(c, M, p)
-        rev = [s * fi % p for s, fi in zip(power_sums, fact_inv)][::-1]
-        series = [sum(map(mul, series[:k + 1], rev[M - k:])) % p
-                  for k in range(M + 1)]
-    # Newton: k e_k = sum_(i=1..k) e_(k-i) (-1)^(i-1) S_i
-    signed = [(x * y if i % 2 else -x * y) % p
-              for i, (x, y) in enumerate(zip(series, fact))]
-    e = [1]
-    for k in range(1, M + 1):
-        e.append(sum(map(mul, reversed(e), signed[1:k + 1])) % p * inv[k] % p)
-    return _resultant_mod(polys[largest], e, p)
+    fact_inv = [pow(fact[N], -1, p)]
+    for k in range(N, 0, -1):
+        fact_inv.append(fact_inv[-1] * k % p)
+    fact_inv.reverse()
+    sa, sb = ([s * f % p for s, f in zip(_power_sums_mod(c, N, p), fact_inv)]
+              for c in (a, b))
+    sums = [sum(map(mul, sa[:k + 1], reversed(sb[:k + 1]))) * fact[k] % p
+            for k in range(N + 1)]
+    return _newton_mod(sums, p)
+
+
+def kronecker_sum_det_from_halves(a: Optional[list[int]],
+                                  b: Optional[list[int]]) -> Optional[int]:
+    """``det(A (+) B) mod p`` from the characteristic polynomials mod p =
+    CERTIFICATE_PRIME of A and B; None when one is None or p <= deg a *
+    deg b.
+
+    The determinant is ``prod_(alpha, beta) (alpha + beta)``, the resultant
+    of a and ``h(x) = prod_beta (x + beta) = (-1)^(deg b) b(-x)``, whose
+    coefficients are b's with the odd ones negated (_resultant_mod; Bostan,
+    Flajolet, Salvy and Schost, Fast computation of special resultants,
+    J. Symb. Comput. 2006).  Over the integers localized at p the
+    determinant commutes with reduction mod p, so a nonzero result proves
+    the Kronecker sum invertible over Q.  O(deg a * deg b) operations."""
+    p = CERTIFICATE_PRIME
+    if a is None or b is None or p <= (len(a) - 1) * (len(b) - 1):
+        return None
+    return _resultant_mod(a, negated_charpoly_mod_p(b), p)
+
+
+def negated_charpoly_mod_p(c: Optional[list[int]]) -> Optional[list[int]]:
+    """The characteristic polynomial mod p = CERTIFICATE_PRIME of -A from
+    that of A, ``(-1)^r c(-x)``: its odd coefficients negated; None for
+    None."""
+    if c is None:
+        return None
+    return [-x % CERTIFICATE_PRIME if k % 2 else x for k, x in enumerate(c)]
+
+
+def rational_spectrum(f: Matrix) -> Optional[list[Fraction]]:
+    """The eigenvalues of the square matrix f, each as often as its
+    multiplicity, when the nonzero pattern of f (i -> j where f[i, j] != 0) has strongly
+    connected components of one or two indices and each 2 x 2 one has a
+    rational spectrum; None otherwise.
+
+    Listing the components in a topological order permutes f to a block
+    triangular matrix with their blocks on the diagonal, so f's eigenvalues
+    are theirs: a 1 x 1 block's entry, and ``(a + e +- r) / 2`` for ``[[a,
+    b], [c, e]]``, where ``r^2 = (a - e)^2 + 4 b c`` is rational exactly when
+    its numerator and denominator are squares.  A transitive closure over
+    bit rows finds the components in O(dim^2) operations on dim-bit
+    integers."""
+    rows = f.sparse_rows
+    n = len(rows)
+    reach = [sum(1 << j for j in row) for row in rows]  # bit j: i reaches j
+    for k in range(n):
+        for i in range(n):
+            if reach[i] >> k & 1:
+                reach[i] |= reach[k]
+    spectrum = []
+    for i, row in enumerate(rows):
+        mates = [j for j in range(n)
+                 if j != i and reach[i] >> j & 1 and reach[j] >> i & 1]
+        if len(mates) > 1:
+            return None
+        if not mates:
+            spectrum.append(row.get(i, _ZERO))
+        elif mates[0] < i:  # the 2 x 2 block was read at its first index
+            continue
+        else:
+            # the block [[a, b], [c, e]] times the lcm D of its denominators
+            j = mates[0]
+            block = (row.get(i, _ZERO), row[j], rows[j][i], rows[j].get(j, _ZERO))
+            D = lcm(*(x.denominator for x in block))
+            a, b, c, e = (x.numerator * (D // x.denominator) for x in block)
+            disc = (a - e) ** 2 + 4 * b * c
+            r = isqrt(max(disc, 0))
+            if r * r != disc:
+                return None
+            spectrum += [Fraction(a + e + r, 2 * D), Fraction(a + e - r, 2 * D)]
+    return spectrum
+
+
+def wedge_spectrum(mu: dict, lam) -> dict:
+    """The spectrum ``{mu_i + mu_j + lam: multiplicity}`` (i < j) of ``A ^ 1
+    + 1 ^ A + lam`` on the pairs (wedge_charpoly_mod_p) from the spectrum mu
+    of A."""
+    out = {}
+    items = list(mu.items())
+    for s, (x, i) in enumerate(items):
+        for y, j in items[s:]:
+            k = i * (i - 1) // 2 if y == x else i * j
+            if k:
+                out[x + y + lam] = out.get(x + y + lam, 0) + k
+    return out
+
+
+def kronecker_sum_spectrum(a: dict, b: dict) -> dict:
+    """The spectrum ``{alpha + beta: multiplicity}`` of ``A (+) B`` from the
+    spectra of A and B."""
+    out = {}
+    for x, i in a.items():
+        for y, j in b.items():
+            out[x + y] = out.get(x + y, 0) + i * j
+    return out
+
+
+def reduces_mod_p(den: int, size: int) -> bool:
+    """Whether p = CERTIFICATE_PRIME divides no denominator (den is their lcm)
+    and exceeds size, the largest integer a certificate divides by."""
+    return den % CERTIFICATE_PRIME != 0 and CERTIFICATE_PRIME > size
+
+
+def spectrum_det_mod_p(spectrum: dict[int, int], scale: int) -> int:
+    """The product of the eigenvalues ``value / scale`` of the spectrum
+    ``{value: multiplicity}`` (integer values) mod p = CERTIFICATE_PRIME,
+    for a scale prime to p."""
+    p = CERTIFICATE_PRIME
+    out = 1
+    for v, k in spectrum.items():
+        out = out * pow(v, k, p) % p
+    return out * pow(scale, -sum(spectrum.values()), p) % p
 
 
 def charpoly_mod_p(f: Matrix) -> Optional[list[int]]:
@@ -678,12 +787,7 @@ def wedge_charpoly_mod_p(c: Optional[list[int]], lam) -> Optional[list[int]]:
     inv2 = pow(2, -1, p)
     sums = [(sum(b * t[m] * t[k - m] for m, b in enumerate(row))
              - pow(2, k, p) * t[k]) * inv2 % p for k, row in enumerate(binom)]
-    # Newton, as in _power_sums_mod: k c_k = -(sums_k + sum_(0<i<k) c_i sums_(k-i))
-    out = [1]
-    for k in range(1, N + 1):
-        acc = sums[k] + sum(map(mul, out[1:], reversed(sums[1:k])))
-        out.append(-acc * pow(k, -1, p) % p)
-    return out
+    return _newton_mod(sums, p)
 
 
 def _resultant_mod(a: list[int], b: list[int], p: int) -> int:
@@ -731,6 +835,17 @@ def _power_sums_mod(c: list[int], count: int, p: int) -> list[int]:
         acc = sum(map(mul, c[1:tail + 1], reversed(s[k - tail:k])))
         s.append(-(acc + (k * c[k] if k <= r else 0)) % p)
     return s
+
+
+def _newton_mod(sums: list[int], p: int) -> list[int]:
+    """The characteristic polynomial ``[1, c_1, ..., c_N]`` whose power sums
+    are ``sums[0..N]`` mod p, by Newton's identities as in _power_sums_mod:
+    ``k c_k = -(s_k + sum_(0<i<k) c_i s_(k-i))``; p must exceed N."""
+    out = [1]
+    for k in range(1, len(sums)):
+        acc = sums[k] + sum(map(mul, out[1:], reversed(sums[1:k])))
+        out.append(-acc * pow(k, -1, p) % p)
+    return out
 
 
 def _charpoly_mod(a: list[list[int]], p: int) -> list[int]:

@@ -72,6 +72,37 @@ def test_scalar_round_trip(x):
     assert docs.parse_scalar(docs.scalar_str(x), "x") == x
 
 
+def chunked_scalar_str(x):
+    """scalar_str as it printed every scalar before its short-integer path:
+    Fraction(x) rebuilt, then every integer through 600-digit chunks."""
+    def int_str(k):
+        rest, chunks = abs(k), []
+        while rest >= docs._CHUNK:
+            rest, low = divmod(rest, docs._CHUNK)
+            chunks.append(f"{low:0{docs._CHUNK_DIGITS}d}")
+        return ("-" if k < 0 else "") + str(rest) + "".join(reversed(chunks))
+
+    x = Fraction(x)
+    den = "" if x.denominator == 1 else "/" + int_str(x.denominator)
+    return int_str(x.numerator) + den
+
+
+def test_scalar_strings_are_the_chunked_ones():
+    """The same bytes as the chunked printer on random fractions and ints,
+    at the chunk boundary, and past the 4,300 digits str() prints."""
+    rng = random.Random(17)
+    chunk = docs._CHUNK
+    values = [0, 1, -1, chunk - 1, chunk, chunk + 1, -chunk, Fraction(1, chunk),
+              Fraction(-(chunk - 1), chunk + 1), True]
+    for digits in (1, 5, 40, 599, 600, 601, 1200, 4300, 5000, 9001):
+        for _ in range(4):
+            num = rng.randrange(10 ** digits) * rng.choice((1, -1))
+            den = rng.randrange(1, 10 ** rng.choice((1, digits)))
+            values += [num, Fraction(num, den)]
+    for x in values:
+        assert docs.scalar_str(x) == chunked_scalar_str(x), x
+
+
 def test_algebra_round_trip():
     md = example_md()
     doc = docs.algebra_to_doc(md)

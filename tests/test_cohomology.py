@@ -1128,12 +1128,13 @@ def test_a_valid_degree_3_job_reads_integer_rows_only(monkeypatch, tmp_path, cap
 
 
 def test_certificates_share_the_characteristic_polynomials(monkeypatch):
-    """Phi_3 and Phi_2 have the factors d_F, d and -d_M; a certified
-    cohomology_dim(3) takes the characteristic polynomials of d and -d_M
-    once, on both paths, and d_F's from d's: it builds no leibniz_data and
-    no scaled table.  A degree-1 certificate, whose Phi_1 has no d_F
-    factor, computes no polynomial of d_F."""
-    md = det_bracket_md(random.Random(31))
+    """Phi_3 and Phi_2 have the factors d_F, d and -d_M.  Where d has no
+    exact spectrum (this triangular member's 2 x 2 block has an irrational
+    discriminant), a certified cohomology_dim(3) takes the characteristic
+    polynomials of d and -d_M once, on both paths, and d_F's from d's: it
+    builds no leibniz_data and no scaled table.  A degree-1 certificate,
+    whose Phi_1 has no d_F factor, computes no polynomial of d_F."""
+    md = triangular_family_member(random.Random(2))
     charpoly = exactnum._charpoly_mod
     calls = []
 
@@ -1146,7 +1147,7 @@ def test_certificates_share_the_characteristic_polynomials(monkeypatch):
         calls.clear()
         asm = ComplexAssembly(md, coadjoint_representation(md))
         assert dims(asm.cohomology_dim(3, representatives)) == (27, 27, 0)
-        assert len(calls) == 2
+        assert asm._spectra is None and len(calls) == 2
         assert "_leibniz" not in vars(asm) and "_tables" not in vars(asm)
         assert asm.phi_det_mod_p(3) and len(calls) == 2
     calls.clear()
@@ -1237,6 +1238,8 @@ def test_certificate_declines_a_prime_dividing_a_denominator(monkeypatch):
 
     want = [dims(complex_with(Fraction(1, 7)).cohomology_dim(q)) for q in (1, 2, 3)]
     assert complex_with(Fraction(1, 7)).phi_det_mod_p(1)
+    # d is triangular: the certificate takes the exact path
+    assert complex_with(Fraction(1, 7))._spectra is not None
     monkeypatch.setattr(exactnum, "CERTIFICATE_PRIME", 7)
     for q in (1, 2, 3):
         asm = complex_with(Fraction(1, 7))
@@ -1244,6 +1247,163 @@ def test_certificate_declines_a_prime_dividing_a_denominator(monkeypatch):
         assert dims(asm.cohomology_dim(q, representatives=False)) == want[q - 1]
         # the same complex with 1 in place of 1/7 is decided mod 7
         assert complex_with(Fraction(1)).phi_det_mod_p(q) is not None
+
+
+def certificate_cases():
+    """(md, rep, degrees): every dims-only complex, and the example and every
+    DIM3_POOL member with both actions, at q = 1..4; n = 4 stops at q = 3,
+    where the oracle's O(N^2) power sums already take 0.1 s."""
+    cases = [(md, rep, (1, 2, 3, 4) if md.n < 4 else (1, 2, 3))
+             for md, rep, _ in dims_only_cases()]
+    for md in [example_md()] + [md for _, md in bench_pool("DIM3_POOL")]:
+        cases += [(md, make(md), (1, 2, 3, 4))
+                  for make in (adjoint_representation, coadjoint_representation)]
+    return cases
+
+
+def test_both_certificate_paths_match_the_oracle():
+    """phi_det_mod_p, on the path the input takes and on the polynomial path
+    forced (an assembly whose exact spectra are withheld), is the oracle's
+    det Phi_q mod p.  Both paths are taken: d is k I on det members and
+    diagonal on the example, and 21 of the 32 tri members have a 2 x 2
+    block with an irrational spectrum."""
+    paths = set()
+    for md, rep, degrees in certificate_cases():
+        asm, forced = ComplexAssembly(md, rep), ComplexAssembly(md, rep)
+        forced._spectra = None
+        for q in degrees:
+            want = phi_det_oracle(md, rep, q)
+            assert asm.phi_det_mod_p(q) == want == forced.phi_det_mod_p(q), (md, rep, q)
+        paths.add(asm._spectra is not None)
+    assert paths == {True, False}
+
+
+def operator_with_block(block):
+    """A 3 x 3 operator with the given 2 x 2 block on e_1, e_2 and 5 on e_3,
+    coupled above the diagonal."""
+    (a, b), (c, e) = block
+    return Matrix.from_rows([[a, b, 1], [c, e, -2], [0, 0, 5]])
+
+
+@pytest.mark.parametrize("block, rational", [
+    ([[1, 2], [2, 1]], True),  # discriminant 16
+    ([[Fraction(1, 2), Fraction(3, 4)], [Fraction(1, 3), Fraction(1, 2)]], True),
+    ([[2, 1], [-1, 0]], True),  # discriminant 0: one eigenvalue, twice
+    ([[1, 2], [3, 4]], False),  # discriminant 33
+    ([[Fraction(1, 2), 3], [Fraction(1, 3), Fraction(5, 2)]], False),  # 8
+    ([[0, 1], [-1, 0]], False),  # -4
+], ids=["square", "square-fractions", "double", "33", "8", "negative"])
+def test_two_by_two_blocks_choose_the_path(block, rational):
+    """A 2 x 2 block in d or in d_M takes the exact path exactly when its
+    discriminant is a rational square; the certificate is the oracle's
+    either way."""
+    d = operator_with_block(block)
+    md = MD3LieAlgebra(ThreeLieAlgebra.abelian(3), ModifiedDifferential(Fraction(1, 3), d))
+    plain = MD3LieAlgebra(ThreeLieAlgebra.abelian(3),
+                          ModifiedDifferential(Fraction(1, 3), Matrix.diagonal([1, 2, 3])))
+    for md, rep in ((md, adjoint_representation(md)), (md, coadjoint_representation(md)),
+                    (plain, trivial_representation(plain, 3, d))):
+        asm = ComplexAssembly(md, rep)
+        for q in (1, 2, 3, 4):
+            assert asm.phi_det_mod_p(q) == phi_det_oracle(md, rep, q), (block, q)
+        assert (asm._spectra is not None) == rational
+
+
+def test_a_representation_file_with_a_cyclic_d_M_takes_the_polynomial_path(
+        monkeypatch, tmp_path, capsys):
+    """The example's d is diagonal, but a representation file whose d_M
+    permutes e_1 -> e_2 -> e_3 -> e_1 (one component of three indices) has
+    no exact spectrum: the certificate is the resultant of the polynomial
+    halves, and the report is the one full elimination gives."""
+    md = example_md()
+    d_M = Matrix.from_rows([[0, 0, 2], [1, 0, 0], [0, 1, 0]])
+    rep = trivial_representation(md, 3, d_M)
+    algebra, module = tmp_path / "example.json", tmp_path / "cyclic.json"
+    algebra.write_text(documents.serialize_algebra(md), encoding="utf-8")
+    documents.dump_json(str(module), documents.representation_to_doc(rep))
+    halves = []
+    from_halves = cohomology.kronecker_sum_det_from_halves
+
+    def counted(a, b):
+        halves.append((a, b))
+        return from_halves(a, b)
+
+    def refuse(*args):
+        raise AssertionError("the exact path answered")
+
+    monkeypatch.setattr(cohomology, "kronecker_sum_det_from_halves", counted)
+    monkeypatch.setattr(cohomology, "spectrum_det_mod_p", refuse)
+    for q in (1, 2, 3):
+        halves.clear()
+        argv = ["cohomology", str(algebra), "--rep", str(module), "--degree", str(q)]
+        assert run_command(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert halves
+        asm = ComplexAssembly(md, rep)
+        want = oracles.cohomology_by_elimination(asm, q)
+        assert (report["z_dim"], report["b_dim"], report["h_dim"]) == dims(want), q
+        assert asm._spectra is None and asm.phi_det_mod_p(q) == phi_det_oracle(md, rep, q)
+
+
+@pytest.mark.parametrize("key, rep, q", [
+    ("det-0", "coadjoint", 3), ("det-5", "coadjoint", 2), ("example", "coadjoint", 1)])
+def test_a_certified_job_with_exact_spectra_takes_no_characteristic_polynomial(
+        monkeypatch, tmp_path, capsys, key, rep, q):
+    """A certified --representatives job on a det member (d = k I) or on the
+    example (d diagonal) answers from the exact spectra: no characteristic
+    polynomial, no leibniz_data, and the report has H = 0 and no
+    representatives."""
+    md = example_md() if key == "example" else dict(bench_pool("DIM3_POOL"))[key]
+    path = tmp_path / f"{key}.json"
+    path.write_text(documents.serialize_algebra(md), encoding="utf-8")
+
+    def refuse(*args):
+        raise AssertionError("a characteristic polynomial or leibniz_data was built")
+
+    monkeypatch.setattr(exactnum, "_charpoly_mod", refuse)
+    monkeypatch.setattr(cohomology, "leibniz_data", refuse)
+    argv = ["cohomology", str(path), "--rep", rep, "--degree", str(q),
+            "--representatives"]
+    assert run_command(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["h_dim"] == 0 and report["representatives"] == []
+
+
+def test_degree_one_and_abelian_five_jobs_build_no_pair_tables(monkeypatch):
+    """delta_1 and Phi_1 read the bracket, the action, d and d_M only, so a
+    degree-1 job builds no leibniz_data even where it eliminates; nor does a
+    dims-only degree-2 job on an abelian n = 5 member, whose Phi_2 is
+    certified and whose partial_1 is eliminated.  Degree 2 and up, where
+    the pair tables are read, still assemble with the one denominator."""
+    def refuse(md):
+        raise AssertionError("leibniz_data was built")
+
+    monkeypatch.setattr(cohomology, "leibniz_data", refuse)
+    tri = triangular_family_member(random.Random("tri-0"))
+    for md in (example_md(), tri, det_bracket_md(random.Random("det-0"))):
+        for make in (adjoint_representation, coadjoint_representation):
+            asm = ComplexAssembly(md, make(md))
+            summary = asm.cohomology_dim(1)
+            assert dims(summary) == dims(oracles.cohomology_by_elimination(asm, 1))
+            assert "_leibniz" not in vars(asm) and "_pair_tables" not in vars(asm)
+    ab5 = abelian_md(random.Random("md3lie-bench/ab5-0"), 5)
+    asm = ComplexAssembly(ab5, adjoint_representation(ab5))
+    assert dims(asm.cohomology_dim(2, representatives=False)) == (25, 20, 5)
+    assert "_tables" in vars(asm) and "_leibniz" not in vars(asm)
+    monkeypatch.undo()
+    # d and the action are integral, and only d_F's diagonal d_ii + d_jj +
+    # lam carries lam's denominator: the tables know it before d_F is built
+    half = MD3LieAlgebra(ThreeLieAlgebra.abelian(3),
+                         ModifiedDifferential(Fraction(1, 2), Matrix.diagonal([1, 2, 3])))
+    for md in (tri, half):
+        asm = ComplexAssembly(md, adjoint_representation(md))
+        assert asm.partial_matrix(1) == oracles.direct_cocycle_matrix(md, asm.rep, 1)
+        den = asm._tables.den
+        assert "_leibniz" not in vars(asm)
+        assert asm.partial_matrix(2) == oracles.direct_cocycle_matrix(md, asm.rep, 2)
+        for mat in (asm.delta_matrix(1), asm.phi_matrix(2), asm.delta_matrix(2)):
+            assert {d for _, d in mat._int_rows} == {den}
+    assert den == 2
 
 
 # ---------------------------------------------------------------------------

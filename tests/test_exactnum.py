@@ -1,5 +1,6 @@
 import copy
 import pickle
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from md3lie import exactnum
 from md3lie.errors import InputError
-from md3lie.exactnum import (Matrix, _resultant_mod, charpoly_mod_p,
-                             kronecker_sum_det_mod_p, wedge_charpoly_mod_p)
+from md3lie.exactnum import (
+    EMPTY_SUM_POLY, Matrix, _resultant_mod, charpoly_mod_p,
+    kronecker_sum_charpoly_mod_p, kronecker_sum_det_from_halves,
+    kronecker_sum_det_mod_p, kronecker_sum_spectrum, rational_spectrum,
+    spectrum_det_mod_p, wedge_charpoly_mod_p, wedge_spectrum,
+)
 from md3lie.structures import (MD3LieAlgebra, ModifiedDifferential, ThreeLieAlgebra,
                                leibniz_data)
 
@@ -421,7 +426,10 @@ def test_kronecker_sum_det_matches_the_assembled_sum(prime, factors):
     assert got == oracles.kronecker_sum_det_mod_p(factors, prime)
 
 
-def test_kronecker_sum_det_takes_the_first_largest_factor_apart():
+def test_kronecker_sum_det_takes_the_last_two_factors_apart():
+    """The head (all factors but the last two) and the tail (the last two)
+    give the determinant of the assembled sum, whichever factors land in
+    each half, empty factors and a singular tail included."""
     a = Matrix.from_rows([[1, 2, 0], [0, -1, 1], [3, 0, Fraction(2, 3)]])
     b = Matrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
     c = Matrix.from_rows([[2, 1], [-1, 0]])
@@ -435,6 +443,123 @@ def test_kronecker_sum_det_takes_the_first_largest_factor_apart():
         assert got == oracles.kronecker_sum_det_mod_p(
             factors, exactnum.CERTIFICATE_PRIME), factors
     assert kronecker_sum_det_mod_p([a, -a]) == 0  # eigenvalues cancel
+
+
+@pytest.mark.parametrize("prime", [exactnum.CERTIFICATE_PRIME, 257])
+@given(factors=kronecker_factors())
+@settings(max_examples=60, deadline=None)
+def test_kronecker_sum_halves_are_those_of_the_assembled_sum(prime, factors):
+    """The composed polynomial of two factors is that of their assembled
+    Kronecker sum, and the determinant of head (+) tail is one resultant
+    of the two halves' polynomials."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactnum, "CERTIFICATE_PRIME", prime)
+        head, tail = factors[:-1], factors[-1:]
+        head_poly = EMPTY_SUM_POLY
+        for f in head:
+            head_poly = kronecker_sum_charpoly_mod_p(head_poly, charpoly_mod_p(f))
+        assert head_poly == (charpoly_mod_p(Matrix.from_rows(kronecker_sum_dense(head)))
+                             if head else EMPTY_SUM_POLY)
+        got = kronecker_sum_det_from_halves(head_poly, charpoly_mod_p(tail[0]))
+    assert got == det_mod_p(kronecker_sum_dense(factors), prime)
+
+
+def block_triangular(blocks, coupling, order):
+    """The matrix with the square blocks on its diagonal, the coupling
+    entries above them, and rows and columns permuted by order."""
+    n = sum(len(b) for b in blocks)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            rows[at + i][at:at + len(b)] = row
+        at += len(b)
+    for (i, j), c in coupling.items():
+        rows[min(i, j)][max(i, j)] += c
+    return Matrix.from_rows([[rows[order[i]][order[j]] for j in range(n)]
+                             for i in range(n)])
+
+
+@st.composite
+def block_triangular_operators(draw):
+    """A permuted block triangular operator with blocks of size 1 and 2; a
+    2 x 2 block has a rational spectrum {r, s} when drawn so, and arbitrary
+    entries (most often an irrational one) otherwise."""
+    blocks = []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            blocks.append([[draw(scalars)]])
+            continue
+        a, b = draw(scalars), draw(scalars.filter(bool))
+        if draw(st.booleans()):
+            r, s = draw(scalars), draw(scalars)
+            e = r + s - a
+            blocks.append([[a, b], [(a * e - r * s) / b, e]])
+        else:
+            blocks.append([[a, b], [draw(scalars), draw(scalars)]])
+    n = sum(len(b) for b in blocks)
+    cells = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+    coupling = draw(st.dictionaries(cells, scalars, max_size=4)) if n else {}
+    return block_triangular(blocks, coupling, draw(st.permutations(range(n))))
+
+
+def spectrum_poly(spectrum, p):
+    """prod (x - v)^k mod p over the {v: k} spectrum, highest degree first."""
+    out = [1]
+    for v, k in spectrum.items():
+        v = Fraction(v)
+        root = v.numerator * pow(v.denominator, -1, p) % p
+        for _ in range(k):
+            out = [(x - root * y) % p for x, y in zip(out + [0], [0] + out)]
+    return out
+
+
+@given(f=block_triangular_operators())
+@settings(max_examples=120, deadline=None)
+def test_rational_spectrum_has_the_characteristic_polynomial(f):
+    """Where rational_spectrum answers, its eigenvalues are the roots of f's
+    characteristic polynomial with their multiplicities; it declines only a
+    2 x 2 component with an irrational spectrum."""
+    p = exactnum.CERTIFICATE_PRIME
+    spectrum = rational_spectrum(f)
+    if spectrum is not None:
+        assert len(spectrum) == f.rows
+        assert spectrum_poly(Counter(spectrum), p) == charpoly_mod_p(f)
+
+
+def test_rational_spectrum_examples():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    # 2 x 2 blocks: discriminants 16, 1 and 0 are squares; 33, 8 and -4 not
+    assert rational_spectrum(Matrix.from_rows([[1, 2], [2, 1]])) == [3, -1]
+    assert rational_spectrum(Matrix.from_rows(
+        [[half, Fraction(3, 4)], [third, half]])) == [1, 0]
+    assert rational_spectrum(Matrix.from_rows([[2, 1], [-1, 0]])) == [1, 1]
+    for block in ([[1, 2], [3, 4]], [[half, 3], [third, Fraction(5, 2)]], [[0, 1], [-1, 0]]):
+        assert rational_spectrum(Matrix.from_rows(block)) is None
+    # triangular after a permutation, with a rational 2 x 2 block
+    f = block_triangular([[[1, 2], [2, 1]], [[5]]], {(0, 2): 7, (1, 2): -1}, [2, 0, 1])
+    assert sorted(rational_spectrum(f)) == [-1, 3, 5]
+    # a 3-cycle is one component of three indices, whatever its spectrum
+    assert rational_spectrum(Matrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])) is None
+    assert rational_spectrum(Matrix.zeros(0, 0)) == []
+
+
+def test_spectra_compose_as_the_polynomials_do():
+    """The exact spectra of d_F and of a Kronecker sum, and the product of
+    a scaled spectrum, agree with the polynomial route on d = diag(1, 2, 3)
+    plus a 2 x 2 block."""
+    p = exactnum.CERTIFICATE_PRIME
+    d = block_triangular([[[1]], [[Fraction(1, 2), Fraction(3, 4)], [Fraction(1, 3), Fraction(1, 2)]]],
+                         {(0, 1): 1}, [0, 1, 2])
+    mu, lam = Counter(rational_spectrum(d)), Fraction(-5, 3)
+    pair = wedge_spectrum(mu, lam)
+    assert spectrum_poly(pair, p) == wedge_charpoly_mod_p(charpoly_mod_p(d), lam)
+    total = kronecker_sum_spectrum(pair, mu)
+    assert spectrum_poly(total, p) == kronecker_sum_charpoly_mod_p(
+        wedge_charpoly_mod_p(charpoly_mod_p(d), lam), charpoly_mod_p(d))
+    scale = 6
+    scaled = {int(v * scale): k for v, k in total.items()}
+    assert spectrum_det_mod_p(scaled, scale) == kronecker_sum_det_mod_p([pair_map(d, lam), d])
 
 
 def sylvester(a, b):

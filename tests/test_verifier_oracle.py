@@ -8,21 +8,23 @@ part."""
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import invalid_bracket_md, random_action, random_md
+from conftest import bench_pool, invalid_bracket_md, random_action, random_md
 from md3lie.corpus import (
     abelian_md, corrupt_representation, det_bracket_md, example_algebra, example_md,
     random_matrix, triangular_family_member,
 )
-from md3lie.exactnum import Matrix
+from md3lie.exactnum import Matrix, vec_from_sparse
 from md3lie.multilin import SkewTernaryTensor
 from md3lie.structures import (
-    MD3LieAlgebra, ModifiedDifferential, Representation, ThreeLieAlgebra,
-    adjoint_representation,
-    coadjoint_representation, leibniz_data, semidirect_product,
+    MD3LieAlgebra, ModifiedDifferential, Report, Representation, ThreeLieAlgebra,
+    Violation, adjoint_representation, coadjoint_representation,
+    fundamental_identity_sides, leibniz_data, semidirect_product,
     trivial_representation, verify_3lie, verify_leibniz,
     verify_modified_differential, verify_representation,
 )
@@ -193,3 +195,46 @@ def test_rho_basis_matches_the_dense_oracle(name, md, rep):
         for j in range(md.n):
             want = oracles.rho_basis(rep, i, j)
             assert rep._signed_actions.get((i, j)) == (None if want.is_zero else want)
+
+
+@st.composite
+def sparse_brackets(draw):
+    """A bracket on n <= 7 with one to four stored triples, each value on a
+    few indices: about half of them fail the fundamental identity, most
+    on some tuples only."""
+    n = draw(st.integers(3, 7))
+    triples = draw(st.lists(st.sampled_from(list(combinations(range(n), 3))),
+                            min_size=1, max_size=4, unique=True))
+    values = st.dictionaries(st.integers(0, n - 1),
+                             st.fractions(-3, 3, max_denominator=3), min_size=1, max_size=3)
+    return ThreeLieAlgebra(n, SkewTernaryTensor(n, n, {t: draw(values) for t in triples}))
+
+
+def verify_3lie_on_every_triple(alg):
+    """verify_3lie as it visited every triple for each acting pair."""
+    violations = []
+    for i1, i2 in alg.bracket.acting_pairs():
+        for triple in combinations(range(alg.n), 3):
+            idx = (i1, i2) + triple
+            lhs, rhs = fundamental_identity_sides(alg.bracket, alg.bracket, idx)
+            if lhs != rhs:
+                violations.append(Violation("fundamental identity", idx,
+                                            vec_from_sparse(lhs, alg.n),
+                                            vec_from_sparse(rhs, alg.n)))
+    return Report.from_violations(violations)
+
+
+def test_verify_3lie_matches_every_triple_on_pool_algebras():
+    for name in ("DIM3_POOL", "DIM6_POOL", "AB5_POOL"):
+        for key, md in bench_pool(name):
+            assert_same_report(verify_3lie(md.algebra),
+                               verify_3lie_on_every_triple(md.algebra))
+
+
+@given(alg=sparse_brackets())
+@settings(max_examples=150, deadline=None)
+def test_verify_3lie_visits_every_tuple_that_can_fail(alg):
+    """verify_3lie visits, for each acting pair, only the stored triples and
+    those holding an index that the pair brackets to nonzero; its witnesses
+    and their order are those of a visit of every triple."""
+    assert_same_report(verify_3lie(alg), verify_3lie_on_every_triple(alg))
