@@ -36,32 +36,11 @@ for every g in C^(q-1) exactly one f, namely (-1)^(q+1) Phi_q^-1
 delta_(q-1) g in B^q, has (f, g) in ker partial_q, so rank partial_q =
 dim C^q.  At q = 1, partial_1 = (delta_1, -Phi_1) is injective with Phi_1
 and no condition is needed.  Injectivity is certified by a nonzero det
-Phi_q mod a 61-bit prime, computed from the Kronecker factors of Phi_q
-(q - 1 copies of d_F^T, then d^T and -d_M) without assembling or
-eliminating Phi_q.  Phi_q's eigenvalues are the sums of one eigenvalue of
-each factor, and d_F = d ^ 1 + 1 ^ d + lam has the eigenvalues mu_i + mu_j
-+ lam (i < j) for those mu of d, so the certificate reads d, d_M and lam
-alone, and builds neither d_F nor leibniz_data.  Two paths give the same
-number:
-
-- exact, where the nonzero patterns of d and d_M split into strongly
-  connected components of one index, or of two with a rational spectrum
-  (exactnum.rational_spectrum; d = k I on the det family, diagonal on the
-  example): the spectrum of the sum of q - 1 copies of d_F is that of the
-  degree before plus one copy, as {eigenvalue: multiplicity} dicts over
-  integers (every eigenvalue times one common scale), and det Phi_q is the
-  product of its sums with those of d (+) -d_M, reduced mod p; no
-  characteristic polynomial is computed;
-- mod p, on every other input: det Phi_q is the resultant of the
-  characteristic polynomial of the head (the sum of q - 1 copies of d_F,
-  composed from the head of the degree before and d_F's, itself from d's by
-  exactnum.wedge_charpoly_mod_p) and of the tail (d (+) -d_M), two
-  polynomials of degree C(n, 2)^(q - 1) and nm (exactnum's Kronecker
-  helpers).
-
-The exact path answers only where p divides no denominator involved and
-exceeds every integer the polynomials divide by, and the polynomials decide
-elsewhere, so the two decline (None) on the same input.  The axioms are
+Phi_q mod a 61-bit prime.  Phi_q is the Kronecker sum of q - 1 copies of
+d_F^T, then d^T and -d_M, and one exactnum.PhiDeterminant per complex
+computes its determinant from d, d_M and lam alone, from exact spectra or
+from characteristic polynomials mod p: Phi_q is neither assembled nor
+eliminated, and neither d_F nor leibniz_data is built.  The axioms are
 needed, because input that fails them can have Phi_q invertible and rank
 partial_q != dim C^q; such input is never certified and always eliminated.
 Every certificate runs before the axioms are verified, and they are
@@ -104,20 +83,16 @@ representatives, and only those vectors are back-substituted; row f of the
 lower block is its integer row with its denominator at the identity column.
 
 Caching: a ComplexAssembly memoizes assembled matrices, the tables and,
-from degree 2 on, the pair tables, the axiom verdict and the certificate's
-spectral data: the exact spectra of d_F and of d (+) -d_M, or the
-characteristic polynomials mod p of d and -d_M (computed together, with
-their composed tail), and d_F's from the first certificate of degree 2 or
-more; and the head of every degree certified so far, so a certificate of
-Phi_q after one of Phi_(q-1) adds one d_F factor to the head and takes one
-product or one resultant.  Population is idempotent (pure recomputation),
-so a racing first access at worst computes twice and discards one copy; a
-racing extension of the heads appends equal values.
+from degree 2 on, the pair tables, and the axiom verdict; its
+PhiDeterminant keeps the spectral data of every degree certified so far,
+so a certificate of Phi_q after one of Phi_(q-1) adds one d_F factor and
+takes one product or one resultant.  Population is idempotent (pure
+recomputation), so a racing first access at worst computes twice and
+discards one copy.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
@@ -127,12 +102,7 @@ from types import SimpleNamespace
 from typing import Optional
 
 from .errors import InputError
-from .exactnum import (
-    EMPTY_SUM_POLY, Matrix, Vector, charpoly_mod_p, kronecker_sum_charpoly_mod_p,
-    kronecker_sum_det_from_halves, kronecker_sum_spectrum, negated_charpoly_mod_p,
-    rational_spectrum, reduces_mod_p, spectrum_det_mod_p, vec_is_zero,
-    wedge_charpoly_mod_p, wedge_spectrum,
-)
+from .exactnum import Matrix, PhiDeterminant, Vector, vec_is_zero
 from .multilin import CochainCoordinates, cochain_dim, pair_basis
 from .structures import (
     MD3LieAlgebra, Representation, leibniz_data, verify_3lie,
@@ -239,9 +209,7 @@ class ComplexAssembly:
         self._delta: dict[int, Matrix] = {}
         self._phi: dict[int, Matrix] = {}
         self._partial: dict[int, Matrix] = {}
-        # Kronecker sums of q - 1 copies of d_F at index q - 1, as exact
-        # spectra (True) or characteristic polynomials mod p (False)
-        self._pair_sums = {True: [{0: 1}], False: [EMPTY_SUM_POLY]}
+        self._phi_det = PhiDeterminant(md.d, rep.d_M, md.lam)
 
     # -- matrices ---------------------------------------------------------
 
@@ -295,76 +263,14 @@ class ComplexAssembly:
         return leibniz_data(self.md)
 
     @cached_property
-    def _phi_polys(self) -> tuple[Optional[list[int]], Optional[list[int]]]:
-        # the characteristic polynomials mod p of d and -d_M, the last two
-        # Kronecker factors of every Phi_q (d^T has that of d); the adjoint's
-        # d_M is d itself
-        d, d_M = self.md.d, self.rep.d_M
-        c_d = charpoly_mod_p(d)
-        return c_d, negated_charpoly_mod_p(c_d if d_M is d else charpoly_mod_p(d_M))
-
-    @cached_property
-    def _tail_poly(self) -> Optional[list[int]]:
-        # that of d (+) -d_M, the tail of every Phi_q
-        return kronecker_sum_charpoly_mod_p(*self._phi_polys)
-
-    @cached_property
-    def _pair_poly(self) -> Optional[list[int]]:
-        # that of d_F = d ^ 1 + 1 ^ d + lam, the other q - 1 factors, from
-        # d's alone: no d_F (and no leibniz_data) is built for a certificate
-        return wedge_charpoly_mod_p(self._phi_polys[0], self.md.lam)
-
-    @cached_property
-    def _spectra(self) -> Optional[SimpleNamespace]:
-        """The exact spectra of d_F and of d (+) -d_M, each eigenvalue times
-        ``scale`` (an integer), when d and d_M have a rational_spectrum; None
-        otherwise.  ``den`` is the lcm of scale and the denominators of d,
-        d_M and lam."""
-        md, rep = self.md, self.rep
-        # on a zero module every Phi_q is empty, whatever d's spectrum; the
-        # adjoint's d_M is d itself
-        mu = rational_spectrum(md.d) if rep.m else []
-        if mu is None:
-            return None
-        eta = mu if rep.d_M is md.d or not rep.m else rational_spectrum(rep.d_M)
-        if eta is None:
-            return None
-        lam = md.lam
-        scale = lcm(lam.denominator, *(v.denominator for v in chain(mu, eta)))
-
-        def scaled(v):
-            return v.numerator * (scale // v.denominator)
-
-        mu = Counter(map(scaled, mu))
-        return SimpleNamespace(
-            pair=wedge_spectrum(mu, scaled(lam)),
-            tail=kronecker_sum_spectrum(mu, Counter(-scaled(v) for v in eta)),
-            scale=scale,
-            den=lcm(scale, *(c.denominator for mat in (md.d, rep.d_M)
-                             for row in mat.sparse_rows for c in row.values())))
-
-    def _pair_sum(self, q: int, exact: bool):
-        """The Kronecker sum of q - 1 copies of d_F, as its exact spectrum or
-        its characteristic polynomial mod p; each degree adds one copy to the
-        sum of the degree before."""
-        sums = self._pair_sums[exact]
-        while len(sums) < q:
-            if exact:
-                one, compose = self._spectra.pair, kronecker_sum_spectrum
-            else:
-                one, compose = self._pair_poly, kronecker_sum_charpoly_mod_p
-            # the sum of one copy is that copy
-            sums.append(compose(sums[-1], one) if len(sums) > 1 else one)
-        return sums[q - 1]
-
-    @cached_property
     def _tables(self):
         """Sparse operator data shared by every assembly of this complex,
-        each entry times ``den``, the lcm of all their denominators and those
-        of _pair_tables, which only degrees 2 and up read.  No table here
-        reads leibniz_data: d_F's entries are entries of d, or d_ii + d_jj +
-        lam on its diagonal, and those of [X, Y]_F sums of structure
-        constants, so lam's denominator (once a pair exists) is all they add."""
+        each entry c stored as ``scaled(c)``, c times ``den``, the lcm of all
+        their denominators and those of _pair_tables, which only degrees 2
+        and up read.  No table here reads leibniz_data: d_F's entries are
+        entries of d, or d_ii + d_jj + lam on its diagonal, and those of [X,
+        Y]_F sums of structure constants, so lam's denominator (once a pair
+        exists) is all they add."""
         md, rep, n = self.md, self.rep, self.md.n
         pairs = pair_basis(n)
         signed, act = md.algebra.bracket.signed, rep._action_items
@@ -380,6 +286,7 @@ class ComplexAssembly:
         return SimpleNamespace(
             pairs=pairs,
             den=den,
+            scaled=scaled,
             # [X_a, e_k] and d(e_k) on the algebra basis
             ad=[[[(r, scaled(c)) for r, c in signed.get((i, j, k), ())]
                  for k in range(n)] for i, j in pairs],
@@ -394,11 +301,7 @@ class ComplexAssembly:
     def _pair_tables(self):
         """[X_a, X_b]_F (where leibniz_data stores one) and the columns of
         d_F on the pair basis, times _tables.den."""
-        leibniz, pairs, den = self._leibniz, self._tables.pairs, self._tables.den
-
-        def scaled(c):
-            return c.numerator * (den // c.denominator)
-
+        leibniz, pairs, scaled = self._leibniz, self._tables.pairs, self._tables.scaled
         bracket_F = [[()] * len(pairs) for _ in pairs]
         for (a, b), items in leibniz.bracket_F.items():
             bracket_F[a][b] = [(j, scaled(c)) for j, c in items]
@@ -521,30 +424,11 @@ class ComplexAssembly:
         return TotalCochain.from_stacked(tc.degree - 1, self.md.n, self.rep.m, x)
 
     def phi_det_mod_p(self, q: int) -> Optional[int]:
-        """det Phi_q modulo exactnum.CERTIFICATE_PRIME, from the Kronecker
-        factors of Phi_q without assembling it; None when undecided.  A
-        nonzero value proves Phi_q invertible.
-
-        Where d and d_M have exact spectra it is the product of Phi_q's
-        eigenvalues, else one resultant of the characteristic polynomials of
-        its two halves (module docstring).  The polynomials decide whenever p
-        divides a denominator of d, d_M, lam or the eigenvalues, or p <=
-        max(dim C^q, C(n, 2), 2), so a prime that they decline (None) is
-        declined whichever path the input takes."""
+        """det Phi_q modulo exactnum.CERTIFICATE_PRIME from d, d_M and lam
+        alone (exactnum.PhiDeterminant), or None when undecided; a nonzero
+        value proves Phi_q invertible."""
         _check_degree(q)
-        n = self.md.n
-        pairs = n * (n - 1) // 2
-        size = pairs ** (q - 1) * n * self.rep.m
-        exact = self._spectra
-        if exact is not None and reduces_mod_p(exact.den, max(size, pairs, 2)):
-            return spectrum_det_mod_p(kronecker_sum_spectrum(
-                self._pair_sum(q, True), exact.tail), exact.scale)
-        # checked first, so no sum of a size that declines is composed
-        if not reduces_mod_p(1, size):
-            return None
-        if q == 1:  # Phi_1 = d^T (+) -d_M, whose factors are its halves
-            return kronecker_sum_det_from_halves(*self._phi_polys)
-        return kronecker_sum_det_from_halves(self._pair_sum(q, False), self._tail_poly)
+        return self._phi_det.mod_p(q)
 
     @cached_property
     def _axioms_hold(self) -> bool:

@@ -32,16 +32,18 @@ REPORT_SCHEMA = "md3lie-report/1"
 
 # ASCII digits only: \d also matches other scripts' digits, which int() and
 # Fraction() accept, and $ would let a trailing newline through
-_SCALAR_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_SCALAR_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 # the form JSON numbers and the serializer use, so no two keys name one index
 _INDEX_KEY_RE = re.compile(r"[1-9][0-9]*")
 
 
 def parse_scalar(text, where: str) -> Fraction:
-    if not isinstance(text, str) or not _SCALAR_RE.fullmatch(text):
+    match = _SCALAR_RE.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
         raise ParseError(f"{where}: malformed scalar {text!r}")
+    num, den = match.groups()
     try:
-        return Fraction(text)
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
     except ZeroDivisionError:
         raise ParseError(f"{where}: zero denominator in {text!r}") from None
     except ValueError:  # longer than sys.get_int_max_str_digits()
@@ -116,8 +118,13 @@ def matrix_from_doc(obj, where: str, rows: int | None = None,
         raise ParseError(f"{where}: expected {rows} rows, found {nrows}")
     if cols is not None and ncols != cols:
         raise ParseError(f"{where}: expected {cols} columns, found {ncols}")
-    flat = [parse_scalar(obj[i][j], f"{where}[{i}][{j}]")
-            for i in range(nrows) for j in range(ncols)]
+    try:
+        flat = [parse_scalar(text, where) for row in obj for text in row]
+    except ParseError:  # name the first entry that fails
+        for i, row in enumerate(obj):
+            for j, text in enumerate(row):
+                parse_scalar(text, f"{where}[{i}][{j}]")
+        raise
     return Matrix(nrows, ncols, flat)
 
 

@@ -45,10 +45,13 @@ equal values.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
-from functools import reduce
-from math import gcd, isqrt, lcm, prod
+from functools import cached_property
+from itertools import chain
+from math import gcd, isqrt, lcm
 from operator import mul
+from types import SimpleNamespace
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
@@ -552,37 +555,119 @@ def _rational(x: dict[int, int], den: int, n: int) -> Vector:
 
 # ---- determinant of a Kronecker sum modulo a prime -------------------------
 
-#: Modulus of kronecker_sum_det_mod_p (the Mersenne prime 2^61 - 1).
+#: Modulus of PhiDeterminant (the Mersenne prime 2^61 - 1).
 CERTIFICATE_PRIME = 2 ** 61 - 1
 
-#: Characteristic polynomial of the empty Kronecker sum, the 1 x 1 zero matrix.
-EMPTY_SUM_POLY = [1, 0]
+class PhiDeterminant:
+    """``det Phi_q mod p`` for p = CERTIFICATE_PRIME, where Phi_q is the
+    Kronecker sum of q - 1 copies of d_F^T, then d^T and -d_M, of dimension
+    N = C(n, 2)^(q - 1) n m for d (n x n) and d_M (m x m); ``d_F = d ^ 1 +
+    1 ^ d + lam`` acts on the C(n, 2) pairs.
 
+    The eigenvalues of a Kronecker sum are the sums of one eigenvalue of
+    each factor, and d_F's are mu_i + mu_j + lam (i < j) for those mu of d,
+    so the determinant reads d, d_M and lam alone: neither Phi_q nor d_F is
+    built.  The head, the sum of q - 1 copies of d_F, is that of the degree
+    before plus one copy, and the tail is d (+) -d_M.  mod_p(q) declines
+    (None) when p <= N; past that check one of two paths answers every
+    degree, chosen once:
 
-def kronecker_sum_det_mod_p(factors: Sequence[Matrix]) -> Optional[int]:
-    """``det(F_1 (+) ... (+) F_r) mod p`` for p = CERTIFICATE_PRIME, or None.
+    - exact, where the nonzero patterns of d and d_M split into strongly
+      connected components of one index, or of two with a rational spectrum
+      (rational_spectrum), p divides no denominator of d, d_M, lam or the
+      eigenvalues, and p > max(C(n, 2), 2): the spectra are {eigenvalue:
+      multiplicity} dicts over integers (every eigenvalue times one common
+      scale), and det Phi_q is the product of the sums of one eigenvalue of
+      the head and one of the tail, reduced mod p; no characteristic
+      polynomial is computed;
+    - mod p, everywhere else: det Phi_q is one resultant of the
+      characteristic polynomials of the head and the tail
+      (kronecker_sum_det_from_halves), d_F's from d's
+      (wedge_charpoly_mod_p).
 
-    The Kronecker sum is ``sum_i I (x) ... (x) F_i (x) ... (x) I`` on the
-    tensor product of the factors' spaces, of dimension N = prod dim F_i.
-    It is never built.  Its head is the Kronecker sum of all factors but the
-    last two, its tail that of the last two; each half's characteristic
-    polynomial is composed factor by factor (kronecker_sum_charpoly_mod_p),
-    and the determinant is one resultant of the two
-    (kronecker_sum_det_from_halves).  A caller that takes several Kronecker
-    sums of related factors can keep the halves: the complex assembly adds
-    one factor to its head per degree.  Returns None when p divides the
-    denominator of an entry, or when p <= N.  The cost is one O(dim^3)
-    characteristic polynomial per factor, and O(N_i^2) operations mod p for
-    each half of dimension N_i."""
-    for f in factors:
-        if f.rows != f.cols:
-            raise InputError("Kronecker sum of a non-square matrix")
-    polys = [charpoly_mod_p(f) for f in factors]
-    if None in polys or CERTIFICATE_PRIME <= prod(len(c) - 1 for c in polys):
-        return None
-    head = reduce(kronecker_sum_charpoly_mod_p, polys[:-2], EMPTY_SUM_POLY)
-    tail = reduce(kronecker_sum_charpoly_mod_p, polys[-2:], EMPTY_SUM_POLY)
-    return kronecker_sum_det_from_halves(head, tail)
+    The exact path is taken only where the polynomials answer every degree
+    that passes the size check, so whichever path the input takes, the
+    primes declined are those the polynomials decline.  Where d_M is d (the
+    adjoint), Phi_1 = d^T (+) -d has the eigenvalue mu_i - mu_i = 0, and
+    mod_p(1) is 0 with nothing computed.  Members are filled on first use
+    by pure recomputation, so a racing first access at worst computes a
+    value twice, and racing extensions of the heads store equal values
+    under one degree."""
+
+    def __init__(self, d: Matrix, d_M: Matrix, lam):
+        self.d, self.d_M, self.lam = d, d_M, Fraction(lam)
+        self._pairs = d.rows * (d.rows - 1) // 2
+        self._heads = {}
+
+    def mod_p(self, q: int) -> Optional[int]:
+        """det Phi_q mod p for q >= 1, or None when p <= N."""
+        n = self.d.rows
+        if CERTIFICATE_PRIME <= self._pairs ** (q - 1) * n * self.d_M.rows:
+            return None
+        if q == 1 and self.d_M is self.d and n:
+            return 0
+        exact = self._spectra
+        if exact is not None:
+            return spectrum_det_mod_p(kronecker_sum_spectrum(
+                self._head(q), exact.tail) if q > 1 else exact.tail, exact.scale)
+        if q == 1:  # Phi_1's two factors are its halves
+            return kronecker_sum_det_from_halves(*self._factors)
+        return kronecker_sum_det_from_halves(self._head(q), self._tail)
+
+    @cached_property
+    def _spectra(self) -> Optional[SimpleNamespace]:
+        """The exact spectra of d_F (``pair``) and of d (+) -d_M (``tail``),
+        each eigenvalue times ``scale``, an integer prime to p; None where
+        the polynomials decide."""
+        d, d_M, lam, p = self.d, self.d_M, self.lam, CERTIFICATE_PRIME
+        if p <= max(self._pairs, 2):
+            return None
+        # on a zero module every Phi_q is empty, whatever d's spectrum; the
+        # adjoint's d_M is d itself
+        mu = rational_spectrum(d) if d_M.rows else []
+        eta = mu if mu is None or d_M is d or not d_M.rows else rational_spectrum(d_M)
+        if eta is None:
+            return None
+        scale = lcm(lam.denominator, *(v.denominator for v in chain(mu, eta)))
+        if lcm(scale, *(c.denominator for mat in (d, d_M) for row in mat.sparse_rows
+                        for c in row.values())) % p == 0:
+            return None
+
+        def scaled(v):
+            return v.numerator * (scale // v.denominator)
+
+        mu = Counter(map(scaled, mu))
+        return SimpleNamespace(
+            pair=wedge_spectrum(mu, scaled(lam)), scale=scale,
+            tail=kronecker_sum_spectrum(mu, Counter(-scaled(v) for v in eta)))
+
+    @cached_property
+    def _factors(self) -> tuple[Optional[list[int]], Optional[list[int]]]:
+        # the characteristic polynomials mod p of d and -d_M (d^T has d's)
+        c_d = charpoly_mod_p(self.d)
+        return c_d, negated_charpoly_mod_p(
+            c_d if self.d_M is self.d else charpoly_mod_p(self.d_M))
+
+    @cached_property
+    def _tail(self) -> Optional[list[int]]:
+        return kronecker_sum_charpoly_mod_p(*self._factors)
+
+    @cached_property
+    def _pair(self):
+        # d_F's spectrum, or its polynomial from d's: d_F is never built
+        exact = self._spectra
+        return (exact.pair if exact is not None
+                else wedge_charpoly_mod_p(self._factors[0], self.lam))
+
+    def _head(self, q: int):
+        """The Kronecker sum of q - 1 >= 1 copies of d_F on the path taken:
+        the degree before's plus one copy."""
+        heads = self._heads
+        if q not in heads:
+            compose = (kronecker_sum_charpoly_mod_p if self._spectra is None
+                       else kronecker_sum_spectrum)
+            heads[q] = self._pair if q == 2 else compose(self._head(q - 1), self._pair)
+        return heads[q]
 
 
 def kronecker_sum_charpoly_mod_p(a: Optional[list[int]],
@@ -591,10 +676,9 @@ def kronecker_sum_charpoly_mod_p(a: Optional[list[int]],
     = A (x) I + I (x) B`` from those of A and B (as charpoly_mod_p gives
     them); None when one is None or p <= N = deg a * deg b.
 
-    Its eigenvalues are the sums alpha + beta, so its power sums are ``S_k =
-    sum_l C(k, l) s_l(A) s_(k-l)(B)``: ``sum_k S_k t^k / k!`` is the product
-    of the factors' series, truncated past t^N (_power_sums_mod gives theirs).
-    Newton's identities turn S into the coefficients.  Every step divides by
+    Its eigenvalues are the sums alpha + beta, whose power sums up to N
+    _sum_power_sums gives from the factors' (_power_sums_mod), and Newton's
+    identities turn them into the coefficients.  Every step divides by
     integers up to N < p only, so over the field of p elements it gives the
     reduction of the polynomial over Q.  O(N^2) operations mod p."""
     p = CERTIFICATE_PRIME
@@ -603,18 +687,8 @@ def kronecker_sum_charpoly_mod_p(a: Optional[list[int]],
     N = (len(a) - 1) * (len(b) - 1)
     if p <= N:
         return None
-    fact = [1]
-    for k in range(1, N + 1):
-        fact.append(fact[-1] * k % p)
-    fact_inv = [pow(fact[N], -1, p)]
-    for k in range(N, 0, -1):
-        fact_inv.append(fact_inv[-1] * k % p)
-    fact_inv.reverse()
-    sa, sb = ([s * f % p for s, f in zip(_power_sums_mod(c, N, p), fact_inv)]
-              for c in (a, b))
-    sums = [sum(map(mul, sa[:k + 1], reversed(sb[:k + 1]))) * fact[k] % p
-            for k in range(N + 1)]
-    return _newton_mod(sums, p)
+    return _newton_mod(_sum_power_sums(
+        _power_sums_mod(a, N, p), _power_sums_mod(b, N, p), p), p)
 
 
 def kronecker_sum_det_from_halves(a: Optional[list[int]],
@@ -692,15 +766,12 @@ def rational_spectrum(f: Matrix) -> Optional[list[Fraction]]:
 def wedge_spectrum(mu: dict, lam) -> dict:
     """The spectrum ``{mu_i + mu_j + lam: multiplicity}`` (i < j) of ``A ^ 1
     + 1 ^ A + lam`` on the pairs (wedge_charpoly_mod_p) from the spectrum mu
-    of A."""
-    out = {}
-    items = list(mu.items())
-    for s, (x, i) in enumerate(items):
-        for y, j in items[s:]:
-            k = i * (i - 1) // 2 if y == x else i * j
-            if k:
-                out[x + y + lam] = out.get(x + y + lam, 0) + k
-    return out
+    of A: the sums of A (+) A off its diagonal 2 mu_i, each pair met twice,
+    then summed with the 1 x 1 matrix [lam]."""
+    ordered = kronecker_sum_spectrum(mu, mu)
+    for x, i in mu.items():
+        ordered[2 * x] -= i
+    return kronecker_sum_spectrum({v: k // 2 for v, k in ordered.items() if k}, {lam: 1})
 
 
 def kronecker_sum_spectrum(a: dict, b: dict) -> dict:
@@ -711,12 +782,6 @@ def kronecker_sum_spectrum(a: dict, b: dict) -> dict:
         for y, j in b.items():
             out[x + y] = out.get(x + y, 0) + i * j
     return out
-
-
-def reduces_mod_p(den: int, size: int) -> bool:
-    """Whether p = CERTIFICATE_PRIME divides no denominator (den is their lcm)
-    and exceeds size, the largest integer a certificate divides by."""
-    return den % CERTIFICATE_PRIME != 0 and CERTIFICATE_PRIME > size
 
 
 def spectrum_det_mod_p(spectrum: dict[int, int], scale: int) -> int:
@@ -752,20 +817,15 @@ def wedge_charpoly_mod_p(c: Optional[list[int]], lam) -> Optional[list[int]]:
     None, when p divides the denominator of lam, or when p = 2 or p <= N.
 
     Over an algebraic closure A is triangular, and so is the pair map, with
-    eigenvalues ``mu_i + mu_j + lam`` (i < j) for the eigenvalues mu of A.
-    Let ``nu = mu + lam / 2``: their power sums are ``t_l = sum_m C(l, m)
-    (lam / 2)^(l - m) s_m`` for the power sums s_m of A (_power_sums_mod),
-    and, as the sum over all ordered (i, j) counts each i < j twice and
-    adds ``(2 nu_i)^k`` on the diagonal,
-
-        sum_(i<j) (nu_i + nu_j)^k = (sum_(l=0..k) C(k, l) t_l t_(k-l)
-                                     - 2^k t_k) / 2.
-
-    Newton's identities turn these power sums into the coefficients.  Each
-    step is a polynomial identity in c and lam that divides by 2 and by
-    integers up to N only, so over the field of p elements it gives the
-    reduction of the polynomial over Q.  O(N^2) operations mod p, and no
-    N x N matrix."""
+    eigenvalues ``mu_i + mu_j + lam`` (i < j) for the eigenvalues mu of A:
+    as in wedge_spectrum, the power sums S_k of A (+) A (_sum_power_sums of
+    A's, _power_sums_mod) count each i < j twice and add ``(2 mu_i)^k`` on
+    the diagonal, so ``sum_(i<j) (mu_i + mu_j)^k = (S_k - 2^k s_k) / 2``,
+    and the sum with [lam] adds lam.  Newton's identities turn the power
+    sums into the coefficients.  Each step is a polynomial identity in c and
+    lam that divides by 2 and by integers up to N only, so over the field of
+    p elements it gives the reduction of the polynomial over Q.  O(N^2)
+    operations mod p, and no N x N matrix."""
     p = CERTIFICATE_PRIME
     lam = Fraction(lam)
     if c is None or lam.denominator % p == 0:
@@ -774,20 +834,12 @@ def wedge_charpoly_mod_p(c: Optional[list[int]], lam) -> Optional[list[int]]:
     N = r * (r - 1) // 2
     if p <= max(N, 2):
         return None
-    half = lam.numerator * pow(2 * lam.denominator, -1, p) % p
-    binom = [[1]]  # Pascal's rows C(k, 0..k) for k <= N
-    for k in range(N):
-        binom.append([1] + [a + b for a, b in zip(binom[k], binom[k][1:])] + [1])
-    s = _power_sums_mod(c, N, p)
-    powers = [1]  # (lam / 2)^j
-    for _ in range(N):
-        powers.append(powers[-1] * half % p)
-    t = [sum(b * powers[k - m] * s[m] for m, b in enumerate(row)) % p
-         for k, row in enumerate(binom)]
-    inv2 = pow(2, -1, p)
-    sums = [(sum(b * t[m] * t[k - m] for m, b in enumerate(row))
-             - pow(2, k, p) * t[k]) * inv2 % p for k, row in enumerate(binom)]
-    return _newton_mod(sums, p)
+    s, inv2 = _power_sums_mod(c, N, p), pow(2, -1, p)
+    pairs = [(S - pow(2, k, p) * t) * inv2 % p
+             for k, (S, t) in enumerate(zip(_sum_power_sums(s, s, p), s))]
+    lam = lam.numerator * pow(lam.denominator, -1, p) % p
+    return _newton_mod(_sum_power_sums(
+        pairs, [pow(lam, k, p) for k in range(N + 1)], p), p)
 
 
 def _resultant_mod(a: list[int], b: list[int], p: int) -> int:
@@ -835,6 +887,24 @@ def _power_sums_mod(c: list[int], count: int, p: int) -> list[int]:
         acc = sum(map(mul, c[1:tail + 1], reversed(s[k - tail:k])))
         s.append(-(acc + (k * c[k] if k <= r else 0)) % p)
     return s
+
+
+def _sum_power_sums(a: list[int], b: list[int], p: int) -> list[int]:
+    """The power sums ``S_k = sum_l C(k, l) a_l b_(k-l)`` mod p (k <
+    len(a)) of the sums alpha + beta, from the power sums a of the alphas
+    and b of the betas: ``sum_k S_k t^k / k!`` is the product of their
+    series.  p must exceed len(a) - 1."""
+    N = len(a) - 1
+    fact = [1]
+    for k in range(1, N + 1):
+        fact.append(fact[-1] * k % p)
+    fact_inv = [pow(fact[N], -1, p)]
+    for k in range(N, 0, -1):
+        fact_inv.append(fact_inv[-1] * k % p)
+    fact_inv.reverse()
+    sa, sb = ([s * f % p for s, f in zip(c, fact_inv)] for c in (a, b))
+    return [sum(map(mul, sa[:k + 1], reversed(sb[:k + 1]))) * fact[k] % p
+            for k in range(N + 1)]
 
 
 def _newton_mod(sums: list[int], p: int) -> list[int]:

@@ -560,8 +560,9 @@ def _two_cocycle_identities(md, rep):
 
 
 def kronecker_sum_det_mod_p(factors, p):
-    """det of the Kronecker sum of the factors mod p, or None (as the package
-    function): e_N of the whole sum by Newton's identities."""
+    """det of the Kronecker sum of the factors mod p, or None where p
+    divides an entry's denominator or p <= N (as exactnum.PhiDeterminant):
+    e_N of the whole sum by Newton's identities."""
     N = 1
     for f in factors:
         N *= f.rows

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -64,6 +65,64 @@ def test_scalar_strings():
     for bad in ["", "1.5", "1/-2", "a", "1/0", 3, "1\n", "\u0661", "1/\u0662"]:
         with pytest.raises(ParseError):
             docs.parse_scalar(bad, "x")
+
+
+def string_parsed_scalar(text, where):
+    """parse_scalar as it parsed every scalar twice: the ASCII pattern, then
+    Fraction's own string parser."""
+    if not isinstance(text, str) or not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text):
+        raise ParseError(f"{where}: malformed scalar {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ParseError(f"{where}: zero denominator in {text!r}") from None
+    except ValueError:
+        raise ParseError(f"{where}: scalar has too many digits") from None
+
+
+def outcome(parse, *args):
+    try:
+        return parse(*args)
+    except ParseError as e:
+        return str(e)
+
+
+# leading zeros, zero runs (-0, -0/7, 1/00) and runs around str()'s 4,300 digits
+digit_runs = st.one_of(st.text("0123456789", min_size=1, max_size=12),
+                       st.text("0", min_size=1, max_size=4),
+                       st.integers(4295, 4305).map(lambda k: "9" * k))
+scalar_texts = st.one_of(
+    st.builds(lambda sign, num, den: sign + num + ("" if den is None else "/" + den),
+              st.sampled_from(["", "-"]), digit_runs, st.none() | digit_runs),
+    st.text("0123456789-/ .+_\n\u0661", max_size=6), st.integers(-3, 3))
+
+
+@given(scalar_texts)
+@settings(max_examples=300, deadline=None)
+def test_scalars_parse_as_fractions_string_parser(text):
+    """Fractions built from the pattern's integer groups equal Fraction(text),
+    and the malformed, zero-denominator and too-many-digits messages are
+    the string parser's, byte for byte."""
+    got = outcome(docs.parse_scalar, text, "m.lambda")
+    assert got == outcome(string_parsed_scalar, text, "m.lambda")
+    assert not isinstance(got, Fraction) or got == Fraction(text)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_bad_matrix_entry_is_named_by_its_location(data):
+    """matrix_from_doc names the first failing entry in row order, with the
+    message parse_scalar gives at that location."""
+    rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    doc = [[data.draw(scalar_texts) for _ in range(cols)] for _ in range(rows)]
+    where = [f"a.d[{i}][{j}]" for i in range(rows) for j in range(cols)]
+    failed = [(w, msg) for w, text in zip(where, (x for row in doc for x in row))
+              if isinstance(msg := outcome(string_parsed_scalar, text, w), str)]
+    got = outcome(docs.matrix_from_doc, doc, "a.d")
+    if failed:
+        assert got == failed[0][1]
+    else:
+        assert got == Matrix(rows, cols, [Fraction(x) for row in doc for x in row])
 
 
 @given(st.fractions(min_value=-100, max_value=100, max_denominator=97))

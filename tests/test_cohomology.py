@@ -1147,23 +1147,25 @@ def test_certificates_share_the_characteristic_polynomials(monkeypatch):
         calls.clear()
         asm = ComplexAssembly(md, coadjoint_representation(md))
         assert dims(asm.cohomology_dim(3, representatives)) == (27, 27, 0)
-        assert asm._spectra is None and len(calls) == 2
+        assert asm._phi_det._spectra is None and len(calls) == 2
         assert "_leibniz" not in vars(asm) and "_tables" not in vars(asm)
         assert asm.phi_det_mod_p(3) and len(calls) == 2
     calls.clear()
     asm = ComplexAssembly(md, coadjoint_representation(md))
     assert dims(asm.cohomology_dim(1)) == (0, 0, 0)
-    assert len(calls) == 2 and "_pair_poly" not in vars(asm)
+    assert len(calls) == 2 and "_pair" not in vars(asm._phi_det)
 
 
 def test_the_pair_polynomial_is_that_of_d_F():
-    """The certificate's d_F factor, taken from d's characteristic
-    polynomial, is that of leibniz_data's d_F on every pool algebra and on
-    every dims-only complex, valid or not."""
+    """The certificate's d_F factor on the polynomial path (forced: the
+    exact spectra withheld), taken from d's characteristic polynomial, is
+    that of leibniz_data's d_F on every pool algebra and on every dims-only
+    complex, valid or not."""
     algebras = valid_pool_algebras() + [md for md, _, _ in dims_only_cases()]
     for md in algebras:
         asm = ComplexAssembly(md, adjoint_representation(md))
-        assert asm._pair_poly == exactnum.charpoly_mod_p(leibniz_data(md).d_F), md
+        asm._phi_det._spectra = None
+        assert asm._phi_det._pair == exactnum.charpoly_mod_p(leibniz_data(md).d_F), md
         assert "_leibniz" not in vars(asm)
 
 
@@ -1239,7 +1241,7 @@ def test_certificate_declines_a_prime_dividing_a_denominator(monkeypatch):
     want = [dims(complex_with(Fraction(1, 7)).cohomology_dim(q)) for q in (1, 2, 3)]
     assert complex_with(Fraction(1, 7)).phi_det_mod_p(1)
     # d is triangular: the certificate takes the exact path
-    assert complex_with(Fraction(1, 7))._spectra is not None
+    assert complex_with(Fraction(1, 7))._phi_det._spectra is not None
     monkeypatch.setattr(exactnum, "CERTIFICATE_PRIME", 7)
     for q in (1, 2, 3):
         asm = complex_with(Fraction(1, 7))
@@ -1270,11 +1272,11 @@ def test_both_certificate_paths_match_the_oracle():
     paths = set()
     for md, rep, degrees in certificate_cases():
         asm, forced = ComplexAssembly(md, rep), ComplexAssembly(md, rep)
-        forced._spectra = None
+        forced._phi_det._spectra = None
         for q in degrees:
             want = phi_det_oracle(md, rep, q)
             assert asm.phi_det_mod_p(q) == want == forced.phi_det_mod_p(q), (md, rep, q)
-        paths.add(asm._spectra is not None)
+        paths.add(asm._phi_det._spectra is not None)
     assert paths == {True, False}
 
 
@@ -1306,7 +1308,7 @@ def test_two_by_two_blocks_choose_the_path(block, rational):
         asm = ComplexAssembly(md, rep)
         for q in (1, 2, 3, 4):
             assert asm.phi_det_mod_p(q) == phi_det_oracle(md, rep, q), (block, q)
-        assert (asm._spectra is not None) == rational
+        assert (asm._phi_det._spectra is not None) == rational
 
 
 def test_a_representation_file_with_a_cyclic_d_M_takes_the_polynomial_path(
@@ -1322,7 +1324,7 @@ def test_a_representation_file_with_a_cyclic_d_M_takes_the_polynomial_path(
     algebra.write_text(documents.serialize_algebra(md), encoding="utf-8")
     documents.dump_json(str(module), documents.representation_to_doc(rep))
     halves = []
-    from_halves = cohomology.kronecker_sum_det_from_halves
+    from_halves = exactnum.kronecker_sum_det_from_halves
 
     def counted(a, b):
         halves.append((a, b))
@@ -1331,8 +1333,8 @@ def test_a_representation_file_with_a_cyclic_d_M_takes_the_polynomial_path(
     def refuse(*args):
         raise AssertionError("the exact path answered")
 
-    monkeypatch.setattr(cohomology, "kronecker_sum_det_from_halves", counted)
-    monkeypatch.setattr(cohomology, "spectrum_det_mod_p", refuse)
+    monkeypatch.setattr(exactnum, "kronecker_sum_det_from_halves", counted)
+    monkeypatch.setattr(exactnum, "spectrum_det_mod_p", refuse)
     for q in (1, 2, 3):
         halves.clear()
         argv = ["cohomology", str(algebra), "--rep", str(module), "--degree", str(q)]
@@ -1342,7 +1344,8 @@ def test_a_representation_file_with_a_cyclic_d_M_takes_the_polynomial_path(
         asm = ComplexAssembly(md, rep)
         want = oracles.cohomology_by_elimination(asm, q)
         assert (report["z_dim"], report["b_dim"], report["h_dim"]) == dims(want), q
-        assert asm._spectra is None and asm.phi_det_mod_p(q) == phi_det_oracle(md, rep, q)
+        assert asm._phi_det._spectra is None
+        assert asm.phi_det_mod_p(q) == phi_det_oracle(md, rep, q)
 
 
 @pytest.mark.parametrize("key, rep, q", [
@@ -1367,6 +1370,35 @@ def test_a_certified_job_with_exact_spectra_takes_no_characteristic_polynomial(
     assert run_command(argv) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["h_dim"] == 0 and report["representatives"] == []
+
+
+@pytest.mark.parametrize("representatives", [False, True])
+def test_a_degree_one_adjoint_job_takes_no_spectrum_and_no_polynomial(
+        monkeypatch, tmp_path, capsys, representatives):
+    """With --rep adjoint, d_M is d, so Phi_1 = d^T (+) -d has the eigenvalue
+    0: the certificate is 0 at once, and the degree-1 job eliminates with
+    no rational_spectrum and no characteristic polynomial.  Its report is
+    the one full elimination gives, on a det member (exact spectra), a tri
+    member with an irrational 2 x 2 block (polynomials) and the example."""
+    pool = dict(bench_pool("DIM3_POOL"))
+    cases = {"det-4": pool["det-4"], "tri-2": triangular_family_member(random.Random(2)),
+             "example": example_md()}
+
+    def refuse(*args):
+        raise AssertionError("a spectrum or a characteristic polynomial was computed")
+
+    monkeypatch.setattr(exactnum, "rational_spectrum", refuse)
+    monkeypatch.setattr(exactnum, "_charpoly_mod", refuse)
+    for key, md in cases.items():
+        path = tmp_path / f"{key}.json"
+        path.write_text(documents.serialize_algebra(md), encoding="utf-8")
+        argv = ["cohomology", str(path), "--rep", "adjoint", "--degree", "1"]
+        assert run_command(argv + ["--representatives"] * representatives) == 0
+        report = json.loads(capsys.readouterr().out)
+        asm = ComplexAssembly(md, adjoint_representation(md))
+        assert asm.phi_det_mod_p(1) == 0
+        want = oracles.cohomology_by_elimination(asm, 1)
+        assert (report["z_dim"], report["b_dim"], report["h_dim"]) == dims(want), key
 
 
 def test_degree_one_and_abelian_five_jobs_build_no_pair_tables(monkeypatch):

@@ -2,6 +2,7 @@ import copy
 import pickle
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 from md3lie import exactnum
 from md3lie.errors import InputError
 from md3lie.exactnum import (
-    EMPTY_SUM_POLY, Matrix, _resultant_mod, charpoly_mod_p,
+    Matrix, PhiDeterminant, _resultant_mod, charpoly_mod_p,
     kronecker_sum_charpoly_mod_p, kronecker_sum_det_from_halves,
-    kronecker_sum_det_mod_p, kronecker_sum_spectrum, rational_spectrum,
-    spectrum_det_mod_p, wedge_charpoly_mod_p, wedge_spectrum,
+    kronecker_sum_spectrum, rational_spectrum, spectrum_det_mod_p,
+    wedge_charpoly_mod_p, wedge_spectrum,
 )
 from md3lie.structures import (MD3LieAlgebra, ModifiedDifferential, ThreeLieAlgebra,
                                leibniz_data)
@@ -413,6 +414,21 @@ def kronecker_factors(draw):
     return factors
 
 
+#: The characteristic polynomial of the empty Kronecker sum, the 1 x 1 zero
+#: matrix.
+EMPTY_SUM_POLY = [1, 0]
+
+
+def det_by_halves(factors):
+    """det of the Kronecker sum of the factors mod p as PhiDeterminant takes
+    it: one resultant of the head (all factors but the last two) and the
+    tail (the last two), each composed from its factors' polynomials."""
+    polys = [charpoly_mod_p(f) for f in factors]
+    head = reduce(kronecker_sum_charpoly_mod_p, polys[:-2], EMPTY_SUM_POLY)
+    tail = reduce(kronecker_sum_charpoly_mod_p, polys[-2:], EMPTY_SUM_POLY)
+    return kronecker_sum_det_from_halves(head, tail)
+
+
 @pytest.mark.parametrize("prime", [exactnum.CERTIFICATE_PRIME, 257])
 @given(factors=kronecker_factors())
 @settings(max_examples=60, deadline=None)
@@ -421,7 +437,7 @@ def test_kronecker_sum_det_matches_the_assembled_sum(prime, factors):
     # at most 3 * 3 * 3 * 3 * 3
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exactnum, "CERTIFICATE_PRIME", prime)
-        got = kronecker_sum_det_mod_p(factors)
+        got = det_by_halves(factors)
     assert got == det_mod_p(kronecker_sum_dense(factors), prime)
     assert got == oracles.kronecker_sum_det_mod_p(factors, prime)
 
@@ -437,12 +453,13 @@ def test_kronecker_sum_det_takes_the_last_two_factors_apart():
     cases = [[a], [c], [a, b, c], [c, b, a], [b, a, b, c], [c, c, a, -a],
              [a, c, b], [a, -a], [empty], [empty, empty], [empty, a], [a, empty, c]]
     for factors in cases:
-        got = kronecker_sum_det_mod_p(factors)
+        got = det_by_halves(factors)
         assert got == det_mod_p(kronecker_sum_dense(factors),
                                 exactnum.CERTIFICATE_PRIME), factors
         assert got == oracles.kronecker_sum_det_mod_p(
             factors, exactnum.CERTIFICATE_PRIME), factors
-    assert kronecker_sum_det_mod_p([a, -a]) == 0  # eigenvalues cancel
+    # eigenvalues cancel
+    assert kronecker_sum_det_from_halves(charpoly_mod_p(a), charpoly_mod_p(-a)) == 0
 
 
 @pytest.mark.parametrize("prime", [exactnum.CERTIFICATE_PRIME, 257])
@@ -559,7 +576,19 @@ def test_spectra_compose_as_the_polynomials_do():
         wedge_charpoly_mod_p(charpoly_mod_p(d), lam), charpoly_mod_p(d))
     scale = 6
     scaled = {int(v * scale): k for v, k in total.items()}
-    assert spectrum_det_mod_p(scaled, scale) == kronecker_sum_det_mod_p([pair_map(d, lam), d])
+    assert spectrum_det_mod_p(scaled, scale) == det_by_halves([pair_map(d, lam), d])
+
+
+@given(f=block_triangular_operators(), lam=scalars)
+@settings(max_examples=60, deadline=None)
+def test_wedge_spectrum_lists_the_pair_sums(f, lam):
+    """wedge_spectrum, read off the spectrum of A (+) A, holds mu_i + mu_j
+    + lam once for each i < j, repeated eigenvalues included."""
+    mu = rational_spectrum(f)
+    if mu is not None:
+        want = Counter(x + y + lam for i, x in enumerate(mu) for y in mu[i + 1:])
+        assert wedge_spectrum(Counter(mu), lam) == want
+    assert wedge_spectrum({2: 3}, 1) == {5: 3}
 
 
 def sylvester(a, b):
@@ -599,12 +628,98 @@ def test_kronecker_sum_det_declines_what_it_cannot_decide(monkeypatch):
     a = Matrix.from_rows([[1, Fraction(1, 7)], [0, 2]])
     b = Matrix.from_rows([[3]])
     monkeypatch.setattr(exactnum, "CERTIFICATE_PRIME", 7)
-    assert kronecker_sum_det_mod_p([b, b]) == 6  # 3 + 3
-    assert kronecker_sum_det_mod_p([a, b]) is None  # 7 divides a denominator
-    assert kronecker_sum_det_mod_p([Matrix.identity(7)]) is None  # p <= N
-    assert kronecker_sum_det_mod_p([Matrix.identity(6)]) == 1
-    with pytest.raises(InputError):
-        kronecker_sum_det_mod_p([Matrix.zeros(1, 2)])
+    c_b = charpoly_mod_p(b)
+    assert kronecker_sum_det_from_halves(c_b, c_b) == 6  # 3 + 3
+    # 7 divides a denominator
+    assert charpoly_mod_p(a) is None
+    assert kronecker_sum_charpoly_mod_p(None, c_b) is None
+    assert kronecker_sum_det_from_halves(None, c_b) is None
+    # p <= N
+    seven, six = charpoly_mod_p(Matrix.identity(7)), charpoly_mod_p(Matrix.identity(6))
+    assert kronecker_sum_charpoly_mod_p(seven, EMPTY_SUM_POLY) is None
+    assert kronecker_sum_det_from_halves(seven, EMPTY_SUM_POLY) is None
+    assert kronecker_sum_det_from_halves(six, EMPTY_SUM_POLY) == 1
+
+
+def forced_polynomials(phi):
+    """phi with its exact spectra withheld: the polynomial path."""
+    phi._spectra = None
+    return phi
+
+
+def test_phi_determinant_declines_what_it_cannot_decide(monkeypatch):
+    """On both paths mod_p declines (None) where p divides a denominator of
+    d or d_M, and where p <= N = C(n, 2)^(q - 1) n m; a p that is at most
+    max(C(n, 2), 2) leaves the answer to the polynomials."""
+    a = Matrix.from_rows([[1, Fraction(1, 7)], [0, 2]])
+    three = Matrix.from_rows([[3]])
+    monkeypatch.setattr(exactnum, "CERTIFICATE_PRIME", 7)
+    for make in (PhiDeterminant, lambda *args: forced_polynomials(PhiDeterminant(*args))):
+        # 7 divides a denominator of d, then of d_M
+        assert [make(a, three, 1).mod_p(q) for q in (1, 2, 3)] == [None] * 3
+        assert [make(three, a, 1).mod_p(q) for q in (1, 2)] == [None] * 2
+        # d = I_3, d_M = I_2: N = 6 < 7 at q = 1 and 18 at q = 2
+        phi = make(Matrix.identity(3), Matrix.identity(2), 1)
+        assert phi.mod_p(2) is None and phi.mod_p(1) == 0  # eigenvalue 1 - 1
+        assert make(three, three.scale(2), 0).mod_p(1) == 7 - 3  # 3 - 6
+    # the exact path, chosen only where p > max(C(n, 2), 2)
+    assert PhiDeterminant(three, three.scale(2), 0)._spectra is not None
+    monkeypatch.setattr(exactnum, "CERTIFICATE_PRIME", 2)
+    assert PhiDeterminant(three, three, 0)._spectra is None
+    monkeypatch.setattr(exactnum, "CERTIFICATE_PRIME", 3)
+    assert PhiDeterminant(Matrix.identity(3), three, 0)._spectra is None
+    monkeypatch.setattr(exactnum, "CERTIFICATE_PRIME", 5)
+    assert PhiDeterminant(Matrix.identity(3), three, 0)._spectra is not None
+
+
+def test_phi_determinant_of_the_adjoint_in_degree_one_is_zero(monkeypatch):
+    """Where d_M is d, Phi_1 = d^T (+) -d has the eigenvalue 0: mod_p(1) is
+    0 without a spectrum or a polynomial, even where p divides a
+    denominator; an equal d_M that is another object computes it."""
+    def refuse(*args):
+        raise AssertionError("a spectrum or a polynomial was computed")
+
+    d = Matrix.from_rows([[1, Fraction(1, 7)], [0, 2]])
+    monkeypatch.setattr(exactnum, "rational_spectrum", refuse)
+    monkeypatch.setattr(exactnum, "_charpoly_mod", refuse)
+    assert PhiDeterminant(d, d, 3).mod_p(1) == 0
+    monkeypatch.setattr(exactnum, "CERTIFICATE_PRIME", 7)
+    assert PhiDeterminant(d, d, 3).mod_p(1) == 0
+    # the size check comes first: p <= N = 9
+    i3 = Matrix.identity(3)
+    assert PhiDeterminant(i3, i3, 3).mod_p(1) is None
+    monkeypatch.undo()
+    assert PhiDeterminant(d, d.scale(1), 3).mod_p(1) == 0
+    empty = Matrix.zeros(0, 0)
+    assert PhiDeterminant(empty, empty, 3).mod_p(1) == 1  # det of a 0 x 0 map
+
+
+@st.composite
+def phi_inputs(draw):
+    """(d, d_M, lam): permuted block triangular operators, whose 2 x 2
+    blocks have a rational spectrum or not, or d_M the very object d."""
+    d = draw(block_triangular_operators())
+    d_M = d if draw(st.booleans()) else draw(block_triangular_operators())
+    return d, d_M, draw(scalars)
+
+
+@given(phi_inputs())
+@settings(max_examples=60, deadline=None)
+def test_phi_determinant_is_that_of_the_kronecker_sum(inputs):
+    """mod_p(q), on the path the input takes and on the polynomial path,
+    is det Phi_q mod p by the oracle's power sums of the whole Kronecker sum
+    (q - 1 copies of d_F, d and -d_M), in increasing and decreasing order
+    of degree, up to N = 400."""
+    d, d_M, lam = inputs
+    pairs = d.rows * (d.rows - 1) // 2
+    degrees = [q for q in (1, 2, 3) if pairs ** (q - 1) * d.rows * d_M.rows <= 400]
+    want = [oracles.kronecker_sum_det_mod_p([pair_map(d, lam)] * (q - 1) + [d, -d_M],
+                                            exactnum.CERTIFICATE_PRIME)
+            for q in degrees]
+    for phi in (PhiDeterminant(d, d_M, lam), forced_polynomials(PhiDeterminant(d, d_M, lam))):
+        assert [phi.mod_p(q) for q in degrees] == want
+    phi = PhiDeterminant(d, d_M, lam)
+    assert [phi.mod_p(q) for q in reversed(degrees)] == want[::-1]
 
 
 # ---------------------------------------------------------------------------

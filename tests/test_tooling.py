@@ -108,6 +108,28 @@ def test_only_exactnum_reaches_the_elimination_engine():
     assert {name: read for name, read in readers.items() if read} == {}
 
 
+def certificate_helpers() -> set[str]:
+    """The names exactnum.py defines in its section on the determinant of a
+    Kronecker sum."""
+    source = (ROOT / "src" / "md3lie" / "exactnum.py").read_text(encoding="utf-8")
+    start = source[:source.index("# ---- determinant of a Kronecker sum")].count("\n")
+    return {target.id if isinstance(node, ast.Assign) else node.name
+            for node in ast.parse(source).body if node.lineno > start
+            for target in (node.targets if isinstance(node, ast.Assign) else [node])}
+
+
+def test_cohomology_imports_one_certificate_name():
+    # the choice between exact spectra and polynomials lives in one exactnum
+    # object, so cohomology reaches no helper of either path
+    tree = ast.parse((ROOT / "src" / "md3lie" / "cohomology.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and node.module == "exactnum" for alias in node.names}
+    assert "PhiDeterminant" in certificate_helpers()
+    assert imported & certificate_helpers() == {"PhiDeterminant"}
+    assert not any(isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                   and node.value.id == "exactnum" for node in ast.walk(tree))
+
+
 def traced_targets() -> list[tuple[str, str]]:
     """(module, name) for every entry point the benchmark's tracer wraps,
     read from the ``TARGETS`` literal of ``perfbench/tracing.py``."""
