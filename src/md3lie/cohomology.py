@@ -47,11 +47,13 @@ Every certificate runs before the axioms are verified, and they are
 verified once per complex, so a singular Phi on the dims-only path and a
 degree-1 request run no verifier; the verdict only chooses the path, and the
 numbers are those of full elimination either way.  For the adjoint
-representation of this algebra object, or its coadjoint, only verify_3lie
-and verify_modified_differential run: an algebra that passes them makes both
-a representation (structures.Representation says why, and the tests check it
-against verify_representation).  Any other representation, a file equal to
-the adjoint included, is verified by verify_representation as well.
+representation of this algebra object, or its coadjoint
+(structures.implied_by_algebra, which the verify command reads too), only
+verify_3lie and verify_modified_differential run: an algebra that passes
+them makes both a representation (structures.Representation says why, and
+the tests check it against verify_representation).  Any other
+representation, a file equal to the adjoint included, is verified by
+verify_representation as well.
 
 One predicate, the lemma's condition, serves both paths of cohomology_dim.
 Without representatives, z = dim(C^q + C^(q-1)) - rank partial_q and b =
@@ -105,8 +107,8 @@ from .errors import InputError
 from .exactnum import Matrix, PhiDeterminant, Vector, vec_is_zero
 from .multilin import CochainCoordinates, cochain_dim, pair_basis
 from .structures import (
-    MD3LieAlgebra, Representation, leibniz_data, verify_3lie,
-    verify_modified_differential, verify_representation,
+    MD3LieAlgebra, Representation, implied_by_algebra, leibniz_data,
+    verify_3lie, verify_modified_differential, verify_representation,
 )
 
 #: Largest matrix, in rows x cols, that the assembly will build; the abelian
@@ -434,14 +436,15 @@ class ComplexAssembly:
     def _axioms_hold(self) -> bool:
         """Whether the algebra and the representation pass their verifiers,
         the condition under which partial partial = 0 (module docstring).
-        The adjoint of this md object, or a dual of it, passes
-        verify_representation whenever md passes the other two (see
-        Representation), so that verifier runs only for other
+        Where structures.implied_by_algebra holds (the adjoint of this md
+        object, or a dual of it), md passing the other two verifiers implies
+        verify_representation, so that verifier runs only for other
         representations."""
         md, rep = self.md, self.rep
         return (verify_3lie(md.algebra).valid
                 and verify_modified_differential(md).valid
-                and (rep._adjoint_of is md or verify_representation(md, rep).valid))
+                and (implied_by_algebra(md, rep)
+                     or verify_representation(md, rep).valid))
 
     def _full_rank_proved(self, *degrees: int) -> bool:
         """Whether the lemma in the module docstring proves rank partial_k =

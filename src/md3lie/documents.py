@@ -83,7 +83,9 @@ def _parse_index(value, bound: int, where: str) -> int:
 
 
 def _require(doc, key, where: str):
-    if not isinstance(doc, dict) or key not in doc:
+    if not isinstance(doc, dict):
+        raise ParseError(f"{where}: expected a JSON object")
+    if key not in doc:
         raise ParseError(f"{where}: missing field {key!r}")
     return doc[key]
 

@@ -131,7 +131,8 @@ class Representation:
     verify_modified_differential: the action laws of the adjoint are the
     fundamental identity, its module differential rule is the modified
     differential rule, and both laws transpose into themselves under the
-    dual.
+    dual.  implied_by_algebra is the one place that reads ``_adjoint_of``
+    for this lemma; the verify command and cohomology both call it.
     """
 
     n: int
@@ -168,6 +169,16 @@ class Representation:
     def _action_items(self) -> Mapping[PairIndex, tuple]:
         """The nonzero ((row, column), entry) items of each signed action."""
         return {p: mat.entry_items() for p, mat in self._signed_actions.items()}
+
+
+def implied_by_algebra(md: MD3LieAlgebra, rep: Representation) -> bool:
+    """Whether rep is the adjoint of this md object, or a dual of it, and so
+    passes verify_representation whenever md passes verify_3lie and
+    verify_modified_differential (see Representation).  The provenance is
+    compared by identity: a representation file, a dataclasses.replace copy
+    or an adjoint built on another, even equal, algebra object is not
+    implied."""
+    return rep._adjoint_of is md
 
 
 @dataclass(frozen=True)

@@ -220,6 +220,39 @@ def test_parse_errors_carry_location():
         docs.algebra_from_doc(duplicate)
 
 
+@pytest.mark.parametrize("value", [[], ["dim", 3], "dim", 3, -1.5, None, True],
+                         ids=repr)
+def test_a_document_or_entry_that_is_not_an_object_is_named(value, tmp_path,
+                                                            capsys):
+    """A document, a list entry or a nested document that is a list, a
+    string, a number, null or a boolean exits 2 with "expected a JSON
+    object" at its location, not a missing field."""
+    md = example_md()
+    algebra = docs.algebra_to_doc(md)
+    rep = docs.representation_to_doc(adjoint_representation(md))
+    ext = docs.extension_to_doc(extension.build_abelian_extension(
+        md, adjoint_representation(md), SkewTernaryTensor.zero(3, 3),
+        Matrix.zeros(3, 3)))
+    alg_path = tmp_path / "algebra.json"
+    docs.dump_json(str(alg_path), algebra)
+    path = str(tmp_path / "bad.json")
+    cases = [
+        (["verify", path], value, ""),
+        (["verify", path], dict(algebra, bracket=[value]), ".bracket[0]"),
+        (["verify", str(alg_path), "--rep", path], value, ""),
+        (["verify", str(alg_path), "--rep", path], dict(rep, rho=[value]),
+         ".rho[0]"),
+        (["deform-check", str(alg_path), "--nu1", path], value, ""),
+        (["equiv-check", path, path], dict(ext, base=value), ".base"),
+        (["equiv-check", path, path], dict(ext, rep=value), ".rep"),
+    ]
+    for argv, doc, where in cases:
+        docs.dump_json(path, doc)
+        assert run_command(argv) == 2, argv
+        assert capsys.readouterr() == (
+            "", f"md3lie: error: {path}{where}: expected a JSON object\n"), argv
+
+
 def test_parsing_does_not_verify_axioms():
     # an invalid weight parses fine; verification is a separate command
     doc = docs.algebra_to_doc(example_md())

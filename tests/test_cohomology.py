@@ -964,6 +964,96 @@ def test_the_implied_verdict_leaves_every_report_as_it_was(monkeypatch, tmp_path
     assert without_argv(from_file) == without_argv(on[:3])
 
 
+def with_weight(md, lam):
+    return MD3LieAlgebra(md.algebra, ModifiedDifferential(Fraction(lam), md.d))
+
+
+def test_verify_takes_the_implied_verdict_and_prints_the_same_report(
+        monkeypatch, tmp_path, capsys):
+    """verify --rep adjoint|coadjoint on the example, a seeded sample of the
+    benchmark's DIM3_POOL and DIM6_POOL, every other one of those with the
+    weight changed to 7/3, and the example at weight 0 (all but the abelian
+    one fail the modified differential rule), plus the example with its
+    adjoint from a file: the same bytes with the implied verdict on, turned
+    off (the constructors hand out dataclasses.replace copies) and turned
+    off by building the adjoint on another, equal, algebra object.  On,
+    verify_representation runs exactly when the algebra fails or the
+    representation comes from a file; off, on every command."""
+    rng = random.Random("verify-implied")
+    valid = ([("example", example_md())] + rng.sample(bench_pool("DIM3_POOL"), 8)
+             + rng.sample(bench_pool("DIM6_POOL"), 4))
+    changed = ([(f"{key}-7_3", with_weight(md, Fraction(7, 3)))
+                for key, md in valid[::2]]
+               + [("example_lambda0", with_weight(example_md(), 0))])
+    assert all(algebra_verdict(md) for _, md in valid)
+    paths, fails = {}, set()
+    for key, md in valid + changed:
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(documents.serialize_algebra(md), encoding="utf-8")
+        if not algebra_verdict(md):
+            fails.add(str(paths[key]))
+    # an abelian bracket passes at any weight
+    assert len(fails) == len(changed) - 1
+    rep_file = tmp_path / "adjoint.json"
+    rep_file.write_text(json.dumps(documents.representation_to_doc(
+        adjoint_representation(example_md()))), encoding="utf-8")
+    argvs = [["verify", str(paths[key]), "--rep", rep]
+             for key, _ in valid + changed for rep in ("adjoint", "coadjoint")]
+    argvs.append(["verify", str(paths["example"]), "--rep", str(rep_file)])
+    calls = []
+    verify = cli.verify_representation
+
+    def counted(*args):
+        calls.append(args)
+        return verify(*args)
+
+    def reports():
+        for argv in argvs:
+            calls.clear()
+            code = run_command(argv)
+            yield (code, capsys.readouterr()), len(calls)
+
+    monkeypatch.setattr(cli, "verify_representation", counted)
+    on = list(reports())
+    assert [ran for _, ran in on] == [
+        int(argv[1] in fails or argv[3] == str(rep_file)) for argv in argvs]
+    assert [code for (code, _), _ in on] == [int(argv[1] in fails) for argv in argvs]
+    constructors = {name: getattr(cli, name) for name in
+                    ("adjoint_representation", "coadjoint_representation")}
+    for unvouched in (lambda md, make: dataclasses.replace(make(md)),
+                      lambda md, make: make(MD3LieAlgebra(md.algebra, md.diff))):
+        for name, make in constructors.items():
+            monkeypatch.setattr(cli, name, lambda md, make=make, build=unvouched:
+                                build(md, make))
+        off = list(reports())
+        assert [ran for _, ran in off] == [1] * len(argvs)
+        assert [report for report, _ in off] == [report for report, _ in on]
+
+
+def test_verify_checks_a_representation_one_entry_off_the_adjoint(tmp_path,
+                                                                 capsys):
+    """A file equal to the example's adjoint but in one entry of d_M is
+    verified and fails with the witnesses verify_representation gives."""
+    md = example_md()
+    adjoint = adjoint_representation(md)
+    rep = Representation(n=3, m=3, rho=adjoint.rho, lam=md.lam,
+                         d_M=adjoint.d_M + Matrix.from_entries(
+                             3, 3, {(1, 0): Fraction(1)}))
+    alg_file, rep_file = tmp_path / "example.json", tmp_path / "near.json"
+    alg_file.write_text(documents.serialize_algebra(md), encoding="utf-8")
+    rep_file.write_text(json.dumps(documents.representation_to_doc(rep)),
+                        encoding="utf-8")
+    assert run_command(["verify", str(alg_file), "--rep", str(rep_file)]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["checks"] == {"fundamental identity": True,
+                             "modified differential rule": True,
+                             "representation": False}
+    report = verify_representation(md, rep)
+    assert doc["witnesses"] == cli._witness_docs(report) != []
+    assert {w["law"] for w in doc["witnesses"]} == {
+        "module differential compatibility"}
+
+
 def test_the_quotient_back_substitutes_only_the_representatives(monkeypatch):
     """An uncertified job pivots on the free rows of partial_q: it builds no
     kernel matrix and back-substitutes one kernel vector per representative,

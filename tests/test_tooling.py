@@ -130,6 +130,66 @@ def test_cohomology_imports_one_certificate_name():
                    and node.value.id == "exactnum" for node in ast.walk(tree))
 
 
+PROVENANCE = "_adjoint_of"
+
+
+def provenance_uses(source: str) -> tuple[set, set]:
+    """The scopes (function, Class.method, Class or <module>) that read and
+    that set the attribute PROVENANCE: an attribute load reads it, a store
+    or a setattr/__setattr__ call naming it sets it, and any other string
+    naming it (getattr, vars()[...]) counts as a read."""
+    scopes = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scopes.append((node.name, node))
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                name = (f"{node.name}.{item.name}"
+                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        else node.name)
+                scopes.append((name, item))
+        else:
+            scopes.append(("<module>", node))
+    reads, sets = set(), set()
+    for name, scope in scopes:
+        setters = set()
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Call) and (
+                    isinstance(node.func, ast.Name) and node.func.id == "setattr"
+                    or isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "__setattr__"):
+                setters.update(id(arg) for arg in node.args)
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Attribute) and node.attr == PROVENANCE:
+                (reads if isinstance(node.ctx, ast.Load) else sets).add(name)
+            elif isinstance(node, ast.Constant) and node.value == PROVENANCE:
+                (sets if id(node) in setters else reads).add(name)
+    return reads, sets
+
+
+def test_provenance_uses_are_found():
+    source = ("class R:\n    _adjoint_of: object = None\n"
+              "    def copy(self):\n        return self._adjoint_of\n"
+              "def make(r, md):\n    object.__setattr__(r, '_adjoint_of', md)\n"
+              "def poke(r, md):\n    setattr(r, '_adjoint_of', md)\n"
+              "    r._adjoint_of = md\n"
+              "def peek(r):\n    return getattr(r, '_adjoint_of')\n"
+              "x = vars(R)['_adjoint_of']\n")
+    assert provenance_uses(source) == ({"R.copy", "peek", "<module>"},
+                                       {"make", "poke"})
+
+
+def test_one_predicate_reads_the_adjoint_provenance():
+    # the lemma that a valid algebra implies its adjoint and coadjoint has
+    # one home, structures.implied_by_algebra, which verify and cohomology
+    # both call; dual_representation only carries the provenance over
+    uses = {path.name: provenance_uses(path.read_text(encoding="utf-8"))
+            for path in (ROOT / "src" / "md3lie").glob("*.py")}
+    assert {name: used for name, used in uses.items() if used != (set(), set())} == {
+        "structures.py": ({"implied_by_algebra", "dual_representation"},
+                          {"adjoint_representation", "dual_representation"})}
+
+
 def traced_targets() -> list[tuple[str, str]]:
     """(module, name) for every entry point the benchmark's tracer wraps,
     read from the ``TARGETS`` literal of ``perfbench/tracing.py``."""
