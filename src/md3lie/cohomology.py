@@ -161,14 +161,14 @@ class TotalCochain:
 
     @classmethod
     def from_stacked(cls, degree: int, n: int, m: int, coords) -> "TotalCochain":
+        """The one place a dense vector becomes items: f's, then g's."""
         fdim = cochain_dim(degree, n, m)
-        f = CochainCoordinates(degree, n, m, coords[:fdim])
-        if degree == 1:
-            if len(coords) != fdim:
-                raise InputError("stacked vector has wrong length")
-            return cls(degree, f, None)
-        g = CochainCoordinates(degree - 1, n, m, coords[fdim:])
-        return cls(degree, f, g)
+        width = fdim + (cochain_dim(degree - 1, n, m) if degree > 1 else 0)
+        if len(coords) != width:
+            raise InputError(f"stacked vector of length {len(coords)}, expected {width}")
+        f = CochainCoordinates(degree, n, m, dict(enumerate(coords[:fdim])))
+        return cls(degree, f, None if degree == 1 else CochainCoordinates(
+            degree - 1, n, m, dict(enumerate(coords[fdim:]))))
 
     def stacked(self) -> Vector:
         return self.f.coords + (self.g.coords if self.g is not None else ())

@@ -72,10 +72,6 @@ def scal(value) -> Fraction:
     raise InputError(f"not an exact scalar: {value!r}")
 
 
-def vec_zero(n: int) -> Vector:
-    return (Fraction(0),) * n
-
-
 def unit(n: int, i: int) -> Vector:
     return tuple(Fraction(1 if j == i else 0) for j in range(n))
 
@@ -106,7 +102,10 @@ def sparse_combination(terms) -> dict:
 
 def vec_from_sparse(values, n: int) -> Vector:
     """The dense length-n vector of a ``{index: value}`` dict."""
-    return tuple(values.get(i, _ZERO) for i in range(n))
+    out = [_ZERO] * n
+    for i, c in values.items():
+        out[i] = c
+    return tuple(out)
 
 
 class Matrix:

@@ -7,7 +7,8 @@ A degree-q cochain is a multilinear map taking q-1 arguments from the pair
 space (the span of e_i ^ e_j, i < j) and one final argument from the algebra,
 with values in the module.  It is skew within each pair argument but carries
 no antisymmetry tying the final argument to the last pair; fully skew
-trilinear maps enter this space through :func:`embed_skew_trilinear`.
+trilinear maps enter this space through :func:`embed_skew_trilinear`.  Its
+coordinates, as a tensor's, are stored as their nonzero items only.
 
 A skew ternary tensor stores sparse items only, the shape of the tensor
 document: the nonzero (index, value) items of each increasing triple.  Every
@@ -30,9 +31,7 @@ from math import comb
 from typing import Mapping, Sequence
 
 from .errors import InputError
-from .exactnum import (
-    Matrix, Vector, scal, sparse_combination, vec_from_sparse, vec_zero,
-)
+from .exactnum import Matrix, Vector, scal, sparse_combination, vec_from_sparse
 
 PairIndex = tuple[int, int]
 
@@ -200,43 +199,48 @@ class SkewTernaryTensor:
 
 
 class CochainCoordinates:
-    """Coordinate vector of a degree-q cochain.
+    """Coordinates of a degree-q cochain, stored as their nonzero items.
 
-    The flat index of the coefficient at (P_1, ..., P_{q-1}, k, r) is
-    ((...(P_1 * C(n,2) + P_2) ... ) * n + k) * m + r, with pair positions
-    ordered as in :func:`pair_basis`.  Degree-1 coordinates are exactly a
-    linear map from the algebra to the module.
-    """
+    ``items`` maps the flat index of each nonzero coefficient to it, in index
+    order; the constructor takes an ``{index: value}`` mapping and drops
+    zeros, as the tensor's does, and :attr:`coords` is the dense view.  The
+    coefficient at (P_1, ..., P_{q-1}, k, r), pair positions ordered as in
+    :func:`pair_basis`, has the flat index ((...(P_1 * C(n,2) + P_2) ... ) *
+    n + k) * m + r.  Degree 1 is exactly a linear map to the module."""
 
-    __slots__ = ("degree", "n", "m", "coords")
+    __slots__ = ("degree", "n", "m", "items")
 
-    def __init__(self, degree: int, n: int, m: int, coords: Sequence):
+    def __init__(self, degree: int, n: int, m: int, items: Mapping[int, object]):
         dim = cochain_dim(degree, n, m)
-        coords = tuple(scal(c) for c in coords)
-        if len(coords) != dim:
-            raise InputError(f"coordinate length {len(coords)} != {dim}")
-        self.degree = degree
-        self.n = n
-        self.m = m
-        self.coords = coords
+        if not isinstance(items, Mapping):
+            raise InputError("cochain coordinates are not an {index: value} mapping")
+        for i in items:
+            if not (isinstance(i, int) and 0 <= i < dim):
+                raise InputError(f"coordinate index {i!r} is not in [0, {dim})")
+        self.degree, self.n, self.m = degree, n, m
+        self.items: dict[int, Fraction] = {
+            i: c for i in sorted(items) if (c := scal(items[i]))}
 
     @classmethod
     def zero(cls, degree: int, n: int, m: int) -> "CochainCoordinates":
-        return cls(degree, n, m, vec_zero(cochain_dim(degree, n, m)))
+        return cls(degree, n, m, {})
+
+    @property
+    def coords(self) -> Vector:
+        """All coordinates in flat-index order (a dense view)."""
+        return vec_from_sparse(self.items, cochain_dim(self.degree, self.n, self.m))
 
     @classmethod
-    def from_linear_map(cls, mat) -> "CochainCoordinates":
+    def from_linear_map(cls, mat: Matrix) -> "CochainCoordinates":
         """Degree-1 cochain from an m x n matrix (column convention)."""
-        coords = [mat[r, k] for k in range(mat.cols) for r in range(mat.rows)]
-        return cls(1, mat.cols, mat.rows, coords)
+        m = mat.rows
+        return cls(1, mat.cols, m, {k * m + r: c for (r, k), c in mat.entry_items()})
 
     def to_linear_map(self) -> Matrix:
         if self.degree != 1:
             raise InputError("only degree-1 cochains are linear maps")
-        return Matrix(
-            self.m, self.n,
-            (self.coords[k * self.m + r] for r in range(self.m) for k in range(self.n)),
-        )
+        return Matrix.from_entries(self.m, self.n, {
+            (i % self.m, i // self.m): c for i, c in self.items.items()})
 
     def index(self, pair_positions: Sequence[int], k: int, r: int) -> int:
         npairs = comb(self.n, 2)
@@ -249,22 +253,20 @@ class CochainCoordinates:
         return (
             isinstance(other, CochainCoordinates)
             and (self.degree, self.n, self.m) == (other.degree, other.n, other.m)
-            and self.coords == other.coords
+            and self.items == other.items
         )
 
     def __hash__(self):
-        return hash((self.degree, self.n, self.m, self.coords))
+        return hash((self.degree, self.n, self.m, tuple(self.items.items())))
 
     def __sub__(self, other: "CochainCoordinates") -> "CochainCoordinates":
         self._same_space(other)
-        return CochainCoordinates(
-            self.degree, self.n, self.m,
-            tuple(a - b for a, b in zip(self.coords, other.coords)),
-        )
+        return CochainCoordinates(self.degree, self.n, self.m, sparse_combination(
+            ((1, self.items.items()), (-1, other.items.items()))))
 
     @property
     def is_zero(self) -> bool:
-        return all(not c for c in self.coords)
+        return not self.items
 
     def _same_space(self, other: "CochainCoordinates"):
         if (self.degree, self.n, self.m) != (other.degree, other.n, other.m):
@@ -278,30 +280,28 @@ def embed_skew_trilinear(t: SkewTernaryTensor) -> CochainCoordinates:
     read from the signed items of (i, j, k) with i < j; evaluating the result
     on basis triples reproduces the tensor."""
     n, m = t.dim_in, t.dim_out
-    coords = [Fraction(0)] * cochain_dim(2, n, m)
     pos = pair_position(n)
-    for (i, j, k), items in t.signed.items():
-        if i < j:
-            for r, c in items:
-                coords[(pos[i, j] * n + k) * m + r] = c
-    return CochainCoordinates(2, n, m, coords)
+    return CochainCoordinates(2, n, m, {
+        (pos[i, j] * n + k) * m + r: c
+        for (i, j, k), items in t.signed.items() if i < j for r, c in items})
 
 
 def extract_skew_trilinear(coords: CochainCoordinates) -> SkewTernaryTensor:
     """Inverse of :func:`embed_skew_trilinear` on its image.
 
-    Reads values off basis triples i < j < k; raises InputError when the
-    cochain is not fully skew (the embedding is then not invertible)."""
+    Reads the values on triples i < j < k off the items at ((i,j), k); raises
+    InputError when the cochain is not fully skew (the embedding is then not
+    invertible), which re-embedding the result and comparing items decides."""
     if coords.degree != 2:
         raise InputError("only degree-2 cochains embed skew tensors")
-    n, m, flat = coords.n, coords.m, coords.coords
-    pos = pair_position(n)
-
-    def value(i, j, k):
-        start = (pos[i, j] * n + k) * m
-        return {r: flat[start + r] for r in range(m) if flat[start + r]}
-
-    t = SkewTernaryTensor(n, m, {key: value(*key) for key in combinations(range(n), 3)})
+    n, m = coords.n, coords.m
+    pairs = pair_basis(n)
+    values = {}
+    for idx, c in coords.items.items():
+        (p, k), r = divmod(idx // m, n), idx % m
+        if k > pairs[p][1]:
+            values.setdefault((*pairs[p], k), {})[r] = c
+    t = SkewTernaryTensor(n, m, values)
     if embed_skew_trilinear(t) != coords:
         raise InputError("degree-2 cochain is not fully skew")
     return t

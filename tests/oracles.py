@@ -56,12 +56,16 @@ from operator import mul
 from md3lie.cohomology import CohomologySummary, TotalCochain
 from md3lie.errors import InputError
 from md3lie.exactnum import (Matrix, _cancel, _charpoly_mod, _power_sums_mod, unit,
-                             vec_add, vec_is_zero, vec_zero)
+                             vec_add, vec_is_zero)
 from md3lie.extension import ExtractedCocycle
 from md3lie.multilin import (CochainCoordinates, SkewTernaryTensor, cochain_dim,
                              pair_basis)
 from md3lie.structures import (LeibnizData, MD3LieAlgebra, ModifiedDifferential,
                                Report, Representation, ThreeLieAlgebra, Violation)
+
+
+def vec_zero(n):
+    return (Fraction(0),) * n
 
 
 def vec_sub(u, v):
@@ -93,7 +97,7 @@ def evaluate(f, pair_args, last):
         coeff *= c
         base = (idx * f.n + k) * f.m
         for r in range(f.m):
-            v = f.coords[base + r]
+            v = f.items.get(base + r)
             if v:
                 out[r] += coeff * v
     return tuple(out)
@@ -343,7 +347,7 @@ def embed_skew_trilinear(t):
     for i, j in pair_basis(n):
         for k in range(n):
             coords.extend(basis_value(t, i, j, k))
-    return CochainCoordinates(2, n, t.dim_out, coords)
+    return CochainCoordinates(2, n, t.dim_out, dict(enumerate(coords)))
 
 
 def semidirect_product(md, rep):

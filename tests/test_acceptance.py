@@ -96,7 +96,7 @@ def unpack_extension_data(vec, n, m, ntriples):
         pos += m
     assert pos == ntriples
     f = SkewTernaryTensor(n, m, values)
-    g = CochainCoordinates(1, n, m, vec[ntriples:]).to_linear_map()
+    g = CochainCoordinates(1, n, m, dict(enumerate(vec[ntriples:]))).to_linear_map()
     return f, g
 
 

@@ -10,7 +10,7 @@ from md3lie.corpus import random_matrix, random_skew_tensor
 from md3lie.errors import InputError
 from md3lie.exactnum import Matrix
 from md3lie.extension import (
-    build_abelian_extension, extensions_equivalent, extract_cocycle,
+    ExtractedCocycle, build_abelian_extension, extensions_equivalent, extract_cocycle,
     hyperbolic_pairing, is_metrised, tstar_abelian_extension,
     tstar_cyclicity_check, verify_extension,
 )
@@ -193,6 +193,63 @@ def test_n60_pair_action_constructions_build_per_nonzero_action(monkeypatch):
     assert results["adjoint"].rho == results["coadjoint"].rho == {}
     assert results["is_metrised"].valid and results["tstar_cyclicity_check"]
     assert extract_skew_trilinear(results["embed_skew_trilinear"]) == one_triple
+
+
+def test_n60_cochains_build_items_in_proportion_to_nonzeros(monkeypatch):
+    """On n = m = 60 a degree-2 cochain has 6,372,000 coordinates.  Embedding
+    a one-triple tensor, extracting it back, the cocycle of an extension and
+    of directly built extracted data, and the difference of two total
+    cochains each coerce at most three scalars per nonzero of their input
+    and never read the dense view."""
+    n = 60
+    abelian = MD3LieAlgebra(ThreeLieAlgebra.abelian(n),
+                            ModifiedDifferential(0, Matrix.zeros(n, n)))
+    adjoint = adjoint_representation(abelian)
+    f = SkewTernaryTensor(n, n, {(0, 1, 2): {3: 1, n - 1: Fraction(-2, 3)}})
+    g = Matrix.from_entries(n, n, {(0, 1): Fraction(5), (n - 1, 2): Fraction(-1)})
+    ext = build_abelian_extension(abelian, adjoint, f, g)
+    doubled = ExtractedCocycle(adjoint, f.scale(2), g)
+    embedded = multilin.embed_skew_trilinear(f)
+    a, b = ext.cocycle_total(), doubled.total()
+
+    def tensor_nonzeros(t):
+        return sum(len(items) for items in t.values.values())
+
+    def cochain_nonzeros(*tcs):
+        return sum(len(c.items) for tc in tcs for c in (tc.f, tc.g))
+
+    coerced = []
+    scal = multilin.scal
+
+    def counting_scal(c):
+        coerced.append(c)
+        return scal(c)
+
+    def dense_view(self):
+        raise AssertionError("the dense coordinates were read")
+
+    monkeypatch.setattr(multilin, "scal", counting_scal)
+    monkeypatch.setattr(CochainCoordinates, "coords", property(dense_view))
+    results = {}
+    for name, build, nonzeros in [
+            ("embed_skew_trilinear", lambda: multilin.embed_skew_trilinear(f),
+             tensor_nonzeros(f)),
+            ("extract_skew_trilinear", lambda: extract_skew_trilinear(embedded),
+             len(embedded.items)),
+            ("cocycle_total", ext.cocycle_total,
+             tensor_nonzeros(f) + len(g.entry_items())),
+            ("ExtractedCocycle.total", doubled.total,
+             tensor_nonzeros(doubled.upsilon) + len(g.entry_items())),
+            ("TotalCochain.__sub__", lambda: a - b, cochain_nonzeros(a, b))]:
+        coerced.clear()
+        results[name] = build()
+        assert 0 < len(coerced) <= 3 * nonzeros, (name, len(coerced), nonzeros)
+    monkeypatch.undo()
+    assert results["embed_skew_trilinear"] == embedded and len(embedded.items) == 6
+    assert results["extract_skew_trilinear"] == f
+    assert results["cocycle_total"] == ExtractedCocycle(adjoint, f, g).total()
+    assert results["TotalCochain.__sub__"] == TotalCochain(
+        2, multilin.embed_skew_trilinear(f.scale(-1)), CochainCoordinates.zero(1, n, n))
 
 
 # ---------------------------------------------------------------------------

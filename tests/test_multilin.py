@@ -38,20 +38,41 @@ def test_cochain_dim_recursion():
             assert cochain_dim(q + 1, n, m) == len(pair_basis(n)) * cochain_dim(q, n, m)
 
 
-@pytest.mark.parametrize("values", [
-    {(0, 1, 2): (1, 0, 0)},                # a dense value
-    {(0, 1, 2): [1, 0, 0]},
-    {(0, 1, 2): {3: 1}},                   # index past dim_out
-    {(0, 1, 2): {-1: 1}},
-    {(0, 1, 2): {"1": 1}},
-    {(1, 0, 2): {0: 1}},                   # triples not increasing
-    {(0, 2, 2): {0: 1}},
-    {(0, 1, 3): {0: 1}},                   # outside dim_in
+def tensor_33(values):
+    return SkewTernaryTensor(3, 3, values)
+
+
+def cochain_2_31(items):
+    # degree 2 over n = 3, m = 1: nine coordinates
+    return CochainCoordinates(2, 3, 1, items)
+
+
+@pytest.mark.parametrize("build, values", [
+    (tensor_33, {(0, 1, 2): (1, 0, 0)}),   # a dense value
+    (tensor_33, {(0, 1, 2): [1, 0, 0]}),
+    (tensor_33, {(0, 1, 2): {3: 1}}),      # index past dim_out
+    (tensor_33, {(0, 1, 2): {-1: 1}}),
+    (tensor_33, {(0, 1, 2): {"1": 1}}),
+    (tensor_33, {(1, 0, 2): {0: 1}}),      # triples not increasing
+    (tensor_33, {(0, 2, 2): {0: 1}}),
+    (tensor_33, {(0, 1, 3): {0: 1}}),      # outside dim_in
+    (tensor_33, {(0, 1, 2): {0: 0.5}}),    # not an exact scalar
+    (cochain_2_31, (0, 1, 0, 0, 0, 0, 0, 0, 0)),  # a dense vector
+    (cochain_2_31, [0, 1, 0, 0, 0, 0, 0, 0, 0]),
+    (cochain_2_31, {9: 1}),                # index past the dimension
+    (cochain_2_31, {-1: 1}),
+    (cochain_2_31, {"1": 1}),
+    (cochain_2_31, {1.0: 1}),
+    (cochain_2_31, {1: 0.5}),              # not an exact scalar
+    (cochain_2_31, {1: None}),
 ], ids=["tuple", "list", "index-high", "index-negative", "index-str",
-        "unordered", "repeated", "triple-high"])
-def test_constructor_refuses_what_is_not_sparse_items(values):
+        "unordered", "repeated", "triple-high", "value-float",
+        "cochain-tuple", "cochain-list", "cochain-index-high",
+        "cochain-index-negative", "cochain-index-str", "cochain-index-float",
+        "cochain-value-float", "cochain-value-none"])
+def test_constructor_refuses_what_is_not_sparse_items(build, values):
     with pytest.raises(InputError):
-        SkewTernaryTensor(3, 3, values)
+        build(values)
 
 
 def test_constructor_drops_zero_entries_and_zero_triples():
@@ -60,6 +81,11 @@ def test_constructor_drops_zero_entries_and_zero_triples():
     assert t.values == {(0, 1, 2): ((2, Fraction(1, 2)),)}
     assert SkewTernaryTensor(4, 3, {(0, 1, 3): {1: 0, 2: "0"}}) == SkewTernaryTensor.zero(4, 3)
     assert SkewTernaryTensor(4, 3, {(0, 1, 3): {1: 0}}).is_zero
+    c = CochainCoordinates(2, 3, 1, {7: "1/2", 4: 0, 0: Fraction(0), 8: "0"})
+    assert c.items == {7: Fraction(1, 2)}
+    assert c.coords == (0,) * 7 + (Fraction(1, 2), 0)
+    assert CochainCoordinates(2, 3, 1, {4: 0, 8: "0"}) == CochainCoordinates.zero(2, 3, 1)
+    assert CochainCoordinates(2, 3, 1, {4: 0}).is_zero and not c.is_zero
 
 
 @given(st.data())
@@ -78,6 +104,28 @@ def test_mappings_in_any_order_build_equal_tensors(data):
     assert a == b and hash(a) == hash(b)
     assert list(a.values) == list(b.values) == sorted(a.values)
     assert all(list(items) == sorted(items) for items in a.values.values())
+
+
+cochain_items = st.dictionaries(st.integers(0, 26), scalars, max_size=12)
+
+
+@given(cochain_items, st.data())
+@settings(max_examples=50, deadline=None)
+def test_items_in_any_order_build_equal_cochains(items, data):
+    reordered = dict(data.draw(st.permutations(list(items.items()))))
+    a, b = (CochainCoordinates(2, 3, 3, x) for x in (items, reordered))
+    assert a == b and hash(a) == hash(b)
+    assert list(a.items) == list(b.items) == sorted(i for i, c in items.items() if c)
+
+
+@given(cochain_items, cochain_items)
+@settings(max_examples=50, deadline=None)
+def test_cochain_difference_matches_the_dense_oracle(x, y):
+    a, b = (CochainCoordinates(2, 3, 3, items) for items in (x, y))
+    assert (a - b).coords == oracles.vec_sub(a.coords, b.coords)
+    assert (a - b).is_zero == (a == b) and (a - a).items == {}
+    with pytest.raises(InputError):
+        a - CochainCoordinates.zero(2, 3, 2)
 
 
 def test_skew_call_on_example_bracket():
@@ -213,10 +261,17 @@ def test_embed_round_trip(t):
 
 def test_extract_rejects_non_skew():
     coords = CochainCoordinates.zero(2, 3, 1)
-    bumped = list(coords.coords)
-    bumped[coords.index((0,), 0, 0)] = Fraction(1)  # f(e1^e2, e1) != 0
-    with pytest.raises(InputError):
-        extract_skew_trilinear(CochainCoordinates(2, 3, 1, bumped))
+    # f(e1^e2, e1) != 0
+    with pytest.raises(InputError, match="not fully skew"):
+        extract_skew_trilinear(CochainCoordinates(2, 3, 1, {coords.index((0,), 0, 0): 1}))
+    # the value on (e1^e2, e3) alone, without its images under permutation
+    with pytest.raises(InputError, match="not fully skew"):
+        extract_skew_trilinear(CochainCoordinates(2, 3, 1, {coords.index((0,), 2, 0): 1}))
+    embedded = embed_skew_trilinear(SkewTernaryTensor(3, 1, {(0, 1, 2): {0: 1}}))
+    for i in embedded.items:
+        with pytest.raises(InputError, match="not fully skew"):
+            extract_skew_trilinear(CochainCoordinates(2, 3, 1, {
+                j: c for j, c in embedded.items.items() if j != i}))
 
 
 def test_degree_one_is_linear_map():
@@ -228,3 +283,21 @@ def test_degree_one_is_linear_map():
     assert coords.to_linear_map() == mat
     for k in range(3):
         assert evaluate(coords, [], unit(3, k)) == mat.column(k)
+    # column k, row r sits at k * m + r; zeros are not stored
+    sparse = Matrix.from_rows([[0, 0, "1/2"], [-1, 0, 0]])
+    coords = CochainCoordinates.from_linear_map(sparse)
+    assert coords.items == {1: -1, 4: Fraction(1, 2)}
+    assert coords.to_linear_map() == sparse
+    assert CochainCoordinates.from_linear_map(Matrix.zeros(2, 3)).is_zero
+
+
+@given(cochain_items)
+@settings(max_examples=30, deadline=None)
+def test_linear_maps_and_degree_one_cochains_round_trip(items):
+    coords = CochainCoordinates(1, 9, 3, items)
+    mat = coords.to_linear_map()
+    assert (mat.rows, mat.cols) == (3, 9)
+    assert CochainCoordinates.from_linear_map(mat) == coords
+    assert CochainCoordinates.from_linear_map(mat).to_linear_map() == mat
+    with pytest.raises(InputError):
+        CochainCoordinates(2, 3, 3, items).to_linear_map()

@@ -11,11 +11,15 @@ import runpy
 import shlex
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from md3lie import cli
+from md3lie.cohomology import TotalCochain
+from md3lie.exactnum import Matrix
+from md3lie.multilin import cochain_dim
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = (sorted(p for p in (ROOT / "src" / "md3lie").glob("*.py")
@@ -215,6 +219,30 @@ def test_every_traced_name_exists():
                 missing.append(f"{module_name}.{name}")
                 break
     assert missing == []
+
+
+def test_shapes_the_benchmark_reads():
+    # perfbench builds representatives from dense lists and prints .coords,
+    # and its tracer counts exactnum.kernel_vectors and output bits only for
+    # a list of tuples or a tuple; the benchmark steps run after these tests,
+    # so a change of shape would zero those counters with no failure here
+    n = m = 3
+    for q in (1, 2):
+        width = cochain_dim(q, n, m) + (cochain_dim(q - 1, n, m) if q > 1 else 0)
+        vec = [Fraction(i % 3 - 1, 2) for i in range(width)]
+        tc = TotalCochain.from_stacked(q, n, m, vec)
+        assert type(tc.stacked()) is tuple and list(tc.stacked()) == vec
+        for part, degree in ((tc.f, q), (tc.g, q - 1)):
+            if part is not None:
+                assert type(part.coords) is tuple
+                assert len(part.coords) == cochain_dim(degree, n, m)
+    mat = Matrix.from_rows([[1, 2, 3], [2, 4, 6]])
+    kernel = mat.kernel_basis()
+    assert type(kernel) is list and len(kernel) == 2
+    assert all(type(v) is tuple and {type(c) for c in v} == {Fraction} for v in kernel)
+    x = mat.solve_in_image([Fraction(1), Fraction(2)])
+    assert type(x) is tuple and {type(c) for c in x} == {Fraction}
+    assert mat.solve_in_image([Fraction(1), Fraction(0)]) is None
 
 
 def test_star_import_binds_every_exported_name():
