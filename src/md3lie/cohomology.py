@@ -4,7 +4,7 @@ Assembles the coboundary delta, the cochain map Phi, and the total
 differential on C^q + C^(q-1) as sparse exact matrices over the canonical
 cochain bases, and decides cocycle/coboundary membership and cohomology
 dimensions by exact elimination, or dimensions alone by the certificate
-below.
+and the commutant below.
 
 One assembler builds delta and Phi: it enumerates the row blocks (pair
 arguments, final index) once, each operator lists its terms per block, and
@@ -55,6 +55,20 @@ the tests check it against verify_representation).  Any other
 representation, a file equal to the adjoint included, is verified by
 verify_representation as well.
 
+Degree 1 from the commutant of d.  ker partial_1 = ker delta_1 cap ker
+Phi_1, and Phi_1 f = f d - d_M f, so where d_M = d (the adjoint) ker Phi_1
+is the commutant of d.  Lemma: when d has n distinct eigenvalues, d is
+cyclic, and its commutant is Q[d] = span(I, d, ..., d^(n-1)), of dimension
+n.  So rank partial_1 = n^2 - n + rank(delta_1 K), where K holds the n
+vectors of Q[d] as degree-1 cochains.  This is linear algebra alone and
+holds on every input, valid or not, so no verifier runs.  The condition is
+one PhiDeterminant query, read from d's spectrum or its polynomial mod p
+(no spectrum or polynomial of Phi_1 or d_F); then only delta_1 is
+assembled, and delta_1 K, an n-column integer product, is eliminated only
+where it is nonzero (never on an abelian algebra).  Every other degree-1
+rank with Phi_1 singular (a repeated eigenvalue, another d_M, a prime that
+divides a denominator of d) eliminates partial_1.
+
 One predicate, the lemma's condition, serves both paths of cohomology_dim.
 Without representatives, z = dim(C^q + C^(q-1)) - rank partial_q and b =
 rank partial_(q-1), each from the lemma when it applies and by exact
@@ -104,7 +118,9 @@ from types import SimpleNamespace
 from typing import Optional
 
 from .errors import InputError
-from .exactnum import Matrix, PhiDeterminant, Vector, vec_is_zero
+from .exactnum import (
+    Matrix, PhiDeterminant, Vector, sparse_combination, vec_is_zero,
+)
 from .multilin import CochainCoordinates, cochain_dim, pair_basis
 from .structures import (
     MD3LieAlgebra, Representation, implied_by_algebra, leibniz_data,
@@ -455,14 +471,43 @@ class ComplexAssembly:
                 and (max(degrees) < 2 or self._axioms_hold))
 
     def _total_rank(self, q: int) -> int:
-        """Rank of partial_matrix(q): dim C^q when the lemma proves it, else
-        by exact elimination.  The budget of the degree-q total is checked
-        first, so a request too large to assemble is refused before the
-        certificate runs."""
+        """Rank of partial_matrix(q): dim C^q when the lemma proves it, at
+        q = 1 with d_M = d and d of n distinct eigenvalues from the commutant
+        of d (module docstring), else by exact elimination.  The budget of
+        the degree-q total is checked first, so a request too large to
+        assemble is refused before the certificate runs."""
         _, mid, _ = self._total_dims(q)
         if self._full_rank_proved(q):
             return mid
+        if (q == 1 and self.rep.d_M == self.md.d
+                and self._phi_det.d_has_distinct_eigenvalues()):
+            return mid - self.md.n + self._commutant_image_rank()
         return self.partial_matrix(q).rank()
+
+    def _commutant_image_rank(self) -> int:
+        """rank(delta_1 K), K the n vectors (D d)^j, j < n, of Q[d] as
+        degree-1 cochains (f(e_k)_r at k m + r), D the lcm of d's
+        denominators; scaling K's columns or delta_1's rows keeps the rank,
+        so the product is one sparse pass over delta_1's nonzero integer
+        rows, and where there is none (an abelian algebra) nothing is
+        computed."""
+        rows = [r for r, _ in self.delta_matrix(1)._integer_rows() if r]
+        if not rows:
+            return 0
+        d, n = self.md.d.sparse_rows, self.md.n
+        D = lcm(*(c.denominator for row in d for c in row.values()))
+        scaled = [{k: c.numerator * (D // c.denominator) for k, c in row.items()}
+                  for row in d]
+        columns, power = [], [{r: 1} for r in range(n)]  # rows of (D d)^j
+        for _ in range(n):
+            columns.append({k * n + r: v for r, row in enumerate(power)
+                            for k, v in row.items()})
+            power = [sparse_combination((c, power[s].items()) for s, c in row.items())
+                     for row in scaled]
+        image = [{j: x for j, x in enumerate(
+            sum(v * col.get(i, 0) for i, v in r.items()) for col in columns) if x}
+            for r in rows]
+        return Matrix._raw(len(image), n, int_rows=((row, 1) for row in image)).rank()
 
     def cohomology_dim(self, q: int,
                        representatives: bool = True) -> CohomologySummary:

@@ -588,10 +588,18 @@ class PhiDeterminant:
     that passes the size check, so whichever path the input takes, the
     primes declined are those the polynomials decline.  Where d_M is d (the
     adjoint), Phi_1 = d^T (+) -d has the eigenvalue mu_i - mu_i = 0, and
-    mod_p(1) is 0 with nothing computed.  Members are filled on first use
-    by pure recomputation, so a racing first access at worst computes a
-    value twice, and racing extensions of the heads store equal values
-    under one degree."""
+    mod_p(1) is 0 with nothing computed.
+
+    One more query reads d alone, on the same path:
+    d_has_distinct_eigenvalues() is True only where d has n distinct
+    eigenvalues, read from the multiplicities of d's exact spectrum, or
+    from chi_d mod p coprime to its derivative; the cohomology of the
+    adjoint in degree 1 then reads the commutant of d.  The spectra of d_F
+    and of the tail are computed only when a degree asks for them.
+
+    Members are filled on first use by pure recomputation, so a racing
+    first access at worst computes a value twice, and racing extensions of
+    the heads store equal values under one degree."""
 
     def __init__(self, d: Matrix, d_M: Matrix, lam):
         self.d, self.d_M, self.lam = d, d_M, Fraction(lam)
@@ -608,16 +616,31 @@ class PhiDeterminant:
         exact = self._spectra
         if exact is not None:
             return spectrum_det_mod_p(kronecker_sum_spectrum(
-                self._head(q), exact.tail) if q > 1 else exact.tail, exact.scale)
+                self._head(q), self._tail) if q > 1 else self._tail, exact.scale)
         if q == 1:  # Phi_1's two factors are its halves
             return kronecker_sum_det_from_halves(*self._factors)
         return kronecker_sum_det_from_halves(self._head(q), self._tail)
 
+    def d_has_distinct_eigenvalues(self) -> bool:
+        """Whether d has n distinct eigenvalues (over an algebraic closure of
+        Q): on the exact path, whether each eigenvalue of d's spectrum has
+        multiplicity 1; elsewhere, whether d's characteristic polynomial mod
+        p is coprime to its derivative, that is disc chi_d != 0 mod p, which
+        proves disc chi_d != 0 over Q.  False where p divides a denominator
+        of d.  Reads d alone: no spectrum or polynomial of d_F or of Phi."""
+        n, exact = self.d.rows, self._spectra
+        if exact is not None and self.d_M.rows:  # d's spectrum was read
+            return len(exact.d) == n
+        c = self._factors[0]
+        return c is not None and bool(_resultant_mod(
+            c, [(n - k) * x % CERTIFICATE_PRIME for k, x in enumerate(c[:-1])],
+            CERTIFICATE_PRIME))
+
     @cached_property
     def _spectra(self) -> Optional[SimpleNamespace]:
-        """The exact spectra of d_F (``pair``) and of d (+) -d_M (``tail``),
-        each eigenvalue times ``scale``, an integer prime to p; None where
-        the polynomials decide."""
+        """The exact spectra of d (``d``) and of -d_M (``minus_d_M``), and
+        lam (``lam``), each value times ``scale``, an integer prime to p;
+        None where the polynomials decide."""
         d, d_M, lam, p = self.d, self.d_M, self.lam, CERTIFICATE_PRIME
         if p <= max(self._pairs, 2):
             return None
@@ -635,10 +658,8 @@ class PhiDeterminant:
         def scaled(v):
             return v.numerator * (scale // v.denominator)
 
-        mu = Counter(map(scaled, mu))
-        return SimpleNamespace(
-            pair=wedge_spectrum(mu, scaled(lam)), scale=scale,
-            tail=kronecker_sum_spectrum(mu, Counter(-scaled(v) for v in eta)))
+        return SimpleNamespace(d=Counter(map(scaled, mu)), scale=scale, lam=scaled(lam),
+                               minus_d_M=Counter(-scaled(v) for v in eta))
 
     @cached_property
     def _factors(self) -> tuple[Optional[list[int]], Optional[list[int]]]:
@@ -648,14 +669,17 @@ class PhiDeterminant:
             c_d if self.d_M is self.d else charpoly_mod_p(self.d_M))
 
     @cached_property
-    def _tail(self) -> Optional[list[int]]:
-        return kronecker_sum_charpoly_mod_p(*self._factors)
+    def _tail(self):
+        # the spectrum or the polynomial of d (+) -d_M, on the path taken
+        exact = self._spectra
+        return (kronecker_sum_spectrum(exact.d, exact.minus_d_M) if exact is not None
+                else kronecker_sum_charpoly_mod_p(*self._factors))
 
     @cached_property
     def _pair(self):
         # d_F's spectrum, or its polynomial from d's: d_F is never built
         exact = self._spectra
-        return (exact.pair if exact is not None
+        return (wedge_spectrum(exact.d, exact.lam) if exact is not None
                 else wedge_charpoly_mod_p(self._factors[0], self.lam))
 
     def _head(self, q: int):

@@ -42,6 +42,11 @@ took its place; the tests check that implication with it.
 by leading column: at every column it scans every active row for a nonzero
 there and rebuilds the active list after each pivot.
 
+``has_distinct_eigenvalues`` decides whether a matrix has distinct
+eigenvalues over Q itself: its characteristic polynomial by the
+Faddeev-LeVerrier recursion over Fractions, and the rank of the Sylvester
+matrix of that polynomial and its derivative, with no prime.
+
 ``cohomology_by_elimination`` is ``ComplexAssembly.cohomology_dim`` with
 representatives as it was before the certificate served that path too: the
 kernel basis of the assembled partial_q, and the pivot columns of
@@ -653,6 +658,27 @@ def scan_eliminate(rows, ncols):
         pivots.append(c)
         rows = [r for k, r in enumerate(rows) if k != p and r]
     return echelon, pivots
+
+
+def has_distinct_eigenvalues(mat):
+    """Whether the square matrix has distinct eigenvalues over an algebraic
+    closure of Q: its characteristic polynomial c and c' are coprime, that
+    is their Sylvester matrix (of size 2n - 1) is invertible."""
+    n = mat.rows
+    if n < 2:
+        return True
+    a = [list(mat.row(i)) for i in range(n)]
+    # Faddeev-LeVerrier: M_k = A M_(k-1) + c_(k-1) I, c_k = -tr(A M_k) / k
+    c, m = [Fraction(1)], [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        m = [[sum(a[i][l] * m[l][j] for l in range(n)) + (c[-1] if i == j else 0)
+              for j in range(n)] for i in range(n)]
+        c.append(-sum(a[i][l] * m[l][i] for i in range(n) for l in range(n)) / k)
+    derivative = [(n - k) * x for k, x in enumerate(c[:-1])]
+    size = 2 * n - 1
+    rows = ([[0] * k + c + [0] * (size - k - n - 1) for k in range(n - 1)]
+            + [[0] * k + derivative + [0] * (size - k - n) for k in range(n)])
+    return Matrix.from_rows(rows).rank() == size
 
 
 def cohomology_by_elimination(asm, q):

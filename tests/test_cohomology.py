@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from md3lie.structures import (
 )
 
 import oracles
-from conftest import bench_pool, det_mod_p, invalid_bracket_md
+from conftest import bench_pool, det_mod_p, invalid_bracket_md, random_md
 
 
 def one_cochain(mat):
@@ -702,8 +703,8 @@ def test_verified_axioms_make_the_totals_compose_to_zero():
 def test_dims_only_assembles_no_total_it_certifies(monkeypatch):
     """On abelian n=5 with the adjoint action Phi_2 is certified and the
     axioms hold, so rank partial_2 needs no delta_2, Phi_2 or degree-2
-    total; only partial_1, whose Phi_1 is singular, is assembled and
-    eliminated."""
+    total; d has 5 distinct eigenvalues, so rank partial_1 comes from the
+    commutant of d: only delta_1 is assembled, and nothing is eliminated."""
     md = abelian_md(random.Random("md3lie-bench/ab5-0"), 5)
     asm = ComplexAssembly(md, adjoint_representation(md))
     partial_matrix = ComplexAssembly.partial_matrix
@@ -712,9 +713,14 @@ def test_dims_only_assembles_no_total_it_certifies(monkeypatch):
         assert q < 2, q
         return partial_matrix(self, q)
 
+    def refuse(*args):
+        raise AssertionError("a matrix was eliminated")
+
     monkeypatch.setattr(ComplexAssembly, "partial_matrix", refuse_above_one)
+    for name in ("rank", "pivot_columns", "kernel_basis"):
+        monkeypatch.setattr(Matrix, name, refuse)
     assert dims(asm.cohomology_dim(2, representatives=False)) == (25, 20, 5)
-    assert (set(asm._delta), set(asm._phi), set(asm._partial)) == ({1}, {1}, {1})
+    assert (set(asm._delta), set(asm._phi), set(asm._partial)) == ({1}, set(), set())
 
 
 def test_representatives_assemble_no_total_they_certify(monkeypatch):
@@ -1477,29 +1483,127 @@ def test_a_certified_job_with_exact_spectra_takes_no_characteristic_polynomial(
 def test_a_degree_one_adjoint_job_takes_no_spectrum_and_no_polynomial(
         monkeypatch, tmp_path, capsys, representatives):
     """With --rep adjoint, d_M is d, so Phi_1 = d^T (+) -d has the eigenvalue
-    0: the certificate is 0 at once, and the degree-1 job eliminates with
-    no rational_spectrum and no characteristic polynomial.  Its report is
-    the one full elimination gives, on a det member (exact spectra), a tri
-    member with an irrational 2 x 2 block (polynomials) and the example."""
+    0: the certificate is 0 at once.  With --representatives the degree-1
+    job eliminates with no rational_spectrum and no characteristic
+    polynomial.  Dims only, it reads d's spectrum or polynomial (n x n) to
+    ask whether d has distinct eigenvalues, and none of Phi_1 or d_F: the
+    example (diagonal d, exact spectra) and a tri member with an irrational
+    2 x 2 block (polynomials) answer from the commutant of d, and eliminate
+    no partial_1 (at most delta_1 K, of n columns); a det member (d = k I)
+    eliminates partial_1.  Each report is the one full elimination gives."""
     pool = dict(bench_pool("DIM3_POOL"))
     cases = {"det-4": pool["det-4"], "tri-2": triangular_family_member(random.Random(2)),
              "example": example_md()}
+    sizes, eliminated = [], []
 
     def refuse(*args):
         raise AssertionError("a spectrum or a characteristic polynomial was computed")
 
-    monkeypatch.setattr(exactnum, "rational_spectrum", refuse)
-    monkeypatch.setattr(exactnum, "_charpoly_mod", refuse)
+    def d_only(compute):
+        def run(f, *args):
+            sizes.append(len(f) if isinstance(f, list) else f.rows)
+            return compute(f, *args)
+        return run if not representatives else refuse
+
+    def counted(rank):
+        def run(self):
+            eliminated.append((self.rows, self.cols))
+            return rank(self)
+        return run
+
+    monkeypatch.setattr(exactnum, "rational_spectrum", d_only(exactnum.rational_spectrum))
+    monkeypatch.setattr(exactnum, "_charpoly_mod", d_only(exactnum._charpoly_mod))
+    for name in ("wedge_spectrum", "kronecker_sum_spectrum", "wedge_charpoly_mod_p",
+                 "kronecker_sum_charpoly_mod_p", "kronecker_sum_det_from_halves"):
+        monkeypatch.setattr(exactnum, name, refuse)
+    monkeypatch.setattr(Matrix, "rank", counted(Matrix.rank))
     for key, md in cases.items():
         path = tmp_path / f"{key}.json"
         path.write_text(documents.serialize_algebra(md), encoding="utf-8")
         argv = ["cohomology", str(path), "--rep", "adjoint", "--degree", "1"]
+        eliminated.clear()
         assert run_command(argv + ["--representatives"] * representatives) == 0
         report = json.loads(capsys.readouterr().out)
+        if not representatives:
+            # the commutant's delta_1 K has at most n columns; partial_1 has n^2
+            assert (max((c for _, c in eliminated), default=0) == md.n ** 2) == (
+                key == "det-4"), key
         asm = ComplexAssembly(md, adjoint_representation(md))
         assert asm.phi_det_mod_p(1) == 0
         want = oracles.cohomology_by_elimination(asm, 1)
         assert (report["z_dim"], report["b_dim"], report["h_dim"]) == dims(want), key
+    assert all(size <= 3 for size in sizes) and (not representatives) == bool(sizes)
+
+
+def abelian_with(d):
+    return MD3LieAlgebra(ThreeLieAlgebra.abelian(d.rows),
+                         ModifiedDifferential(Fraction(0), d))
+
+
+def commutant_cases():
+    """(key, algebra): the example, every DIM3_POOL, AB3_POOL and AB5_POOL
+    member, abelian n = 0, 1 and 2, and abelian n = 3 with k I and the
+    cyclic J_2(1) (+) (2) (exact spectra, a repeated eigenvalue), and with
+    diag(1, 1, 2) and diag(1, -1, 2) conjugated by a dense P, which puts
+    d's pattern in one strongly connected block (polynomials; the first
+    has a repeated eigenvalue, the second a singular coadjoint Phi_1); and
+    random brackets and d at n = 3 and 4, which fail the axioms."""
+    cases = [("example", example_md())]
+    for name in ("DIM3_POOL", "AB3_POOL", "AB5_POOL"):
+        cases += bench_pool(name)
+    cases += [(f"ab{n}", abelian_md(random.Random(f"commutant-{n}"), n)) for n in (0, 1, 2)]
+    cases += [(f"random{n}-{i}", random_md(random.Random(f"commutant-{n}-{i}"), n))
+              for n in (3, 4) for i in range(2)]
+    P = Matrix.from_rows([[1, 1, 1], [1, 2, 3], [1, 3, 6]])
+    cases += [("3I", abelian_with(Matrix.identity(3).scale(3))),
+              ("J2(1)+(2)", abelian_with(Matrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 2]])))]
+    cases += [(f"P^-1 diag{diag} P", abelian_with(P.inverse() @ Matrix.diagonal(diag) @ P))
+              for diag in ((1, 1, 2), (1, -1, 2))]
+    return cases
+
+
+def commutant_image_is_zero(asm):
+    """Whether delta_1 kills I, d, ..., d^(n-1) as degree-1 cochains, by
+    Fraction matrix powers and dense products."""
+    power = Matrix.identity(asm.md.n)
+    for _ in range(asm.md.n):
+        cochain = CochainCoordinates.from_linear_map(power)
+        if not vec_is_zero(asm.delta_matrix(1).apply(cochain.coords)):
+            return False
+        power = asm.md.d @ power
+    return True
+
+
+def test_the_degree_one_adjoint_rank_from_the_commutant_is_that_of_elimination():
+    """Dims only, at q = 1 (z) and q = 2 (b), rank partial_1 is that of the
+    eliminated partial_matrix(1) on every commutant_cases() complex with
+    both actions, and up to n = 3 the whole (z, b, h) at q = 2 is that of
+    full elimination.  The commutant route (Phi_1 singular, and partial_1 never
+    assembled) is taken exactly where d_M = d (the adjoint, or a coadjoint
+    with d = -d^T) and d has n >= 1 distinct eigenvalues
+    (oracles.has_distinct_eigenvalues), and it is
+    taken both where delta_1 kills Q[d] (abelian) and where it does not, so
+    the rank(delta_1 K) term is read."""
+    taken = Counter()
+    for key, md in commutant_cases():
+        distinct = oracles.has_distinct_eigenvalues(md.d)
+        for make in (adjoint_representation, coadjoint_representation):
+            rep = make(md)
+            want = ComplexAssembly(md, rep).partial_matrix(1).rank()
+            route = rep.d_M == md.d and md.n > 0 and distinct
+            for q in (1, 2):
+                asm = ComplexAssembly(md, rep)
+                summary = asm.cohomology_dim(q, representatives=False)
+                got = summary.b_dim if q == 2 else md.n * rep.m - summary.z_dim
+                assert got == want, (key, make.__name__, q)
+                if q == 2 and md.n <= 3:
+                    full = oracles.cohomology_by_elimination(ComplexAssembly(md, rep), 2)
+                    assert dims(summary) == dims(full), (key, make.__name__)
+                took = asm.phi_det_mod_p(1) == 0 and 1 not in asm._partial
+                assert took == route, (key, make.__name__, q)
+            if route:
+                taken[commutant_image_is_zero(asm)] += 1
+    assert taken[True] >= 32 and taken[False] >= 32, taken
 
 
 def test_degree_one_and_abelian_five_jobs_build_no_pair_tables(monkeypatch):

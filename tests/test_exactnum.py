@@ -753,6 +753,32 @@ def operators(draw):
     return (Matrix.identity(n) + e) @ jordan @ (Matrix.identity(n) - e)
 
 
+@given(st.one_of(phi_inputs(), operators().map(lambda d: (d, d, 0))))
+@settings(max_examples=60, deadline=None)
+def test_distinct_eigenvalues_of_d_on_both_paths(inputs):
+    """d_has_distinct_eigenvalues() is oracles.has_distinct_eigenvalues(d)
+    on the path the input takes and on the polynomial path, whatever d_M
+    is: block triangular operators, and Jordan blocks conjugated off their
+    pattern."""
+    d, d_M, lam = inputs
+    want = oracles.has_distinct_eigenvalues(d)
+    for phi in (PhiDeterminant(d, d_M, lam), forced_polynomials(PhiDeterminant(d, d_M, lam))):
+        assert phi.d_has_distinct_eigenvalues() == want
+
+
+def test_distinct_eigenvalues_mod_a_small_prime_are_only_ever_declined(monkeypatch):
+    """With p = 7: where p divides a denominator of d, or two eigenvalues
+    of d are distinct but congruent mod p, the polynomials say False; the
+    exact spectra still see 1 and 8 apart.  Neither path says True for a
+    repeated eigenvalue."""
+    monkeypatch.setattr(exactnum, "CERTIFICATE_PRIME", 7)
+    sevenths = Matrix.from_rows([[1, Fraction(1, 7)], [0, 2]])
+    apart, repeated = Matrix.diagonal([1, 8]), Matrix.from_rows([[1, 1], [0, 1]])
+    for d, exact in ((sevenths, False), (apart, True), (repeated, False)):
+        assert PhiDeterminant(d, d, 0).d_has_distinct_eigenvalues() == exact, d
+        assert not forced_polynomials(PhiDeterminant(d, d, 0)).d_has_distinct_eigenvalues()
+
+
 def test_wedge_charpoly_examples():
     # d = diag(1, 2, 3) at weight -5: pair eigenvalues -2, -1, 0
     p = exactnum.CERTIFICATE_PRIME

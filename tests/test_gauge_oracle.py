@@ -12,13 +12,23 @@ of the input that leave the answer fixed whatever path computes it.
   (f, g) -> (f, c g) conjugates the two totals, so (z, b, h) is unchanged
   for either action, and det Phi_q gains the factor c^N, N = dim Phi_q.
 
-Both also compare det Phi_q mod p, not only the dimensions: the two sides
-hand the certificate different spectra whose products are related, so a
-certificate that miscounts an eigenvalue, flips the sign of the tail or
+- Basis change.  For P invertible, [x, y, z]' = P^-1 [P x, P y, P z] and
+  d' = P^-1 d P make P an isomorphism of the two algebras, and of their
+  adjoints and coadjoints, so every Phi'_q is similar to Phi_q and the two
+  cones are isomorphic, valid or not: det Phi_q, every verdict and (z, b,
+  h) are unchanged.  A unipotent P with one entry below the diagonal moves
+  a tri member's d, which the exact spectra read, into one strongly
+  connected block, which only the polynomials read, so the two paths meet
+  on equal spectra, and the commutant of d runs off the coordinate basis.
+
+All three also compare det Phi_q mod p, not only the dimensions: the two
+sides hand the certificate different spectra whose products are related, so
+a certificate that miscounts an eigenvalue, flips the sign of the tail or
 uses the head of the degree before breaks the relation."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -27,12 +37,14 @@ from md3lie.cohomology import ComplexAssembly
 from md3lie.corpus import example_md
 from md3lie.documents import serialize_algebra
 from md3lie.exactnum import CERTIFICATE_PRIME, Matrix
-from md3lie.multilin import pair_basis
+from md3lie.multilin import SkewTernaryTensor, pair_basis
 from md3lie.structures import (
-    MD3LieAlgebra, ModifiedDifferential, adjoint_representation,
+    MD3LieAlgebra, ModifiedDifferential, ThreeLieAlgebra, adjoint_representation,
     coadjoint_representation, verify_3lie, verify_modified_differential,
+    verify_representation,
 )
 
+import oracles
 from conftest import bench_pool
 
 DEGREES = (1, 2, 3)
@@ -126,3 +138,61 @@ def test_scaling_the_differentials_and_the_weight_keeps_the_cohomology(md):
                 size = len(pair_basis(md.n)) ** (q - 1) * md.n * rep.m
                 assert det_c == det * pow(mod_p(c), size, CERTIFICATE_PRIME) % (
                     CERTIFICATE_PRIME), (make.__name__, c, q)
+
+
+def conjugated(md, P):
+    """md in the basis of P's columns: [x, y, z]' = P^-1 [P x, P y, P z] on
+    the basis triples, and d' = P^-1 d P, at the same weight."""
+    n, inverse = md.n, P.inverse()
+    columns = [P.column(j) for j in range(n)]
+    bracket = SkewTernaryTensor(n, n, {
+        (i, j, k): dict(enumerate(inverse.apply(
+            md.algebra.bracket(columns[i], columns[j], columns[k]))))
+        for i, j, k in combinations(range(n), 3)})
+    return MD3LieAlgebra(ThreeLieAlgebra(n, bracket),
+                         ModifiedDifferential(md.lam, inverse @ md.d @ P))
+
+
+def verdicts(md, rep):
+    return (verify_3lie(md.algebra).valid, verify_modified_differential(md).valid,
+            verify_representation(md, rep).valid)
+
+
+# tri members whose d the exact spectra read, each with the entry (i, j), i >
+# j, of a unipotent P = I + E_ij that moves d' onto the polynomial path;
+# tri-9's d has the eigenvalue -1 twice
+BASIS_CHANGES = [("tri-2", (1, 0)), ("tri-9", (2, 0)), ("tri-13", (2, 0)),
+                 ("tri-17", (1, 0)), ("tri-28", (1, 0))]
+
+
+@pytest.mark.parametrize("key, entry", BASIS_CHANGES, ids=[k for k, _ in BASIS_CHANGES])
+def test_a_basis_change_keeps_the_certificate_the_verdicts_and_the_cohomology(key, entry):
+    """On the member and on a copy at weight lam + 1, which fails
+    verify_modified_differential, for the adjoint and the coadjoint: equal
+    verdicts, equal det Phi_q mod p and equal dims-only and representatives
+    (z, b, h) at q = 1..3, with the exact path on one side and the
+    polynomial path on the other.  Where d_M = d and d has distinct
+    eigenvalues both sides answer rank partial_1 from the commutant of d."""
+    member = dict(bench_pool("DIM3_POOL"))[key]
+    P = Matrix.identity(3) + Matrix.from_entries(3, 3, {entry: 1})
+    for md in (member, with_diff(member, member.d, member.lam + 1)):
+        assert verify_modified_differential(md).valid == (md is member)
+        other = conjugated(md, P)
+        commutant = oracles.has_distinct_eigenvalues(md.d)
+        for make in (adjoint_representation, coadjoint_representation):
+            rep, other_rep = make(md), make(other)
+            assert verdicts(md, rep) == verdicts(other, other_rep)
+            asm, other_asm = ComplexAssembly(md, rep), ComplexAssembly(other, other_rep)
+            assert asm._phi_det._spectra is not None and other_asm._phi_det._spectra is None
+            for q in DEGREES:
+                assert other_asm.phi_det_mod_p(q) == asm.phi_det_mod_p(q), (make.__name__, q)
+                for reps in (False, True):
+                    got, want = (a.cohomology_dim(q, representatives=reps)
+                                 for a in (other_asm, asm))
+                    assert ((got.z_dim, got.b_dim, got.h_dim)
+                            == (want.z_dim, want.b_dim, want.h_dim)), (make.__name__, q, reps)
+            on_route = make is adjoint_representation and commutant
+            fresh = [ComplexAssembly(*pair) for pair in ((md, rep), (other, other_rep))]
+            for a in fresh:
+                a.cohomology_dim(1, representatives=False)
+                assert (1 not in a._partial) == (on_route or bool(a.phi_det_mod_p(1)))
