@@ -1,11 +1,15 @@
 """Batch command-line interface producing machine-readable JSON reports.
 
 Every invocation writes exactly one JSON report to standard output and
-diagnostics to standard error.  Exit codes: 0 for valid/true results, 1 for a
-check that ran and failed (the report carries witnesses), 2 for input or
-usage errors, 3 for an internal error (an extension witness that is not an
-isomorphism, a deformation whose cubic closure fails, or memory exhausted):
-then stdout stays empty and stderr carries one line.
+diagnostics to standard error.  Each subcommand returns only its report
+fields; run_command frames them with the schema, the command and the argv,
+and derives the exit code.  Exit codes: 1 exactly when the report says
+``"valid": false`` (a check that ran and failed; its witnesses are in the
+report), 0 for every other report (``cohomology`` reports have no ``valid``
+and exit 0), 2 for input or usage errors, 3 for an internal error (an
+extension witness that is not an isomorphism, a deformation whose cubic
+closure fails, or memory exhausted): then stdout stays empty and stderr
+carries one line.
 Reports contain no timestamps, so identical inputs produce byte-identical
 output.
 
@@ -66,10 +70,11 @@ def _witness_docs(report: Report) -> list:
     ]
 
 
-def _report_doc(command: str, **fields) -> dict:
-    doc = {"schema": docs.REPORT_SCHEMA, "command": command}
-    doc.update(fields)
-    return doc
+def _checked(report: Report, **fields) -> dict:
+    """The fields of a check command's report: the verdict and witnesses of
+    ``report``, then ``fields``."""
+    return {"valid": report.valid, "witnesses": _witness_docs(report),
+            **fields}
 
 
 def _load_algebra(path: str) -> MD3LieAlgebra:
@@ -111,13 +116,11 @@ def _cmd_verify(args):
                                      else verify_representation(md, rep))
     valid = all(r.valid for r in reports.values())
     witnesses = [w for r in reports.values() for w in _witness_docs(r)]
-    doc = _report_doc(
-        "verify",
-        valid=valid,
-        checks={name: r.valid for name, r in reports.items()},
-        witnesses=witnesses,
-    )
-    return (0 if valid else 1), doc
+    return {
+        "valid": valid,
+        "checks": {name: r.valid for name, r in reports.items()},
+        "witnesses": witnesses,
+    }
 
 
 def _cmd_cohomology(args):
@@ -126,15 +129,14 @@ def _cmd_cohomology(args):
     asm = ComplexAssembly(md, rep)
     summary = asm.cohomology_dim(args.degree,
                                  representatives=args.representatives)
-    doc = _report_doc(
-        "cohomology",
-        degree=args.degree,
-        z_dim=summary.z_dim,
-        b_dim=summary.b_dim,
-        h_dim=summary.h_dim,
-    )
+    fields = {
+        "degree": args.degree,
+        "z_dim": summary.z_dim,
+        "b_dim": summary.b_dim,
+        "h_dim": summary.h_dim,
+    }
     if args.representatives:
-        doc["representatives"] = [
+        fields["representatives"] = [
             {
                 "f": [docs.scalar_str(c) for c in tc.f.coords],
                 "g": None if tc.g is None
@@ -142,7 +144,7 @@ def _cmd_cohomology(args):
             }
             for tc in summary.representatives
         ]
-    return 0, doc
+    return fields
 
 
 def _cmd_deform_check(args):
@@ -153,29 +155,21 @@ def _cmd_deform_check(args):
            else SkewTernaryTensor.zero(n, n))
     d1 = (_load_matrix(args.d1, n, n) if args.d1 is not None
           else Matrix.zeros(n, n))
-    report = verify_linear_deformation(LinearDeformation(md, nu1, nu2, d1))
-    doc = _report_doc("deform-check", valid=report.valid,
-                      witnesses=_witness_docs(report))
-    return (0 if report.valid else 1), doc
+    return _checked(verify_linear_deformation(
+        LinearDeformation(md, nu1, nu2, d1)))
 
 
 def _cmd_nijenhuis_check(args):
     md = _load_algebra(args.algebra)
     op = _load_matrix(args.op, md.n, md.n)
-    report = is_nijenhuis(md, op)
-    doc = _report_doc("nijenhuis-check", valid=report.valid,
-                      witnesses=_witness_docs(report))
-    return (0 if report.valid else 1), doc
+    return _checked(is_nijenhuis(md, op))
 
 
 def _cmd_o_operator_check(args):
     md = _load_algebra(args.algebra)
     rep = _load_representation(md, args.rep)
     op = _load_matrix(args.op, md.n, rep.m)
-    report = is_o_operator(md, rep, op)
-    doc = _report_doc("o-operator-check", valid=report.valid,
-                      witnesses=_witness_docs(report))
-    return (0 if report.valid else 1), doc
+    return _checked(is_o_operator(md, rep, op))
 
 
 def _cmd_extend(args):
@@ -184,14 +178,8 @@ def _cmd_extend(args):
     f = _load_tensor(args.f, md.n, rep.m)
     g = _load_matrix(args.g, rep.m, md.n)
     ext = build_abelian_extension(md, rep, f, g)
-    report = verify_extension(ext)
-    doc = _report_doc(
-        "extend",
-        valid=report.valid,
-        witnesses=_witness_docs(report),
-        extension=docs.extension_to_doc(ext),
-    )
-    return (0 if report.valid else 1), doc
+    return _checked(verify_extension(ext),
+                    extension=docs.extension_to_doc(ext))
 
 
 def _cmd_extract_cocycle(args):
@@ -199,28 +187,24 @@ def _cmd_extract_cocycle(args):
     section = _load_matrix(args.section, ext.n + ext.m, ext.n)
     extracted = extract_cocycle(ext, section)
     asm = ComplexAssembly(ext.base, extracted.rep)
-    doc = _report_doc(
-        "extract-cocycle",
-        valid=True,
-        is_cocycle=asm.is_cocycle(extracted.total()).valid,
-        rho=docs.representation_to_doc(extracted.rep),
-        upsilon=docs.tensor_to_doc(extracted.upsilon),
-        mu=docs.matrix_to_doc(extracted.mu),
-    )
-    return 0, doc
+    return {
+        "valid": True,
+        "is_cocycle": asm.is_cocycle(extracted.total()).valid,
+        "rho": docs.representation_to_doc(extracted.rep),
+        "upsilon": docs.tensor_to_doc(extracted.upsilon),
+        "mu": docs.matrix_to_doc(extracted.mu),
+    }
 
 
 def _cmd_equiv_check(args):
     ext1 = docs.extension_from_doc(docs.load_json(args.ext1), args.ext1)
     ext2 = docs.extension_from_doc(docs.load_json(args.ext2), args.ext2)
     eta = extensions_equivalent(ext1, ext2)
-    doc = _report_doc(
-        "equiv-check",
-        valid=eta is not None,
-        equivalent=eta is not None,
-        isomorphism=None if eta is None else docs.matrix_to_doc(eta),
-    )
-    return (0 if eta is not None else 1), doc
+    return {
+        "valid": eta is not None,
+        "equivalent": eta is not None,
+        "isomorphism": None if eta is None else docs.matrix_to_doc(eta),
+    }
 
 
 def _cmd_tstar(args):
@@ -233,25 +217,18 @@ def _cmd_tstar(args):
     g = (_load_matrix(args.g, n, n) if args.g is not None
          else Matrix.zeros(n, n))
     ext = tstar_abelian_extension(md, f, g)
-    report = verify_extension(ext)
-    doc = _report_doc(
-        "tstar",
-        valid=report.valid,
-        witnesses=_witness_docs(report),
+    return _checked(
+        verify_extension(ext),
         algebra=docs.algebra_to_doc(ext.total),
         varpi=docs.matrix_to_doc(hyperbolic_pairing(n)),
         extension=docs.extension_to_doc(ext),
     )
-    return (0 if report.valid else 1), doc
 
 
 def _cmd_metrised_check(args):
     md = _load_algebra(args.algebra)
     form = _load_matrix(args.form, md.n, md.n)
-    report = is_metrised(md, form)
-    doc = _report_doc("metrised-check", valid=report.valid,
-                      witnesses=_witness_docs(report))
-    return (0 if report.valid else 1), doc
+    return _checked(is_metrised(md, form))
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +312,16 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv) -> int:
+    """Run one invocation: print its report, framed by the schema, the
+    command and the full argv, and return 1 exactly when the report says
+    ``"valid": false``."""
     argv = list(argv)
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        code, doc = args.fn(args)
+        fields = args.fn(args)
     except (ParseError, InputError, OSError) as exc:
         print(f"md3lie: error: {exc}", file=sys.stderr)
         return 2
@@ -349,11 +329,9 @@ def run_command(argv) -> int:
         detail = str(exc) or type(exc).__name__  # MemoryError() has no message
         print(f"md3lie: internal error: {detail}", file=sys.stderr)
         return 3
-    # echo the full invocation right after the command name
-    ordered = {"schema": doc["schema"], "command": doc["command"], "argv": argv}
-    ordered.update({k: v for k, v in doc.items() if k not in ordered})
-    print(json.dumps(ordered, indent=2))
-    return code
+    print(json.dumps({"schema": docs.REPORT_SCHEMA, "command": args.command,
+                      "argv": argv, **fields}, indent=2))
+    return 0 if fields.get("valid", True) else 1
 
 
 def main() -> None:

@@ -485,25 +485,22 @@ class ComplexAssembly:
         return self.partial_matrix(q).rank()
 
     def _commutant_image_rank(self) -> int:
-        """rank(delta_1 K), K the n vectors (D d)^j, j < n, of Q[d] as
-        degree-1 cochains (f(e_k)_r at k m + r), D the lcm of d's
-        denominators; scaling K's columns or delta_1's rows keeps the rank,
-        so the product is one sparse pass over delta_1's nonzero integer
-        rows, and where there is none (an abelian algebra) nothing is
-        computed."""
+        """rank(delta_1 K), K the n vectors (den d)^j, j < n, of Q[d] as
+        degree-1 cochains (f(e_k)_r at k m + r), den d the integer columns
+        _tables.d; scaling K's columns or delta_1's rows keeps the rank, so
+        the product is one sparse pass over delta_1's nonzero integer rows,
+        and where there is none (an abelian algebra) nothing is computed."""
         rows = [r for r, _ in self.delta_matrix(1)._integer_rows() if r]
         if not rows:
             return 0
-        d, n = self.md.d.sparse_rows, self.md.n
-        D = lcm(*(c.denominator for row in d for c in row.values()))
-        scaled = [{k: c.numerator * (D // c.denominator) for k, c in row.items()}
-                  for row in d]
-        columns, power = [], [{r: 1} for r in range(n)]  # rows of (D d)^j
+        d, n = self._tables.d, self.md.n
+        columns, power = [], [{k: 1} for k in range(n)]  # columns of (den d)^j
         for _ in range(n):
-            columns.append({k * n + r: v for r, row in enumerate(power)
-                            for k, v in row.items()})
-            power = [sparse_combination((c, power[s].items()) for s, c in row.items())
-                     for row in scaled]
+            columns.append({k * n + r: v for k, col in enumerate(power)
+                            for r, v in col.items()})
+            # column k of P (den d) is the sum over s of (den d)_sk col_s(P)
+            power = [sparse_combination((c, power[s].items()) for s, c in col)
+                     for col in d]
         image = [{j: x for j, x in enumerate(
             sum(v * col.get(i, 0) for i, v in r.items()) for col in columns) if x}
             for r in rows]

@@ -737,7 +737,10 @@ _TARGETS = [("verify", "algebra"), ("verify", "rep"),
             ("deform-check", "algebra"), ("deform-check", "tensor"),
             ("cohomology", "algebra"), ("cohomology", "rep"),
             ("extend", "tensor"), ("tstar", "tensor"),
-            ("extract-cocycle", "extension"), ("equiv-check", "extension")]
+            ("extract-cocycle", "extension"), ("equiv-check", "extension"),
+            ("nijenhuis-check", "algebra"), ("nijenhuis-check", "op"),
+            ("o-operator-check", "rep"), ("o-operator-check", "op"),
+            ("metrised-check", "algebra"), ("metrised-check", "op")]
 
 
 def _paths(node, path=()):
@@ -780,6 +783,7 @@ def test_malformed_documents_keep_the_exit_contract(data):
     documents = {"algebra": docs.algebra_to_doc(md),
                  "rep": docs.representation_to_doc(adjoint_representation(md)),
                  "tensor": docs.tensor_to_doc(tensor), "g": docs.matrix_to_doc(g),
+                 "op": docs.matrix_to_doc(Matrix.diagonal([1, 1, -1])),
                  "extension": ext, "reference": copy.deepcopy(ext),
                  "section": docs.matrix_to_doc(Matrix.block(
                      [[Matrix.identity(3)], [Matrix.zeros(3, 3)]]))}
@@ -808,6 +812,12 @@ def test_malformed_documents_keep_the_exit_contract(data):
             "extract-cocycle": ["extract-cocycle", paths["extension"],
                                 "--section", paths["section"]],
             "equiv-check": ["equiv-check", paths["extension"], paths["reference"]],
+            "nijenhuis-check": ["nijenhuis-check", paths["algebra"],
+                                "--op", paths["op"]],
+            "o-operator-check": ["o-operator-check", paths["algebra"],
+                                 "--rep", paths["rep"], "--op", paths["op"]],
+            "metrised-check": ["metrised-check", paths["algebra"],
+                               "--form", paths["op"]],
         }[command]
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
@@ -818,4 +828,6 @@ def test_malformed_documents_keep_the_exit_contract(data):
     if code == 2:
         assert out == "" and err.startswith("md3lie: error: ")
     else:
-        assert json.loads(out)["schema"] == docs.REPORT_SCHEMA
+        report = json.loads(out)
+        assert report["schema"] == docs.REPORT_SCHEMA
+        assert code == (0 if report.get("valid", True) else 1)

@@ -134,6 +134,26 @@ def test_cohomology_imports_one_certificate_name():
                    and node.value.id == "exactnum" for node in ast.walk(tree))
 
 
+def test_run_command_alone_frames_reports_and_picks_the_exit_code():
+    # a subcommand returns only its report fields; the schema, command and
+    # argv frame and the exit code derived from "valid" live in run_command
+    tree = ast.parse((ROOT / "src" / "md3lie" / "cli.py").read_text(encoding="utf-8"))
+
+    def reads_schema(node):
+        return any(isinstance(n, ast.Name) and n.id == "REPORT_SCHEMA"
+                   or isinstance(n, ast.Attribute) and n.attr == "REPORT_SCHEMA"
+                   for n in ast.walk(node))
+
+    handlers = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")]
+    assert len(handlers) == 10
+    for fn in handlers:
+        assert not any(isinstance(n, ast.Return) and isinstance(n.value, ast.Tuple)
+                       for n in ast.walk(fn)), fn.name
+    assert [getattr(node, "name", type(node).__name__) for node in tree.body
+            if reads_schema(node)] == ["run_command"]
+
+
 PROVENANCE = "_adjoint_of"
 
 
