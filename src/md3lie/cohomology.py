@@ -69,19 +69,51 @@ where it is nonzero (never on an abelian algebra).  Every other degree-1
 rank with Phi_1 singular (a repeated eigenvalue, another d_M, a prime that
 divides a denominator of d) eliminates partial_1.
 
-One predicate, the lemma's condition, serves both paths of cohomology_dim.
-Without representatives, z = dim(C^q + C^(q-1)) - rank partial_q and b =
-rank partial_(q-1), each from the lemma when it applies and by exact
-elimination otherwise.  With representatives, the corollary H^q = 0: when
-the lemma gives both rank partial_q = dim C^q and rank partial_(q-1) =
-dim C^(q-1) (Phi_q and, from q = 2 on, Phi_(q-1) certified, and the axioms
-verified), then z = dim C^(q-1) = b and the list of representatives is
-empty, so nothing is assembled and no kernel computed; in every other case
-the representatives are the kernel vectors of partial_q at the pivots of
-[partial_(q-1) | K] beyond partial_(q-1), found as below.  The budget of
-the degree-q total is checked before any certificate on both paths, so a
-request too large to assemble is refused at once, not after a certificate
-whose cost grows with dim C^q.
+One predicate, the lemma's condition, serves both paths of cohomology_dim,
+and so does a second, the condition of the weight split below (q >= 2, d
+and d_M diagonal, Phi_q or Phi_(q-1) with a nonzero eigenvalue in the exact
+spectrum, and the axioms verified).  Without representatives, z =
+dim(C^q + C^(q-1)) - rank partial_q and b = rank partial_(q-1), each from
+the lemma when it applies, from the weight split when its condition holds,
+and by exact elimination otherwise.  With representatives, the corollary
+H^q = 0: when the lemma gives both rank partial_q = dim C^q and rank
+partial_(q-1) = dim C^(q-1) (Phi_q and, from q = 2 on, Phi_(q-1)
+certified, and the axioms verified), then z = dim C^(q-1) = b and the list
+of representatives is empty, so nothing is assembled and no kernel
+computed; in every other case the representatives are the kernel vectors
+of partial_q at the pivots of [partial_(q-1) | K] beyond partial_(q-1),
+found as below, on the weight-0 blocks where the split's condition holds.
+The budget of the degree-q total is checked before any certificate on both
+paths, so a request too large to assemble is refused at once, not after a
+certificate whose cost grows with dim C^q.
+
+Weight split.  Where d and d_M are diagonal, with diagonals mu and eta,
+Phi is diagonal in cochain coordinates: the coordinate (a_1, ...,
+a_(q-1), k, r) has the weight sum_s (mu_i + mu_j + lam)_(a_s) + mu_k -
+eta_r.  Lemma: on input that passes the axioms, Phi delta = delta Phi, so
+delta joins no two coordinates of different weight, and partial_q splits by
+coordinates into two blocks.  Phi vanishes on the weight-0 block, which is
+diag(delta_q^Z, delta_(q-1)^Z).  The weight-nonzero block is the cone of an
+invertible diagonal map, so it is acyclic: its rank is dim C^q_N (the lemma
+above, on that summand), and its kernel is the image of its degree-(q-1)
+block, of dimension dim C^(q-1)_N.  So rank partial_q = rank delta_q^Z +
+rank delta_(q-1)^Z + dim C^q_N, and the quotient of the weight-0 blocks
+gives z and b short by dim C^(q-1)_N each.  The representatives are those
+of full elimination, byte for byte: the two blocks have disjoint row and
+column supports, so the leftmost independent pivots of partial_q, the
+normal-form kernel vector at each free column (supported on earlier pivots
+and that column) and the pivots of [partial_(q-1) | K] all split by weight,
+and no weight-nonzero free column names a representative, as its kernel
+vector lies in the image of partial_(q-1); the weight-0 vectors are
+embedded back into full coordinates.  The weight-0 coordinates of each
+degree come from the weights of the pair tuples and a lookup of (k, r) by
+weight, once per complex, and their number is checked against the
+multiplicity of 0 in Phi's exact spectrum (PhiDeterminant.zero_multiplicity).
+delta_q^Z comes from the one assembler, told which rows to build and where
+each column goes; an entry on a weight-nonzero column is an internal error.
+The nonzero eigenvalue is read from the spectrum before any verifier runs:
+where every weight is 0 (d = k I with the adjoint, d = d_M = 0) nothing
+would split, and the full totals are eliminated as before.
 
 Representatives from the free coordinates.  Let B = partial_(q-1), with no
 columns at q = 1, F the z free columns of the echelon form of partial_q, and
@@ -97,9 +129,11 @@ cohomology_dim pivots that matrix: its pivots inside the boundary block
 count b, those beyond it name the free columns whose kernel vectors are the
 representatives, and only those vectors are back-substituted; row f of the
 lower block is its integer row with its denominator at the identity column.
+The full totals and the weight-0 blocks of the split take this one step.
 
 Caching: a ComplexAssembly memoizes assembled matrices, the tables and,
-from degree 2 on, the pair tables, and the axiom verdict; its
+from degree 2 on, the pair tables, the weight-0 coordinates and the
+delta_q^Z of the weight split, and the axiom verdict; its
 PhiDeterminant keeps the spectral data of every degree certified so far,
 so a certificate of Phi_q after one of Phi_(q-1) adds one d_F factor and
 takes one product or one resultant.  Population is idempotent (pure
@@ -228,6 +262,9 @@ class ComplexAssembly:
         self._phi: dict[int, Matrix] = {}
         self._partial: dict[int, Matrix] = {}
         self._phi_det = PhiDeterminant(md.d, rep.d_M, md.lam)
+        # the weight split: weight-0 coordinates of C^q, delta_q between them
+        self._zero: dict[int, tuple[int, ...]] = {}
+        self._zero_delta: dict[int, Matrix] = {}
 
     # -- matrices ---------------------------------------------------------
 
@@ -379,7 +416,8 @@ class ComplexAssembly:
         yield None, [(base + kk * m, c) for kk, c in tb.d[k]]
         yield tb.d_M, [(base + k * m, -1)]
 
-    def _assemble(self, arity: int, col_arity: int, terms) -> Matrix:
+    def _assemble(self, arity: int, col_arity: int, terms, rows=None,
+                  columns=None) -> Matrix:
         """Matrix whose row block (arg, k) sums the terms(arg, k, stride),
         over den.
 
@@ -390,29 +428,54 @@ class ComplexAssembly:
         order of CochainCoordinates.index).  A term (T, columns) adds coeff *
         T(values of f at block) for each (block, coeff) in columns; T holds
         the (row, column, entry) items of a module endomorphism (its coeff is
-        then +-1), None meaning the identity."""
+        then +-1), None meaning the identity.
+
+        Given ``rows``, increasing row indices, and ``columns``, a {column:
+        position} map, only the blocks holding those rows are visited, only
+        those rows are built, in that order, and column j is column
+        columns[j] of the result; an entry at a column outside the map
+        raises RuntimeError (the weight split asks where none can land)."""
         n, m = self.md.n, self.rep.m
         P, den = len(self._tables.pairs), self._tables.den
-        rows, cols = P ** arity * n * m, P ** col_arity * n * m
-        _check_entry_budget(rows, cols)
+        height, width = P ** arity * n * m, P ** col_arity * n * m
+        _check_entry_budget(height, width)
         stride = [P ** (col_arity - 1 - l) * n * m for l in range(col_arity)]
-        data = [{} for _ in range(rows)]
         identity = [(r, r, 1) for r in range(m)]
+        if rows is None:
+            data, kept = [{} for _ in range(height)], None
+        else:
+            data, kept = {row: {} for row in rows}, {}
+            for row in rows:
+                kept.setdefault(row // m, set()).add(row % m)
         blocks = product(product(range(P), repeat=arity), range(n))
         for block, (arg, k) in enumerate(blocks):
+            if kept is not None:
+                wanted = kept.get(block)
+                if wanted is None:
+                    continue
             row_base = block * m
-            for T, columns in terms(arg, k, stride):
+            for T, reads in terms(arg, k, stride):
                 T = identity if T is None else T
-                for col_base, coeff in columns:
+                if kept is not None:
+                    T = [item for item in T if item[0] in wanted]
+                for col_base, coeff in reads:
                     for r, r0, t in T:
                         row = data[row_base + r]
                         j = col_base + r0
                         row[j] = row.get(j, 0) + coeff * t
         # terms can cancel; the matrix stores no zeros, and only a row that
         # some term touched holds an entry to filter
-        return Matrix._raw(rows, cols, int_rows=(
-            ({j: v for j, v in row.items() if v} if row else row, den)
-            for row in data))
+        if rows is None:
+            return Matrix._raw(height, width, int_rows=(
+                ({j: v for j, v in row.items() if v} if row else row, den)
+                for row in data))
+        out = []
+        for i in rows:
+            row = {j: v for j, v in data[i].items() if v}
+            if not row.keys() <= columns.keys():
+                raise RuntimeError(f"row {i} has an entry outside the columns asked for")
+            out.append(({columns[j]: v for j, v in row.items()}, den))
+        return Matrix._raw(len(rows), len(columns), int_rows=out)
 
     # -- membership and dimensions ----------------------------------------
 
@@ -471,14 +534,19 @@ class ComplexAssembly:
                 and (max(degrees) < 2 or self._axioms_hold))
 
     def _total_rank(self, q: int) -> int:
-        """Rank of partial_matrix(q): dim C^q when the lemma proves it, at
-        q = 1 with d_M = d and d of n distinct eigenvalues from the commutant
-        of d (module docstring), else by exact elimination.  The budget of
-        the degree-q total is checked first, so a request too large to
-        assemble is refused before the certificate runs."""
+        """Rank of partial_matrix(q): dim C^q when the lemma proves it, from
+        the weight-0 blocks where partial_q splits by Phi's weights, at q = 1
+        with d_M = d and d of n distinct eigenvalues from the commutant of d
+        (module docstring), else by exact elimination.  The budget of the
+        degree-q total is checked first, so a request too large to assemble
+        is refused before the certificate runs."""
         _, mid, _ = self._total_dims(q)
         if self._full_rank_proved(q):
             return mid
+        if self._splits_by_weight(q):
+            return (self._zero_delta_matrix(q).rank()
+                    + self._zero_delta_matrix(q - 1).rank()
+                    + mid - len(self._weight_zero(q)))
         if (q == 1 and self.rep.d_M == self.md.d
                 and self._phi_det.d_has_distinct_eigenvalues()):
             return mid - self.md.n + self._commutant_image_rank()
@@ -506,6 +574,89 @@ class ComplexAssembly:
             for r in rows]
         return Matrix._raw(len(image), n, int_rows=((row, 1) for row in image)).rank()
 
+    # -- the weight split -------------------------------------------------
+
+    @cached_property
+    def _weights(self) -> Optional[SimpleNamespace]:
+        """Where d and d_M are diagonal, with diagonals mu and eta, the
+        weight mu_i + mu_j + lam of each pair (``pairs``) and the offsets k m
+        + r of the final slot and the value by their weight mu_k - eta_r
+        (``tail``), every weight times _tables.den; None elsewhere."""
+        if not all(row.keys() <= {i} for mat in (self.md.d, self.rep.d_M)
+                   for i, row in enumerate(mat.sparse_rows)):
+            return None
+        tb, m = self._tables, self.rep.m
+        mu = [dict(col).get(k, 0) for k, col in enumerate(tb.d)]
+        eta = [0] * m
+        for r, _, c in tb.d_M:
+            eta[r] = c
+        tail = {}
+        for k, r in product(range(self.md.n), range(m)):
+            tail.setdefault(mu[k] - eta[r], []).append(k * m + r)
+        return SimpleNamespace(
+            pairs=[mu[i] + mu[j] + tb.scaled(self.md.lam) for i, j in tb.pairs],
+            tail=tail)
+
+    def _splits_by_weight(self, q: int) -> bool:
+        """Whether partial_q takes the weight split (module docstring): q >=
+        2, d and d_M diagonal, an exact spectrum in which Phi_q or
+        Phi_(q-1) has a nonzero eigenvalue, and, checked last, the axioms
+        verified."""
+        if q < 2 or self._weights is None:
+            return False
+        n, m = self.md.n, self.rep.m
+        kernels = [self._phi_det.zero_multiplicity(k) for k in (q, q - 1)]
+        return (None not in kernels
+                and kernels != [cochain_dim(k, n, m) for k in (q, q - 1)]
+                and self._axioms_hold)
+
+    def _weight_zero(self, q: int) -> tuple[int, ...]:
+        """The increasing coordinates of C^q of weight 0, from the weights of
+        the pair tuples and a lookup of the tail by weight; their number is
+        checked against the multiplicity of 0 in Phi_q's exact spectrum."""
+        if q not in self._zero:
+            weights, width = self._weights, self.md.n * self.rep.m
+            heads = [0]  # weights of the pair tuples, in index order
+            for _ in range(q - 1):
+                heads = [h + x for h in heads for x in weights.pairs]
+            zero = tuple(t * width + offset for t, h in enumerate(heads)
+                         for offset in weights.tail.get(-h, ()))
+            if len(zero) != self._phi_det.zero_multiplicity(q):
+                raise RuntimeError(f"{len(zero)} coordinates of weight 0 in degree "
+                                   f"{q}, not the multiplicity of 0 in Phi_{q}")
+            self._zero[q] = zero
+        return self._zero[q]
+
+    def _zero_delta_matrix(self, q: int) -> Matrix:
+        """delta_q between the weight-0 coordinates of C^q and C^(q+1)."""
+        if q not in self._zero_delta:
+            columns = {c: i for i, c in enumerate(self._weight_zero(q))}
+            self._zero_delta[q] = self._assemble(
+                q, q - 1, self._delta_terms, self._weight_zero(q + 1), columns)
+        return self._zero_delta[q]
+
+    def _zero_total(self, q: int) -> Matrix:
+        """partial_q on the weight-0 coordinates, where Phi vanishes:
+        diag(delta_q^Z, delta_(q-1)^Z), or delta_1^Z over zero rows at q = 1."""
+        top = self._zero_delta_matrix(q)
+        if q == 1:
+            return Matrix._raw(top.rows + top.cols, top.cols, int_rows=chain(
+                top._integer_rows(), [({}, 1)] * top.cols))
+        low = self._zero_delta_matrix(q - 1)
+        return Matrix._raw(top.rows + low.rows, top.cols + low.cols, int_rows=chain(
+            top._integer_rows(), (({top.cols + j: v for j, v in row.items()}, den)
+                                  for row, den in low._integer_rows())))
+
+    def _from_weight_zero(self, q: int, v: Vector) -> TotalCochain:
+        """The total cochain of a vector over the weight-0 coordinates of C^q
+        + C^(q-1), embedded into full coordinates."""
+        n, m = self.md.n, self.rep.m
+        f, g = self._weight_zero(q), self._weight_zero(q - 1)
+        return TotalCochain(q, CochainCoordinates(q, n, m, dict(zip(f, v))),
+                            CochainCoordinates(q - 1, n, m, dict(zip(g, v[len(f):]))))
+
+    # -- dimensions and representatives -----------------------------------
+
     def cohomology_dim(self, q: int,
                        representatives: bool = True) -> CohomologySummary:
         """Exact dimensions of cocycles, coboundaries and cohomology.
@@ -514,11 +665,13 @@ class ComplexAssembly:
         the coboundary space, so they project to a basis of the quotient;
         when the lemma of the module docstring proves the ranks of the
         degree-q and degree-(q - 1) totals full, H^q = 0 and the list is
-        empty without any elimination.  With representatives=False the
-        summary lists none, and the dimensions come from the ranks of the
-        total differentials in degrees q and q - 1, which _total_rank may
-        certify without elimination.  Both paths refuse a degree-q total
-        over the budget before anything else runs."""
+        empty without any elimination, and where partial_q splits by Phi's
+        weights only the weight-0 blocks are pivoted.  With
+        representatives=False the summary lists none, and the dimensions
+        come from the ranks of the total differentials in degrees q and q -
+        1, which _total_rank may certify without elimination or read from
+        the weight-0 blocks.  Both paths refuse a degree-q total over the
+        budget before anything else runs."""
         _check_degree(q)
         n, m = self.md.n, self.rep.m
         _, mid, low = self._total_dims(q)
@@ -528,16 +681,35 @@ class ComplexAssembly:
             return CohomologySummary(z_dim, b_dim, z_dim - b_dim, [])
         if self._full_rank_proved(*((q, q - 1) if q > 1 else (q,))):
             return CohomologySummary(low, low, 0, [])
+        if self._splits_by_weight(q):
+            # the weight-nonzero block is acyclic: its kernel is its image,
+            # of dimension dim C^(q-1)_N, and holds no representative
+            z_dim, b_dim, kernel = self._quotient(
+                self._zero_total(q), self._zero_total(q - 1), composes=True)
+            shift = low - len(self._weight_zero(q - 1))
+            return CohomologySummary(z_dim + shift, b_dim + shift, z_dim - b_dim,
+                                     [self._from_weight_zero(q, v) for v in kernel])
         total = self.partial_matrix(q)
         boundary = (self.partial_matrix(q - 1) if q > 1
                     else Matrix.zeros(total.cols, 0))
+        z_dim, b_dim, kernel = self._quotient(
+            total, boundary, composes=q == 1 or self._axioms_hold)
+        return CohomologySummary(z_dim, b_dim, z_dim - b_dim,
+                                 [TotalCochain.from_stacked(q, n, m, v) for v in kernel])
+
+    @staticmethod
+    def _quotient(total: Matrix, boundary: Matrix,
+                  composes: bool) -> tuple[int, int, list[Vector]]:
+        """z, b and the kernel vectors of total (partial_q) that are the
+        representatives modulo the image of boundary (partial_(q-1)), by the
+        quotient lemma of the module docstring; ``composes`` says that total
+        @ boundary is zero, so the top block is not built."""
         width = boundary.cols
         pivoted = set(total.pivot_columns())
         free = [c for c in range(total.cols) if c not in pivoted]
         # the quotient lemma: [[partial_q B, 0], [B|_F, I_z]] has the pivots
-        # of [B | K]; its top block is zero at q = 1 and on valid input
-        top = (() if q == 1 or self._axioms_hold
-               else (total @ boundary)._integer_rows())
+        # of [B | K]
+        top = () if composes else (total @ boundary)._integer_rows()
         rows = boundary._integer_rows()
         stacked = Matrix._raw(len(top) + len(free), width + len(free), int_rows=chain(
             top, (({**row, width + i: den}, den)
@@ -547,9 +719,8 @@ class ComplexAssembly:
         # the boundary block count its rank; column width + i is the kernel
         # vector at free[i]
         b_dim = sum(1 for c in pivots if c < width)
-        reps = [TotalCochain.from_stacked(q, n, m, v) for v in total.kernel_basis(
-            [free[c - width] for c in pivots if c >= width])]
-        return CohomologySummary(len(free), b_dim, len(free) - b_dim, reps)
+        return len(free), b_dim, total.kernel_basis(
+            [free[c - width] for c in pivots if c >= width])
 
     def apply_partial(self, tc: TotalCochain) -> TotalCochain:
         """The total differential applied to tc, as a degree-(q+1) cochain."""

@@ -594,8 +594,11 @@ class PhiDeterminant:
     d_has_distinct_eigenvalues() is True only where d has n distinct
     eigenvalues, read from the multiplicities of d's exact spectrum, or
     from chi_d mod p coprime to its derivative; the cohomology of the
-    adjoint in degree 1 then reads the commutant of d.  The spectra of d_F
-    and of the tail are computed only when a degree asks for them.
+    adjoint in degree 1 then reads the commutant of d.  On the exact path
+    zero_multiplicity(q) counts the eigenvalue 0 of Phi_q, against which the
+    cohomology checks its weight-0 coordinates where d and d_M are
+    diagonal.  The spectra of d_F and of the tail are computed only when a
+    degree asks for them.
 
     Members are filled on first use by pure recomputation, so a racing
     first access at worst computes a value twice, and racing extensions of
@@ -620,6 +623,17 @@ class PhiDeterminant:
         if q == 1:  # Phi_1's two factors are its halves
             return kronecker_sum_det_from_halves(*self._factors)
         return kronecker_sum_det_from_halves(self._head(q), self._tail)
+
+    def zero_multiplicity(self, q: int) -> Optional[int]:
+        """The multiplicity of the eigenvalue 0 of Phi_q for q >= 1, read from
+        the exact spectra (the sums of one eigenvalue of the head and one of
+        the tail that vanish), or None where the polynomials decide."""
+        if self._spectra is None:
+            return None
+        tail = self._tail
+        if q == 1:
+            return tail.get(0, 0)
+        return sum(k * tail.get(-x, 0) for x, k in self._head(q).items())
 
     def d_has_distinct_eigenvalues(self) -> bool:
         """Whether d has n distinct eigenvalues (over an algebraic closure of

@@ -735,9 +735,12 @@ _LEAVES = st.one_of(
 )
 _TARGETS = [("verify", "algebra"), ("verify", "rep"),
             ("deform-check", "algebra"), ("deform-check", "tensor"),
+            ("deform-check", "nu2"), ("deform-check", "d1"),
             ("cohomology", "algebra"), ("cohomology", "rep"),
-            ("extend", "tensor"), ("tstar", "tensor"),
-            ("extract-cocycle", "extension"), ("equiv-check", "extension"),
+            ("extend", "algebra"), ("extend", "rep"), ("extend", "tensor"),
+            ("extend", "g"), ("tstar", "algebra"), ("tstar", "tensor"), ("tstar", "g"),
+            ("extract-cocycle", "extension"), ("extract-cocycle", "section"),
+            ("equiv-check", "extension"),
             ("nijenhuis-check", "algebra"), ("nijenhuis-check", "op"),
             ("o-operator-check", "rep"), ("o-operator-check", "op"),
             ("metrised-check", "algebra"), ("metrised-check", "op")]
@@ -783,6 +786,8 @@ def test_malformed_documents_keep_the_exit_contract(data):
     documents = {"algebra": docs.algebra_to_doc(md),
                  "rep": docs.representation_to_doc(adjoint_representation(md)),
                  "tensor": docs.tensor_to_doc(tensor), "g": docs.matrix_to_doc(g),
+                 "nu2": docs.tensor_to_doc(SkewTernaryTensor(3, 3, {(0, 1, 2): {2: -1}})),
+                 "d1": docs.matrix_to_doc(Matrix.diagonal([1, 0, 0])),
                  "op": docs.matrix_to_doc(Matrix.diagonal([1, 1, -1])),
                  "extension": ext, "reference": copy.deepcopy(ext),
                  "section": docs.matrix_to_doc(Matrix.block(
@@ -801,8 +806,8 @@ def test_malformed_documents_keep_the_exit_contract(data):
                 fh.write(text)
         argv = {
             "verify": ["verify", paths["algebra"], "--rep", paths["rep"]],
-            "deform-check": ["deform-check", paths["algebra"],
-                             "--nu1", paths["tensor"]],
+            "deform-check": ["deform-check", paths["algebra"], "--nu1", paths["tensor"],
+                             "--nu2", paths["nu2"], "--d1", paths["d1"]],
             "cohomology": ["cohomology", paths["algebra"], "--rep", paths["rep"],
                            "--degree", "1"],
             "extend": ["extend", paths["algebra"], "--rep", paths["rep"],

@@ -149,15 +149,17 @@ def test_survey_script_fails_on_a_broken_complex(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out.splitlines()[2].split()[:4] == ["corrupt", "no", "NO", "1"]
-    # where the axioms pass, a failing identity is a broken assembly
+    # where the axioms pass, a failing identity is a broken assembly; tri-0's
+    # d is not diagonal, so its jobs read the assembled totals
     phi_matrix = ComplexAssembly.phi_matrix
 
     def phi_2_plus_identity(self, q):
         phi = phi_matrix(self, q)
         return phi + Matrix.identity(phi.rows) if q == 2 else phi
 
+    tri = triangular_family_member(random.Random("tri-0"))
     monkeypatch.setattr(survey, "instances", lambda seed: [
-        ("broken", ComplexAssembly(md, adjoint_representation(md)))])
+        ("broken", ComplexAssembly(tri, adjoint_representation(tri)))])
     with monkeypatch.context() as patch:
         patch.setattr(ComplexAssembly, "phi_matrix", phi_2_plus_identity)
         assert survey.main([]) == 1
@@ -166,9 +168,33 @@ def test_survey_script_fails_on_a_broken_complex(capsys, monkeypatch):
     # where the verified axioms no longer describe the assembled matrices
     assert captured.err == (
         "FAILED broken: the axioms pass but a complex identity fails\n"
-        "FAILED broken, q=2: the representatives path gives (10, 6, 4), not (10, 7, 3)\n"
-        "FAILED broken, q=3: the representatives path gives (28, 21, 7), not (28, 26, 2)\n")
+        "FAILED broken, q=2: the representatives path gives (9, 6, 3), not (9, 7, 2)\n")
     assert captured.out.splitlines()[2].split()[:4] == ["broken", "yes", "NO", "1"]
+    # on a verified diagonal complex an entry of delta_2 between coordinates
+    # of different weight breaks the lemma the weight split rests on; the
+    # split itself reads no delta_matrix, so only the survey's checks see it
+    delta_matrix = ComplexAssembly.delta_matrix
+    weights = [survey.coordinate_weights(ComplexAssembly(md, adjoint_representation(md)), q)
+               for q in (2, 3)]
+    mixed = (weights[1].index(0), next(j for j, w in enumerate(weights[0]) if w))
+
+    def delta_2_mixing_weights(self, q):
+        delta = delta_matrix(self, q)
+        return (delta + Matrix.from_entries(delta.rows, delta.cols, {mixed: Fraction(1)})
+                if q == 2 else delta)
+
+    monkeypatch.setattr(survey, "instances", lambda seed: [
+        ("example", ComplexAssembly(md, adjoint_representation(md)))])
+    with monkeypatch.context() as patch:
+        patch.setattr(ComplexAssembly, "delta_matrix", delta_2_mixing_weights)
+        assert survey.main([]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "FAILED example: the axioms pass but a complex identity fails\n"
+        "FAILED example: the axioms pass but delta_2 links coordinates of "
+        "different weight\n")
+    # the C0 column counts the weight-0 coordinates of C^1..C^3
+    assert [line.split()[-1] for line in captured.out.splitlines()[2:5]] == ["3", "6", "10"]
     # a dims-only rank that disagrees with elimination fails the survey too
     monkeypatch.setattr(survey, "instances", lambda seed: [
         ("example", ComplexAssembly(md, adjoint_representation(md)))])
@@ -546,13 +572,14 @@ def test_dims_only_matches_the_full_path(eliminated):
 
 def test_representatives_match_the_elimination_oracle(eliminated):
     """cohomology_dim(q) gives the oracle's dims and representatives, in
-    order.  Where the lemma proves H^q = 0 it assembles no total; every
-    other job pivots the free-coordinate quotient, with no top block at
-    q = 1 and on valid input, and with the product partial_q partial_(q-1)
-    on top on invalid input; every route is taken.  On the invalid 4-dim
-    bracket with the coadjoint action both Phi are certified but partial_2
-    partial_1 != 0, and the oracle's (9, 16, -7) at q = 2 is kept only by
-    the failing axioms."""
+    order.  Where the lemma proves H^q = 0 it assembles no total; where
+    partial_q splits by Phi's weights (the example) it pivots the weight-0
+    blocks; every other job pivots the free-coordinate quotient, with no
+    top block at q = 1 and on valid input, and with the product partial_q
+    partial_(q-1) on top on invalid input; every route is taken.  On the
+    invalid 4-dim bracket with the coadjoint action both Phi are certified
+    but partial_2 partial_1 != 0, and the oracle's (9, 16, -7) at q = 2 is
+    kept only by the failing axioms."""
     routes, invalid_laws = set(), {2: set(), 3: set()}
     for md, rep, q, want in eliminated:
         asm = ComplexAssembly(md, rep)
@@ -560,7 +587,9 @@ def test_representatives_match_the_elimination_oracle(eliminated):
         assert dims(summary) == dims(want), (md, rep, q)
         assert ([tc.stacked() for tc in summary.representatives]
                 == [tc.stacked() for tc in want.representatives]), (md, rep, q)
-        if q not in asm._partial:
+        if asm._zero_delta:
+            routes.add("weight split")
+        elif q not in asm._partial:
             routes.add("certified")
         elif q == 1:
             routes.add("degree 1")
@@ -569,7 +598,7 @@ def test_representatives_match_the_elimination_oracle(eliminated):
         else:
             routes.add("invalid")
             invalid_laws[q] |= {v.law for v in verify_representation(md, rep).violations}
-    assert routes == {"certified", "degree 1", "valid", "invalid"}
+    assert routes == {"certified", "degree 1", "valid", "invalid", "weight split"}
     # every representation law, broken by corrupt_representation, builds
     # the top block at q = 2 and 3
     laws = {"bracket-pair action identity", "pair action commutator identity",
@@ -1641,6 +1670,151 @@ def test_degree_one_and_abelian_five_jobs_build_no_pair_tables(monkeypatch):
         for mat in (asm.delta_matrix(1), asm.phi_matrix(2), asm.delta_matrix(2)):
             assert {d for _, d in mat._int_rows} == {den}
     assert den == 2
+
+
+# ---------------------------------------------------------------------------
+# the weight split where d and d_M are diagonal
+
+
+def with_diagonal_d(md):
+    """md with the off-diagonal entries of d dropped, at the same weight."""
+    return MD3LieAlgebra(md.algebra, ModifiedDifferential(
+        md.lam, Matrix.diagonal([md.d[i, i] for i in range(md.n)])))
+
+
+def diagonal_complexes():
+    """(name, algebra, representation) with diagonal d and d_M: the example,
+    four members of its family with d made diagonal (the family admits any
+    d with d_21 = d_31 = 0 at weight -(d_22 + d_33)), abelian n = 1 and
+    n = 2, trivial modules with a diagonal d_M over n = 1, 2 and 3, a
+    determinant-bracket member (d = k I: Phi = 0 for the adjoint, certified
+    for the coadjoint), trivial2 (every weight 0), and two invalid inputs:
+    the example at weight lam + 1 and the example's adjoint with a corrupted
+    pair action."""
+    rng = random.Random("weights")
+    example = example_md()
+    family = [with_diagonal_d(triangular_family_member(rng)) for _ in range(4)]
+    line = MD3LieAlgebra(ThreeLieAlgebra.abelian(1),
+                         ModifiedDifferential(Fraction(1, 2), Matrix.diagonal([1])))
+    plane = MD3LieAlgebra(ThreeLieAlgebra.abelian(2),
+                          ModifiedDifferential(Fraction(1), Matrix.diagonal([1, -2])))
+    det = det_bracket_md(random.Random("det-0"))
+    trivial2 = MD3LieAlgebra(ThreeLieAlgebra.abelian(2),
+                             ModifiedDifferential(Fraction(0), Matrix.zeros(2, 2)))
+    out = [(f"{name}/{make.__name__[:4]}", md, make(md))
+           for name, md in [("example", example), ("line", line), ("plane", plane),
+                            ("det-0", det)] + [(f"family-{i}", md) for i, md in enumerate(family)]
+           for make in (adjoint_representation, coadjoint_representation)]
+    out += [("line/trivial", line, trivial_representation(line, 2, Matrix.diagonal([1, 2]))),
+            ("plane/trivial", plane,
+             trivial_representation(plane, 2, Matrix.diagonal([Fraction(1, 2), 1]))),
+            ("example/trivial", example,
+             trivial_representation(example, 2, Matrix.diagonal([1, 4]))),
+            ("trivial2", trivial2, trivial_representation(trivial2, 1, Matrix.zeros(1, 1)))]
+    shifted = MD3LieAlgebra(example.algebra,
+                            ModifiedDifferential(example.lam + 1, example.d))
+    corrupt = corrupt_representation(rng, example, adjoint_representation(example),
+                                     "pair action commutator identity")
+    out += [("example+1/adjo", shifted, adjoint_representation(shifted)),
+            ("example/corrupt", example, corrupt)]
+    return out
+
+
+def zero_diagonal(asm, q):
+    """The coordinates where the assembled Phi_q is zero, and whether Phi_q
+    is diagonal."""
+    rows = asm.phi_matrix(q).sparse_rows
+    return ([i for i, row in enumerate(rows) if not row.get(i)],
+            all(row.keys() <= {i} for i, row in enumerate(rows)))
+
+
+def test_the_weight_split_gives_the_oracle_s_dims_and_representatives():
+    """On every diagonal_complexes() member at q = 2..4, both paths give
+    the dims of oracles.cohomology_by_elimination, and the representatives
+    path its representatives, item for item.  The representatives path
+    takes the split exactly where q >= 2, Phi_q or Phi_(q-1) is nonzero on
+    some coordinate, H^q = 0 is not certified and the axioms hold (by the
+    verifiers).  Where it runs, each list of weight-0 coordinates is the set
+    where the assembled, diagonal Phi is zero, and its length is the
+    multiplicity of 0 in Phi's exact spectrum."""
+    taken, names = 0, set()
+    for name, md, rep in diagonal_complexes():
+        valid = axioms_hold(md, rep)
+        for q in (2, 3, 4):
+            asm, dims_only = ComplexAssembly(md, rep), ComplexAssembly(md, rep)
+            want = oracles.cohomology_by_elimination(ComplexAssembly(md, rep), q)
+            got = asm.cohomology_dim(q)
+            assert dims(got) == dims(want), (name, q)
+            assert ([tc.f.items for tc in got.representatives]
+                    == [tc.f.items for tc in want.representatives]), (name, q)
+            assert ([tc.g.items for tc in got.representatives]
+                    == [tc.g.items for tc in want.representatives]), (name, q)
+            assert dims(dims_only.cohomology_dim(q, representatives=False)) == dims(want)
+            zeros = {k: zero_diagonal(asm, k) for k in (q - 1, q, q + 1)}
+            assert all(diagonal for _, diagonal in zeros.values()), name
+            nonzero = any(len(zeros[k][0]) < cochain_dim(k, md.n, rep.m) for k in (q, q - 1))
+            certified = asm.phi_det_mod_p(q) and asm.phi_det_mod_p(q - 1)
+            route = bool(asm._zero_delta)
+            assert route == (nonzero and not certified and valid), (name, q)
+            if route:
+                taken += 1
+                names.add(name.split("/")[0])
+                for k in (q - 1, q, q + 1):
+                    assert list(asm._weight_zero(k)) == zeros[k][0], (name, q, k)
+                    assert (len(asm._weight_zero(k))
+                            == asm._phi_det.zero_multiplicity(k)), (name, q, k)
+    assert (taken, names) == (36, {"example", "line", "plane"} | {
+        f"family-{i}" for i in range(4)})
+
+
+def test_the_weight_split_builds_no_total_and_no_phi(monkeypatch):
+    """The example at q = 3, both actions, both paths: no partial_matrix,
+    no phi_matrix and no delta_matrix; delta_q is assembled on the weight-0
+    rows only.  The determinant member's adjoint (Phi = 0) and trivial2
+    (every weight 0) take the full path."""
+    md = example_md()
+
+    def refuse(self, q):
+        raise AssertionError("a full matrix was assembled")
+
+    with monkeypatch.context() as patch:
+        for name in ("partial_matrix", "phi_matrix", "delta_matrix"):
+            patch.setattr(ComplexAssembly, name, refuse)
+        for make, want in ((adjoint_representation, (28, 26, 2)),
+                           (coadjoint_representation, (27, 27, 0))):
+            for representatives in (True, False):
+                asm = ComplexAssembly(md, make(md))
+                summary = asm.cohomology_dim(3, representatives)
+                assert dims(summary) == want, (make.__name__, representatives)
+                assert not (asm._partial or asm._phi or asm._delta)
+                assert {q: m.rows for q, m in asm._zero_delta.items()} == {
+                    q: len(asm._weight_zero(q + 1)) for q in (1, 2, 3)}
+    trivial2 = MD3LieAlgebra(ThreeLieAlgebra.abelian(2),
+                             ModifiedDifferential(Fraction(0), Matrix.zeros(2, 2)))
+    det = det_bracket_md(random.Random("det-0"))
+    for asm in (ComplexAssembly(det, adjoint_representation(det)),
+                ComplexAssembly(trivial2, trivial_representation(trivial2, 1,
+                                                                 Matrix.zeros(1, 1)))):
+        for representatives in (True, False):
+            asm.cohomology_dim(3, representatives)
+        assert not asm._zero_delta and set(asm._partial) == {2, 3}
+
+
+def test_a_weight_zero_list_that_disagrees_with_the_spectrum_is_an_internal_error(
+        monkeypatch):
+    """The weight-0 coordinates are counted against Phi's exact spectrum,
+    and delta_q^Z refuses an entry on a column outside them: a complex whose
+    d disagrees with the spectrum, or whose delta links two weights, raises
+    RuntimeError (exit 3), never a wrong report."""
+    md = example_md()
+    asm = ComplexAssembly(md, adjoint_representation(md))
+    monkeypatch.setattr(asm._phi_det, "zero_multiplicity", lambda q: 0)
+    with pytest.raises(RuntimeError, match="weight 0 in degree 3"):
+        asm.cohomology_dim(3)
+    asm = ComplexAssembly(md, adjoint_representation(md))
+    asm._zero[2] = asm._weight_zero(2)[1:]  # one coordinate misfiled
+    with pytest.raises(RuntimeError, match="outside the columns"):
+        asm.cohomology_dim(2)
 
 
 # ---------------------------------------------------------------------------

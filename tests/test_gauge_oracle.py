@@ -24,24 +24,31 @@ of the input that leave the answer fixed whatever path computes it.
 All three also compare det Phi_q mod p, not only the dimensions: the two
 sides hand the certificate different spectra whose products are related, so
 a certificate that miscounts an eigenvalue, flips the sign of the tail or
-uses the head of the degree before breaks the relation."""
+uses the head of the degree before breaks the relation.
+
+The same three changes check the weight split (ComplexAssembly splits
+partial_q by Phi's weights where d and d_M are diagonal) on complexes with
+nonzero weights, where the split runs on both sides: the gauge keeps every
+weight, scaling multiplies every weight by c, and a permutation of the basis
+keeps d diagonal and permutes the coordinates with signs, so the split
+meets a different set of weight-0 coordinates in a different order."""
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from md3lie.cli import run_command
-from md3lie.cohomology import ComplexAssembly
-from md3lie.corpus import example_md
-from md3lie.documents import serialize_algebra
+from md3lie.cohomology import ComplexAssembly, TotalCochain
+from md3lie.corpus import example_md, triangular_family_member
+from md3lie.documents import dump_json, representation_to_doc, serialize_algebra
 from md3lie.exactnum import CERTIFICATE_PRIME, Matrix
-from md3lie.multilin import SkewTernaryTensor, pair_basis
+from md3lie.multilin import CochainCoordinates, SkewTernaryTensor, pair_basis
 from md3lie.structures import (
     MD3LieAlgebra, ModifiedDifferential, ThreeLieAlgebra, adjoint_representation,
-    coadjoint_representation, verify_3lie, verify_modified_differential,
-    verify_representation,
+    coadjoint_representation, trivial_representation, verify_3lie,
+    verify_modified_differential, verify_representation,
 )
 
 import oracles
@@ -196,3 +203,155 @@ def test_a_basis_change_keeps_the_certificate_the_verdicts_and_the_cohomology(ke
             for a in fresh:
                 a.cohomology_dim(1, representatives=False)
                 assert (1 not in a._partial) == (on_route or bool(a.phi_det_mod_p(1)))
+
+
+# ---------------------------------------------------------------------------
+# the weight split: diagonal d and d_M with nonzero weights
+
+SPLIT_DEGREES = (2, 3, 4)
+
+
+def trivial_module(d_M):
+    """A representation maker for the trivial module with this d_M."""
+    def make(md):
+        return trivial_representation(md, d_M.rows, d_M)
+    return make
+
+
+def diagonal_members():
+    """(key, algebra, representation maker): the example, two members of its
+    family with d made diagonal, the example on a trivial module with
+    diagonal d_M, and an abelian n = 2 algebra with diagonal d."""
+    rng = random.Random("weight split")
+    family = []
+    while len(family) < 2:
+        member = triangular_family_member(rng)
+        d = Matrix.diagonal([member.d[i, i] for i in range(3)])
+        if len(set(d[i, i] for i in range(3))) == 3:
+            family.append(with_diff(member, d, member.lam))
+    plane = MD3LieAlgebra(ThreeLieAlgebra.abelian(2),
+                          ModifiedDifferential(Fraction(1), Matrix.diagonal([1, -2])))
+    example = example_md()
+    return ([("example", example, adjoint_representation),
+             ("example/trivial", example, trivial_module(Matrix.diagonal([1, 4])))]
+            + [(f"family-{i}", md, adjoint_representation) for i, md in enumerate(family)]
+            + [("plane", plane, adjoint_representation)])
+
+
+DIAGONAL = diagonal_members()
+each_diagonal = pytest.mark.parametrize(
+    "md, make", [(md, make) for _, md, make in DIAGONAL], ids=[k for k, _, _ in DIAGONAL])
+
+
+def split_summary(md, rep, q, representatives):
+    """cohomology_dim(q) on a fresh assembly, which must take the split."""
+    asm = ComplexAssembly(md, rep)
+    summary = asm.cohomology_dim(q, representatives)
+    assert asm._zero_delta, (q, representatives)
+    return summary
+
+
+def summary_dims(summary):
+    return summary.z_dim, summary.b_dim, summary.h_dim
+
+
+@each_diagonal
+def test_the_weight_gauge_keeps_every_weight_and_every_report(md, make, tmp_path, capsys):
+    """(d + s I, d_M + s I, lam - 2s) at s = lam / 2 and s = 1: the split
+    runs on both sides, and the cohomology reports at q = 2..4, with and
+    without representatives, are byte-identical."""
+    path, rep_path = tmp_path / "algebra.json", tmp_path / "rep.json"
+    rep_arg = "adjoint" if make is adjoint_representation else str(rep_path)
+    argvs = [["cohomology", str(path), "--rep", rep_arg, "--degree", str(q)] + flag
+             for q in SPLIT_DEGREES for flag in ([], ["--representatives"])]
+
+    def reports(alg, rep):
+        path.write_text(serialize_algebra(alg), encoding="utf-8")
+        dump_json(str(rep_path), representation_to_doc(rep))
+        out = [(run_command(argv), capsys.readouterr()) for argv in argvs]
+        assert all(code == 0 for code, _ in out)
+        return out
+
+    rep = make(md)
+    before = reports(md, rep)
+    for s in (md.lam / 2, Fraction(1)):
+        gauged = shifted(md, s)
+        gauged_rep = (make(gauged) if make is adjoint_representation
+                      else trivial_module(rep.d_M + Matrix.identity(rep.m).scale(s))(gauged))
+        assert valid(gauged) and verify_representation(gauged, gauged_rep).valid
+        for q in SPLIT_DEGREES:
+            for representatives in (False, True):
+                split_summary(gauged, gauged_rep, q, representatives)
+        assert reports(gauged, gauged_rep) == before, s
+
+
+@each_diagonal
+def test_scaling_keeps_the_split_cohomology(md, make):
+    """c in {2, -1, -3/5} multiplies every weight by c: the split runs on
+    both sides and (z, b, h) is unchanged at q = 2..4 on both paths."""
+    for q, representatives in product(SPLIT_DEGREES, (False, True)):
+        want = summary_dims(split_summary(md, make(md), q, representatives))
+        for c in (Fraction(2), Fraction(-1), Fraction(-3, 5)):
+            alg = scaled(md, c)
+            rep = (make(alg) if make is adjoint_representation
+                   else trivial_module(make(md).d_M.scale(c))(alg))
+            assert summary_dims(split_summary(alg, rep, q, representatives)) == want, (
+                c, q, representatives)
+
+
+def signed_coordinates(sigma, tau, q, n, m):
+    """For each coordinate of C^q over the algebra in the basis e_sigma(i)
+    and the module in the basis e_tau(r), the coordinate of C^q in the old
+    bases that it reads, and the sign of the pairs it reorders."""
+    pairs = pair_basis(n)
+    position = {pair: t for t, pair in enumerate(pairs)}
+    image = [(position[min(sigma[i], sigma[j]), max(sigma[i], sigma[j])],
+              1 if sigma[i] < sigma[j] else -1) for i, j in pairs]
+    out = []
+    for args in product(range(len(pairs)), repeat=q - 1):
+        index, sign = 0, 1
+        for a in args:
+            index, sign = index * len(pairs) + image[a][0], sign * image[a][1]
+        out += [((index * n + sigma[k]) * m + tau[r], sign)
+                for k in range(n) for r in range(m)]
+    return out
+
+
+@each_diagonal
+def test_a_basis_permutation_keeps_the_split_cohomology(md, make):
+    """P e_i = e_sigma(i) keeps d diagonal: the split runs on both sides at
+    q = 2..4, (z, b, h) is unchanged on both paths, and the
+    representatives, mapped back by the induced signed coordinate
+    permutation, are cocycles of the old complex that span the same space
+    modulo B = im partial_(q-1) as the old ones."""
+    n = md.n
+    sigma = [1, 0] if n == 2 else [1, 2, 0]
+    P = Matrix.from_entries(n, n, {(sigma[i], i): Fraction(1) for i in range(n)})
+    other = conjugated(md, P)
+    rep, other_rep = make(md), make(other)
+    # the adjoint module moves with the algebra; a trivial one stays
+    tau = sigma if make is adjoint_representation else list(range(rep.m))
+    asm = ComplexAssembly(md, rep)
+    assert other.d == Matrix.diagonal([md.d[s, s] for s in sigma])
+    for q in SPLIT_DEGREES:
+        assert (summary_dims(split_summary(other, other_rep, q, False))
+                == summary_dims(split_summary(md, rep, q, False))), q
+        mine, theirs = (split_summary(*pair, q, True)
+                        for pair in ((md, rep), (other, other_rep)))
+        assert summary_dims(theirs) == summary_dims(mine), q
+        maps = [signed_coordinates(sigma, tau, k, n, rep.m) for k in (q, q - 1)]
+        moved = [TotalCochain(q, *(
+            CochainCoordinates(k, n, rep.m, {at[i][0]: at[i][1] * c for i, c in part.items.items()})
+            for k, at, part in zip((q, q - 1), maps, (tc.f, tc.g))))
+            for tc in theirs.representatives]
+        assert all(asm.is_cocycle(tc).valid for tc in moved), q
+        boundary = asm.partial_matrix(q - 1)
+        width = boundary.rows
+
+        def rank(*groups):
+            columns = [tc.stacked() for group in groups for tc in group]
+            return Matrix.hstack([boundary, Matrix.from_columns(columns, width)]).rank()
+
+        b_rank = boundary.rank()
+        assert (rank(mine.representatives) == rank(moved)
+                == rank(mine.representatives, moved) == b_rank + mine.h_dim), q

@@ -112,6 +112,42 @@ def test_only_exactnum_reaches_the_elimination_engine():
     assert {name: read for name, read in readers.items() if read} == {}
 
 
+OPERATOR_TERMS = {"_delta_terms", "_phi_terms"}
+
+
+def operator_term_reads(source: str) -> list[tuple[str, bool]]:
+    """(name, whether it is passed straight to an ``_assemble`` call) for
+    each read of an operator's term generator in source."""
+    tree = ast.parse(source)
+    passed = {id(arg) for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "_assemble"
+              for arg in node.args + [k.value for k in node.keywords]}
+    return [(node.attr, id(node) in passed) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and node.attr in OPERATOR_TERMS]
+
+
+def test_operator_term_reads_are_found():
+    source = ("self._assemble(q, q - 1, self._delta_terms)\n"
+              "rows = list(self._phi_terms(arg, k, stride))\n"
+              "self._assemble(q, q, terms=self._phi_terms)\n")
+    assert operator_term_reads(source) == [
+        ("_delta_terms", True), ("_phi_terms", False), ("_phi_terms", True)]
+
+
+def test_only_the_assembler_reads_the_operator_terms():
+    # delta's and Phi's terms are enumerated by ComplexAssembly._assemble
+    # alone, whatever rows or columns it is asked for, so no route grows a
+    # second assembler that could drift from the one the oracles check
+    reads = [(path.name, name, passed)
+             for path in SOURCES if path.parent.name != "tests"
+             for name, passed in operator_term_reads(path.read_text(encoding="utf-8"))]
+    assert {name for _, name, _ in reads} == OPERATOR_TERMS
+    assert [read for read in reads if not read[2]] == []
+    assert {path for path, _, _ in reads} == {"cohomology.py"}
+
+
 def certificate_helpers() -> set[str]:
     """The names exactnum.py defines in its section on the determinant of a
     Kronecker sum."""
