@@ -21,7 +21,8 @@ structures.leibniz_data) only when a degree of 2 or more first reads them;
 no axiom is verified, so invalid input assembles too.  Every term is a table
 entry times +-1, so assembly runs over integers: the tables are scaled once
 by the lcm D of all their denominators, known before the pair tables are
-built, and each row is its integers over D (exactnum's integer rows).
+built, and each row is its integers over D (exactnum's integer rows, which
+only the assembler writes and only the quotient below reads).
 The degree is generic, but sizes grow like C(n,2)^(q-1), and a matrix whose
 rows x cols exceeds MAX_DENSE_ENTRIES is refused before it is built.
 
@@ -64,8 +65,8 @@ vectors of Q[d] as degree-1 cochains.  This is linear algebra alone and
 holds on every input, valid or not, so no verifier runs.  The condition is
 one PhiDeterminant query, read from d's spectrum or its polynomial mod p
 (no spectrum or polynomial of Phi_1 or d_F); then only delta_1 is
-assembled, and delta_1 K, an n-column integer product, is eliminated only
-where it is nonzero (never on an abelian algebra).  Every other degree-1
+assembled, and the n-column product delta_1 K is formed and eliminated only
+where delta_1 is nonzero (never on an abelian algebra).  Every other degree-1
 rank with Phi_1 singular (a repeated eigenvalue, another d_M, a prime that
 divides a denominator of d) eliminates partial_1.
 
@@ -104,8 +105,9 @@ column supports, so the leftmost independent pivots of partial_q, the
 normal-form kernel vector at each free column (supported on earlier pivots
 and that column) and the pivots of [partial_(q-1) | K] all split by weight,
 and no weight-nonzero free column names a representative, as its kernel
-vector lies in the image of partial_(q-1); the weight-0 vectors are
-embedded back into full coordinates.  The weight-0 coordinates of each
+vector lies in the image of partial_(q-1).  So the split is the full path
+on the weight-0 coordinates, with Phi's blocks zero: one stacking, one
+quotient and one embedding (below).  The weight-0 coordinates of each
 degree come from the weights of the pair tuples and a lookup of (k, r) by
 weight, once per complex, and their number is checked against the
 multiplicity of 0 in Phi's exact spectrum (PhiDeterminant.zero_multiplicity).
@@ -129,11 +131,12 @@ cohomology_dim pivots that matrix: its pivots inside the boundary block
 count b, those beyond it name the free columns whose kernel vectors are the
 representatives, and only those vectors are back-substituted; row f of the
 lower block is its integer row with its denominator at the identity column.
-The full totals and the weight-0 blocks of the split take this one step.
+cohomology_dim takes this step once, on the full or the weight-0 totals,
+and embeds each kernel vector through their coordinate lists.
 
 Caching: a ComplexAssembly memoizes assembled matrices, the tables and,
 from degree 2 on, the pair tables, the weight-0 coordinates and the
-delta_q^Z of the weight split, and the axiom verdict; its
+delta_q^Z of the weight split (not its totals), and the axiom verdict; its
 PhiDeterminant keeps the spectral data of every degree certified so far,
 so a certificate of Phi_q after one of Phi_(q-1) adds one d_F factor and
 takes one product or one resultant.  Population is idempotent (pure
@@ -153,7 +156,7 @@ from typing import Optional
 
 from .errors import InputError
 from .exactnum import (
-    Matrix, PhiDeterminant, Vector, sparse_combination, vec_is_zero,
+    Matrix, PhiDeterminant, Vector, vec_is_zero,
 )
 from .multilin import CochainCoordinates, cochain_dim, pair_basis
 from .structures import (
@@ -289,17 +292,20 @@ class ComplexAssembly:
         matrix [[delta_q, 0], [(-1)^q Phi_q, delta_(q-1)]]."""
         _check_degree(q)
         if q not in self._partial:
-            up, _, low = self._total_dims(q)
-            if q == 1:
-                mat = Matrix.vstack([self.delta_matrix(1), -self.phi_matrix(1)])
-            else:
-                phi = self.phi_matrix(q)
-                mat = Matrix.block([
-                    [self.delta_matrix(q), Matrix.zeros(up, low)],
-                    [phi if q % 2 == 0 else -phi, self.delta_matrix(q - 1)],
-                ])
-            self._partial[q] = mat
+            self._total_dims(q)  # refuses a total over the budget
+            self._partial[q] = self._stack(
+                q, self.delta_matrix(q), self.phi_matrix(q),
+                self.delta_matrix(q - 1) if q > 1 else None)
         return self._partial[q]
+
+    @staticmethod
+    def _stack(q: int, delta: Matrix, phi: Matrix, low: Optional[Matrix]) -> Matrix:
+        """partial_q from delta_q, Phi_q and delta_(q-1) (None at q = 1),
+        on all coordinates or on the same coordinate list in each degree."""
+        if q == 1:
+            return Matrix.vstack([delta, -phi])
+        return Matrix.block([[delta, Matrix.zeros(delta.rows, low.cols)],
+                             [phi if q % 2 == 0 else -phi, low]])
 
     def _total_dims(self, q: int) -> tuple[int, int, int]:
         """dim C^(q+1), dim C^q and dim C^(q-1) (0 at q = 1); refuses a
@@ -553,26 +559,19 @@ class ComplexAssembly:
         return self.partial_matrix(q).rank()
 
     def _commutant_image_rank(self) -> int:
-        """rank(delta_1 K), K the n vectors (den d)^j, j < n, of Q[d] as
-        degree-1 cochains (f(e_k)_r at k m + r), den d the integer columns
-        _tables.d; scaling K's columns or delta_1's rows keeps the rank, so
-        the product is one sparse pass over delta_1's nonzero integer rows,
-        and where there is none (an abelian algebra) nothing is computed."""
-        rows = [r for r, _ in self.delta_matrix(1)._integer_rows() if r]
-        if not rows:
+        """rank(delta_1 K), K the n vectors d^j, j < n, of Q[d] as degree-1
+        cochains (f(e_k)_r at k m + r); where delta_1 is zero (an abelian
+        algebra) nothing is computed."""
+        delta_1, d, n = self.delta_matrix(1), self.md.d, self.md.n
+        if delta_1.is_zero:
             return 0
-        d, n = self._tables.d, self.md.n
-        columns, power = [], [{k: 1} for k in range(n)]  # columns of (den d)^j
-        for _ in range(n):
-            columns.append({k * n + r: v for k, col in enumerate(power)
-                            for r, v in col.items()})
-            # column k of P (den d) is the sum over s of (den d)_sk col_s(P)
-            power = [sparse_combination((c, power[s].items()) for s, c in col)
-                     for col in d]
-        image = [{j: x for j, x in enumerate(
-            sum(v * col.get(i, 0) for i, v in r.items()) for col in columns) if x}
-            for r in rows]
-        return Matrix._raw(len(image), n, int_rows=((row, 1) for row in image)).rank()
+        power, K = Matrix.identity(n), {}
+        for j in range(n):
+            for r, row in enumerate(power.sparse_rows):
+                for k, v in row.items():
+                    K[k * n + r, j] = v
+            power = power @ d
+        return (delta_1 @ Matrix.from_entries(n * n, n, K)).rank()
 
     # -- the weight split -------------------------------------------------
 
@@ -636,24 +635,10 @@ class ComplexAssembly:
         return self._zero_delta[q]
 
     def _zero_total(self, q: int) -> Matrix:
-        """partial_q on the weight-0 coordinates, where Phi vanishes:
-        diag(delta_q^Z, delta_(q-1)^Z), or delta_1^Z over zero rows at q = 1."""
-        top = self._zero_delta_matrix(q)
-        if q == 1:
-            return Matrix._raw(top.rows + top.cols, top.cols, int_rows=chain(
-                top._integer_rows(), [({}, 1)] * top.cols))
-        low = self._zero_delta_matrix(q - 1)
-        return Matrix._raw(top.rows + low.rows, top.cols + low.cols, int_rows=chain(
-            top._integer_rows(), (({top.cols + j: v for j, v in row.items()}, den)
-                                  for row, den in low._integer_rows())))
-
-    def _from_weight_zero(self, q: int, v: Vector) -> TotalCochain:
-        """The total cochain of a vector over the weight-0 coordinates of C^q
-        + C^(q-1), embedded into full coordinates."""
-        n, m = self.md.n, self.rep.m
-        f, g = self._weight_zero(q), self._weight_zero(q - 1)
-        return TotalCochain(q, CochainCoordinates(q, n, m, dict(zip(f, v))),
-                            CochainCoordinates(q - 1, n, m, dict(zip(g, v[len(f):]))))
+        """partial_q on the weight-0 coordinates, where Phi vanishes."""
+        zero = len(self._weight_zero(q))
+        return self._stack(q, self._zero_delta_matrix(q), Matrix.zeros(zero, zero),
+                           self._zero_delta_matrix(q - 1) if q > 1 else None)
 
     # -- dimensions and representatives -----------------------------------
 
@@ -684,18 +669,22 @@ class ComplexAssembly:
         if self._splits_by_weight(q):
             # the weight-nonzero block is acyclic: its kernel is its image,
             # of dimension dim C^(q-1)_N, and holds no representative
-            z_dim, b_dim, kernel = self._quotient(
-                self._zero_total(q), self._zero_total(q - 1), composes=True)
-            shift = low - len(self._weight_zero(q - 1))
-            return CohomologySummary(z_dim + shift, b_dim + shift, z_dim - b_dim,
-                                     [self._from_weight_zero(q, v) for v in kernel])
-        total = self.partial_matrix(q)
-        boundary = (self.partial_matrix(q - 1) if q > 1
-                    else Matrix.zeros(total.cols, 0))
-        z_dim, b_dim, kernel = self._quotient(
-            total, boundary, composes=q == 1 or self._axioms_hold)
-        return CohomologySummary(z_dim, b_dim, z_dim - b_dim,
-                                 [TotalCochain.from_stacked(q, n, m, v) for v in kernel])
+            total, boundary = self._zero_total(q), self._zero_total(q - 1)
+            f, g = self._weight_zero(q), self._weight_zero(q - 1)
+            composes = True
+        else:
+            total = self.partial_matrix(q)
+            boundary = (self.partial_matrix(q - 1) if q > 1
+                        else Matrix.zeros(total.cols, 0))
+            f, g = range(mid), range(low)
+            composes = q == 1 or self._axioms_hold
+        z_dim, b_dim, kernel = self._quotient(total, boundary, composes)
+        shift = low - len(g)
+        return CohomologySummary(z_dim + shift, b_dim + shift, z_dim - b_dim, [
+            TotalCochain(q, CochainCoordinates(q, n, m, dict(zip(f, v))),
+                         CochainCoordinates(q - 1, n, m, dict(zip(g, v[len(f):])))
+                         if q > 1 else None)
+            for v in kernel])
 
     @staticmethod
     def _quotient(total: Matrix, boundary: Matrix,

@@ -324,7 +324,10 @@ class Matrix:
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.sparse_rows)
+        """Whether no row holds an entry, read from the row form the matrix
+        holds; builds no other."""
+        rows = self._fraction_rows
+        return not any((r for r, _ in self._int_rows) if rows is None else rows)
 
     @property
     def is_symmetric(self) -> bool:

@@ -746,6 +746,11 @@ _TARGETS = [("verify", "algebra"), ("verify", "rep"),
             ("metrised-check", "algebra"), ("metrised-check", "op")]
 
 
+# bytes that cannot stand where they are put in ASCII JSON text: a lone
+# continuation byte, lead bytes of 2 and 3 bytes, and two that UTF-8 never uses
+_BAD_BYTES = [0x80, 0xC3, 0xED, 0xFE, 0xFF]
+
+
 def _paths(node, path=()):
     yield path
     if isinstance(node, dict):
@@ -793,17 +798,27 @@ def test_malformed_documents_keep_the_exit_contract(data):
                  "section": docs.matrix_to_doc(Matrix.block(
                      [[Matrix.identity(3)], [Matrix.zeros(3, 3)]]))}
     command, target = data.draw(st.sampled_from(_TARGETS))
-    for _ in range(data.draw(st.integers(1, 3))):
-        _mutate(documents[target], data)
+    # a third of the draws damage the target's bytes, not its tree
+    kind = data.draw(st.sampled_from(["tree", "tree", "truncate", "bad byte"]))
+    if kind == "tree":
+        for _ in range(data.draw(st.integers(1, 3))):
+            _mutate(documents[target], data)
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
         for name, doc in documents.items():
             text = json.dumps(doc)
             for i, raw in enumerate(_RAW):
                 text = text.replace(json.dumps(f"\x00raw{i}"), raw)
+            raw = text.encode("utf-8")
+            if name == target and kind == "truncate":
+                raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+            elif name == target and kind == "bad byte":
+                at = data.draw(st.integers(0, len(raw) - 1))
+                bad = data.draw(st.sampled_from(_BAD_BYTES))
+                raw = raw[:at] + bytes([bad]) + raw[at + 1:]
             paths[name] = os.path.join(tmp, name + ".json")
-            with open(paths[name], "w", encoding="utf-8") as fh:
-                fh.write(text)
+            with open(paths[name], "wb") as fh:
+                fh.write(raw)
         argv = {
             "verify": ["verify", paths["algebra"], "--rep", paths["rep"]],
             "deform-check": ["deform-check", paths["algebra"], "--nu1", paths["tensor"],

@@ -733,7 +733,8 @@ def test_dims_only_assembles_no_total_it_certifies(monkeypatch):
     """On abelian n=5 with the adjoint action Phi_2 is certified and the
     axioms hold, so rank partial_2 needs no delta_2, Phi_2 or degree-2
     total; d has 5 distinct eigenvalues, so rank partial_1 comes from the
-    commutant of d: only delta_1 is assembled, and nothing is eliminated."""
+    commutant of d: only delta_1 is assembled, and nothing is eliminated
+    or turned into Fractions."""
     md = abelian_md(random.Random("md3lie-bench/ab5-0"), 5)
     asm = ComplexAssembly(md, adjoint_representation(md))
     partial_matrix = ComplexAssembly.partial_matrix
@@ -750,6 +751,8 @@ def test_dims_only_assembles_no_total_it_certifies(monkeypatch):
         monkeypatch.setattr(Matrix, name, refuse)
     assert dims(asm.cohomology_dim(2, representatives=False)) == (25, 20, 5)
     assert (set(asm._delta), set(asm._phi), set(asm._partial)) == ({1}, set(), set())
+    # delta_1's zero test read its integer rows and built no Fraction view
+    assert asm.delta_matrix(1)._fraction_rows is None
 
 
 def test_representatives_assemble_no_total_they_certify(monkeypatch):

@@ -277,17 +277,19 @@ def fraction_view_built(m):
 @given(integer_rows(), st.integers(0, 3), st.data())
 @settings(max_examples=200, deadline=None)
 def test_integer_and_fraction_forms_agree(drawn, inner, data):
-    """An integer-built matrix eliminates, applies, negates and stacks
-    without its Fraction rows, and agrees with the Fraction-built matrix of
-    the same quotients in every view, in products, in stacks with
+    """An integer-built matrix tests for zero, eliminates, applies, negates
+    and stacks without its Fraction rows, and agrees with the Fraction-built
+    matrix of the same quotients in every view, in products, in stacks with
     Fraction-built parts and in its echelon form; a Fraction-built matrix
-    fills its integer rows on its first apply."""
+    tests for zero without integer rows and fills them on its first apply."""
     rows, cols, int_rows = drawn
     m = Matrix._raw(rows, cols, int_rows=int_rows)
     ref = Matrix(rows, cols, [Fraction(r.get(j, 0), den) for r, den in int_rows
                               for j in range(cols)])
     v = data.draw(st.lists(cancelling, min_size=cols, max_size=cols))
-    assert ref._int_rows is None
+    # is_zero reads the row form each matrix holds, and builds no other
+    assert m.is_zero == ref.is_zero == (not any(r for r, _ in int_rows))
+    assert ref._int_rows is None and not fraction_view_built(m)
     assert m.apply(v) == ref.apply(v)
     assert all(isinstance(x, Fraction) for x in m.apply(v))
     assert m._echelon() == ref._echelon()

@@ -31,7 +31,11 @@ partial_q by Phi's weights where d and d_M are diagonal) on complexes with
 nonzero weights, where the split runs on both sides: the gauge keeps every
 weight, scaling multiplies every weight by c, and a permutation of the basis
 keeps d diagonal and permutes the coordinates with signs, so the split
-meets a different set of weight-0 coordinates in a different order."""
+meets a different set of weight-0 coordinates in a different order.  The
+module's basis can move on its own: the example's adjoint read from a
+document (so verify_representation runs), moved by Q != P on the module,
+rho'(x, y) = Q^-1 rho(P x, P y) Q and d_M' = Q^-1 d_M Q, keeps d_M
+diagonal too."""
 
 import random
 from fractions import Fraction
@@ -42,13 +46,16 @@ import pytest
 from md3lie.cli import run_command
 from md3lie.cohomology import ComplexAssembly, TotalCochain
 from md3lie.corpus import example_md, triangular_family_member
-from md3lie.documents import dump_json, representation_to_doc, serialize_algebra
+from md3lie.documents import (
+    dump_json, representation_from_doc, representation_to_doc, serialize_algebra,
+)
 from md3lie.exactnum import CERTIFICATE_PRIME, Matrix
 from md3lie.multilin import CochainCoordinates, SkewTernaryTensor, pair_basis
 from md3lie.structures import (
-    MD3LieAlgebra, ModifiedDifferential, ThreeLieAlgebra, adjoint_representation,
-    coadjoint_representation, trivial_representation, verify_3lie,
-    verify_modified_differential, verify_representation,
+    MD3LieAlgebra, ModifiedDifferential, Representation, ThreeLieAlgebra,
+    adjoint_representation, coadjoint_representation, implied_by_algebra,
+    trivial_representation, verify_3lie, verify_modified_differential,
+    verify_representation,
 )
 
 import oracles
@@ -317,31 +324,30 @@ def signed_coordinates(sigma, tau, q, n, m):
     return out
 
 
-@each_diagonal
-def test_a_basis_permutation_keeps_the_split_cohomology(md, make):
-    """P e_i = e_sigma(i) keeps d diagonal: the split runs on both sides at
-    q = 2..4, (z, b, h) is unchanged on both paths, and the
-    representatives, mapped back by the induced signed coordinate
-    permutation, are cocycles of the old complex that span the same space
-    modulo B = im partial_(q-1) as the old ones."""
-    n = md.n
-    sigma = [1, 0] if n == 2 else [1, 2, 0]
-    P = Matrix.from_entries(n, n, {(sigma[i], i): Fraction(1) for i in range(n)})
-    other = conjugated(md, P)
-    rep, other_rep = make(md), make(other)
-    # the adjoint module moves with the algebra; a trivial one stays
-    tau = sigma if make is adjoint_representation else list(range(rep.m))
+def permutation(sigma):
+    """The matrix of e_i -> e_sigma(i)."""
+    return Matrix.from_entries(len(sigma), len(sigma),
+                               {(s, i): Fraction(1) for i, s in enumerate(sigma)})
+
+
+def assert_the_split_survives_the_permutation(md, rep, other, other_rep, sigma, tau):
+    """(other, other_rep) is (md, rep) in the algebra basis e_sigma(i) and
+    the module basis e_tau(r): the split runs on both sides at q = 2..4,
+    (z, b, h) is unchanged on both paths, and the representatives, mapped
+    back by the induced signed coordinate permutation, are cocycles of the
+    old complex that span the same space modulo B = im partial_(q-1) as the
+    old ones."""
+    n, m = md.n, rep.m
     asm = ComplexAssembly(md, rep)
-    assert other.d == Matrix.diagonal([md.d[s, s] for s in sigma])
     for q in SPLIT_DEGREES:
         assert (summary_dims(split_summary(other, other_rep, q, False))
                 == summary_dims(split_summary(md, rep, q, False))), q
         mine, theirs = (split_summary(*pair, q, True)
                         for pair in ((md, rep), (other, other_rep)))
         assert summary_dims(theirs) == summary_dims(mine), q
-        maps = [signed_coordinates(sigma, tau, k, n, rep.m) for k in (q, q - 1)]
+        maps = [signed_coordinates(sigma, tau, k, n, m) for k in (q, q - 1)]
         moved = [TotalCochain(q, *(
-            CochainCoordinates(k, n, rep.m, {at[i][0]: at[i][1] * c for i, c in part.items.items()})
+            CochainCoordinates(k, n, m, {at[i][0]: at[i][1] * c for i, c in part.items.items()})
             for k, at, part in zip((q, q - 1), maps, (tc.f, tc.g))))
             for tc in theirs.representatives]
         assert all(asm.is_cocycle(tc).valid for tc in moved), q
@@ -355,3 +361,50 @@ def test_a_basis_permutation_keeps_the_split_cohomology(md, make):
         b_rank = boundary.rank()
         assert (rank(mine.representatives) == rank(moved)
                 == rank(mine.representatives, moved) == b_rank + mine.h_dim), q
+
+
+@each_diagonal
+def test_a_basis_permutation_keeps_the_split_cohomology(md, make):
+    """P e_i = e_sigma(i) keeps d diagonal, and the split survives it
+    (assert_the_split_survives_the_permutation)."""
+    n = md.n
+    sigma = [1, 0] if n == 2 else [1, 2, 0]
+    other = conjugated(md, permutation(sigma))
+    rep, other_rep = make(md), make(other)
+    # the adjoint module moves with the algebra; a trivial one stays
+    tau = sigma if make is adjoint_representation else list(range(rep.m))
+    assert other.d == Matrix.diagonal([md.d[s, s] for s in sigma])
+    assert_the_split_survives_the_permutation(md, rep, other, other_rep, sigma, tau)
+
+
+def transported(md, rep, sigma, Q):
+    """rep in the algebra basis e_sigma(i) and the module basis of Q's
+    columns: rho'(x, y) = Q^-1 rho(P x, P y) Q, P = permutation(sigma), and
+    d_M' = Q^-1 d_M Q."""
+    inverse, rho = Q.inverse(), {}
+    for i, j in pair_basis(md.n):
+        a, b = sigma[i], sigma[j]
+        action = rep.rho.get((min(a, b), max(a, b)))
+        if action is not None:
+            rho[i, j] = inverse @ (action if a < b else -action) @ Q
+    return Representation(n=md.n, m=rep.m, rho=rho, d_M=inverse @ rep.d_M @ Q,
+                          lam=rep.lam)
+
+
+def test_a_module_basis_of_its_own_keeps_the_split_cohomology():
+    """The example's adjoint read from its document, so implied_by_algebra is
+    false and verify_representation runs on both sides, moved by P = sigma
+    on the algebra and by a module permutation Q = tau that is neither sigma
+    nor the identity: d_M' stays diagonal, and the split survives the move
+    (assert_the_split_survives_the_permutation)."""
+    md = example_md()
+    rep = representation_from_doc(representation_to_doc(adjoint_representation(md)), md)
+    sigma, tau = [1, 2, 0], [0, 2, 1]
+    other = conjugated(md, permutation(sigma))
+    other_rep = transported(md, rep, sigma, permutation(tau))
+    assert other_rep.d_M == Matrix.diagonal([rep.d_M[t, t] for t in tau])
+    for alg, module in ((md, rep), (other, other_rep)):
+        assert not implied_by_algebra(alg, module)
+        assert verify_representation(alg, module).valid
+    assert other_rep != adjoint_representation(other)
+    assert_the_split_survives_the_permutation(md, rep, other, other_rep, sigma, tau)

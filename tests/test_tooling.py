@@ -115,17 +115,34 @@ def test_only_exactnum_reaches_the_elimination_engine():
 OPERATOR_TERMS = {"_delta_terms", "_phi_terms"}
 
 
-def operator_term_reads(source: str) -> list[tuple[str, bool]]:
-    """(name, whether it is passed straight to an ``_assemble`` call) for
-    each read of an operator's term generator in source."""
+def attribute_reads(source: str, names) -> list[tuple[str, str, bool]]:
+    """(name, the dotted name of the enclosing class and function, whether
+    it is passed straight to an ``_assemble`` call) for each read of an
+    attribute in names in source, in source order."""
     tree = ast.parse(source)
     passed = {id(arg) for node in ast.walk(tree)
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
               and node.func.attr == "_assemble"
               for arg in node.args + [k.value for k in node.keywords]}
-    return [(node.attr, id(node) in passed) for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-            and node.attr in OPERATOR_TERMS]
+    reads = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            where = f"{where}.{node.name}".lstrip(".")
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and node.attr in names):
+            reads.append((node.attr, where, id(node) in passed))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "")
+    return reads
+
+
+def operator_term_reads(source: str) -> list[tuple[str, bool]]:
+    """(name, whether it is passed straight to an ``_assemble`` call) for
+    each read of an operator's term generator in source."""
+    return [(name, passed) for name, _, passed in attribute_reads(source, OPERATOR_TERMS)]
 
 
 def test_operator_term_reads_are_found():
@@ -146,6 +163,33 @@ def test_only_the_assembler_reads_the_operator_terms():
     assert {name for _, name, _ in reads} == OPERATOR_TERMS
     assert [read for read in reads if not read[2]] == []
     assert {path for path, _, _ in reads} == {"cohomology.py"}
+
+
+ROW_FORMAT = {"_raw", "_integer_rows"}
+
+
+def test_attribute_reads_name_their_function():
+    source = ("class A:\n"
+              "    def f(self):\n        return Matrix._raw(1, 1)\n"
+              "    def g(self, m):\n"
+              "        def h():\n            return m._integer_rows()\n"
+              "        return h\n"
+              "rows = m._integer_rows\n")
+    assert attribute_reads(source, ROW_FORMAT) == [
+        ("_raw", "A.f", False), ("_integer_rows", "A.g.h", False),
+        ("_integer_rows", "", False)]
+
+
+def test_only_the_assembler_and_the_quotient_read_integer_rows():
+    # exactnum's integer-row format is written by the assembler and read by
+    # the quotient lemma alone; every other matrix of the complex is built
+    # by Matrix operations, so a route stacks what they give and cannot
+    # drift from the format the engine expects
+    source = (ROOT / "src" / "md3lie" / "cohomology.py").read_text(encoding="utf-8")
+    reads = attribute_reads(source, ROW_FORMAT)
+    assert {name for name, _, _ in reads} == ROW_FORMAT
+    assert [read for read in reads if read[1] not in {
+        "ComplexAssembly._assemble", "ComplexAssembly._quotient"}] == []
 
 
 def certificate_helpers() -> set[str]:
