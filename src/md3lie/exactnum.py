@@ -72,14 +72,6 @@ def scal(value) -> Fraction:
     raise InputError(f"not an exact scalar: {value!r}")
 
 
-def unit(n: int, i: int) -> Vector:
-    return tuple(Fraction(1 if j == i else 0) for j in range(n))
-
-
-def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
 def vec_is_zero(u: Sequence[Fraction]) -> bool:
     return all(not a for a in u)
 

@@ -35,7 +35,7 @@ from typing import Mapping, Sequence
 
 from .errors import InputError
 from .exactnum import (
-    Matrix, Vector, scal, sparse_combination, unit, vec_add, vec_from_sparse,
+    Matrix, Vector, scal, sparse_combination, vec_from_sparse,
 )
 from .multilin import (
     PairIndex, SkewTernaryTensor, SparseItems, pair_basis, pair_position, wedge_basis,
@@ -293,15 +293,15 @@ def derivation_shift_check(md: MD3LieAlgebra) -> bool:
     are kept as separate code paths on purpose."""
     br = md.algebra.bracket
     n = md.n
-    shifted = md.d + Matrix.identity(n).scale(md.lam / 2)
-    e = [unit(n, i) for i in range(n)]
+    ident = Matrix.identity(n)
+    shifted = md.d + ident.scale(md.lam / 2)
+    e = [ident.column(i) for i in range(n)]
     for i, j, k in combinations(range(n), 3):
         lhs = shifted.apply(br.basis_value(i, j, k))
-        rhs = vec_add(
-            vec_add(br(shifted.column(i), e[j], e[k]),
-                    br(e[i], shifted.column(j), e[k])),
-            br(e[i], e[j], shifted.column(k)),
-        )
+        rhs = tuple(a + b + c for a, b, c in zip(
+            br(shifted.column(i), e[j], e[k]),
+            br(e[i], shifted.column(j), e[k]),
+            br(e[i], e[j], shifted.column(k)), strict=True))
         if lhs != rhs:
             return False
     return True

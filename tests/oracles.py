@@ -60,8 +60,7 @@ from operator import mul
 
 from md3lie.cohomology import CohomologySummary, TotalCochain
 from md3lie.errors import InputError
-from md3lie.exactnum import (Matrix, _cancel, _charpoly_mod, _power_sums_mod, unit,
-                             vec_add, vec_is_zero)
+from md3lie.exactnum import Matrix, _cancel, _charpoly_mod, _power_sums_mod, vec_is_zero
 from md3lie.extension import ExtractedCocycle
 from md3lie.multilin import (CochainCoordinates, SkewTernaryTensor, cochain_dim,
                              pair_basis)
@@ -69,8 +68,16 @@ from md3lie.structures import (LeibnizData, MD3LieAlgebra, ModifiedDifferential,
                                Report, Representation, ThreeLieAlgebra, Violation)
 
 
+def unit(n, i):
+    return tuple(Fraction(1 if j == i else 0) for j in range(n))
+
+
 def vec_zero(n):
     return (Fraction(0),) * n
+
+
+def vec_add(u, v):
+    return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
 def vec_sub(u, v):

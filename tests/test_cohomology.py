@@ -1,12 +1,10 @@
 import dataclasses
-import importlib.util
 import itertools
 import json
 import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +17,7 @@ from md3lie.corpus import (
     random_matrix, random_vector, rational, triangular_family_member,
 )
 from md3lie.errors import InputError
-from md3lie.exactnum import Matrix, unit, vec_add, vec_is_zero
+from md3lie.exactnum import Matrix, vec_is_zero
 from md3lie.multilin import CochainCoordinates, cochain_dim, pair_basis
 from md3lie.structures import (
     MD3LieAlgebra, ModifiedDifferential, Representation, ThreeLieAlgebra,
@@ -128,93 +126,6 @@ def complex_identities_hold(asm):
 def test_complex_identities_adjoint_and_coadjoint(adjoint_asm, coadjoint_asm):
     assert complex_identities_hold(adjoint_asm)
     assert complex_identities_hold(coadjoint_asm)
-
-
-def test_survey_script_fails_on_a_broken_complex(capsys, monkeypatch):
-    path = Path(__file__).resolve().parents[1] / "scripts" / "survey_cohomology.py"
-    spec = importlib.util.spec_from_file_location("survey_cohomology", path)
-    survey = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(survey)
-    assert survey.main([]) == 0
-    captured = capsys.readouterr()
-    assert captured.err == "" and " NO " not in captured.out
-    md = example_md()
-    # an identity may fail where the axioms do: the row says so, and both
-    # paths still agree with elimination
-    corrupt = corrupt_representation(random.Random(1), md, adjoint_representation(md),
-                                     "module differential compatibility")
-    monkeypatch.setattr(survey, "instances",
-                        lambda seed: [("corrupt", ComplexAssembly(md, corrupt))])
-    assert survey.main([]) == 0
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    assert captured.out.splitlines()[2].split()[:4] == ["corrupt", "no", "NO", "1"]
-    # where the axioms pass, a failing identity is a broken assembly; tri-0's
-    # d is not diagonal, so its jobs read the assembled totals
-    phi_matrix = ComplexAssembly.phi_matrix
-
-    def phi_2_plus_identity(self, q):
-        phi = phi_matrix(self, q)
-        return phi + Matrix.identity(phi.rows) if q == 2 else phi
-
-    tri = triangular_family_member(random.Random("tri-0"))
-    monkeypatch.setattr(survey, "instances", lambda seed: [
-        ("broken", ComplexAssembly(tri, adjoint_representation(tri)))])
-    with monkeypatch.context() as patch:
-        patch.setattr(ComplexAssembly, "phi_matrix", phi_2_plus_identity)
-        assert survey.main([]) == 1
-    captured = capsys.readouterr()
-    # the quotient path rests on partial partial = 0, so it reads wrong dims
-    # where the verified axioms no longer describe the assembled matrices
-    assert captured.err == (
-        "FAILED broken: the axioms pass but a complex identity fails\n"
-        "FAILED broken, q=2: the representatives path gives (9, 6, 3), not (9, 7, 2)\n")
-    assert captured.out.splitlines()[2].split()[:4] == ["broken", "yes", "NO", "1"]
-    # on a verified diagonal complex an entry of delta_2 between coordinates
-    # of different weight breaks the lemma the weight split rests on; the
-    # split itself reads no delta_matrix, so only the survey's checks see it
-    delta_matrix = ComplexAssembly.delta_matrix
-    weights = [survey.coordinate_weights(ComplexAssembly(md, adjoint_representation(md)), q)
-               for q in (2, 3)]
-    mixed = (weights[1].index(0), next(j for j, w in enumerate(weights[0]) if w))
-
-    def delta_2_mixing_weights(self, q):
-        delta = delta_matrix(self, q)
-        return (delta + Matrix.from_entries(delta.rows, delta.cols, {mixed: Fraction(1)})
-                if q == 2 else delta)
-
-    monkeypatch.setattr(survey, "instances", lambda seed: [
-        ("example", ComplexAssembly(md, adjoint_representation(md)))])
-    with monkeypatch.context() as patch:
-        patch.setattr(ComplexAssembly, "delta_matrix", delta_2_mixing_weights)
-        assert survey.main([]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == (
-        "FAILED example: the axioms pass but a complex identity fails\n"
-        "FAILED example: the axioms pass but delta_2 links coordinates of "
-        "different weight\n")
-    # the C0 column counts the weight-0 coordinates of C^1..C^3
-    assert [line.split()[-1] for line in captured.out.splitlines()[2:5]] == ["3", "6", "10"]
-    # a dims-only rank that disagrees with elimination fails the survey too
-    monkeypatch.setattr(survey, "instances", lambda seed: [
-        ("example", ComplexAssembly(md, adjoint_representation(md)))])
-    with monkeypatch.context() as patch:
-        patch.setattr(ComplexAssembly, "_total_rank", lambda self, q: 0)
-        assert survey.main([]) == 1
-    assert capsys.readouterr().err == (
-        "FAILED example, q=1: the dims-only path gives (9, 0, 9), not (2, 0, 2)\n"
-        "FAILED example, q=2: the dims-only path gives (36, 0, 36), not (10, 7, 3)\n"
-        "FAILED example, q=3: the dims-only path gives (108, 0, 108), not (28, 26, 2)\n")
-    # and so does a lemma claimed where it does not hold, on both paths
-    monkeypatch.setattr(ComplexAssembly, "_full_rank_proved", lambda self, *q: True)
-    assert survey.main([]) == 1
-    assert capsys.readouterr().err == (
-        "FAILED example, q=1: the representatives path gives (0, 0, 0), not (2, 0, 2)\n"
-        "FAILED example, q=1: the dims-only path gives (0, 0, 0), not (2, 0, 2)\n"
-        "FAILED example, q=2: the representatives path gives (9, 9, 0), not (10, 7, 3)\n"
-        "FAILED example, q=2: the dims-only path gives (9, 9, 0), not (10, 7, 3)\n"
-        "FAILED example, q=3: the representatives path gives (27, 27, 0), not (28, 26, 2)\n"
-        "FAILED example, q=3: the dims-only path gives (27, 27, 0), not (28, 26, 2)\n")
 
 
 def test_complex_identities_random_instances():
@@ -370,12 +281,12 @@ def phi_oracle(md, rep, q):
     """Sum over pair slots of d_F^T, plus d^T on the final slot, minus d_M
     on values, with d_F (weight included) built here from oracles.wedge_coords."""
     n, d = md.n, md.d
-    base = [unit(n, i) for i in range(n)]
+    base = [oracles.unit(n, i) for i in range(n)]
     P = len(pair_basis(n))
     d_F = Matrix.from_columns([
-        vec_add(vec_add(oracles.wedge_coords(d.column(i), base[j]),
-                        oracles.wedge_coords(base[i], d.column(j))),
-                oracles.vec_scale(md.lam, oracles.wedge_coords(base[i], base[j])))
+        oracles.vec_add(oracles.vec_add(oracles.wedge_coords(d.column(i), base[j]),
+                                        oracles.wedge_coords(base[i], d.column(j))),
+                        oracles.vec_scale(md.lam, oracles.wedge_coords(base[i], base[j])))
         for i, j in pair_basis(n)], P)
     pair_ids = [Matrix.identity(P)] * (q - 1)
     I_n, I_m = Matrix.identity(n), Matrix.identity(rep.m)
@@ -436,8 +347,8 @@ def delta_oracle(md, rep, q):
     pairs = pair_basis(n)
     P = len(pairs)
     leibniz = leibniz_data(md)
-    X = [unit(P, t) for t in range(P)]
-    e = [unit(n, i) for i in range(n)]
+    X = [oracles.unit(P, t) for t in range(P)]
+    e = [oracles.unit(n, i) for i in range(n)]
     blocks = []
     for arg in itertools.product(range(P), repeat=q):
         for z in range(n):
@@ -1734,9 +1645,12 @@ def zero_diagonal(asm, q):
 def test_the_weight_split_gives_the_oracle_s_dims_and_representatives():
     """On every diagonal_complexes() member at q = 2..4, both paths give
     the dims of oracles.cohomology_by_elimination, and the representatives
-    path its representatives, item for item.  The representatives path
-    takes the split exactly where q >= 2, Phi_q or Phi_(q-1) is nonzero on
-    some coordinate, H^q = 0 is not certified and the axioms hold (by the
+    path its representatives, item for item.  The lemma the split rests on
+    holds on every valid member: Phi delta = delta Phi with Phi diagonal,
+    so each entry (i, j) of delta_(q-1) joins coordinates of equal weight,
+    Phi_q[i, i] = Phi_(q-1)[j, j].  The representatives path takes the
+    split exactly where q >= 2, Phi_q or Phi_(q-1) is nonzero on some
+    coordinate, H^q = 0 is not certified and the axioms hold (by the
     verifiers).  Where it runs, each list of weight-0 coordinates is the set
     where the assembled, diagonal Phi is zero, and its length is the
     multiplicity of 0 in Phi's exact spectrum."""
@@ -1744,8 +1658,14 @@ def test_the_weight_split_gives_the_oracle_s_dims_and_representatives():
     for name, md, rep in diagonal_complexes():
         valid = axioms_hold(md, rep)
         for q in (2, 3, 4):
+            full = ComplexAssembly(md, rep)
+            phi = [full.phi_matrix(k).sparse_rows for k in (q, q - 1)]
+            assert not valid or all(
+                phi[0][i].get(i, 0) == phi[1][j].get(j, 0)
+                for i, row in enumerate(full.delta_matrix(q - 1).sparse_rows)
+                for j in row), (name, q)
             asm, dims_only = ComplexAssembly(md, rep), ComplexAssembly(md, rep)
-            want = oracles.cohomology_by_elimination(ComplexAssembly(md, rep), q)
+            want = oracles.cohomology_by_elimination(full, q)
             got = asm.cohomology_dim(q)
             assert dims(got) == dims(want), (name, q)
             assert ([tc.f.items for tc in got.representatives]
@@ -1861,7 +1781,7 @@ def test_is_cocycle_agrees_with_the_direct_identities_on_four_dims():
         dim = len(kernel[0])
         combination = oracles.vec_zero(dim)
         for v in kernel:
-            combination = vec_add(combination, oracles.vec_scale(rational(rng), v))
+            combination = oracles.vec_add(combination, oracles.vec_scale(rational(rng), v))
         verdicts = []
         for v in kernel[:2] + [combination] + [random_vector(rng, dim)
                                                for _ in range(2)]:

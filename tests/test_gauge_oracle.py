@@ -35,7 +35,12 @@ meets a different set of weight-0 coordinates in a different order.  The
 module's basis can move on its own: the example's adjoint read from a
 document (so verify_representation runs), moved by Q != P on the module,
 rho'(x, y) = Q^-1 rho(P x, P y) Q and d_M' = Q^-1 d_M Q, keeps d_M
-diagonal too."""
+diagonal too.
+
+A basis change moves abelian extensions over the adjoint as well: with f' =
+P^-1 f(P x, P y, P z) and g' = P^-1 g P, two extensions are equivalent, and
+each is valid, exactly when their moved images are, and an equivalence
+returned for the moved pair is an isomorphism of the moved totals."""
 
 import random
 from fractions import Fraction
@@ -45,16 +50,19 @@ import pytest
 
 from md3lie.cli import run_command
 from md3lie.cohomology import ComplexAssembly, TotalCochain
-from md3lie.corpus import example_md, triangular_family_member
+from md3lie.corpus import example_md, random_matrix, triangular_family_member
 from md3lie.documents import (
     dump_json, representation_from_doc, representation_to_doc, serialize_algebra,
 )
 from md3lie.exactnum import CERTIFICATE_PRIME, Matrix
-from md3lie.multilin import CochainCoordinates, SkewTernaryTensor, pair_basis
+from md3lie.extension import build_abelian_extension, extensions_equivalent, verify_extension
+from md3lie.multilin import (
+    CochainCoordinates, SkewTernaryTensor, extract_skew_trilinear, pair_basis,
+)
 from md3lie.structures import (
     MD3LieAlgebra, ModifiedDifferential, Representation, ThreeLieAlgebra,
     adjoint_representation, coadjoint_representation, implied_by_algebra,
-    trivial_representation, verify_3lie, verify_modified_differential,
+    isomorphism_check, trivial_representation, verify_3lie, verify_modified_differential,
     verify_representation,
 )
 
@@ -154,17 +162,19 @@ def test_scaling_the_differentials_and_the_weight_keeps_the_cohomology(md):
                     CERTIFICATE_PRIME), (make.__name__, c, q)
 
 
+def pulled_back(t, P):
+    """The tensor t(x, y, z)' = P^-1 t(P x, P y, P z) on the basis triples."""
+    inverse, columns = P.inverse(), [P.column(j) for j in range(P.cols)]
+    return SkewTernaryTensor(t.dim_in, t.dim_out, {
+        (i, j, k): dict(enumerate(inverse.apply(t(columns[i], columns[j], columns[k]))))
+        for i, j, k in combinations(range(t.dim_in), 3)})
+
+
 def conjugated(md, P):
     """md in the basis of P's columns: [x, y, z]' = P^-1 [P x, P y, P z] on
     the basis triples, and d' = P^-1 d P, at the same weight."""
-    n, inverse = md.n, P.inverse()
-    columns = [P.column(j) for j in range(n)]
-    bracket = SkewTernaryTensor(n, n, {
-        (i, j, k): dict(enumerate(inverse.apply(
-            md.algebra.bracket(columns[i], columns[j], columns[k]))))
-        for i, j, k in combinations(range(n), 3)})
-    return MD3LieAlgebra(ThreeLieAlgebra(n, bracket),
-                         ModifiedDifferential(md.lam, inverse @ md.d @ P))
+    return MD3LieAlgebra(ThreeLieAlgebra(md.n, pulled_back(md.algebra.bracket, P)),
+                         ModifiedDifferential(md.lam, P.inverse() @ md.d @ P))
 
 
 def verdicts(md, rep):
@@ -408,3 +418,46 @@ def test_a_module_basis_of_its_own_keeps_the_split_cohomology():
         assert verify_representation(alg, module).valid
     assert other_rep != adjoint_representation(other)
     assert_the_split_survives_the_permutation(md, rep, other, other_rep, sigma, tau)
+
+
+# ---------------------------------------------------------------------------
+# equivalence of extensions under a basis change
+
+
+def extension_pairs(md, rep):
+    """((f1, g1), (f2, g2), equivalent) over the example's adjoint: (0, g)
+    with g = diag(0, 1, -1) against the same cocycle shifted by the
+    coboundary of a random 1-cochain, and against (0, 0)."""
+    g = Matrix.diagonal([0, 1, -1])
+    iota = random_matrix(random.Random(43), 3, 3)
+    shift = ComplexAssembly(md, rep).apply_partial(
+        TotalCochain(1, CochainCoordinates.from_linear_map(iota), None))
+    zero = SkewTernaryTensor.zero(3, 3)
+    return [((zero, g), (extract_skew_trilinear(shift.f), g + shift.g.to_linear_map()), True),
+            ((zero, g), (zero, Matrix.zeros(3, 3)), False)]
+
+
+EXTENSION_BASES = [Matrix.identity(3) + Matrix.from_entries(3, 3, {(1, 0): 1}),
+                   permutation([1, 2, 0]),
+                   Matrix.from_rows([[2, 1, 0], [0, 1, 3], [1, 0, 1]])]
+
+
+@pytest.mark.parametrize("P", EXTENSION_BASES, ids=["unipotent", "cyclic", "dense"])
+def test_a_basis_change_keeps_the_equivalence_of_extensions(P):
+    """Both extensions of each pair moved by P, with the adjoint of the
+    conjugated algebra, f' = P^-1 f(P x, P y, P z) and g' = P^-1 g P:
+    extensions_equivalent gives the same verdict as in the given basis,
+    verify_extension the same validity, and each returned eta' is an
+    isomorphism of the moved totals by structures.isomorphism_check."""
+    md = example_md()
+    rep, other = adjoint_representation(md), conjugated(md, P)
+    other_rep, inverse = adjoint_representation(other), P.inverse()
+    for data1, data2, equivalent in extension_pairs(md, rep):
+        given = [build_abelian_extension(md, rep, f, g) for f, g in (data1, data2)]
+        moved = [build_abelian_extension(other, other_rep, pulled_back(f, P),
+                                         inverse @ g @ P) for f, g in (data1, data2)]
+        eta = extensions_equivalent(*moved)
+        assert (extensions_equivalent(*given) is not None) == (eta is not None) == equivalent
+        assert ([verify_extension(e).valid for e in moved]
+                == [verify_extension(e).valid for e in given])
+        assert eta is None or isomorphism_check(eta, moved[0].total, moved[1].total)

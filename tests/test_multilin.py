@@ -6,14 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from md3lie.corpus import example_algebra
 from md3lie.errors import InputError
-from md3lie.exactnum import Matrix, unit, vec_add
+from md3lie.exactnum import Matrix
 from md3lie.multilin import (
     CochainCoordinates, SkewTernaryTensor, cochain_dim, embed_skew_trilinear,
     extract_skew_trilinear, pair_basis,
 )
 
 import oracles
-from oracles import evaluate, wedge_coords
+from oracles import evaluate, unit, vec_add, wedge_coords
 
 scalars = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 

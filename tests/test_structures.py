@@ -10,7 +10,7 @@ from md3lie.corpus import (
 )
 from md3lie.documents import representation_from_doc, representation_to_doc
 from md3lie.errors import InputError
-from md3lie.exactnum import Matrix, unit
+from md3lie.exactnum import Matrix
 from md3lie.extension import build_abelian_extension, extract_cocycle
 from md3lie.multilin import SkewTernaryTensor, pair_basis
 from md3lie.structures import (
@@ -22,7 +22,7 @@ from md3lie.structures import (
     verify_modified_differential, verify_representation,
 )
 
-from oracles import adjoint_representation as oracle_adjoint, rho_basis, wedge_coords
+from oracles import adjoint_representation as oracle_adjoint, rho_basis, unit, wedge_coords
 
 
 def elementary(n, i, j, value=1):
