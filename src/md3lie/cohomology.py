@@ -37,13 +37,15 @@ for every g in C^(q-1) exactly one f, namely (-1)^(q+1) Phi_q^-1
 delta_(q-1) g in B^q, has (f, g) in ker partial_q, so rank partial_q =
 dim C^q.  At q = 1, partial_1 = (delta_1, -Phi_1) is injective with Phi_1
 and no condition is needed.  Injectivity is certified by a nonzero det
-Phi_q mod a 61-bit prime.  Phi_q is the Kronecker sum of q - 1 copies of
-d_F^T, then d^T and -d_M, and one exactnum.PhiDeterminant per complex
-computes its determinant from d, d_M and lam alone, from exact spectra or
-from characteristic polynomials mod p: Phi_q is neither assembled nor
-eliminated, and neither d_F nor leibniz_data is built.  The axioms are
-needed, because input that fails them can have Phi_q invertible and rank
-partial_q != dim C^q; such input is never certified and always eliminated.
+Phi_q mod the prime 2^30 - 35 (exactnum.CERTIFICATE_PRIME), below 2^30 so
+that every residue is one digit of a CPython int.  Phi_q is the Kronecker
+sum of q - 1 copies of d_F^T, then d^T and -d_M, and one
+exactnum.PhiDeterminant per complex computes its determinant from d, d_M
+and lam alone, from exact spectra or from characteristic polynomials mod
+p: Phi_q is neither assembled nor eliminated, and neither d_F nor
+leibniz_data is built.  The axioms are needed, because input that fails
+them can have Phi_q invertible and rank partial_q != dim C^q; such input is
+never certified and always eliminated.
 Every certificate runs before the axioms are verified, and they are
 verified once per complex, so a singular Phi on the dims-only path and a
 degree-1 request run no verifier; the verdict only chooses the path, and the
@@ -64,11 +66,14 @@ n.  So rank partial_1 = n^2 - n + rank(delta_1 K), where K holds the n
 vectors of Q[d] as degree-1 cochains.  This is linear algebra alone and
 holds on every input, valid or not, so no verifier runs.  The condition is
 one PhiDeterminant query, read from d's spectrum or its polynomial mod p
-(no spectrum or polynomial of Phi_1 or d_F); then only delta_1 is
-assembled, and the n-column product delta_1 K is formed and eliminated only
-where delta_1 is nonzero (never on an abelian algebra).  Every other degree-1
-rank with Phi_1 singular (a repeated eigenvalue, another d_M, a prime that
-divides a denominator of d) eliminates partial_1.
+(no spectrum or polynomial of Phi_1 or d_F).  Every term of delta_1 reads
+a bracket value or an action matrix, both stored without zeros, so where
+the algebra has no bracket value and the representation no action (the
+adjoint of an abelian algebra) rank(delta_1 K) = 0 and nothing is
+assembled; elsewhere only delta_1 is, and the n-column product delta_1 K
+is formed and eliminated.  Every other degree-1 rank with Phi_1 singular (a
+repeated eigenvalue, another d_M, a prime that divides a denominator of d)
+eliminates partial_1.
 
 One predicate, the lemma's condition, serves both paths of cohomology_dim,
 and so does a second, the condition of the weight split below (q >= 2, d
@@ -560,11 +565,12 @@ class ComplexAssembly:
 
     def _commutant_image_rank(self) -> int:
         """rank(delta_1 K), K the n vectors d^j, j < n, of Q[d] as degree-1
-        cochains (f(e_k)_r at k m + r); where delta_1 is zero (an abelian
-        algebra) nothing is computed."""
-        delta_1, d, n = self.delta_matrix(1), self.md.d, self.md.n
-        if delta_1.is_zero:
+        cochains (f(e_k)_r at k m + r).  delta_1 is zero where the bracket
+        and the action tables are both empty, since each of its terms reads
+        one of them: then nothing is built, neither _tables nor delta_1."""
+        if self.md.algebra.bracket.is_zero and not self.rep.rho:
             return 0
+        delta_1, d, n = self.delta_matrix(1), self.md.d, self.md.n
         power, K = Matrix.identity(n), {}
         for j in range(n):
             for r, row in enumerate(power.sparse_rows):

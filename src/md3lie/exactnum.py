@@ -549,8 +549,12 @@ def _rational(x: dict[int, int], den: int, n: int) -> Vector:
 
 # ---- determinant of a Kronecker sum modulo a prime -------------------------
 
-#: Modulus of PhiDeterminant (the Mersenne prime 2^61 - 1).
-CERTIFICATE_PRIME = 2 ** 61 - 1
+#: Modulus of PhiDeterminant: 2^30 - 35, the largest prime below 2^30, so
+#: every residue is one 30-bit digit of a CPython int and products and
+#: reductions mod p take the single-digit paths.  p > N = dim C^q on every
+#: degree the entry budget admits: N^2 <= rows x cols of the degree-q total
+#: <= cohomology.MAX_DENSE_ENTRIES, so N <= 3162.
+CERTIFICATE_PRIME = 2 ** 30 - 35
 
 class PhiDeterminant:
     """``det Phi_q mod p`` for p = CERTIFICATE_PRIME, where Phi_q is the

@@ -644,8 +644,9 @@ def test_dims_only_assembles_no_total_it_certifies(monkeypatch):
     """On abelian n=5 with the adjoint action Phi_2 is certified and the
     axioms hold, so rank partial_2 needs no delta_2, Phi_2 or degree-2
     total; d has 5 distinct eigenvalues, so rank partial_1 comes from the
-    commutant of d: only delta_1 is assembled, and nothing is eliminated
-    or turned into Fractions."""
+    commutant of d, and delta_1 is zero because the bracket and the action
+    tables are empty: no delta, Phi, total or assembly table is built, and
+    nothing is eliminated or turned into Fractions."""
     md = abelian_md(random.Random("md3lie-bench/ab5-0"), 5)
     asm = ComplexAssembly(md, adjoint_representation(md))
     partial_matrix = ComplexAssembly.partial_matrix
@@ -661,8 +662,9 @@ def test_dims_only_assembles_no_total_it_certifies(monkeypatch):
     for name in ("rank", "pivot_columns", "kernel_basis"):
         monkeypatch.setattr(Matrix, name, refuse)
     assert dims(asm.cohomology_dim(2, representatives=False)) == (25, 20, 5)
-    assert (set(asm._delta), set(asm._phi), set(asm._partial)) == ({1}, set(), set())
-    # delta_1's zero test read its integer rows and built no Fraction view
+    assert (set(asm._delta), set(asm._phi), set(asm._partial)) == (set(), set(), set())
+    assert "_tables" not in vars(asm)
+    # delta_1, assembled on request, is integer rows with no Fraction view
     assert asm.delta_matrix(1)._fraction_rows is None
 
 
@@ -1549,12 +1551,33 @@ def test_the_degree_one_adjoint_rank_from_the_commutant_is_that_of_elimination()
     assert taken[True] >= 32 and taken[False] >= 32, taken
 
 
+def test_an_action_on_an_abelian_algebra_still_assembles_delta_1():
+    """The commutant route reads delta_1 = 0 off empty bracket and action
+    tables, so an abelian algebra whose representation acts (here rho(e_0,
+    e_1) = I, with d_M = d of distinct eigenvalues) still assembles delta_1,
+    whose image of Q[d] is nonzero, and its degree-1 (z, b, h) is that of
+    full elimination; so is the example's adjoint, whose bracket is not
+    empty."""
+    abelian, example = abelian_with(Matrix.diagonal([1, 2, 3])), example_md()
+    acting = Representation(n=3, m=3, rho={(0, 1): Matrix.identity(3)},
+                            d_M=abelian.d, lam=abelian.lam)
+    for md, rep in ((abelian, acting), (example, adjoint_representation(example))):
+        asm = ComplexAssembly(md, rep)
+        summary = asm.cohomology_dim(1, representatives=False)
+        assert 1 in asm._delta and 1 not in asm._partial
+        assert not commutant_image_is_zero(asm)
+        want = oracles.cohomology_by_elimination(ComplexAssembly(md, rep), 1)
+        assert dims(summary) == dims(want)
+
+
 def test_degree_one_and_abelian_five_jobs_build_no_pair_tables(monkeypatch):
     """delta_1 and Phi_1 read the bracket, the action, d and d_M only, so a
-    degree-1 job builds no leibniz_data even where it eliminates; nor does a
+    degree-1 job builds no leibniz_data even where it eliminates.  A
     dims-only degree-2 job on an abelian n = 5 member, whose Phi_2 is
-    certified and whose partial_1 is eliminated.  Degree 2 and up, where
-    the pair tables are read, still assemble with the one denominator."""
+    certified and whose rank partial_1 comes from the commutant of d with
+    empty bracket and action tables, builds no assembly table at all.
+    Degree 2 and up, where the pair tables are read, still assemble with
+    the one denominator."""
     def refuse(md):
         raise AssertionError("leibniz_data was built")
 
@@ -1569,7 +1592,7 @@ def test_degree_one_and_abelian_five_jobs_build_no_pair_tables(monkeypatch):
     ab5 = abelian_md(random.Random("md3lie-bench/ab5-0"), 5)
     asm = ComplexAssembly(ab5, adjoint_representation(ab5))
     assert dims(asm.cohomology_dim(2, representatives=False)) == (25, 20, 5)
-    assert "_tables" in vars(asm) and "_leibniz" not in vars(asm)
+    assert "_tables" not in vars(asm) and "_leibniz" not in vars(asm)
     monkeypatch.undo()
     # d and the action are integral, and only d_F's diagonal d_ii + d_jj +
     # lam carries lam's denominator: the tables know it before d_F is built

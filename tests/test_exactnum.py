@@ -3,11 +3,13 @@ import pickle
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from md3lie import exactnum
+from md3lie.cohomology import MAX_DENSE_ENTRIES
 from md3lie.errors import InputError
 from md3lie.exactnum import (
     Matrix, PhiDeterminant, _resultant_mod, charpoly_mod_p,
@@ -641,6 +643,16 @@ def test_kronecker_sum_det_declines_what_it_cannot_decide(monkeypatch):
     assert kronecker_sum_charpoly_mod_p(seven, EMPTY_SUM_POLY) is None
     assert kronecker_sum_det_from_halves(seven, EMPTY_SUM_POLY) is None
     assert kronecker_sum_det_from_halves(six, EMPTY_SUM_POLY) == 1
+
+
+def test_the_certificate_prime_is_one_digit_and_above_every_admitted_size():
+    """CERTIFICATE_PRIME is a prime (trial division) below 2^30, so each
+    residue is one 30-bit digit of a CPython int, and above
+    isqrt(MAX_DENSE_ENTRIES), which bounds dim C^q = N on every degree the
+    entry budget admits: the p <= N decline never fires on such a request."""
+    p = exactnum.CERTIFICATE_PRIME
+    assert p > 1 and all(p % k for k in range(2, isqrt(p) + 1))
+    assert isqrt(MAX_DENSE_ENTRIES) < p < 2 ** 30
 
 
 def forced_polynomials(phi):
