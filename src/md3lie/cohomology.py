@@ -43,9 +43,11 @@ sum of q - 1 copies of d_F^T, then d^T and -d_M, and one
 exactnum.PhiDeterminant per complex computes its determinant from d, d_M
 and lam alone, from exact spectra or from characteristic polynomials mod
 p: Phi_q is neither assembled nor eliminated, and neither d_F nor
-leibniz_data is built.  The axioms are needed, because input that fails
-them can have Phi_q invertible and rank partial_q != dim C^q; such input is
-never certified and always eliminated.
+leibniz_data is built.  It declines, and the rank is eliminated, where p
+<= dim C^q or p divides a denominator of d, d_M or lam.  The axioms are
+needed, because input that fails them can have Phi_q invertible and rank
+partial_q != dim C^q; such input is never certified and always
+eliminated.
 Every certificate runs before the axioms are verified, and they are
 verified once per complex, so a singular Phi on the dims-only path and a
 degree-1 request run no verifier; the verdict only chooses the path, and the
@@ -72,8 +74,8 @@ the algebra has no bracket value and the representation no action (the
 adjoint of an abelian algebra) rank(delta_1 K) = 0 and nothing is
 assembled; elsewhere only delta_1 is, and the n-column product delta_1 K
 is formed and eliminated.  Every other degree-1 rank with Phi_1 singular (a
-repeated eigenvalue, another d_M, a prime that divides a denominator of d)
-eliminates partial_1.
+repeated eigenvalue, another d_M, or, where d has no exact spectrum, a
+prime that divides a denominator of d or lam) eliminates partial_1.
 
 One predicate, the lemma's condition, serves both paths of cohomology_dim,
 and so does a second, the condition of the weight split below (q >= 2, d

@@ -566,38 +566,38 @@ class PhiDeterminant:
     each factor, and d_F's are mu_i + mu_j + lam (i < j) for those mu of d,
     so the determinant reads d, d_M and lam alone: neither Phi_q nor d_F is
     built.  The head, the sum of q - 1 copies of d_F, is that of the degree
-    before plus one copy, and the tail is d (+) -d_M.  mod_p(q) declines
-    (None) when p <= N; past that check one of two paths answers every
-    degree, chosen once:
+    before plus one copy, from the empty head at q = 1 (the 1 x 1 zero, the
+    unit of the Kronecker sum); the tail is d (+) -d_M.  One of two paths
+    answers every degree, chosen once:
 
     - exact, where the nonzero patterns of d and d_M split into strongly
       connected components of one index, or of two with a rational spectrum
-      (rational_spectrum), p divides no denominator of d, d_M, lam or the
-      eigenvalues, and p > max(C(n, 2), 2): the spectra are {eigenvalue:
-      multiplicity} dicts over integers (every eigenvalue times one common
-      scale), and det Phi_q is the product of the sums of one eigenvalue of
-      the head and one of the tail, reduced mod p; no characteristic
-      polynomial is computed;
+      (rational_spectrum): the spectra are {eigenvalue: multiplicity} dicts
+      over integers (every eigenvalue times one common scale), and det Phi_q
+      is the product of the sums of one eigenvalue of the head and one of
+      the tail, reduced mod p; no characteristic polynomial is computed;
     - mod p, everywhere else: det Phi_q is one resultant of the
       characteristic polynomials of the head and the tail
       (kronecker_sum_det_from_halves), d_F's from d's
       (wedge_charpoly_mod_p).
 
-    The exact path is taken only where the polynomials answer every degree
-    that passes the size check, so whichever path the input takes, the
-    primes declined are those the polynomials decline.  Where d_M is d (the
-    adjoint), Phi_1 = d^T (+) -d has the eigenvalue mu_i - mu_i = 0, and
-    mod_p(1) is 0 with nothing computed.
+    p is read twice: mod_p(q) declines (None) where p <= N and, past the
+    adjoint's shortcut below, where p cannot read the input (_reads_input:
+    p = 2, or p divides a denominator of d, d_M or lam).  Past both checks p
+    is prime to the exact spectra's scale (an eigenvalue's denominator
+    divides twice the lcm of its block's entry denominators) and exceeds the
+    degree of every polynomial composed, except the tail's n m where n = 1
+    and q >= 2 make N = 0.  Where d_M is d (the adjoint), Phi_1 = d^T (+)
+    -d has the eigenvalue mu_i - mu_i = 0, and mod_p(1) is 0 at once.
 
-    One more query reads d alone, on the same path:
     d_has_distinct_eigenvalues() is True only where d has n distinct
-    eigenvalues, read from the multiplicities of d's exact spectrum, or
-    from chi_d mod p coprime to its derivative; the cohomology of the
-    adjoint in degree 1 then reads the commutant of d.  On the exact path
-    zero_multiplicity(q) counts the eigenvalue 0 of Phi_q, against which the
-    cohomology checks its weight-0 coordinates where d and d_M are
-    diagonal.  The spectra of d_F and of the tail are computed only when a
-    degree asks for them.
+    eigenvalues: read from the multiplicities of d's exact spectrum, or from
+    chi_d mod p coprime to its derivative where p reads the input.  The
+    cohomology of the adjoint in degree 1 then reads the commutant of d.  On
+    the exact path zero_multiplicity(q) counts the eigenvalue 0 of Phi_q,
+    against which the cohomology checks its weight-0 coordinates where d
+    and d_M are diagonal; p reduces neither exact answer.  The spectra of
+    d_F and of the tail are computed only when a degree asks for them.
 
     Members are filled on first use by pure recomputation, so a racing
     first access at worst computes a value twice, and racing extensions of
@@ -609,19 +609,19 @@ class PhiDeterminant:
         self._heads = {}
 
     def mod_p(self, q: int) -> Optional[int]:
-        """det Phi_q mod p for q >= 1, or None when p <= N."""
+        """det Phi_q mod p for q >= 1, or None when p <= N or p cannot read
+        the input."""
         n = self.d.rows
         if CERTIFICATE_PRIME <= self._pairs ** (q - 1) * n * self.d_M.rows:
             return None
         if q == 1 and self.d_M is self.d and n:
             return 0
-        exact = self._spectra
-        if exact is not None:
-            return spectrum_det_mod_p(kronecker_sum_spectrum(
-                self._head(q), self._tail) if q > 1 else self._tail, exact.scale)
-        if q == 1:  # Phi_1's two factors are its halves
-            return kronecker_sum_det_from_halves(*self._factors)
-        return kronecker_sum_det_from_halves(self._head(q), self._tail)
+        if not self._reads_input:
+            return None
+        head, exact = self._head(q), self._spectra
+        if exact is None:
+            return kronecker_sum_det_from_halves(head, self._tail)
+        return spectrum_det_mod_p(kronecker_sum_spectrum(head, self._tail), exact.scale)
 
     def zero_multiplicity(self, q: int) -> Optional[int]:
         """The multiplicity of the eigenvalue 0 of Phi_q for q >= 1, read from
@@ -630,8 +630,6 @@ class PhiDeterminant:
         if self._spectra is None:
             return None
         tail = self._tail
-        if q == 1:
-            return tail.get(0, 0)
         return sum(k * tail.get(-x, 0) for x, k in self._head(q).items())
 
     def d_has_distinct_eigenvalues(self) -> bool:
@@ -639,24 +637,33 @@ class PhiDeterminant:
         Q): on the exact path, whether each eigenvalue of d's spectrum has
         multiplicity 1; elsewhere, whether d's characteristic polynomial mod
         p is coprime to its derivative, that is disc chi_d != 0 mod p, which
-        proves disc chi_d != 0 over Q.  False where p divides a denominator
-        of d.  Reads d alone: no spectrum or polynomial of d_F or of Phi."""
+        proves disc chi_d != 0 over Q, and False where p cannot read the
+        input.  Reads d alone: no spectrum or polynomial of d_F or of Phi."""
         n, exact = self.d.rows, self._spectra
         if exact is not None and self.d_M.rows:  # d's spectrum was read
             return len(exact.d) == n
+        if not self._reads_input:
+            return False
         c = self._factors[0]
-        return c is not None and bool(_resultant_mod(
+        return bool(_resultant_mod(
             c, [(n - k) * x % CERTIFICATE_PRIME for k, x in enumerate(c[:-1])],
             CERTIFICATE_PRIME))
 
     @cached_property
+    def _reads_input(self) -> bool:
+        """Whether p > 2 and p divides no denominator of d, d_M or lam: the
+        one condition on p, past the size check, of every answer mod p."""
+        p = CERTIFICATE_PRIME
+        return p > 2 and all(c.denominator % p for c in chain(
+            (self.lam,), *(row.values() for mat in (self.d, self.d_M)
+                           for row in mat.sparse_rows)))
+
+    @cached_property
     def _spectra(self) -> Optional[SimpleNamespace]:
         """The exact spectra of d (``d``) and of -d_M (``minus_d_M``), and
-        lam (``lam``), each value times ``scale``, an integer prime to p;
-        None where the polynomials decide."""
-        d, d_M, lam, p = self.d, self.d_M, self.lam, CERTIFICATE_PRIME
-        if p <= max(self._pairs, 2):
-            return None
+        lam (``lam``), each value times ``scale``, the lcm of their
+        denominators; None where the polynomials decide."""
+        d, d_M, lam = self.d, self.d_M, self.lam
         # on a zero module every Phi_q is empty, whatever d's spectrum; the
         # adjoint's d_M is d itself
         mu = rational_spectrum(d) if d_M.rows else []
@@ -664,9 +671,6 @@ class PhiDeterminant:
         if eta is None:
             return None
         scale = lcm(lam.denominator, *(v.denominator for v in chain(mu, eta)))
-        if lcm(scale, *(c.denominator for mat in (d, d_M) for row in mat.sparse_rows
-                        for c in row.values())) % p == 0:
-            return None
 
         def scaled(v):
             return v.numerator * (scale // v.denominator)
@@ -675,7 +679,7 @@ class PhiDeterminant:
                                minus_d_M=Counter(-scaled(v) for v in eta))
 
     @cached_property
-    def _factors(self) -> tuple[Optional[list[int]], Optional[list[int]]]:
+    def _factors(self) -> tuple[list[int], list[int]]:
         # the characteristic polynomials mod p of d and -d_M (d^T has d's)
         c_d = charpoly_mod_p(self.d)
         return c_d, negated_charpoly_mod_p(
@@ -696,21 +700,26 @@ class PhiDeterminant:
                 else wedge_charpoly_mod_p(self._factors[0], self.lam))
 
     def _head(self, q: int):
-        """The Kronecker sum of q - 1 >= 1 copies of d_F on the path taken:
-        the degree before's plus one copy."""
+        """The Kronecker sum of q - 1 >= 0 copies of d_F on the path taken:
+        the empty head, the 1 x 1 zero ({0: 1} or [1, 0]) at q = 1, d_F at
+        q = 2, and then the degree before's plus one copy."""
         heads = self._heads
         if q not in heads:
-            compose = (kronecker_sum_charpoly_mod_p if self._spectra is None
-                       else kronecker_sum_spectrum)
-            heads[q] = self._pair if q == 2 else compose(self._head(q - 1), self._pair)
+            exact = self._spectra is not None
+            if q == 1:
+                heads[q] = {0: 1} if exact else [1, 0]
+            elif q == 2:
+                heads[q] = self._pair
+            else:
+                compose = kronecker_sum_spectrum if exact else kronecker_sum_charpoly_mod_p
+                heads[q] = compose(self._head(q - 1), self._pair)
         return heads[q]
 
 
-def kronecker_sum_charpoly_mod_p(a: Optional[list[int]],
-                                 b: Optional[list[int]]) -> Optional[list[int]]:
+def kronecker_sum_charpoly_mod_p(a: list[int], b: list[int]) -> list[int]:
     """The characteristic polynomial mod p = CERTIFICATE_PRIME of ``A (+) B
     = A (x) I + I (x) B`` from those of A and B (as charpoly_mod_p gives
-    them); None when one is None or p <= N = deg a * deg b.
+    them), for p > N = deg a * deg b.
 
     Its eigenvalues are the sums alpha + beta, whose power sums up to N
     _sum_power_sums gives from the factors' (_power_sums_mod), and Newton's
@@ -718,20 +727,14 @@ def kronecker_sum_charpoly_mod_p(a: Optional[list[int]],
     integers up to N < p only, so over the field of p elements it gives the
     reduction of the polynomial over Q.  O(N^2) operations mod p."""
     p = CERTIFICATE_PRIME
-    if a is None or b is None:
-        return None
     N = (len(a) - 1) * (len(b) - 1)
-    if p <= N:
-        return None
     return _newton_mod(_sum_power_sums(
         _power_sums_mod(a, N, p), _power_sums_mod(b, N, p), p), p)
 
 
-def kronecker_sum_det_from_halves(a: Optional[list[int]],
-                                  b: Optional[list[int]]) -> Optional[int]:
+def kronecker_sum_det_from_halves(a: list[int], b: list[int]) -> int:
     """``det(A (+) B) mod p`` from the characteristic polynomials mod p =
-    CERTIFICATE_PRIME of A and B; None when one is None or p <= deg a *
-    deg b.
+    CERTIFICATE_PRIME of A and B.
 
     The determinant is ``prod_(alpha, beta) (alpha + beta)``, the resultant
     of a and ``h(x) = prod_beta (x + beta) = (-1)^(deg b) b(-x)``, whose
@@ -740,18 +743,12 @@ def kronecker_sum_det_from_halves(a: Optional[list[int]],
     J. Symb. Comput. 2006).  Over the integers localized at p the
     determinant commutes with reduction mod p, so a nonzero result proves
     the Kronecker sum invertible over Q.  O(deg a * deg b) operations."""
-    p = CERTIFICATE_PRIME
-    if a is None or b is None or p <= (len(a) - 1) * (len(b) - 1):
-        return None
-    return _resultant_mod(a, negated_charpoly_mod_p(b), p)
+    return _resultant_mod(a, negated_charpoly_mod_p(b), CERTIFICATE_PRIME)
 
 
-def negated_charpoly_mod_p(c: Optional[list[int]]) -> Optional[list[int]]:
+def negated_charpoly_mod_p(c: list[int]) -> list[int]:
     """The characteristic polynomial mod p = CERTIFICATE_PRIME of -A from
-    that of A, ``(-1)^r c(-x)``: its odd coefficients negated; None for
-    None."""
-    if c is None:
-        return None
+    that of A, ``(-1)^r c(-x)``: its odd coefficients negated."""
     return [-x % CERTIFICATE_PRIME if k % 2 else x for k, x in enumerate(c)]
 
 
@@ -831,26 +828,24 @@ def spectrum_det_mod_p(spectrum: dict[int, int], scale: int) -> int:
     return out * pow(scale, -sum(spectrum.values()), p) % p
 
 
-def charpoly_mod_p(f: Matrix) -> Optional[list[int]]:
+def charpoly_mod_p(f: Matrix) -> list[int]:
     """The characteristic polynomial ``[1, c_1, ..., c_r]`` of the square
-    matrix f mod p = CERTIFICATE_PRIME, or None when p divides the
-    denominator of an entry."""
+    matrix f mod p = CERTIFICATE_PRIME, for a p that divides no denominator
+    of an entry."""
     p = CERTIFICATE_PRIME
     dense = [[0] * f.cols for _ in range(f.rows)]
     for i, row in enumerate(f.sparse_rows):
         for j, e in row.items():
-            if e.denominator % p == 0:
-                return None
             dense[i][j] = e.numerator * pow(e.denominator, -1, p) % p
     return _charpoly_mod(dense, p)
 
 
-def wedge_charpoly_mod_p(c: Optional[list[int]], lam) -> Optional[list[int]]:
+def wedge_charpoly_mod_p(c: list[int], lam) -> list[int]:
     """The characteristic polynomial mod p = CERTIFICATE_PRIME of ``A ^ 1 +
     1 ^ A + lam``, the map ``a ^ b -> A a ^ b + a ^ A b + lam a ^ b`` on the
     N = C(r, 2) pairs, from the characteristic polynomial ``c = [1, c_1,
-    ..., c_r]`` of A mod p (as charpoly_mod_p gives it); None when c is
-    None, when p divides the denominator of lam, or when p = 2 or p <= N.
+    ..., c_r]`` of A mod p (as charpoly_mod_p gives it), for p > max(N, 2)
+    that divides no denominator of lam.
 
     Over an algebraic closure A is triangular, and so is the pair map, with
     eigenvalues ``mu_i + mu_j + lam`` (i < j) for the eigenvalues mu of A:
@@ -864,12 +859,8 @@ def wedge_charpoly_mod_p(c: Optional[list[int]], lam) -> Optional[list[int]]:
     operations mod p, and no N x N matrix."""
     p = CERTIFICATE_PRIME
     lam = Fraction(lam)
-    if c is None or lam.denominator % p == 0:
-        return None
     r = len(c) - 1
     N = r * (r - 1) // 2
-    if p <= max(N, 2):
-        return None
     s, inv2 = _power_sums_mod(c, N, p), pow(2, -1, p)
     pairs = [(S - pow(2, k, p) * t) * inv2 % p
              for k, (S, t) in enumerate(zip(_sum_power_sums(s, s, p), s))]

@@ -2,6 +2,7 @@ import importlib
 import sys
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,21 @@ def random_md(rng, n):
     """A random dense bracket and differential: nearly every tuple fails."""
     return MD3LieAlgebra(ThreeLieAlgebra(n, random_skew_tensor(rng, n, n)),
                          ModifiedDifferential(rational(rng), random_matrix(rng, n, n)))
+
+
+def pulled_back(t, P):
+    """The tensor t(x, y, z)' = P^-1 t(P x, P y, P z) on the basis triples."""
+    inverse, columns = P.inverse(), [P.column(j) for j in range(P.cols)]
+    return SkewTernaryTensor(t.dim_in, t.dim_out, {
+        (i, j, k): dict(enumerate(inverse.apply(t(columns[i], columns[j], columns[k]))))
+        for i, j, k in combinations(range(t.dim_in), 3)})
+
+
+def conjugated(md, P):
+    """md in the basis of P's columns: [x, y, z]' = P^-1 [P x, P y, P z] on
+    the basis triples, and d' = P^-1 d P, at the same weight."""
+    return MD3LieAlgebra(ThreeLieAlgebra(md.n, pulled_back(md.algebra.bracket, P)),
+                         ModifiedDifferential(md.lam, P.inverse() @ md.d @ P))
 
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"

@@ -32,7 +32,8 @@ residual of every identity in its own order, zero exactly on a cocycle.
 ``kronecker_sum_det_mod_p`` is the determinant certificate of the dims-only
 cohomology path as it was first written: the power sums of the whole
 Kronecker sum, up to its dimension N, turned into the determinant by
-Newton's identities in O(N^2), with no resultant.
+Newton's identities in O(N^2), with no resultant.  ``phi_det`` applies it
+to Phi_q, with d_F from this module's ``leibniz_data``.
 
 ``product_is_zero`` decides ``a @ b = 0`` in integers, the zero test of the
 run-time guard that the totals compose to zero before the verified axioms
@@ -51,6 +52,8 @@ matrix of that polynomial and its derivative, with no prime.
 representatives as it was before the certificate served that path too: the
 kernel basis of the assembled partial_q, and the pivot columns of
 [partial_(q-1) | kernel] for b and the representatives, in every case.
+``phi_star_corank`` reads the other side of the cone's long exact sequence
+from delta and Phi alone.
 """
 
 from fractions import Fraction
@@ -58,6 +61,7 @@ from itertools import combinations, product
 from math import lcm
 from operator import mul
 
+from md3lie import exactnum
 from md3lie.cohomology import CohomologySummary, TotalCochain
 from md3lie.errors import InputError
 from md3lie.exactnum import Matrix, _cancel, _charpoly_mod, _power_sums_mod, vec_is_zero
@@ -612,6 +616,13 @@ def kronecker_sum_det_mod_p(factors, p):
     return e[N]
 
 
+def phi_det(md, rep, q):
+    """det Phi_q mod CERTIFICATE_PRIME by the O(N^2) power sums of the whole
+    Kronecker sum of q - 1 copies of d_F, d and -d_M."""
+    factors = [leibniz_data(md).d_F] * (q - 1) + [md.d, -rep.d_M]
+    return kronecker_sum_det_mod_p(factors, exactnum.CERTIFICATE_PRIME)
+
+
 def product_is_zero(a, b):
     """Whether ``a @ b`` is the zero matrix, decided in integers.
 
@@ -704,3 +715,19 @@ def cohomology_by_elimination(asm, q):
     reps = [TotalCochain.from_stacked(q, n, m, kernel[c - boundary.cols])
             for c in pivots if c >= boundary.cols]
     return CohomologySummary(len(kernel), b_dim, len(kernel) - b_dim, reps)
+
+
+def phi_star_corank(asm, k):
+    """dim coker, equal to dim ker, of Phi* on H^k(delta), from delta and
+    Phi alone: dim Z^k - dim(Phi_k Z^k + B^k), the rank of [Phi_k K_k |
+    delta_(k-1)] with K_k a kernel basis of delta_k and B^1 = 0.  It is 0 at
+    k = 0, where no cochain lives.  By the long exact sequence of the cone,
+    dim H^q = phi_star_corank(q) + phi_star_corank(q - 1) on valid input."""
+    if k == 0:
+        return 0
+    kernel = asm.delta_matrix(k).kernel_basis()
+    dim = cochain_dim(k, asm.md.n, asm.rep.m)
+    blocks = [asm.phi_matrix(k) @ Matrix.from_columns(kernel, dim)]
+    if k > 1:
+        blocks.append(asm.delta_matrix(k - 1))
+    return len(kernel) - Matrix.hstack(blocks).rank()

@@ -1237,12 +1237,6 @@ def test_budget_refusal_comes_before_the_certificate(emd, adjoint, monkeypatch,
     assert not (asm._delta or asm._phi or asm._partial)
 
 
-def phi_det_oracle(md, rep, q):
-    """det Phi_q mod p by the O(N^2) power sums of the whole Kronecker sum."""
-    factors = [leibniz_data(md).d_F] * (q - 1) + [md.d, -rep.d_M]
-    return oracles.kronecker_sum_det_mod_p(factors, exactnum.CERTIFICATE_PRIME)
-
-
 def test_phi_certificate_agrees_with_exact_elimination():
     answered = 0
     for md, rep, degrees in dims_only_cases():
@@ -1254,7 +1248,7 @@ def test_phi_certificate_agrees_with_exact_elimination():
             answered += 1
             assert det == det_mod_p([phi.row(i) for i in range(phi.rows)],
                                     exactnum.CERTIFICATE_PRIME)
-            assert det == phi_det_oracle(md, rep, q), (md, rep, q)
+            assert det == oracles.phi_det(md, rep, q), (md, rep, q)
             assert bool(det) == (phi.rank() == phi.rows), (md, rep, q)
     assert answered
 
@@ -1269,7 +1263,7 @@ def test_phi_certificate_holds_on_abelian_five():
         asm = ComplexAssembly(md, rep)
         det = asm.phi_det_mod_p(2)
         assert det, i
-        assert det == phi_det_oracle(md, rep, 2), i
+        assert det == oracles.phi_det(md, rep, 2), i
     assert dims(asm.cohomology_dim(2, representatives=False)) == (25, 20, 5)
 
 
@@ -1280,7 +1274,7 @@ def test_phi_certificate_in_degree_three_on_abelian_algebras():
     ab4 = abelian_md(random.Random(31), 4)
     for rep in (adjoint_representation(ab4), coadjoint_representation(ab4)):
         assert (ComplexAssembly(ab4, rep).phi_det_mod_p(3)
-                == phi_det_oracle(ab4, rep, 3))
+                == oracles.phi_det(ab4, rep, 3))
 
 
 def test_certificate_declines_a_prime_dividing_a_denominator(monkeypatch):
@@ -1326,7 +1320,7 @@ def test_both_certificate_paths_match_the_oracle():
         asm, forced = ComplexAssembly(md, rep), ComplexAssembly(md, rep)
         forced._phi_det._spectra = None
         for q in degrees:
-            want = phi_det_oracle(md, rep, q)
+            want = oracles.phi_det(md, rep, q)
             assert asm.phi_det_mod_p(q) == want == forced.phi_det_mod_p(q), (md, rep, q)
         paths.add(asm._phi_det._spectra is not None)
     assert paths == {True, False}
@@ -1359,7 +1353,7 @@ def test_two_by_two_blocks_choose_the_path(block, rational):
                     (plain, trivial_representation(plain, 3, d))):
         asm = ComplexAssembly(md, rep)
         for q in (1, 2, 3, 4):
-            assert asm.phi_det_mod_p(q) == phi_det_oracle(md, rep, q), (block, q)
+            assert asm.phi_det_mod_p(q) == oracles.phi_det(md, rep, q), (block, q)
         assert (asm._phi_det._spectra is not None) == rational
 
 
@@ -1397,7 +1391,7 @@ def test_a_representation_file_with_a_cyclic_d_M_takes_the_polynomial_path(
         want = oracles.cohomology_by_elimination(asm, q)
         assert (report["z_dim"], report["b_dim"], report["h_dim"]) == dims(want), q
         assert asm._phi_det._spectra is None
-        assert asm.phi_det_mod_p(q) == phi_det_oracle(md, rep, q)
+        assert asm.phi_det_mod_p(q) == oracles.phi_det(md, rep, q)
 
 
 @pytest.mark.parametrize("key, rep, q", [
@@ -1816,21 +1810,6 @@ def test_is_cocycle_agrees_with_the_direct_identities_on_four_dims():
         assert verdicts == [True, True, True, False, False], (md, rep)
 
 
-def phi_star_corank(asm, k):
-    """dim coker, equal to dim ker, of Phi* on H^k(delta), from delta and
-    Phi alone: dim Z^k - dim(Phi_k Z^k + B^k), the rank of [Phi_k K_k |
-    delta_(k-1)] with K_k a kernel basis of delta_k and B^1 = 0.  It is 0 at
-    k = 0, where no cochain lives."""
-    if k == 0:
-        return 0
-    kernel = asm.delta_matrix(k).kernel_basis()
-    dim = cochain_dim(k, asm.md.n, asm.rep.m)
-    blocks = [asm.phi_matrix(k) @ Matrix.from_columns(kernel, dim)]
-    if k > 1:
-        blocks.append(asm.delta_matrix(k - 1))
-    return len(kernel) - Matrix.hstack(blocks).rank()
-
-
 def test_cone_long_exact_sequence():
     """The total complex is the mapping cone of Phi, so its long exact
     sequence gives dim H^q = dim ker(Phi* on H^q(delta)) + dim coker(Phi* on
@@ -1845,7 +1824,7 @@ def test_cone_long_exact_sequence():
             continue
         asm = ComplexAssembly(md, rep)
         for q in degrees:
-            want = phi_star_corank(asm, q) + phi_star_corank(asm, q - 1)
+            want = oracles.phi_star_corank(asm, q) + oracles.phi_star_corank(asm, q - 1)
             assert asm.cohomology_dim(q, representatives=False).h_dim == want, (
                 md, rep, q)
             assert asm.cohomology_dim(q).h_dim == want, (md, rep, q)

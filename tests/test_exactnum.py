@@ -464,6 +464,10 @@ def test_kronecker_sum_det_takes_the_last_two_factors_apart():
             factors, exactnum.CERTIFICATE_PRIME), factors
     # eigenvalues cancel
     assert kronecker_sum_det_from_halves(charpoly_mod_p(a), charpoly_mod_p(-a)) == 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactnum, "CERTIFICATE_PRIME", 7)
+        three = charpoly_mod_p(Matrix.from_rows([[3]]))
+        assert kronecker_sum_det_from_halves(three, three) == 6  # 3 + 3
 
 
 @pytest.mark.parametrize("prime", [exactnum.CERTIFICATE_PRIME, 257])
@@ -628,23 +632,6 @@ def test_resultant_matches_the_sylvester_determinant(p, data):
     assert _resultant_mod(a, b, p) == det_mod_p(sylvester(a, b), p)
 
 
-def test_kronecker_sum_det_declines_what_it_cannot_decide(monkeypatch):
-    a = Matrix.from_rows([[1, Fraction(1, 7)], [0, 2]])
-    b = Matrix.from_rows([[3]])
-    monkeypatch.setattr(exactnum, "CERTIFICATE_PRIME", 7)
-    c_b = charpoly_mod_p(b)
-    assert kronecker_sum_det_from_halves(c_b, c_b) == 6  # 3 + 3
-    # 7 divides a denominator
-    assert charpoly_mod_p(a) is None
-    assert kronecker_sum_charpoly_mod_p(None, c_b) is None
-    assert kronecker_sum_det_from_halves(None, c_b) is None
-    # p <= N
-    seven, six = charpoly_mod_p(Matrix.identity(7)), charpoly_mod_p(Matrix.identity(6))
-    assert kronecker_sum_charpoly_mod_p(seven, EMPTY_SUM_POLY) is None
-    assert kronecker_sum_det_from_halves(seven, EMPTY_SUM_POLY) is None
-    assert kronecker_sum_det_from_halves(six, EMPTY_SUM_POLY) == 1
-
-
 def test_the_certificate_prime_is_one_digit_and_above_every_admitted_size():
     """CERTIFICATE_PRIME is a prime (trial division) below 2^30, so each
     residue is one 30-bit digit of a CPython int, and above
@@ -661,29 +648,49 @@ def forced_polynomials(phi):
     return phi
 
 
-def test_phi_determinant_declines_what_it_cannot_decide(monkeypatch):
-    """On both paths mod_p declines (None) where p divides a denominator of
-    d or d_M, and where p <= N = C(n, 2)^(q - 1) n m; a p that is at most
-    max(C(n, 2), 2) leaves the answer to the polynomials."""
-    a = Matrix.from_rows([[1, Fraction(1, 7)], [0, 2]])
-    three = Matrix.from_rows([[3]])
+#: 7 divides a denominator: an upper triangular d with eigenvalues 1 and 2.
+SEVENTHS = Matrix.from_rows([[1, Fraction(1, 7)], [0, 2]])
+
+
+def unread_by_seven():
+    """(d, d_M, lam) with a 7 in a denominator of d, of d_M or of lam, each
+    with exact spectra; d_M is d (the adjoint) in the last two."""
+    plain, other = Matrix.diagonal([1, 2]), Matrix.diagonal([2, 3])
+    return [(SEVENTHS, other, 1), (plain, SEVENTHS, 1), (plain, other, Fraction(1, 7)),
+            (SEVENTHS, SEVENTHS, 1), (plain, plain, Fraction(1, 7))]
+
+
+def test_phi_determinant_declines_what_p_cannot_read(monkeypatch):
+    """With p = 7 and a 7 in a denominator of d, d_M or lam, mod_p(q)
+    declines (None) at every q on both paths, but for the adjoint's Phi_1,
+    which is 0; N = 4 < 7 at every q, so the size check passes.
+    zero_multiplicity(q) reads the exact spectra, never reduced mod p, and is
+    what it is under the real prime.  p = 2 declines every degree though the
+    spectra stay exact; p <= N = C(n, 2)^(q - 1) n m declines first."""
+    cases = unread_by_seven()
+    zeros = [[PhiDeterminant(*case).zero_multiplicity(q) for q in (1, 2, 3)]
+             for case in cases]
+    assert zeros[0] == [1, 0, 0] and zeros[3][0] == 2
     monkeypatch.setattr(exactnum, "CERTIFICATE_PRIME", 7)
+    for case, want in zip(cases, zeros):
+        adjoint = case[1] is case[0]
+        for make in (PhiDeterminant, lambda *args: forced_polynomials(PhiDeterminant(*args))):
+            assert [make(*case).mod_p(q) for q in (1, 2, 3)] == [0 if adjoint else None,
+                                                                 None, None], case
+        phi = PhiDeterminant(*case)
+        assert phi._spectra is not None
+        assert [phi.zero_multiplicity(q) for q in (1, 2, 3)] == want, case
+    three = Matrix.from_rows([[3]])
     for make in (PhiDeterminant, lambda *args: forced_polynomials(PhiDeterminant(*args))):
-        # 7 divides a denominator of d, then of d_M
-        assert [make(a, three, 1).mod_p(q) for q in (1, 2, 3)] == [None] * 3
-        assert [make(three, a, 1).mod_p(q) for q in (1, 2)] == [None] * 2
         # d = I_3, d_M = I_2: N = 6 < 7 at q = 1 and 18 at q = 2
         phi = make(Matrix.identity(3), Matrix.identity(2), 1)
         assert phi.mod_p(2) is None and phi.mod_p(1) == 0  # eigenvalue 1 - 1
         assert make(three, three.scale(2), 0).mod_p(1) == 7 - 3  # 3 - 6
-    # the exact path, chosen only where p > max(C(n, 2), 2)
-    assert PhiDeterminant(three, three.scale(2), 0)._spectra is not None
+    # p = 2 has no 1 / 2, which d_F's power sums need; N <= 1 here
     monkeypatch.setattr(exactnum, "CERTIFICATE_PRIME", 2)
-    assert PhiDeterminant(three, three, 0)._spectra is None
-    monkeypatch.setattr(exactnum, "CERTIFICATE_PRIME", 3)
-    assert PhiDeterminant(Matrix.identity(3), three, 0)._spectra is None
-    monkeypatch.setattr(exactnum, "CERTIFICATE_PRIME", 5)
-    assert PhiDeterminant(Matrix.identity(3), three, 0)._spectra is not None
+    for make in (PhiDeterminant, lambda *args: forced_polynomials(PhiDeterminant(*args))):
+        assert [make(three, three.scale(2), 0).mod_p(q) for q in (1, 2, 3)] == [None] * 3
+    assert PhiDeterminant(three, three, 0)._spectra is not None
 
 
 def test_phi_determinant_of_the_adjoint_in_degree_one_is_zero(monkeypatch):
@@ -780,17 +787,23 @@ def test_distinct_eigenvalues_of_d_on_both_paths(inputs):
         assert phi.d_has_distinct_eigenvalues() == want
 
 
-def test_distinct_eigenvalues_mod_a_small_prime_are_only_ever_declined(monkeypatch):
-    """With p = 7: where p divides a denominator of d, or two eigenvalues
-    of d are distinct but congruent mod p, the polynomials say False; the
-    exact spectra still see 1 and 8 apart.  Neither path says True for a
-    repeated eigenvalue."""
-    monkeypatch.setattr(exactnum, "CERTIFICATE_PRIME", 7)
-    sevenths = Matrix.from_rows([[1, Fraction(1, 7)], [0, 2]])
+def test_distinct_eigenvalues_mod_a_small_prime(monkeypatch):
+    """With p = 7 the exact spectra answer as under the real prime: 1 and 2
+    apart though 7 divides a denominator of d, d_M or lam, and 1 and 8 apart
+    though congruent mod 7.  The polynomials say False there, though they
+    say True under the real prime.  Neither path says True for a repeated
+    eigenvalue."""
     apart, repeated = Matrix.diagonal([1, 8]), Matrix.from_rows([[1, 1], [0, 1]])
-    for d, exact in ((sevenths, False), (apart, True), (repeated, False)):
-        assert PhiDeterminant(d, d, 0).d_has_distinct_eigenvalues() == exact, d
-        assert not forced_polynomials(PhiDeterminant(d, d, 0)).d_has_distinct_eigenvalues()
+    cases = unread_by_seven() + [(apart, apart, 0), (repeated, repeated, 0)]
+    for d, d_M, lam in cases:
+        want = d is not repeated
+        for phi in (PhiDeterminant(d, d_M, lam), forced_polynomials(PhiDeterminant(d, d_M, lam))):
+            assert phi.d_has_distinct_eigenvalues() == want, d
+    monkeypatch.setattr(exactnum, "CERTIFICATE_PRIME", 7)
+    for d, d_M, lam in cases:
+        want = d is not repeated
+        assert PhiDeterminant(d, d_M, lam).d_has_distinct_eigenvalues() == want, d
+        assert not forced_polynomials(PhiDeterminant(d, d_M, lam)).d_has_distinct_eigenvalues()
 
 
 def test_wedge_charpoly_examples():
@@ -804,6 +817,12 @@ def test_wedge_charpoly_examples():
     # no pairs on a line or a point
     assert wedge_charpoly_mod_p(charpoly_mod_p(Matrix.identity(1)), 3) == [1]
     assert wedge_charpoly_mod_p(charpoly_mod_p(Matrix.zeros(0, 0)), 3) == [1]
+    # mod 7 on N = C(4, 2) = 6 < 7 pairs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactnum, "CERTIFICATE_PRIME", 7)
+        d = Matrix.from_rows([[1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 3, 1], [0, 0, 0, -1]])
+        assert wedge_charpoly_mod_p(charpoly_mod_p(d), Fraction(1, 2)) == charpoly_mod_p(
+            pair_map(d, Fraction(1, 2)))
 
 
 @pytest.mark.parametrize("prime", [exactnum.CERTIFICATE_PRIME, 257])
@@ -815,21 +834,3 @@ def test_wedge_charpoly_is_that_of_the_pair_map(prime, d, lam):
         mp.setattr(exactnum, "CERTIFICATE_PRIME", prime)
         got = wedge_charpoly_mod_p(charpoly_mod_p(d), lam)
         assert got == charpoly_mod_p(pair_map(d, lam))
-
-
-def test_wedge_charpoly_declines_what_it_cannot_decide(monkeypatch):
-    monkeypatch.setattr(exactnum, "CERTIFICATE_PRIME", 7)
-    d = Matrix.from_rows([[1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 3, 1], [0, 0, 0, -1]])
-    c = charpoly_mod_p(d)
-    # N = C(4, 2) = 6 < 7 is decided
-    assert wedge_charpoly_mod_p(c, Fraction(1, 2)) == charpoly_mod_p(
-        pair_map(d, Fraction(1, 2))) is not None
-    # 7 divides the weight's denominator; d's polynomial was declined
-    assert wedge_charpoly_mod_p(c, Fraction(1, 7)) is None
-    assert wedge_charpoly_mod_p(None, 1) is None
-    # p <= N = 10, though d's polynomial is decided
-    five = charpoly_mod_p(Matrix.identity(5))
-    assert five is not None and wedge_charpoly_mod_p(five, 1) is None
-    # lam / 2 has no value mod 2
-    monkeypatch.setattr(exactnum, "CERTIFICATE_PRIME", 2)
-    assert wedge_charpoly_mod_p(charpoly_mod_p(Matrix.identity(2)), 1) is None

@@ -44,7 +44,7 @@ returned for the moved pair is an isomorphism of the moved totals."""
 
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 
@@ -67,7 +67,7 @@ from md3lie.structures import (
 )
 
 import oracles
-from conftest import bench_pool
+from conftest import bench_pool, conjugated, pulled_back
 
 DEGREES = (1, 2, 3)
 
@@ -160,21 +160,6 @@ def test_scaling_the_differentials_and_the_weight_keeps_the_cohomology(md):
                 size = len(pair_basis(md.n)) ** (q - 1) * md.n * rep.m
                 assert det_c == det * pow(mod_p(c), size, CERTIFICATE_PRIME) % (
                     CERTIFICATE_PRIME), (make.__name__, c, q)
-
-
-def pulled_back(t, P):
-    """The tensor t(x, y, z)' = P^-1 t(P x, P y, P z) on the basis triples."""
-    inverse, columns = P.inverse(), [P.column(j) for j in range(P.cols)]
-    return SkewTernaryTensor(t.dim_in, t.dim_out, {
-        (i, j, k): dict(enumerate(inverse.apply(t(columns[i], columns[j], columns[k]))))
-        for i, j, k in combinations(range(t.dim_in), 3)})
-
-
-def conjugated(md, P):
-    """md in the basis of P's columns: [x, y, z]' = P^-1 [P x, P y, P z] on
-    the basis triples, and d' = P^-1 d P, at the same weight."""
-    return MD3LieAlgebra(ThreeLieAlgebra(md.n, pulled_back(md.algebra.bracket, P)),
-                         ModifiedDifferential(md.lam, P.inverse() @ md.d @ P))
 
 
 def verdicts(md, rep):

@@ -214,6 +214,77 @@ def test_cohomology_imports_one_certificate_name():
                    and node.value.id == "exactnum" for node in ast.walk(tree))
 
 
+MOD_P_HELPERS = {"charpoly_mod_p", "negated_charpoly_mod_p", "wedge_charpoly_mod_p",
+                 "kronecker_sum_charpoly_mod_p", "kronecker_sum_det_from_halves"}
+
+
+def prime_comparisons(source: str) -> list[str]:
+    """The dotted name of the enclosing class and function of each
+    comparison in source that holds CERTIFICATE_PRIME, or a name a function
+    binds to it, against a size or a denominator: a comparison that names
+    the prime, or ``x.denominator`` modulo it, outermost only."""
+    found = []
+
+    def names(node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+    def aliases(function):
+        bound = {"CERTIFICATE_PRIME"}
+        for node in ast.walk(function):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    pairs = (zip(target.elts, node.value.elts)
+                             if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                             else [(target, node.value)])
+                    bound |= {t.id for t, v in pairs if isinstance(t, ast.Name)
+                              and isinstance(v, ast.Name) and v.id == "CERTIFICATE_PRIME"}
+        return bound
+
+    def visit(node, where, primes):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            where = f"{where}.{node.name}".lstrip(".")
+            if isinstance(node, ast.FunctionDef):
+                primes = aliases(node)
+        if ((isinstance(node, ast.Compare) and names(node) & primes)
+                or (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+                    and names(node.right) & primes
+                    and isinstance(node.left, ast.Attribute)
+                    and node.left.attr == "denominator")):
+            found.append(where)
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, where, primes)
+
+    visit(ast.parse(source), "", {"CERTIFICATE_PRIME"})
+    return found
+
+
+def test_prime_comparisons_are_found():
+    source = ("def f(e, N):\n"
+              "    a, p = 1, CERTIFICATE_PRIME\n"
+              "    if p <= N or e.denominator % p == 0:\n        return None\n"
+              "    return e.numerator * pow(e.denominator, -1, p) % p\n"
+              "class A:\n"
+              "    def g(self, c):\n        return all(c.denominator % CERTIFICATE_PRIME)\n"
+              "def h(p):\n    return p > 2\n")
+    assert prime_comparisons(source) == ["f", "f", "A.g"]
+
+
+def test_one_guard_reads_the_certificate_prime():
+    # PhiDeterminant asks whether p can read the input in two places, the
+    # size check of mod_p and one predicate; the mod-p helpers state that
+    # as their precondition, and neither take nor give None
+    source = (ROOT / "src" / "md3lie" / "exactnum.py").read_text(encoding="utf-8")
+    helpers = {node.name: ast.get_source_segment(source, node)
+               for node in ast.parse(source).body
+               if isinstance(node, ast.FunctionDef) and node.name in MOD_P_HELPERS}
+    assert helpers.keys() == MOD_P_HELPERS
+    assert [name for name, text in helpers.items()
+            if "None" in text or "Optional" in text] == []
+    assert sorted(prime_comparisons(source)) == [
+        "PhiDeterminant._reads_input", "PhiDeterminant._reads_input", "PhiDeterminant.mod_p"]
+
+
 def test_run_command_alone_frames_reports_and_picks_the_exit_code():
     # a subcommand returns only its report fields; the schema, command and
     # argv frame and the exit code derived from "valid" live in run_command
